@@ -39,9 +39,12 @@ PROFILES = {
 
 
 def _add_common(p):
+    p.add_argument("--tolerance-profile", choices=sorted(PROFILES), default="default")
+
+
+def _add_grid_n(p):
     p.add_argument("--grid-n", type=int, default=200,
                    help="number of grid intervals on [0, pi] (default 200)")
-    p.add_argument("--tolerance-profile", choices=sorted(PROFILES), default="default")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--trunc-n", type=int, default=None,
                    help="replace data beyond |n| <= trunc-n by the background")
     i.add_argument("--min-window", type=int, default=0)
+    _add_grid_n(i)
     _add_common(i)
 
     t = sub.add_parser("split-table", help="eigenvalue-splitting sweep -> table CSV + plot CSVs")
@@ -80,12 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print the contour perturbation metric per delta")
     t.add_argument("--no-verify", action="store_true",
                    help="skip the forward winding verification of the delta=0 row")
+    _add_grid_n(t)
     _add_common(t)
 
     r = sub.add_parser("roundtrip", help="reconstruct, re-solve forward, compare")
     r.add_argument("--data", required=True, help="input spectral JSON")
     r.add_argument("--n-check", type=int, default=3)
     r.add_argument("--trunc-n", type=int, default=None)
+    _add_grid_n(r)
     _add_common(r)
     return ap
 
@@ -102,15 +108,8 @@ def _cmd_forward(args) -> int:
     eigs = find_eigenvalues(pot, args.n_max, omega0, cluster=cluster,
                             refine=profile["refine"])
     full = weyl_residues(pot, eigs, refine=profile["refine"])
-    payload = {"omega0": [omega0.real, omega0.imag], "model": "dirichlet-zero",
-               "entries": [
-                   {"n": n,
-                    "lambda": [full.entries[n].lam.real, full.entries[n].lam.imag],
-                    "M": [full.entries[n].M.real, full.entries[n].M.imag]}
-                   for n in full.window_indices()]}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-    print(f"wrote {len(payload['entries'])} entries to {args.out}")
+    full.save_json(args.out)
+    print(f"wrote {len(full.window_indices())} entries to {args.out}")
     return EXIT_OK
 
 
@@ -131,7 +130,10 @@ def _cmd_inverse(args) -> int:
 
 
 def _cmd_split_table(args) -> int:
-    deltas = tuple(float(s) for s in args.deltas.split(",") if s.strip() != "")
+    try:
+        deltas = tuple(float(s) for s in args.deltas.split(",") if s.strip() != "")
+    except ValueError as err:
+        raise ValidationError(f"--deltas: {err}") from None
     config = SplitExperimentConfig(delta_list=deltas, n_grid=args.grid_n,
                                    contour_radius=args.contour_r, n_star=args.n_star)
     out_dir = None

@@ -108,9 +108,13 @@ class PotentialPair:
             if header != ["x", "re_q1", "im_q1", "re_sigma", "im_sigma"]:
                 raise ValidationError(f"unexpected potentials CSV header: {header}")
             for row in r:
-                xs.append(float(row[0]))
-                q1s.append(complex(float(row[1]), float(row[2])))
-                sigmas.append(complex(float(row[3]), float(row[4])))
+                try:
+                    xs.append(float(row[0]))
+                    q1s.append(complex(float(row[1]), float(row[2])))
+                    sigmas.append(complex(float(row[3]), float(row[4])))
+                except (IndexError, ValueError) as err:
+                    raise ValidationError(
+                        f"bad potentials CSV row {r.line_num}: {err}") from None
         return PotentialPair(x=np.array(xs), q1=np.array(q1s), sigma=np.array(sigmas))
 
 

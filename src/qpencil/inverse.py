@@ -111,6 +111,14 @@ def active_layout(data: SpectralDataSet, model: BackgroundProblem,
     return ActiveLayout(indices=indices, side0=side0, side1=side1)
 
 
+def _group_sum(ec: SideEntry, nu_r: int, T: np.ndarray) -> np.ndarray:
+    """Contraction sum_p M_p T[nu_r, p - nu] over the column's group coefficients."""
+    acc = np.zeros(T.shape[2:], dtype=complex)
+    for p in range(ec.nu, ec.m):
+        acc += ec.Ms[p] * T[nu_r, p - ec.nu]
+    return acc
+
+
 @dataclass
 class MainEquationSystem:
     """Per-node dense system; arrays are stacked over the grid nodes."""
@@ -164,27 +172,24 @@ def assemble_system(data: SpectralDataSet, model: BackgroundProblem, x,
                        model.dx_table(x, er.lam, ec.lam, key[2], key[3]))
                 table_cache[key] = got
             T, X = got
-            accP = np.zeros(nx, dtype=complex)
-            accX = np.zeros(nx, dtype=complex)
-            for p in range(ec.nu, ec.m):
-                accP += ec.Ms[p] * T[er.nu, p - ec.nu]
-                accX += ec.Ms[p] * X[er.nu, p - ec.nu]
             sgn = -1.0 if j == 1 else 1.0
-            P[ridx, cidx] = sgn * accP
-            Px[ridx, cidx] = sgn * accX
+            P[ridx, cidx] = sgn * _group_sum(ec, er.nu, T)
+            Px[ridx, cidx] = sgn * _group_sum(ec, er.nu, X)
 
     return MainEquationSystem(x=x, layout=layout, model=model,
                               P=P.transpose(2, 0, 1), P_x=Px.transpose(2, 0, 1),
                               rhs=rhs.T, rhs_x=rhs_x.T)
 
 
-def solve_main(system: MainEquationSystem,
-               cond_limit: float = COND_LIMIT) -> tuple[np.ndarray, np.ndarray]:
+def solve_main(system: MainEquationSystem, cond_limit: float = COND_LIMIT
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Solve (I - P) v = s and (I - P) v_x = s_x + P_x v at every node.
 
-    Returns arrays of shape (dim, nx).  A condition estimate above
-    ``cond_limit`` at any node raises ``SingularSystemError`` (the bounded
-    invertibility assumption fails) rather than returning garbage.
+    Returns ``(v, v_x, cond, residual)``: v and v_x of shape (dim, nx), the
+    per-node condition numbers of (I - P), and the max-norm residual of
+    (I - P) v - s over all nodes.  A condition estimate above ``cond_limit``
+    at any node raises ``SingularSystemError`` (the bounded invertibility
+    assumption fails) rather than returning garbage.
     """
     dim = system.layout.dim
     A = np.eye(dim)[None, :, :] - system.P
@@ -196,16 +201,10 @@ def solve_main(system: MainEquationSystem,
             f"(cond={cond[worst]:.3e})", x=float(system.x[worst]),
             cond=float(cond[worst]))
     v = np.linalg.solve(A, system.rhs[:, :, None])[:, :, 0]
+    residual = float(np.max(np.abs(np.einsum("nij,nj->ni", A, v) - system.rhs)))
     rhs2 = system.rhs_x + np.einsum("nij,nj->ni", system.P_x, v)
     vx = np.linalg.solve(A, rhs2[:, :, None])[:, :, 0]
-    return v.T, vx.T
-
-
-def system_condition(system: MainEquationSystem) -> np.ndarray:
-    """Per-node condition numbers of (I - P)."""
-    dim = system.layout.dim
-    A = np.eye(dim)[None, :, :] - system.P
-    return np.linalg.cond(A)
+    return v.T, vx.T, cond, residual
 
 
 def scaled_operator_norm(data: SpectralDataSet, model: BackgroundProblem,
@@ -239,10 +238,7 @@ def scaled_operator_norm(data: SpectralDataSet, model: BackgroundProblem,
             for i, er in enumerate((en, em)):
                 for j, ec in enumerate((ek, fk)):
                     T = model.d_table(x, er.lam, ec.lam, er.nu, ec.m - 1 - ec.nu)
-                    acc = np.zeros(x.size, dtype=complex)
-                    for p in range(ec.nu, ec.m):
-                        acc += ec.Ms[p] * T[er.nu, p - ec.nu]
-                    Pblock[i, j] = acc
+                    Pblock[i, j] = _group_sum(ec, er.nu, T)
             H = (n / k) * np.einsum("ab,bcx,cd->adx", left, Pblock, right)
             for i in (0, 1):
                 key = (n, i)
@@ -250,14 +246,6 @@ def scaled_operator_norm(data: SpectralDataSet, model: BackgroundProblem,
     for val in rows_sum.values():
         norm = max(norm, float(np.max(val)))
     return norm
-
-
-def solve_residual(system: MainEquationSystem, v: np.ndarray) -> float:
-    """max-norm residual of (I - P) v - s over all nodes."""
-    dim = system.layout.dim
-    A = np.eye(dim)[None, :, :] - system.P
-    r = np.einsum("nij,nj->ni", A, v.T) - system.rhs
-    return float(np.max(np.abs(r)))
 
 
 @dataclass
@@ -447,11 +435,10 @@ def run_reconstruction(data: SpectralDataSet, model: BackgroundProblem,
                                    eps=eps, cond=np.ones(nx), residual=0.0)
 
     system = assemble_system(data, model, x, layout=layout)
-    v, v_x = solve_main(system, cond_limit=cond_limit)
+    v, v_x, cond, residual = solve_main(system, cond_limit=cond_limit)
     eps = compute_epsilons(system, v, v_x)
     recover_theta(eps)
     q1 = recover_q1(eps, model)
     q0ad = recover_q0_antiderivative(eps, q1, model)
     return RecoveredPotentials(x=x, q1=q1, q0_antideriv=q0ad, background=model,
-                               eps=eps, cond=system_condition(system),
-                               residual=solve_residual(system, v))
+                               eps=eps, cond=cond, residual=residual)

@@ -11,8 +11,10 @@ needs from the background reduces to
   together with its normalized mixed (lam, mu)-derivatives, and
 * the x-derivative of D, which is ``(lam + mu - 2 q1(x)) S(x,lam) S(x,mu)``.
 
-A numeric background delegates the chains to the shooting integrator and
-keeps the same kernel algebra on top of the integrated traces.
+A numeric background delegates the chains to the shooting integrator.  Both
+backgrounds share one kernel algebra (``d_table``, ``dx_table``) and differ
+only in their chains and in the coalescent branch used when lam and mu are
+too close for the quotient form.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
+from . import zindex
 from .errors import GridMismatchError, OrderTooHighError
 
 if TYPE_CHECKING:
@@ -32,20 +35,17 @@ if TYPE_CHECKING:
 # Highest supported derivative order (covers eigenvalue multiplicities up to 3).
 P_MAX = 4
 
-# Relative separation below which the divided difference switches to the
-# midpoint series.  The quotient form loses roughly |lam-mu|^-(order+1) digits
-# to cancellation, so the switch radius is far above machine-driven thresholds.
-COALESCE_REL = 0.05
+# Separation |lam - mu| below which the divided difference switches to the
+# background's coalescent branch.  The quotient form loses roughly
+# |lam-mu|^-(order+1) digits to cancellation, while the truncation error of the
+# fixed-degree midpoint series grows with the absolute gap, so the switch is
+# absolute whatever the size of lam and mu.
+COALESCE_GAP = 0.05
 
 # |lam| below which sin(lam x)/lam chains use the power series in lam.
 SMALL_LAMBDA = 0.5
 
 _SERIES_EXTRA = 16  # extra Taylor degrees kept beyond the requested order
-
-
-def _as_x_array(x):
-    x = np.asarray(x, dtype=float)
-    return x
 
 
 def s_chain(x, lam: complex, order: int) -> np.ndarray:
@@ -54,7 +54,7 @@ def s_chain(x, lam: complex, order: int) -> np.ndarray:
     Entry nu is (1/nu!) d^nu/dlam^nu [sin(lam x)/lam]; the removable
     singularity at lam = 0 is handled by the power series in lam.
     """
-    x = _as_x_array(x)
+    x = np.asarray(x, dtype=float)
     out = np.zeros((order + 1,) + x.shape, dtype=complex)
     if abs(lam) >= SMALL_LAMBDA:
         lx = lam * x
@@ -83,7 +83,7 @@ def s_chain(x, lam: complex, order: int) -> np.ndarray:
 
 def sx_chain(x, lam: complex, order: int) -> np.ndarray:
     """Normalized lam-derivatives of cos(lam x): x^nu cos(lam x + nu pi/2)/nu!."""
-    x = _as_x_array(x)
+    x = np.asarray(x, dtype=float)
     lx = lam * x
     quarter = (np.cos(lx), -np.sin(lx), -np.cos(lx), np.sin(lx))
     out = np.zeros((order + 1,) + x.shape, dtype=complex)
@@ -140,34 +140,33 @@ def _series_table(sc, cc, u0, w0, tmax, smax, shape):
     return T
 
 
-def d_table(x, lam: complex, mu: complex, tmax: int, smax: int) -> np.ndarray:
-    """T[t, s] = (1/t! s!) d^t_lam d^s_mu D(x, lam, mu) for the zero background."""
+def d_table(background: "BackgroundProblem", x, lam: complex, mu: complex,
+            tmax: int, smax: int) -> np.ndarray:
+    """T[t, s] = (1/t! s!) d^t_lam d^s_mu D(x, lam, mu) for ``background``.
+
+    The quotient form is built from the background's own chains; pairs closer
+    than ``COALESCE_GAP`` go to its coalescent branch instead.
+    """
     if tmax > P_MAX or smax > P_MAX:
         raise OrderTooHighError(f"derivative order ({tmax}, {smax}) exceeds p_max={P_MAX}")
-    x = _as_x_array(x)
-    scale = max(1.0, abs(lam), abs(mu))
-    if abs(lam - mu) >= COALESCE_REL * scale:
-        sa = s_chain(x, lam, tmax)
-        ca = sx_chain(x, lam, tmax)
-        sb = s_chain(x, mu, smax)
-        cb = sx_chain(x, mu, smax)
-        f = [[sa[a] * cb[b] - ca[a] * sb[b] for b in range(smax + 1)] for a in range(tmax + 1)]
-        return _quotient_table(f, lam, mu, tmax, smax, x.shape)
-    c = 0.5 * (lam + mu)
-    u0 = lam - c
-    w0 = mu - c
-    order = tmax + smax + _SERIES_EXTRA + 1
-    sc = s_chain(x, c, order)
-    cc = sx_chain(x, c, order)
-    return _series_table(sc, cc, u0, w0, tmax, smax, x.shape)
+    x = np.asarray(x, dtype=float)
+    if abs(lam - mu) < COALESCE_GAP:
+        return background._coalescent_table(x, lam, mu, tmax, smax)
+    sa = background.s_chain(x, lam, tmax)
+    ca = background.sx_chain(x, lam, tmax)
+    sb = background.s_chain(x, mu, smax)
+    cb = background.sx_chain(x, mu, smax)
+    f = [[sa[a] * cb[b] - ca[a] * sb[b] for b in range(smax + 1)] for a in range(tmax + 1)]
+    return _quotient_table(f, lam, mu, tmax, smax, x.shape)
 
 
-def dx_table(x, lam: complex, mu: complex, tmax: int, smax: int, q1=None) -> np.ndarray:
+def dx_table(background: "BackgroundProblem", x, lam: complex, mu: complex,
+             tmax: int, smax: int) -> np.ndarray:
     """Mixed derivatives of dD/dx = (lam + mu - 2 q1(x)) S(x,lam) S(x,mu)."""
-    x = _as_x_array(x)
-    sa = s_chain(x, lam, tmax)
-    sb = s_chain(x, mu, smax)
-    w = lam + mu if q1 is None else lam + mu - 2.0 * np.asarray(q1)
+    x = np.asarray(x, dtype=float)
+    sa = background.s_chain(x, lam, tmax)
+    sb = background.s_chain(x, mu, smax)
+    w = lam + mu - 2.0 * background.q1_values(x)
     X = np.zeros((tmax + 1, smax + 1) + x.shape, dtype=complex)
     for t in range(tmax + 1):
         for s in range(smax + 1):
@@ -196,20 +195,18 @@ def s_model_x(x, lam: complex) -> complex:
 
 
 def d_model(x, lam: complex, mu: complex) -> complex:
-    val = d_table(x, lam, mu, 0, 0)[0, 0]
+    val = d_table(_ZERO, x, lam, mu, 0, 0)[0, 0]
     return complex(val) if np.ndim(x) == 0 else val
 
 
 def d_model_mu_deriv(x, lam: complex, mu: complex, p: int) -> complex:
     """Unnormalized p-th mu-derivative of d_model."""
-    if p > P_MAX:
-        raise OrderTooHighError(f"mu-derivative order {p} exceeds p_max={P_MAX}")
-    val = factorial(p) * d_table(x, lam, mu, 0, p)[0, p]
+    val = factorial(p) * d_table(_ZERO, x, lam, mu, 0, p)[0, p]
     return complex(val) if np.ndim(x) == 0 else val
 
 
 def d_model_x_deriv(x, lam: complex, mu: complex) -> complex:
-    val = dx_table(x, lam, mu, 0, 0)[0, 0]
+    val = dx_table(_ZERO, x, lam, mu, 0, 0)[0, 0]
     return complex(val) if np.ndim(x) == 0 else val
 
 
@@ -217,7 +214,11 @@ def d_model_x_deriv(x, lam: complex, mu: complex) -> complex:
 # background problems
 
 class BackgroundProblem:
-    """Interface consumed by the reconstruction pipeline."""
+    """Interface consumed by the reconstruction pipeline.
+
+    A background supplies its chains, its first potential and the coalescent
+    branch of the kernel; the kernel tables themselves are shared.
+    """
 
     kind: str
     omega0: complex
@@ -234,11 +235,15 @@ class BackgroundProblem:
     def sx_chain(self, x, lam, order) -> np.ndarray:
         raise NotImplementedError
 
-    def d_table(self, x, lam, mu, tmax, smax) -> np.ndarray:
+    def _coalescent_table(self, x, lam, mu, tmax, smax) -> np.ndarray:
+        """Kernel table for |lam - mu| < COALESCE_GAP, free of the 1/(lam - mu)."""
         raise NotImplementedError
 
+    def d_table(self, x, lam, mu, tmax, smax) -> np.ndarray:
+        return d_table(self, x, lam, mu, tmax, smax)
+
     def dx_table(self, x, lam, mu, tmax, smax) -> np.ndarray:
-        raise NotImplementedError
+        return dx_table(self, x, lam, mu, tmax, smax)
 
     def spectral_entry(self, n: int) -> tuple[complex, complex]:
         """Eigenvalue and residue coefficient of the background at index n."""
@@ -248,14 +253,10 @@ class BackgroundProblem:
         from .spectral_data import SpectralDataSet, SpectralEntry
 
         entries = []
-        for n in _window(n_max):
+        for n in zindex.window(n_max):
             lam, M = self.spectral_entry(n)
             entries.append(SpectralEntry(n=n, lam=lam, M=M))
         return SpectralDataSet.from_entries(entries, tail=self, omega0=self.omega0)
-
-
-def _window(n_max):
-    return [n for n in range(-n_max, n_max + 1) if n != 0]
 
 
 class ZeroBackground(BackgroundProblem):
@@ -276,11 +277,12 @@ class ZeroBackground(BackgroundProblem):
     def sx_chain(self, x, lam, order):
         return sx_chain(x, lam, order)
 
-    def d_table(self, x, lam, mu, tmax, smax):
-        return d_table(x, lam, mu, tmax, smax)
-
-    def dx_table(self, x, lam, mu, tmax, smax):
-        return dx_table(x, lam, mu, tmax, smax)
+    def _coalescent_table(self, x, lam, mu, tmax, smax):
+        # Taylor series at the midpoint, re-expanded at the two arguments
+        c = 0.5 * (lam + mu)
+        order = tmax + smax + _SERIES_EXTRA + 1
+        return _series_table(s_chain(x, c, order), sx_chain(x, c, order),
+                             lam - c, mu - c, tmax, smax, x.shape)
 
     def spectral_entry(self, n):
         if n == 0:
@@ -289,6 +291,9 @@ class ZeroBackground(BackgroundProblem):
 
     def __repr__(self):
         return "ZeroBackground()"
+
+
+_ZERO = ZeroBackground()
 
 
 def model_spectral_data(n_max: int) -> "SpectralDataSet":
@@ -362,71 +367,13 @@ class NumericBackground(BackgroundProblem):
         sig = self.sigma_values(np.asarray(x))
         return tr[:, 1, idx] + sig * tr[:, 0, idx]
 
-    def d_table(self, x, lam, mu, tmax, smax):
-        if tmax > P_MAX or smax > P_MAX:
-            raise OrderTooHighError(f"derivative order ({tmax}, {smax}) exceeds p_max={P_MAX}")
-        x = _as_x_array(x)
-        scale = max(1.0, abs(lam), abs(mu))
-        if abs(lam - mu) >= COALESCE_REL * scale:
-            sa = self.s_chain(x, lam, tmax)
-            ca = self.sx_chain(x, lam, tmax)
-            sb = self.s_chain(x, mu, smax)
-            cb = self.sx_chain(x, mu, smax)
-            f = [[sa[a] * cb[b] - ca[a] * sb[b] for b in range(smax + 1)]
-                 for a in range(tmax + 1)]
-            return _quotient_table(f, lam, mu, tmax, smax, x.shape)
-        # near-coalescent: integral form on the refined grid, no singularity
+    def _coalescent_table(self, x, lam, mu, tmax, smax):
+        # D(0, ., .) = 0, so D is the running integral of dD/dx on the refined grid
         xr = self._refined_x()
-        idx = self._node_index(x)
-        sa = self._trace(lam, tmax)[:, 0, :]
-        sb = self._trace(mu, smax)[:, 0, :]
-        w = lam + mu - 2.0 * self.q1_values(xr)
-        T = np.zeros((tmax + 1, smax + 1) + x.shape, dtype=complex)
-        for t in range(tmax + 1):
-            for s in range(smax + 1):
-                integ = w * sa[t] * sb[s]
-                if s >= 1:
-                    integ = integ + sa[t] * sb[s - 1]
-                if t >= 1:
-                    integ = integ + sa[t - 1] * sb[s]
-                cum = cumulative_simpson(integ.real, x=xr, initial=0.0) \
-                    + 1j * cumulative_simpson(integ.imag, x=xr, initial=0.0)
-                T[t, s] = cum[idx]
-        return T
-
-    def dx_table(self, x, lam, mu, tmax, smax):
-        x = _as_x_array(x)
-        sa = self.s_chain(x, lam, tmax)
-        sb = self.s_chain(x, mu, smax)
-        w = lam + mu - 2.0 * self.q1_values(x)
-        X = np.zeros((tmax + 1, smax + 1) + x.shape, dtype=complex)
-        for t in range(tmax + 1):
-            for s in range(smax + 1):
-                acc = w * sa[t] * sb[s]
-                if s >= 1:
-                    acc = acc + sa[t] * sb[s - 1]
-                if t >= 1:
-                    acc = acc + sa[t - 1] * sb[s]
-                X[t, s] = acc
-        return X
-
-    def mu_derivative(self, x, lam, mu, p, n_nodes: int = 64):
-        """p-th mu-derivative of D by Cauchy-integral differentiation.
-
-        Trapezoid rule on a circle of radius 1e-3 * max(1, |mu|); avoids the
-        subtractive cancellation of high-order finite differences.
-        """
-        if p > P_MAX:
-            raise OrderTooHighError(f"mu-derivative order {p} exceeds p_max={P_MAX}")
-        if p == 0:
-            return self.d_table(x, lam, mu, 0, 0)[0, 0]
-        r = 1e-3 * max(1.0, abs(mu))
-        zs = mu + r * np.exp(2j * pi * np.arange(n_nodes) / n_nodes)
-        x = _as_x_array(x)
-        acc = np.zeros(x.shape, dtype=complex)
-        for z in zs:
-            acc += self.d_table(x, lam, complex(z), 0, 0)[0, 0] * (z - mu) ** (-p)
-        return factorial(p) * acc / n_nodes
+        X = dx_table(self, xr, lam, mu, tmax, smax)
+        cum = cumulative_simpson(X.real, x=xr, initial=0.0) \
+            + 1j * cumulative_simpson(X.imag, x=xr, initial=0.0)
+        return cum[..., self._node_index(x)]
 
     def spectral_entry(self, n):
         if n == 0:
@@ -440,7 +387,7 @@ class NumericBackground(BackgroundProblem):
 
         eigs = find_eigenvalues(self.potentials, n_max, self.omega0, refine=self.refine)
         full = weyl_residues(self.potentials, eigs, refine=self.refine)
-        for n in _window(n_max):
+        for n in zindex.window(n_max):
             e = full.entry(n)
             self._entry_cache[n] = (e.lam, e.M)
 

@@ -156,12 +156,15 @@ class SpectralDataSet:
     def from_json_dict(obj: dict) -> "SpectralDataSet":
         if obj.get("model", "dirichlet-zero") != "dirichlet-zero":
             raise ValidationError(f"unknown background model {obj.get('model')!r}")
-        entries = [
-            SpectralEntry(n=int(e["n"]),
-                          lam=complex(e["lambda"][0], e["lambda"][1]),
-                          M=complex(e["M"][0], e["M"][1]))
-            for e in obj["entries"]
-        ]
+        try:
+            entries = [
+                SpectralEntry(n=int(e["n"]),
+                              lam=complex(e["lambda"][0], e["lambda"][1]),
+                              M=complex(e["M"][0], e["M"][1]))
+                for e in obj["entries"]
+            ]
+        except (KeyError, IndexError, TypeError, ValueError) as err:
+            raise ValidationError(f"malformed spectral entry: {err!r}") from None
         om = obj.get("omega0")
         omega0 = complex(om[0], om[1]) if om is not None else None
         return normalize_ordering(entries, tail=ZeroBackground(), omega0=omega0)

@@ -167,7 +167,7 @@ def test_criterion_8_formulation_equivalence():
     model = ZeroBackground()
     xs = np.array([0.3, 0.9, pi / 2, 2.2, 2.9])
     system = assemble_system(data, model, xs)
-    v, _ = solve_main(system)
+    v = solve_main(system)[0]
     v_seq = {(e.n, i): v[r] for r, (e, i) in enumerate(system.layout.rows())}
     v_cont = solve_contour_equation(data, model, xs, contour_radius=1.5, n_star=1)
     worst = max(float(np.max(np.abs(v_seq[key] - v_cont[key]))) for key in v_seq)
@@ -195,7 +195,7 @@ def test_criterion_9_numerical_properties():
     def fd_err(n):
         x = default_grid(n)
         system = assemble_system(data, model, x)
-        v, v_x = solve_main(system)
+        v, v_x, _, _ = solve_main(system)
         fd = (v[:, 2:] - v[:, :-2]) / (2 * (x[1] - x[0]))
         return np.max(np.abs(v_x[:, 1:-1] - fd))
 
@@ -203,7 +203,7 @@ def test_criterion_9_numerical_properties():
     fd_order = e100 / e200
 
     system = assemble_system(data, model, default_grid(200))
-    eps = compute_epsilons(system, *solve_main(system))
+    eps = compute_epsilons(system, *solve_main(system)[:2])
     theta, _ = recover_theta(eps)
     branch_defect = float(np.max(np.abs(theta ** 2 * (1 + eps.eps1 ** 2) - 1.0)))
     elapsed = time.perf_counter() - t0

@@ -5,7 +5,7 @@ from math import pi
 
 import pytest
 
-from qpencil import PotentialPair, make_split_data
+from qpencil import PotentialPair, SpectralDataSet, make_split_data
 from qpencil.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -16,7 +16,10 @@ def test_forward_zero_potentials(tmp_path, capsys):
     code = main(["forward", "--potentials", str(pot_path), "--n-max", "3",
                  "--out", str(out)])
     assert code == EXIT_OK
-    payload = json.loads(out.read_text())
+    text = out.read_text()
+    # written by the one spectral JSON writer
+    assert text == json.dumps(SpectralDataSet.load_json(out).to_json_dict(), indent=2)
+    payload = json.loads(text)
     assert payload["model"] == "dirichlet-zero"
     entries = {e["n"]: e for e in payload["entries"]}
     assert entries[2]["lambda"][0] == pytest.approx(2.0, abs=1e-8)
@@ -48,6 +51,33 @@ def test_inverse_bad_model_tag_is_validation_error(tmp_path):
     path.write_text(json.dumps({"model": "unknown", "entries": []}))
     code = main(["inverse", "--data", str(path), "--out", str(tmp_path / "o.csv")])
     assert code == EXIT_VALIDATION
+
+
+def _entry_without_m(tmp_path):
+    path = tmp_path / "noM.json"
+    path.write_text(json.dumps({"entries": [{"n": 1, "lambda": [1.0, 0.0]}]}))
+    return ["inverse", "--data", str(path), "--out", str(tmp_path / "o.csv")]
+
+
+def _non_numeric_csv(tmp_path):
+    path = tmp_path / "pot.csv"
+    path.write_text("x,re_q1,im_q1,re_sigma,im_sigma\n0.0,abc,0,0,0\n")
+    return ["forward", "--potentials", str(path), "--out", str(tmp_path / "s.json")]
+
+
+def _bad_delta(tmp_path):
+    return ["split-table", "--deltas", "0.01,abc", "--out-dir", str(tmp_path), "--no-verify"]
+
+
+@pytest.mark.parametrize("argv_for", [_entry_without_m, _non_numeric_csv, _bad_delta])
+def test_malformed_input_is_validation_error(tmp_path, argv_for):
+    assert main(argv_for(tmp_path)) == EXIT_VALIDATION
+
+
+def test_forward_has_no_grid_n():
+    with pytest.raises(SystemExit) as exc:    # argparse rejects the unknown flag
+        main(["forward", "--potentials", "p.csv", "--out", "s.json", "--grid-n", "50"])
+    assert exc.value.code == EXIT_VALIDATION
 
 
 def test_split_table_writes_outputs(tmp_path, capsys):

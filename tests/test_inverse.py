@@ -23,7 +23,7 @@ from qpencil import (
     solve_main,
     weyl_residues,
 )
-from qpencil.inverse import EpsilonFields, active_layout, default_grid, solve_residual
+from qpencil.inverse import EpsilonFields, active_layout, default_grid
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ def test_identity_data_recovers_model_solution(zero_model):
     data = model_spectral_data(2)
     x = default_grid(60)
     system = assemble_system(data, zero_model, x, min_window=2)
-    v, v_x = solve_main(system)
+    v, v_x, _, _ = solve_main(system)
     for ridx, (e, i) in enumerate(system.layout.rows()):
         expected = zero_model.s_chain(x, e.lam, e.nu)[e.nu]
         assert np.max(np.abs(v[ridx] - expected)) < 1e-12
@@ -48,8 +48,11 @@ def test_identity_data_recovers_model_solution(zero_model):
 def test_solver_residual_small(zero_model):
     data = make_split_data(0.01)
     system = assemble_system(data, zero_model, default_grid(200))
-    v, _ = solve_main(system)
-    assert solve_residual(system, v) < 1e-12
+    v, _, _, residual = solve_main(system)
+    A = np.eye(system.layout.dim) - system.P
+    direct = np.max(np.abs(np.einsum("nij,jn->ni", A, v) - system.rhs))
+    assert residual == pytest.approx(direct, rel=1e-6)
+    assert residual < 1e-12
 
 
 def test_active_layout_is_four_by_four_for_split_data(zero_model):
@@ -81,7 +84,7 @@ def test_vx_matches_finite_difference_at_second_order(zero_model):
     def fd_error(n_grid):
         x = default_grid(n_grid)
         system = assemble_system(data, zero_model, x)
-        v, v_x = solve_main(system)
+        v, v_x, _, _ = solve_main(system)
         fd = (v[:, 2:] - v[:, :-2]) / (2 * (x[1] - x[0]))
         return np.max(np.abs(v_x[:, 1:-1] - fd))
 
@@ -94,7 +97,7 @@ def test_vx_matches_finite_difference_at_second_order(zero_model):
 def test_epsilons_vanish_for_identity(zero_model):
     data = model_spectral_data(2)
     system = assemble_system(data, zero_model, default_grid(50), min_window=2)
-    v, v_x = solve_main(system)
+    v, v_x, _, _ = solve_main(system)
     eps = compute_epsilons(system, v, v_x)
     for arr in (eps.eps1, eps.eps1_prime, eps.eps2, eps.eps3, eps.eps4):
         assert np.max(np.abs(arr)) < 1e-12
@@ -103,19 +106,19 @@ def test_epsilons_vanish_for_identity(zero_model):
 def test_epsilons_structure_for_split_data(zero_model):
     x = default_grid(80)
     sys_pos = assemble_system(make_split_data(0.01), zero_model, x)
-    eps_pos = compute_epsilons(sys_pos, *solve_main(sys_pos))
+    eps_pos = compute_epsilons(sys_pos, *solve_main(sys_pos)[:2])
     assert abs(eps_pos.eps1[0]) < 1e-14            # every term carries S(0, .) = 0
     assert np.max(np.abs(eps_pos.eps4)) == 0.0     # all simple for delta > 0
 
     sys_dbl = assemble_system(make_split_data(0.0), zero_model, x)
-    eps_dbl = compute_epsilons(sys_dbl, *solve_main(sys_dbl))
+    eps_dbl = compute_epsilons(sys_dbl, *solve_main(sys_dbl)[:2])
     assert np.max(np.abs(eps_dbl.eps4)) > 1e-3     # multiplicity term switches on
 
 
 def test_recover_theta_identities(zero_model):
     data = make_split_data(0.01)
     system = assemble_system(data, zero_model, default_grid(200))
-    eps = compute_epsilons(system, *solve_main(system))
+    eps = compute_epsilons(system, *solve_main(system)[:2])
     theta, lam = recover_theta(eps)
     assert theta[0] == pytest.approx(1.0, abs=1e-14)
     assert np.max(np.abs(theta**2 * (1 + eps.eps1**2) - 1.0)) < 1e-12

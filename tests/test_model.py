@@ -2,6 +2,7 @@
 
 from math import pi
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +123,30 @@ def test_d_model_branch_continuity_at_documented_threshold():
     assert _branch_gap(1.3 + 0.4j, x) < 1e-9
 
 
+def _d_oracle(x, lam, mu, t, s):
+    """(1/t! s!) d^t_lam d^s_mu D(x, lam, mu) from the closed form at 50 digits."""
+    def D(a, b):
+        return (mp.sin(a * x) / a * mp.cos(b * x) - mp.cos(a * x) * mp.sin(b * x) / b) / (a - b)
+
+    with mp.workdps(50):
+        d = mp.diff(D, (mp.mpmathify(lam), mp.mpmathify(mu)), (t, s))
+        return complex(d / (mp.factorial(t) * mp.factorial(s)))
+
+
+@pytest.mark.parametrize("lam, mu, t, s", [
+    (45.0, 47.0, 0, 0),                 # quotient side, large index
+    (100.0, 103.0, 0, 0),               # quotient side, larger index
+    (2.0, 2.04, 0, 0),                  # midpoint-series side
+    (1.3 + 0.4j, 1.33 + 0.38j, 1, 1),   # complex, series side
+    (2.5 + 0.3j, 2.4 + 0.35j, 1, 1),    # complex, quotient side near the switch
+])
+def test_d_table_against_mpmath_oracle(lam, mu, t, s):
+    x = np.linspace(0.1, pi, 9)
+    got = ZeroBackground().d_table(x, lam, mu, t, s)[t, s]
+    ref = np.array([_d_oracle(mp.mpf(float(xi)), lam, mu, t, s) for xi in x])
+    assert np.max(np.abs(got - ref)) < 1e-11 * np.max(np.abs(ref))
+
+
 def test_d_model_x_deriv_values():
     assert d_model_x_deriv(0.0, 1.3, 0.7) == pytest.approx(0.0, abs=1e-15)
     assert d_model_x_deriv(pi / 2, 1.0, 1.0) == pytest.approx(2.0, rel=1e-13)
@@ -197,11 +222,6 @@ class TestNumericBackgroundMatchesClosedForms:
             ax = numeric.dx_table(grid, lam, mu, 1, 1)
             bx = zero.dx_table(grid, lam, mu, 1, 1)
             assert np.max(np.abs(ax - bx)) < 1e-8
-
-    def test_cauchy_mu_derivative(self, numeric, grid):
-        val = numeric.mu_derivative(grid, 2.0, 0.5, 1)
-        ref = d_model_mu_deriv(grid, 2.0, 0.5, 1)
-        assert np.max(np.abs(val - ref)) < 1e-7
 
     def test_spectral_entries(self, numeric):
         lam, M = numeric.spectral_entry(2)
