@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--no-verify", action="store_true",
                    help="skip the forward winding verification of the delta=0 row")
     _add_grid_n(t)
-    _add_common(t)
 
     r = sub.add_parser("roundtrip", help="reconstruct, re-solve forward, compare")
     r.add_argument("--data", required=True, help="input spectral JSON")

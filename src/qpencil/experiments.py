@@ -12,7 +12,6 @@ cluster.
 
 from __future__ import annotations
 
-import csv as _csv
 from dataclasses import dataclass, field
 from math import pi, sqrt
 from pathlib import Path
@@ -27,7 +26,15 @@ from .errors import (
     QPencilError,
     ValidationError,
 )
-from .forward import find_eigenvalues, integrate, weyl_residues, winding_number
+from .forward import (
+    circle_nodes,
+    find_eigenvalues,
+    read_csv,
+    sample_circle,
+    weyl_residues,
+    winding_number,
+    write_csv,
+)
 from .inverse import RecoveredPotentials, active_layout, default_grid, run_reconstruction
 from .model import BackgroundProblem, ZeroBackground
 from .spectral_data import SpectralDataSet, SpectralEntry, compute_diagnostics
@@ -124,6 +131,27 @@ def rational_pole_part(dataset: SpectralDataSet, n_star: int):
     return fun, poles
 
 
+def _separated_pole_parts(sets, n_star: int, contour_radius: float, width: int) -> list:
+    """Pole-part functions of the sets, checked against the contour.
+
+    The circle |lam| = contour_radius must enclose each set's poles of
+    |index| <= n_star and none of its other eigenvalues up to index ``width``.
+    """
+    funs = []
+    for ds in sets:
+        fun, poles = rational_pole_part(ds, n_star)
+        for pole in poles:
+            if abs(abs(pole) - contour_radius) < 1e-6 * max(1.0, contour_radius):
+                raise ContourTouchesPoleError(f"pole {pole} lies on the contour")
+            if abs(pole) > contour_radius:
+                raise ValidationError(f"cluster pole {pole} lies outside the contour")
+        for n in zindex.window(width):
+            if abs(n) > n_star and abs(ds.entry(n).lam) <= contour_radius:
+                raise ValidationError(f"eigenvalue {ds.entry(n).lam} (n={n}) inside the contour")
+        funs.append(fun)
+    return funs
+
+
 def compute_split_delta_metric(data: SpectralDataSet, reference: SpectralDataSet,
                                n_star: int, contour_radius: float,
                                n_nodes: int = 512) -> float:
@@ -132,24 +160,10 @@ def compute_split_delta_metric(data: SpectralDataSet, reference: SpectralDataSet
     The contour is the circle |lam| = contour_radius; it must separate the
     low-index cluster (inside) from everything else (outside).
     """
-    f_data, p_data = rational_pole_part(data, n_star)
-    f_ref, p_ref = rational_pole_part(reference, n_star)
-    for pole in p_data + p_ref:
-        gap = abs(abs(pole) - contour_radius)
-        if gap < 1e-6 * max(1.0, contour_radius):
-            raise ContourTouchesPoleError(f"pole {pole} lies on the contour")
-        if abs(pole) > contour_radius:
-            raise ValidationError(f"cluster pole {pole} lies outside the contour")
-    width = max(data.max_abs_index, reference.max_abs_index)
-    for n in zindex.window(width):
-        if abs(n) <= n_star:
-            continue
-        for ds in (data, reference):
-            lam = ds.entry(n).lam
-            if abs(lam) <= contour_radius:
-                raise ValidationError(f"tail eigenvalue {lam} (n={n}) inside the contour")
-
-    zs = contour_radius * np.exp(2j * pi * np.arange(n_nodes) / n_nodes)
+    f_data, f_ref = _separated_pole_parts(
+        (data, reference), n_star, contour_radius,
+        max(data.max_abs_index, reference.max_abs_index))
+    zs = circle_nodes(0.0, contour_radius, n_nodes)
     contour_part = float(np.max(np.abs(f_data(zs) - f_ref(zs))))
     diag = compute_diagnostics(data, reference, n_star)
     return max(contour_part, diag.tail_norm(n_star))
@@ -168,18 +182,9 @@ def solve_contour_equation(data: SpectralDataSet, model: BackgroundProblem,
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     model_set = model.spectral_data(max(data.max_abs_index, n_star))
-    f_data, p_data = rational_pole_part(data, n_star)
-    f_model, p_model = rational_pole_part(model_set, n_star)
-    for pole in p_data + p_model:
-        if abs(abs(pole) - contour_radius) < 1e-6:
-            raise ContourTouchesPoleError(f"pole {pole} lies on the contour")
-        if abs(pole) > contour_radius:
-            raise ValidationError(f"cluster pole {pole} outside the contour")
-    for n in zindex.window(max(data.max_abs_index, n_star + 2)):
-        if abs(n) > n_star and abs(model_set.entry(n).lam) <= contour_radius:
-            raise ValidationError(f"background eigenvalue at index {n} inside the contour")
-
-    zs = contour_radius * np.exp(2j * pi * np.arange(n_nodes) / n_nodes)
+    f_data, f_model = _separated_pole_parts(
+        (data, model_set), n_star, contour_radius, max(data.max_abs_index, n_star + 2))
+    zs = circle_nodes(0.0, contour_radius, n_nodes)
     weights = zs / n_nodes          # (1/2 pi i) oint f dmu -> sum f(z) z / N
     mhat = f_data(zs) - f_model(zs)
 
@@ -255,46 +260,29 @@ TABLE_HEADER = ["delta", "d1", "d0", "re_l1", "im_l1", "re_lm1", "im_lm1",
 
 
 def write_table_csv(rows: list[ExperimentRow], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = _csv.writer(f)
-        w.writerow(TABLE_HEADER)
-        for r in rows:
-            if r.error:
-                continue
-            w.writerow([f"{v:.17g}" for v in (
-                r.delta, r.d1, r.d0,
-                r.lambda_plus.real, r.lambda_plus.imag,
-                r.lambda_minus.real, r.lambda_minus.imag,
-                r.M_plus.real, r.M_plus.imag,
-                r.M_minus.real, r.M_minus.imag)])
+    write_csv(path, TABLE_HEADER, (
+        (r.delta, r.d1, r.d0,
+         r.lambda_plus.real, r.lambda_plus.imag,
+         r.lambda_minus.real, r.lambda_minus.imag,
+         r.M_plus.real, r.M_plus.imag,
+         r.M_minus.real, r.M_minus.imag)
+        for r in rows if not r.error))
 
 
 def read_table_csv(path) -> list[ExperimentRow]:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as f:
-        r = _csv.reader(f)
-        header = next(r)
-        if header != TABLE_HEADER:
-            raise ValidationError(f"unexpected table header: {header}")
-        for line in r:
-            vals = [float(v) for v in line]
-            rows.append(ExperimentRow(
-                delta=vals[0], d1=vals[1], d0=vals[2],
-                lambda_plus=complex(vals[3], vals[4]),
-                lambda_minus=complex(vals[5], vals[6]),
-                M_plus=complex(vals[7], vals[8]),
-                M_minus=complex(vals[9], vals[10])))
-    return rows
+    return [ExperimentRow(delta=v[0], d1=v[1], d0=v[2],
+                          lambda_plus=complex(v[3], v[4]),
+                          lambda_minus=complex(v[5], v[6]),
+                          M_plus=complex(v[7], v[8]),
+                          M_minus=complex(v[9], v[10]))
+            for v in read_csv(path, TABLE_HEADER)]
 
 
 def write_recovered_csv(rec: RecoveredPotentials, path) -> None:
     """Grid functions of the reconstruction: x,re_q1,im_q1,re_q0ad,im_q0ad."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = _csv.writer(f)
-        w.writerow(["x", "re_q1", "im_q1", "re_q0ad", "im_q0ad"])
-        for xi, q, s in zip(rec.x, rec.q1, rec.q0_antideriv):
-            w.writerow([f"{xi:.17g}", f"{q.real:.17g}", f"{q.imag:.17g}",
-                        f"{s.real:.17g}", f"{s.imag:.17g}"])
+    write_csv(path, ["x", "re_q1", "im_q1", "re_q0ad", "im_q0ad"],
+              zip(rec.x, rec.q1.real, rec.q1.imag,
+                  rec.q0_antideriv.real, rec.q0_antideriv.imag))
 
 
 def format_table(rows: list[ExperimentRow]) -> str:
@@ -432,16 +420,13 @@ def roundtrip_check(data: SpectralDataSet, model: BackgroundProblem,
         # error, so per-root residues are meaningless there; compare the
         # contour-stable quantities instead: the winding count, the mean root
         # location, and the Laurent coefficients on a fixed circle.
-        w = winding_number(pot, g.lam, 0.05, refine=refine, check_halving=True)
-        report.windings[g.start] = (g.size, w)
-        zs = g.lam + 0.05 * np.exp(2j * pi * np.arange(256) / 256)
-        res = integrate(pot, zs, n_derivs=1, with_c=True, refine=refine)
-        mvals = -res.c / res.s[0]
-        center_out = complex(np.mean(zs * res.s[1] / res.s[0] * (zs - g.lam))) / g.size
-        for nu, member in enumerate(g.members):
+        sample = sample_circle(pot, g.lam, 0.05, n_derivs=1, with_c=True,
+                               refine=refine, check_halving=True)
+        report.windings[g.start] = (g.size, sample.count)
+        center_out = complex(sample.power_sums(1)[0]) / g.size
+        for member, m_out in zip(g.members, sample.laurent(g.size)):
             grouped.add(member)
             m_in = data.entry(member).M
-            m_out = complex(np.mean((zs - g.lam) ** (nu + 1) * mvals))
             report.rows.append(RoundtripRow(
                 n=member, lam_in=g.lam, lam_out=center_out,
                 lam_err=abs(center_out - g.lam),

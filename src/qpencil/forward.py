@@ -30,13 +30,35 @@ from .errors import (
     ValidationError,
     WindingAmbiguousError,
 )
-from .spectral_data import SpectralDataSet, SpectralEntry
+from .spectral_data import GROUPING_TOL, SpectralDataSet, SpectralEntry
 
 DEFAULT_REFINE = 10
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 RESIDUE_NODES = 256
 CONTOUR_RADIUS_CAP = 0.2
+POTENTIALS_HEADER = ["x", "re_q1", "im_q1", "re_sigma", "im_sigma"]
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """A header line, then rows of floats at 17 significant digits (bit-exact)."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = _csv.writer(f)
+        w.writerow(header)
+        w.writerows([f"{v:.17g}" for v in row] for row in rows)
+
+
+def read_csv(path, header: list[str]) -> list[list[float]]:
+    """Float rows of a file written by ``write_csv``; ValidationError otherwise."""
+    with open(path, newline="", encoding="utf-8") as f:
+        r = _csv.reader(f)
+        got = next(r, None)
+        if got != header:
+            raise ValidationError(f"unexpected CSV header: {got}")
+        try:
+            return [[float(row[k]) for k in range(len(header))] for row in r]
+        except (IndexError, ValueError) as err:
+            raise ValidationError(f"bad CSV row {r.line_num}: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -92,30 +114,15 @@ class PotentialPair:
         return complex(simpson(self.q1, x=self.x) / pi)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = _csv.writer(f)
-            w.writerow(["x", "re_q1", "im_q1", "re_sigma", "im_sigma"])
-            for xi, q, s in zip(self.x, self.q1, self.sigma):
-                w.writerow([f"{xi:.17g}", f"{q.real:.17g}", f"{q.imag:.17g}",
-                            f"{s.real:.17g}", f"{s.imag:.17g}"])
+        write_csv(path, POTENTIALS_HEADER, zip(self.x, self.q1.real, self.q1.imag,
+                                               self.sigma.real, self.sigma.imag))
 
     @staticmethod
     def from_csv(path) -> "PotentialPair":
-        xs, q1s, sigmas = [], [], []
-        with open(path, newline="", encoding="utf-8") as f:
-            r = _csv.reader(f)
-            header = next(r)
-            if header != ["x", "re_q1", "im_q1", "re_sigma", "im_sigma"]:
-                raise ValidationError(f"unexpected potentials CSV header: {header}")
-            for row in r:
-                try:
-                    xs.append(float(row[0]))
-                    q1s.append(complex(float(row[1]), float(row[2])))
-                    sigmas.append(complex(float(row[3]), float(row[4])))
-                except (IndexError, ValueError) as err:
-                    raise ValidationError(
-                        f"bad potentials CSV row {r.line_num}: {err}") from None
-        return PotentialPair(x=np.array(xs), q1=np.array(q1s), sigma=np.array(sigmas))
+        rows = read_csv(path, POTENTIALS_HEADER)
+        return PotentialPair(x=np.array([r[0] for r in rows]),
+                             q1=np.array([complex(r[1], r[2]) for r in rows]),
+                             sigma=np.array([complex(r[3], r[4]) for r in rows]))
 
 
 @dataclass(frozen=True)
@@ -266,39 +273,64 @@ def _muller(potentials, z0, refine, tol=NEWTON_TOL, max_iter=60):
     raise RootNotConvergedError("muller fallback failed", last=zs[-1])
 
 
-def winding_number(potentials: PotentialPair, center: complex, radius: float,
-                   n_nodes: int = RESIDUE_NODES, refine: int = DEFAULT_REFINE,
-                   check_halving: bool = False) -> int:
-    """Argument-principle winding of the characteristic function on a circle."""
-    def count(r, nn):
-        zs = center + r * np.exp(2j * pi * np.arange(nn + 1) / nn)
-        vals = integrate(potentials, zs, refine=refine).s[0]
-        phase = np.unwrap(np.angle(vals))
+def circle_nodes(center: complex, radius: float, n_nodes: int = RESIDUE_NODES) -> np.ndarray:
+    """Trapezoid nodes center + radius exp(2 pi i k / N), k = 0..N-1."""
+    return center + radius * np.exp(2j * pi * np.arange(n_nodes) / n_nodes)
+
+
+@dataclass(frozen=True)
+class CircleSample:
+    """One integrator batch on a circle, with the root count of Delta inside."""
+
+    zs: np.ndarray
+    dz: np.ndarray
+    shot: ShootingResult
+    count: int
+
+    def power_sums(self, p_max: int) -> list:
+        """Sums of lam^p over the roots inside, p = 1..p_max (needs n_derivs >= 1)."""
+        logd = self.shot.s[1] / self.shot.s[0]
+        return [np.mean(self.zs ** p * logd * self.dz) for p in range(1, p_max + 1)]
+
+    def laurent(self, m: int) -> list[complex]:
+        """Coefficients of (lam - center)^-(nu+1) in -C/Delta, nu < m (needs with_c)."""
+        mvals = -self.shot.c / self.shot.s[0]
+        return [complex(np.mean(self.dz ** (nu + 1) * mvals)) for nu in range(m)]
+
+
+def sample_circle(potentials: PotentialPair, center: complex, radius: float, n_derivs: int = 0,
+                  with_c: bool = False, refine: int = DEFAULT_REFINE,
+                  check_halving: bool = False) -> CircleSample:
+    """Integrate on the nodes of |lam - center| = radius and count the roots inside.
+
+    The count is the phase change of Delta around the closed loop if that lies
+    within 0.15 of an integer; otherwise the circle is sampled once more at 4x
+    the nodes.  ``check_halving`` also requires the count on half the radius.
+    Node means of f (z - center) are trapezoid sums for (1/2 pi i) oint f dz.
+    """
+    for n_nodes in (RESIDUE_NODES, 4 * RESIDUE_NODES):
+        zs = circle_nodes(center, radius, n_nodes)
+        shot = integrate(potentials, zs, n_derivs=n_derivs, with_c=with_c, refine=refine)
+        phase = np.unwrap(np.angle(np.append(shot.s[0], shot.s[0, 0])))
         w = (phase[-1] - phase[0]) / (2 * pi)
-        if abs(w - round(w)) > 0.15:
-            return None
-        return int(round(w))
-
-    w = count(radius, n_nodes)
-    if w is None:
-        w = count(radius, 4 * n_nodes)
-    if w is None:
+        if abs(w - round(w)) <= 0.15:
+            break
+    else:
         raise WindingAmbiguousError(f"winding unresolved on |lam-{center}|={radius}")
+    count = int(round(w))
     if check_halving:
-        w_half = count(radius / 2, n_nodes)
-        if w_half is None:
-            w_half = count(radius / 2, 4 * n_nodes)
-        if w_half != w:
+        w_half = sample_circle(potentials, center, radius / 2, refine=refine).count
+        if w_half != count:
             raise WindingAmbiguousError(
-                f"winding {w} at radius {radius} vs {w_half} at half radius")
-    return w
+                f"winding {count} at radius {radius} vs {w_half} at half radius")
+    return CircleSample(zs=zs, dz=zs - center, shot=shot, count=count)
 
 
-def _contour_moments(potentials, center, radius, p_max, n_nodes, refine):
-    zs = center + radius * np.exp(2j * pi * np.arange(n_nodes) / n_nodes)
-    res = integrate(potentials, zs, n_derivs=1, refine=refine)
-    logd = res.s[1] / res.s[0]
-    return [np.mean(zs ** p * logd * (zs - center)) for p in range(p_max + 1)]
+def winding_number(potentials: PotentialPair, center: complex, radius: float,
+                   refine: int = DEFAULT_REFINE, check_halving: bool = False) -> int:
+    """Argument-principle winding of the characteristic function on a circle."""
+    return sample_circle(potentials, center, radius, refine=refine,
+                         check_halving=check_halving).count
 
 
 def _poly_from_power_sums(ps):
@@ -314,27 +346,19 @@ def _poly_from_power_sums(ps):
 
 
 def _cluster_search(potentials, center, radius, refine):
-    """Locate all roots (with multiplicity) inside a disc.
+    """Locate all roots inside a disc, a multiple root repeated per multiplicity.
 
-    Contour moments of Delta'/Delta give the root power sums; Newton's
-    identities turn them into a monic polynomial whose roots seed a Newton
-    polish.  Candidates that land within 1e-4 of each other are treated as
-    one multiple root: its multiplicity comes from a small-circle winding
-    count (checked under radius halving) and its location from the local
-    first moment, which stays accurate where Newton is only linear.
+    One sample of the disc boundary gives the root count and power sums;
+    Newton's identities turn them into a monic polynomial whose roots seed a
+    Newton polish.  Candidates that land within 1e-4 of each other are one
+    multiple root: a small-circle sample (count checked under radius halving)
+    gives its multiplicity and, from the first moment, its location, which
+    stays accurate where Newton is only linear.
     """
-    s = _contour_moments(potentials, center, radius, 0, RESIDUE_NODES, refine)
-    m = int(round(s[0].real))
-    if abs(s[0] - m) > 0.1:
-        s = _contour_moments(potentials, center, radius, 0, 4 * RESIDUE_NODES, refine)
-        m = int(round(s[0].real))
-        if abs(s[0] - m) > 0.1:
-            raise WindingAmbiguousError(f"root count unresolved inside |lam-{center}|={radius}")
-    if m == 0:
+    disc = sample_circle(potentials, center, radius, n_derivs=1, refine=refine)
+    if disc.count == 0:
         return []
-    ps = _contour_moments(potentials, center, radius, m, RESIDUE_NODES, refine)[1:]
-    coeffs = _poly_from_power_sums(ps)
-    cands = np.roots(coeffs)
+    cands = np.roots(_poly_from_power_sums(disc.power_sums(disc.count)))
     polished, _ = _newton_batch(potentials, cands, refine, max_iter=25)
 
     scale = max(1.0, abs(center))
@@ -346,18 +370,18 @@ def _cluster_search(potentials, center, radius, refine):
                 break
         else:
             clusters.append([complex(z)])
-    roots: list[tuple[complex, int]] = []
+    roots: list[complex] = []
     for cl in clusters:
         if len(cl) == 1:
-            roots.append((complex(cl[0]), 1))
+            roots.append(complex(cl[0]))
             continue
         cen = complex(np.mean(cl))
         spread = max(abs(z - cen) for z in cl)
         r_loc = max(3.0 * spread, 1e-3 * scale)
-        mult = winding_number(potentials, cen, r_loc, refine=refine, check_halving=True)
-        loc = _contour_moments(potentials, cen, r_loc, 1, RESIDUE_NODES, refine)
-        roots.append((complex(loc[1] / mult), mult))
-    roots.sort(key=lambda t: (t[0].real, t[0].imag))
+        loc = sample_circle(potentials, cen, r_loc, n_derivs=1, refine=refine,
+                            check_halving=True)
+        roots.extend([complex(loc.power_sums(1)[0]) / loc.count] * loc.count)
+    roots.sort(key=lambda z: (z.real, z.imag))
     return roots
 
 
@@ -370,6 +394,7 @@ def find_eigenvalues(potentials: PotentialPair, n_max: int, omega0: complex,
     non-real or multiple are searched inside the caller-supplied disc
     ``cluster = (center, radius, n_star)``; no default search region is
     guessed.  Residue coefficients are left unset (see ``weyl_residues``).
+    A tail root equal to another located root raises RootNotConvergedError.
     """
     n_star = 0
     entries: list[SpectralEntry] = []
@@ -377,14 +402,11 @@ def find_eigenvalues(potentials: PotentialPair, n_max: int, omega0: complex,
         center, radius, n_star = cluster
         found = _cluster_search(potentials, complex(center), float(radius), refine)
         slots = zindex.window(n_star)
-        total = sum(mult for _, mult in found)
-        if total != len(slots):
+        if len(found) != len(slots):
             raise RootNotConvergedError(
-                f"found {total} roots inside the cluster disc, expected {len(slots)}")
-        flat: list[complex] = []
-        for lam, mult in found:
-            flat.extend([lam] * mult)
-        entries.extend(SpectralEntry(n=s, lam=v) for s, v in zip(slots, flat))
+                f"found {len(found)} roots inside the cluster disc, expected {len(slots)}")
+        entries.extend(SpectralEntry(n=s, lam=v) for s, v in zip(slots, found))
+    n_cluster = len(entries)      # cluster multiplicities are certified by winding
 
     tail_ns = [n for n in zindex.window(n_max) if abs(n) > n_star]
     if tail_ns:
@@ -400,6 +422,14 @@ def find_eigenvalues(potentials: PotentialPair, n_max: int, omega0: complex,
                         f"root search failed at index {n}", index=n,
                         last=err.last) from None
             entries.append(SpectralEntry(n=n, lam=complex(val)))
+    for a, ea in enumerate(entries):
+        for eb in entries[max(a + 1, n_cluster):]:
+            if abs(ea.lam - eb.lam) <= GROUPING_TOL:
+                n_disc = max(abs(ea.n), abs(eb.n))
+                raise RootNotConvergedError(
+                    f"roots at indices {ea.n} and {eb.n} coincide at {eb.lam:.6g}; search "
+                    f"them in a disc, e.g. cluster=({omega0:.6g}, {n_disc + 0.5}, {n_disc})",
+                    index=eb.n, last=eb.lam)
     return SpectralDataSet.from_entries(entries, tail=None, omega0=omega0)
 
 
@@ -412,8 +442,8 @@ def weyl_residues(potentials: PotentialPair, eigenvalues: SpectralDataSet,
 
     The Weyl function is -C(pi, lam)/Delta(lam).  Simple eigenvalues use the
     derivative formula -C/Delta'; a multiplicity group uses trapezoid
-    quadrature of (lam - lam_n)^nu M(lam) on a circle separating the group
-    (spectrally accurate on circles).
+    quadrature of (lam - lam_n)^nu M(lam) on a circle separating the group,
+    whose root count must equal the group size.
     """
     Ms: dict[int, complex] = {}
     simple = [g for g in eigenvalues.groups if g.size == 1]
@@ -433,11 +463,12 @@ def weyl_residues(potentials: PotentialPair, eigenvalues: SpectralDataSet,
         if radius < 1e-8:
             raise PoleTooCloseError(
                 f"cannot separate the group at {g.start} (gap {gap:.2e})")
-        zs = g.lam + radius * np.exp(2j * pi * np.arange(RESIDUE_NODES) / RESIDUE_NODES)
-        res = integrate(potentials, zs, with_c=True, refine=refine)
-        mvals = -res.c / res.s[0]
-        for nu, member in enumerate(g.members):
-            Ms[member] = complex(np.mean((zs - g.lam) ** (nu + 1) * mvals))
+        sample = sample_circle(potentials, g.lam, radius, with_c=True, refine=refine)
+        if sample.count != g.size:
+            raise RootNotConvergedError(
+                f"circle |lam-{g.lam:.6g}|={radius:.3g} holds {sample.count} roots, "
+                f"the group at index {g.start} has {g.size}", index=g.start, last=g.lam)
+        Ms.update(zip(g.members, sample.laurent(g.size)))
 
     entries = [SpectralEntry(n=n, lam=eigenvalues.entries[n].lam, M=Ms[n])
                for n in eigenvalues.window_indices()]

@@ -80,6 +80,12 @@ def test_forward_has_no_grid_n():
     assert exc.value.code == EXIT_VALIDATION
 
 
+def test_split_table_has_no_tolerance_profile():
+    with pytest.raises(SystemExit) as exc:    # the sweep has no tolerances to pick
+        main(["split-table", "--deltas", "0.05", "--tolerance-profile", "strict"])
+    assert exc.value.code == EXIT_VALIDATION
+
+
 def test_split_table_writes_outputs(tmp_path, capsys):
     code = main(["split-table", "--deltas", "0.05,0.01", "--out-dir",
                  str(tmp_path), "--no-verify"])

@@ -189,3 +189,9 @@ def test_roundtrip_double_eigenvalue_uses_stable_quantities():
     # contour-extracted location and Laurent coefficients stay accurate
     assert all(r.lam_err < 1e-3 for r in cluster_rows)
     assert all(r.M_rel_err < 1e-2 for r in cluster_rows)
+
+
+def test_roundtrip_group_takes_one_circle_sample(large_batches):
+    roundtrip_check(make_split_data(0.0), ZeroBackground(), 2)
+    # group circle, its half-radius check, and the cluster disc
+    assert large_batches == [256, 256, 256]

@@ -17,6 +17,7 @@ from qpencil import (
     weyl_residues,
     winding_number,
 )
+from qpencil.forward import sample_circle
 from qpencil.zindex import window
 
 RNG = np.random.default_rng(20240817)
@@ -173,3 +174,56 @@ def test_nonfinite_rejected():
     pot = PotentialPair.zeros(10)
     with pytest.raises(NonFiniteInputError):
         integrate(pot, np.array([np.inf]))
+
+
+def test_circle_sample_counts_and_moments():
+    pot = PotentialPair.zeros(200)
+    # Delta = sin(lam pi)/lam: one root at 1, Weyl residue -1/pi
+    s = sample_circle(pot, 1.0, 0.3, n_derivs=1, with_c=True)
+    assert s.count == 1
+    assert s.zs.size == 256
+    assert abs(s.power_sums(1)[0] - 1.0) < 1e-8
+    assert abs(s.laurent(1)[0] + 1 / pi) < 1e-6
+    # roots +-1, +-2 inside |lam| < 2.5: power sums 0 and 1 + 1 + 4 + 4
+    ps = sample_circle(pot, 0.0, 2.5, n_derivs=1).power_sums(2)
+    assert abs(ps[0]) < 1e-6 and abs(ps[1] - 10) < 1e-6
+
+
+def test_cluster_search_samples_the_disc_once(large_batches):
+    pot = smooth_pair(amp=0.3)
+    omega0 = pot.omega0()
+    find_eigenvalues(pot, 3, omega0, cluster=(omega0, 1.6, 1))
+    assert large_batches == [256]
+
+
+def _random_pair(seed):
+    rng = np.random.default_rng(seed)
+    k = np.arange(1, 4)
+    x = np.linspace(0, pi, 101)
+    coef = np.exp(2j * pi * rng.random((4, 3))) / k
+    q1 = coef[0] @ np.cos(np.outer(k, x)) + coef[1] @ np.sin(np.outer(k, x))
+    sigma = coef[2] @ np.sin(np.outer(k, x)) + coef[3] @ (1 - np.cos(np.outer(k, x)))
+    return PotentialPair(x=x, q1=q1, sigma=sigma)
+
+
+@pytest.mark.parametrize("seed, pair", [(0, "1 and 2"), (8, "-1 and 4")])
+def test_coinciding_tail_roots_are_not_a_multiple_eigenvalue(seed, pair):
+    from qpencil import RootNotConvergedError
+
+    pot = _random_pair(seed)
+    # Newton from n + omega0 lands two indices on one simple root: seed 0
+    # collapses 1, 2, 3; seed 8 puts 4 on the root of -1 (opposite signs)
+    with pytest.raises(RootNotConvergedError, match=rf"indices {pair} .* cluster="):
+        find_eigenvalues(pot, 6, pot.omega0())
+
+
+def test_weyl_residues_certifies_group_count():
+    from qpencil import RootNotConvergedError
+    from qpencil.spectral_data import SpectralDataSet, SpectralEntry
+
+    # no root of the zero problem lies near 0.5, so the "double" group is wrong
+    entries = [SpectralEntry(n=-1, lam=0.5), SpectralEntry(n=1, lam=0.5),
+               SpectralEntry(n=2, lam=2.0)]
+    eigs = SpectralDataSet.from_entries(entries, omega0=0.0)
+    with pytest.raises(RootNotConvergedError, match="holds 0 roots"):
+        weyl_residues(PotentialPair.zeros(200), eigs)
