@@ -131,9 +131,7 @@ class ShootingResult:
 
     lams: np.ndarray            # (L,)
     s: np.ndarray               # (n_derivs+1, L): S_k(pi)
-    s_quasi: np.ndarray         # (n_derivs+1, L)
     c: np.ndarray | None        # (L,)
-    c_quasi: np.ndarray | None
     trace: np.ndarray | None    # (n_nodes+1, n_chain, 2, L)
     x_refined: np.ndarray
 
@@ -212,9 +210,7 @@ def integrate(potentials: PotentialPair, lams, n_derivs: int = 0,
             trace[i + 1] = Y
 
     return ShootingResult(
-        lams=lams, s=Y[:n_s, 0], s_quasi=Y[:n_s, 1],
-        c=Y[n_s, 0] if with_c else None,
-        c_quasi=Y[n_s, 1] if with_c else None,
+        lams=lams, s=Y[:n_s, 0], c=Y[n_s, 0] if with_c else None,
         trace=trace, x_refined=xr)
 
 

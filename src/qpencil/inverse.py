@@ -9,6 +9,10 @@ pairwise.  Per node we solve
 
 then reuse the same matrix for the x-derivative, (I - P) v_x = s_x + P_x v,
 so no finite differences enter the series that feed the recovery formulas.
+Entries between two simple eigenvalues are built one row at a time from the
+order-0 chains S, S' of every simple entry (``model.kernel_row``); only pairs
+that touch a multiplicity group, and simple pairs closer than
+``COALESCE_GAP`` (the diagonal among them), go through the kernel tables.
 Four auxiliary series built from v then produce the first potential via a
 pointwise formula and the antiderivative of the zeroth one via quadrature of
 terms that never differentiate a series numerically.
@@ -29,7 +33,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .model import P_MAX, BackgroundProblem
+from .model import P_MAX, BackgroundProblem, kernel_row
 from .spectral_data import SpectralDataSet
 
 DEFAULT_N_GRID = 200
@@ -121,7 +125,10 @@ def _group_sum(ec: SideEntry, nu_r: int, T: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MainEquationSystem:
-    """Per-node dense system; arrays are stacked over the grid nodes."""
+    """Per-node dense system; arrays are stacked over the grid nodes.
+
+    The rhs columns of a simple entry are its order-0 chains S and S'.
+    """
 
     x: np.ndarray                 # (nx,)
     layout: ActiveLayout
@@ -162,19 +169,30 @@ def assemble_system(data: SpectralDataSet, model: BackgroundProblem, x,
         rhs[ridx] = sch[er.nu]
         rhs_x[ridx] = cch[er.nu]
 
-    table_cache: dict = {}
-    for ridx, (er, i) in enumerate(rows):
-        for cidx, (ec, j) in enumerate(rows):
-            key = (er.lam, ec.lam, er.nu, ec.m - 1 - ec.nu)
-            got = table_cache.get(key)
-            if got is None:
-                got = (model.d_table(x, er.lam, ec.lam, key[2], key[3]),
-                       model.dx_table(x, er.lam, ec.lam, key[2], key[3]))
-                table_cache[key] = got
-            T, X = got
-            sgn = -1.0 if j == 1 else 1.0
-            P[ridx, cidx] = sgn * _group_sum(ec, er.nu, T)
-            Px[ridx, cidx] = sgn * _group_sum(ec, er.nu, X)
+    # simple-pair block: a simple entry's rhs rows are its order-0 chains
+    grouped = np.array([e.m > 1 for e, _ in rows])
+    sgn = np.array([-1.0 if j == 1 else 1.0 for _, j in rows])
+    simple = np.flatnonzero(~grouped)
+    mus = [rows[c][0].lam for c in simple]
+    coef = np.array([sgn[c] * rows[c][0].Ms[0] for c in simple], dtype=complex)[:, None]
+    S, Sx = rhs[simple], rhs_x[simple]
+    two_q1 = 2.0 * model.q1_values(x)
+    done = np.zeros((dim, dim), dtype=bool)
+    for k, ridx in enumerate(simple):
+        far, D, DX = kernel_row(mus[k], S[k], Sx[k], mus, S, Sx, two_q1)
+        P[ridx, simple[far]] = coef[far] * D
+        Px[ridx, simple] = coef * DX
+        done[ridx, simple[far]] = True
+
+    # tables for pairs touching a group and for coalescent simple pairs
+    for ridx, cidx in zip(*np.nonzero(~done)):
+        er, ec = rows[ridx][0], rows[cidx][0]
+        smax = ec.m - 1 - ec.nu
+        T = model.d_table(x, er.lam, ec.lam, er.nu, smax)
+        P[ridx, cidx] = sgn[cidx] * _group_sum(ec, er.nu, T)
+        if grouped[ridx] or grouped[cidx]:
+            X = model.dx_table(x, er.lam, ec.lam, er.nu, smax)
+            Px[ridx, cidx] = sgn[cidx] * _group_sum(ec, er.nu, X)
 
     return MainEquationSystem(x=x, layout=layout, model=model,
                               P=P.transpose(2, 0, 1), P_x=Px.transpose(2, 0, 1),
@@ -283,11 +301,16 @@ def compute_epsilons(system: MainEquationSystem, v: np.ndarray,
     lamfac = np.zeros(dim, dtype=complex)
     sgn = np.zeros(dim)
     for cidx, (ec, j) in enumerate(rows):
-        sch = model.s_chain(x, ec.lam, ec.m - 1 - ec.nu)
-        cch = model.sx_chain(x, ec.lam, ec.m - 1 - ec.nu)
-        for p in range(ec.nu, ec.m):
-            B[cidx] += ec.Ms[p] * sch[p - ec.nu]
-            Bp[cidx] += ec.Ms[p] * cch[p - ec.nu]
+        if ec.m == 1:
+            # a simple column's order-0 chains are its rhs rows
+            B[cidx] = ec.Ms[0] * system.rhs[:, cidx]
+            Bp[cidx] = ec.Ms[0] * system.rhs_x[:, cidx]
+        else:
+            sch = model.s_chain(x, ec.lam, ec.m - 1 - ec.nu)
+            cch = model.sx_chain(x, ec.lam, ec.m - 1 - ec.nu)
+            for p in range(ec.nu, ec.m):
+                B[cidx] += ec.Ms[p] * sch[p - ec.nu]
+                Bp[cidx] += ec.Ms[p] * cch[p - ec.nu]
         lamfac[cidx] = ec.lam
         sgn[cidx] = -1.0 if j == 1 else 1.0
 

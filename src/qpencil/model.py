@@ -12,9 +12,10 @@ needs from the background reduces to
 * the x-derivative of D, which is ``(lam + mu - 2 q1(x)) S(x,lam) S(x,mu)``.
 
 A numeric background delegates the chains to the shooting integrator.  Both
-backgrounds share one kernel algebra (``d_table``, ``dx_table``) and differ
-only in their chains and in the coalescent branch used when lam and mu are
-too close for the quotient form.
+backgrounds share one kernel algebra (``d_table``, ``dx_table`` and, for
+order 0 against many columns at once, ``kernel_row``) and differ only in
+their chains and in the coalescent branch used when lam and mu are too close
+for the quotient form.
 """
 
 from __future__ import annotations
@@ -59,16 +60,19 @@ def s_chain(x, lam: complex, order: int) -> np.ndarray:
     if abs(lam) >= SMALL_LAMBDA:
         lx = lam * x
         quarter = (np.sin(lx), np.cos(lx), -np.sin(lx), -np.cos(lx))
-        xpow = 1.0
-        jfac = [1.0]
-        for j in range(1, order + 1):
-            jfac.append(jfac[-1] * j)
+        # x^j d^j/d(lam x)^j sin(lam x) / j!, shared by every nu
+        terms = []
+        xpow = np.ones_like(x)
+        jfac = 1.0
+        for j in range(order + 1):
+            if j:
+                jfac *= j
+            terms.append(xpow * quarter[j % 4] / jfac)
+            xpow = xpow * x
         for nu in range(order + 1):
             acc = np.zeros_like(x, dtype=complex)
-            xpow = np.ones_like(x)
             for j in range(nu + 1):
-                acc += xpow * quarter[j % 4] / jfac[j] * ((-1.0) ** (nu - j)) * lam ** (-(nu - j + 1))
-                xpow = xpow * x
+                acc += terms[j] * ((-1.0) ** (nu - j)) * lam ** (-(nu - j + 1))
             out[nu] = acc
     else:
         for nu in range(order + 1):
@@ -177,6 +181,25 @@ def dx_table(background: "BackgroundProblem", x, lam: complex, mu: complex,
                 acc = acc + sa[t - 1] * sb[s]
             X[t, s] = acc
     return X
+
+
+def kernel_row(lam: complex, s, sx, mus, S, Sx, two_q1):
+    """Order-0 D and dD/dx of one row against stacked columns, from chains.
+
+    ``s``, ``sx`` are S(x, lam), S'(x, lam); rows of ``S``, ``Sx`` the same at
+    the column eigenvalues ``mus``; ``two_q1`` is 2 q1(x).  Returns
+    ``(far, D, DX)``: D on the columns ``far`` from lam by at least
+    COALESCE_GAP (the others need ``d_table``'s coalescent branch), dD/dx on
+    every column, both equal to the (0, 0) entries of ``d_table``/``dx_table``.
+    """
+    gaps = [lam - mu for mu in mus]
+    far = np.array([abs(g) >= COALESCE_GAP for g in gaps], dtype=bool)
+    # scalar division as in _quotient_table: numpy's complex division and
+    # Python's can differ in the last bit
+    inv = np.array([1.0 / g for g, f in zip(gaps, far) if f], dtype=complex)
+    D = (s * Sx[far] - sx * S[far]) * inv[:, None]
+    DX = ((lam + np.asarray(mus, dtype=complex))[:, None] - two_q1) * s * S
+    return far, D, DX
 
 
 # ---------------------------------------------------------------------------

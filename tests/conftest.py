@@ -19,3 +19,24 @@ def large_batches(monkeypatch):
 
     monkeypatch.setattr(fw, "integrate", counting)
     return sizes
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    """Number of calls of the kernel tables ``model.d_table`` and ``model.dx_table``."""
+    import qpencil.model as md
+
+    counts = {"d_table": 0, "dx_table": 0}
+
+    def counted(name):
+        inner = getattr(md, name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        return counting
+
+    for name in counts:
+        monkeypatch.setattr(md, name, counted(name))
+    return counts

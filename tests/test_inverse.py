@@ -10,6 +10,8 @@ from qpencil import (
     NumericBackground,
     PotentialPair,
     SingularSystemError,
+    SpectralDataSet,
+    SpectralEntry,
     ZeroBackground,
     assemble_system,
     compute_epsilons,
@@ -24,6 +26,8 @@ from qpencil import (
     weyl_residues,
 )
 from qpencil.inverse import EpsilonFields, active_layout, default_grid
+from qpencil.model import COALESCE_GAP, SMALL_LAMBDA
+from qpencil.zindex import window
 
 
 @pytest.fixture(scope="module")
@@ -227,3 +231,85 @@ def test_numeric_background_reconstruction_roundtrip():
         want = perturbed.entry(n).lam
         assert abs(full.entry(n).lam - want) < 2e-3
     assert abs(full.entry(2).M - perturbed.entry(2).M) / abs(perturbed.entry(2).M) < 2e-2
+
+
+def _wide_data(width, seed):
+    """Data off the zero background at every |n| <= width, all eigenvalues simple."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-1.0, 1.0, (2, 2 * width, 2)) @ np.array([1.0, 1j])
+    entries = [SpectralEntry(n=n, lam=n + 0.05 * z[0, i] / abs(n),
+                             M=-n / pi * (1.0 + 0.05 * z[1, i] / abs(n)))
+               for i, n in enumerate(window(width))]
+    return SpectralDataSet.from_entries(entries, tail=ZeroBackground(), omega0=0.0)
+
+
+def _tabulated(system):
+    """P and P_x built entry by entry from the kernel tables (reference loop)."""
+    x, model, rows = system.x, system.model, system.layout.rows()
+    P = np.zeros_like(system.P)
+    Px = np.zeros_like(system.P_x)
+    for ridx, (er, _) in enumerate(rows):
+        for cidx, (ec, j) in enumerate(rows):
+            smax = ec.m - 1 - ec.nu
+            T = model.d_table(x, er.lam, ec.lam, er.nu, smax)
+            X = model.dx_table(x, er.lam, ec.lam, er.nu, smax)
+            sgn = -1.0 if j == 1 else 1.0
+            for p in range(ec.nu, ec.m):
+                P[:, ridx, cidx] += sgn * ec.Ms[p] * T[er.nu, p - ec.nu]
+                Px[:, ridx, cidx] += sgn * ec.Ms[p] * X[er.nu, p - ec.nu]
+    return P, Px
+
+
+@pytest.fixture(scope="module")
+def numeric_case():
+    base = PotentialPair.from_functions(
+        lambda t: 0.12 * np.sin(2 * t) + 0.05j * np.cos(t),
+        lambda t: 0.08 * (1 - np.cos(t)),
+        n_grid=100)
+    bg = NumericBackground(base, refine=10)
+    data = bg.spectral_data(2)
+    # one coalescent and one far data/background pair
+    data = data.replace_entry(2, lam=data.entry(2).lam + 0.02)
+    data = data.replace_entry(-1, lam=data.entry(-1).lam - 0.3)
+    return data, bg
+
+
+@pytest.mark.parametrize("case", ["wide", "double-group", "small-lambda", "numeric"])
+def test_assembly_matches_per_entry_tables(case, zero_model, request):
+    if case == "numeric":
+        data, model = request.getfixturevalue("numeric_case")
+    else:
+        data = {"wide": _wide_data(6, 7), "double-group": make_split_data(0.0),
+                "small-lambda": make_split_data(0.01)}[case]
+        model = zero_model
+    system = assemble_system(data, model, default_grid(50))
+    rows = system.layout.rows()
+    if case == "wide":
+        assert any(0 < abs(er.lam - ec.lam) < COALESCE_GAP
+                   for er, _ in rows for ec, _ in rows)
+    if case == "double-group":
+        assert any(e.m > 1 for e, _ in rows)
+    if case == "small-lambda":
+        assert any(abs(e.lam) < SMALL_LAMBDA for e, _ in rows)
+    P, Px = _tabulated(system)
+    for got, want in ((system.P, P), (system.P_x, Px)):
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_assembly_tables_only_coalescent_pairs(zero_model, table_calls):
+    system = assemble_system(_wide_data(16, 101), zero_model, default_grid(20))
+    rows = system.layout.rows()
+    close = sum(abs(er.lam - ec.lam) < COALESCE_GAP for er, _ in rows for ec, _ in rows)
+    assert system.layout.dim == 64
+    assert close < 2 * system.layout.dim     # the diagonal and same-index pairs
+    assert table_calls == {"d_table": close, "dx_table": 0}
+
+
+def test_assembly_tables_group_pairs(zero_model, table_calls):
+    system = assemble_system(make_split_data(0.0), zero_model, default_grid(20))
+    rows = system.layout.rows()
+    grouped = sum(er.m > 1 or ec.m > 1 for er, _ in rows for ec, _ in rows)
+    close = sum(er.m == ec.m == 1 and abs(er.lam - ec.lam) < COALESCE_GAP
+                for er, _ in rows for ec, _ in rows)
+    assert (grouped, close) == (12, 2)
+    assert table_calls == {"d_table": grouped + close, "dx_table": grouped}
