@@ -164,7 +164,7 @@ def _cmd_roundtrip(args) -> int:
     profile = PROFILES[args.tolerance_profile]
     report = roundtrip_check(data, model, args.n_check,
                              grid=default_grid(args.grid_n),
-                             refine=profile["refine"])
+                             refine=profile["refine"], cond_limit=profile["cond_limit"])
     print(report.format())
     return EXIT_OK
 

@@ -35,7 +35,13 @@ from .forward import (
     winding_number,
     write_csv,
 )
-from .inverse import RecoveredPotentials, active_layout, default_grid, run_reconstruction
+from .inverse import (
+    COND_LIMIT,
+    RecoveredPotentials,
+    active_layout,
+    default_grid,
+    run_reconstruction,
+)
 from .model import BackgroundProblem, ZeroBackground
 from .spectral_data import SpectralDataSet, SpectralEntry, compute_diagnostics
 
@@ -394,7 +400,7 @@ def _cluster_disc(data: SpectralDataSet, model: BackgroundProblem,
 
 def roundtrip_check(data: SpectralDataSet, model: BackgroundProblem,
                     n_check: int, grid=None, refine: int = 10,
-                    min_window: int = 0) -> RoundtripReport:
+                    min_window: int = 0, cond_limit: float = COND_LIMIT) -> RoundtripReport:
     """Reconstruct, solve the direct problem on the result, compare the data.
 
     Eigenvalues are matched greedily by proximity inside the comparison
@@ -402,7 +408,7 @@ def roundtrip_check(data: SpectralDataSet, model: BackgroundProblem,
     the root search.  Multiplicity groups additionally get an
     argument-principle winding verification.
     """
-    rec = run_reconstruction(data, model, grid, min_window=min_window)
+    rec = run_reconstruction(data, model, grid, min_window=min_window, cond_limit=cond_limit)
     pot = rec.as_potentials()
     # index the output in the data's numbering frame: the mean of the
     # recovered q1 can differ from the data's mean shift by an integer when

@@ -1,16 +1,24 @@
 """Direct spectral problem: shooting, root location, residues, weight numbers.
 
-The pencil equation is integrated as a first-order system in the
-quasi-derivative variables (y, y1), y1 = y' - sigma y,
+The pencil equation is the linear first-order system Y' = A(x, lam) Y in the
+quasi-derivative variables Y = (y, y1), y1 = y' - sigma y,
 
-    y'  = y1 + sigma y,
-    y1' = -sigma y1 + (2 lam q1 - lam^2 - sigma^2) y,
+    A = [[sigma, 1], [G, -sigma]],    G = 2 lam q1 - lam^2 - sigma^2,
 
 which only ever samples sigma (the antiderivative of the rough potential) and
-never differentiates it.  Parameter derivatives of the Dirichlet solution are
-carried along as variational chains: the normalized chain S_k =
-(1/k!) d^k S / d lam^k satisfies the same system with source terms
-(2 q1 - 2 lam) S_(k-1) - S_(k-2).
+never differentiates it.  Because the system is linear, one RK4 step of width
+h from x_i is a 2x2 transfer matrix
+
+    T_i = I + h/6 (K1 + 2 K2 + 2 K3 + K4),    K1 = A(x_i),
+    K2 = A(x_m) (I + h/2 K1),  K3 = A(x_m) (I + h/2 K2),  K4 = A(x_(i+1)) (I + h K3),
+
+with x_m the step's midpoint, and the solution at pi is the product
+T_(M-1) ... T_0 applied to the initial values.  Parameter derivatives of the
+Dirichlet solution are the normalized variational chains
+S_k = (1/k!) d^k S / d lam^k: the eps^k coefficients of the same product taken
+at lam + eps, where A(lam + eps) = A0 + eps A1 + eps^2 A2 with
+A1 = [[0, 0], [2 q1 - 2 lam, 0]] and A2 = [[0, 0], [-1, 0]].  Every transfer
+matrix is therefore handled as a truncated eps-series of 2x2 matrices.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 RESIDUE_NODES = 256
 CONTOUR_RADIUS_CAP = 0.2
+CHUNK_ENTRIES = 8192     # step matrices built at once, counted as steps x lambdas
 POTENTIALS_HEADER = ["x", "re_q1", "im_q1", "re_sigma", "im_sigma"]
 
 
@@ -150,15 +159,120 @@ def _interp_complex(xg, vals, pts):
     return np.interp(pts, xg, vals.real) + 1j * np.interp(pts, xg, vals.imag)
 
 
+def _g_series(lams, q1, sig, n):
+    """The first min(n, 3) eps-coefficients of G(lam + eps), shape (., nodes, L).
+
+    ``q1`` and ``sig`` are node columns; G has no terms beyond eps^2.
+    """
+    G = np.empty((min(n, 3), q1.shape[0], lams.size), dtype=complex)
+    G[0] = lams * (2.0 * q1 - lams) - sig * sig
+    if n > 1:
+        G[1] = 2.0 * (q1 - lams)
+    if n > 2:
+        G[2] = -1.0
+    return G
+
+
+def _step_matrices(h, s_n, s_m, G_n, G_m, n):
+    """RK4 transfer matrices T_i(lam + eps) to order eps^(n-1): (n, 2, 2, steps, L).
+
+    A is traceless, so A_m^2 = w I with w = G_m + sigma_m^2, and the RK4 step
+    of the module docstring expands to
+
+        T = I + h/6 (A_a + 4 A_m + A_b) + h^2/6 (A_m A_a + A_b A_m)
+              + w (h^2/6 I + h^3/12 (A_a + A_b) + h^4/24 A_b A_a)
+
+    for A_a, A_m, A_b at the step's start, midpoint and end.  Only the G
+    entries carry eps, so every entry is a node coefficient times G terms;
+    the zero entries of A1 and A2 are never multiplied.
+    """
+    s_a, s_b = s_n[:-1], s_n[1:]
+    G_a, G_b = G_n[:, :-1], G_n[:, 1:]
+    ng, m, L = G_m.shape
+    c1, c2, c3, c4 = h / 6.0, h ** 2 / 6.0, h ** 3 / 12.0, h ** 4 / 24.0
+    s_sum, s_prod = s_a + s_b, s_a * s_b
+    diag = c1 * (s_sum + 4.0 * s_m)
+    T = np.zeros((n, 2, 2, m, L), dtype=complex)
+    T[0, 0, 0] = 1.0 + diag + c2 * s_m * s_sum
+    T[0, 0, 1] = h + c2 * (s_b - s_a)
+    T[0, 1, 1] = 1.0 - diag + c2 * s_m * s_sum
+    T[:ng, 0, 0] += c2 * (G_a + G_m)
+    T[:ng, 1, 1] += c2 * (G_m + G_b)
+    T[:ng, 1, 0] = ((c1 - c2 * s_m) * G_a + (c1 + c2 * s_m) * G_b
+                    + (4.0 * c1 + c2 * (s_a - s_b)) * G_m)
+    X = np.zeros((ng, 2, 2, m, L), dtype=complex)
+    X[0, 0, 0] = c2 + c3 * s_sum + c4 * s_prod
+    X[0, 0, 1] = 2.0 * c3 + c4 * (s_b - s_a)
+    X[0, 1, 1] = c2 - c3 * s_sum + c4 * s_prod
+    X[:, 0, 0] += c4 * G_a
+    X[:, 1, 1] += c4 * G_b
+    X[:, 1, 0] = (c3 - c4 * s_b) * G_a + (c3 + c4 * s_a) * G_b
+    w = G_m.copy()
+    w[0] += s_m * s_m
+    for j in range(min(ng, n)):          # T += w X, truncated after n terms
+        k = min(ng, n - j)
+        T[j:j + k] += w[j, None, None] * X[:k]
+    return T
+
+
+def _mul(A, B):
+    """Truncated series product (A B)_k = sum_j A_j B_(k-j), k < len(B).
+
+    A holds 2x2 matrices, B 2 x c matrices: (terms, rows, cols, steps, L).
+    """
+    n = len(B)
+    out = A[0, :, 0, None] * B[:, None, 0] + A[0, :, 1, None] * B[:, None, 1]
+    for j in range(1, min(len(A), n)):
+        out[j:] += A[j, :, 0, None] * B[:n - j, None, 0] + A[j, :, 1, None] * B[:n - j, None, 1]
+    return out
+
+
+def _tree_product(T):
+    """T_(m-1) ... T_0 by a pairwise product tree over the step axis."""
+    while T.shape[3] > 1:
+        m = T.shape[3]
+        P = _mul(T[:, :, :, 1::2], T[:, :, :, 0:m - 1:2])
+        if m % 2:
+            P[:, :, :, -1:] = _mul(T[:, :, :, -1:], P[:, :, :, -1:])
+        T = P
+    return T
+
+
+def _prefix_products(T):
+    """All T_t ... T_0, t < m, in place by a log-depth (Hillis-Steele) scan."""
+    d = 1
+    while d < T.shape[3]:
+        T[:, :, :, d:] = _mul(T[:, :, :, d:], T[:, :, :, :-d])
+        d *= 2
+    return T
+
+
+def _chains(Y):
+    """State (terms, 2, cols, m, L) -> chain values (m, chains, 2, L): S_k, then C."""
+    cols = Y[:, :, 0] if Y.shape[2] == 1 else np.concatenate([Y[:, :, 0], Y[:1, :, 1]])
+    return cols.transpose(2, 0, 1, 3)
+
+
 def integrate(potentials: PotentialPair, lams, n_derivs: int = 0,
               with_c: bool = False, refine: int = DEFAULT_REFINE,
               with_trace: bool = False) -> ShootingResult:
     """Fixed-step RK4 over the refined grid for a batch of spectral parameters.
 
-    Coefficients are sampled at refined nodes and midpoints from the
-    piecewise-linear potentials, so step halving (larger ``refine``) converges
-    at fourth order to the piecewise-linear problem.
+    The potentials are sampled at refined nodes and midpoints of their
+    piecewise-linear interpolants, so step halving (larger ``refine``)
+    converges at fourth order to the piecewise-linear problem.
+
+    The step matrices T_i(lam + eps) (module docstring), truncated after the
+    eps^n_derivs term, are built vectorised over chunks of at most
+    ``CHUNK_ENTRIES`` steps x lambdas.  Each chunk is reduced by a pairwise
+    product tree and applied to the state, the product of all earlier steps
+    applied to the initial values S = 0, S^[1] = 1 (and C = 1, C^[1] = 0 for
+    ``with_c``; C carries no chains).  ``with_trace`` keeps the state at every
+    node from the prefix products of each chunk.
     """
+    for name, val, low in (("refine", refine, 1), ("n_derivs", n_derivs, 0)):
+        if not isinstance(val, (int, np.integer)) or val < low:
+            raise ValidationError(f"{name} must be an integer >= {low}, got {val!r}")
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     if not np.all(np.isfinite(lams)):
         raise NonFiniteInputError("spectral parameters must be finite")
@@ -169,49 +283,38 @@ def integrate(potentials: PotentialPair, lams, n_derivs: int = 0,
     m_steps = potentials.n_grid * refine
     xr = np.linspace(0.0, pi, m_steps + 1)
     h = pi / m_steps
-    xg = potentials.x
-    sig_n = _interp_complex(xg, potentials.sigma, xr)
-    q1_n = _interp_complex(xg, potentials.q1, xr)
     xm = xr[:-1] + 0.5 * h
-    sig_m = _interp_complex(xg, potentials.sigma, xm)
-    q1_m = _interp_complex(xg, potentials.q1, xm)
+    xg = potentials.x
+    sig_n = _interp_complex(xg, potentials.sigma, xr)[:, None]
+    q1_n = _interp_complex(xg, potentials.q1, xr)[:, None]
+    sig_m = _interp_complex(xg, potentials.sigma, xm)[:, None]
+    q1_m = _interp_complex(xg, potentials.q1, xm)[:, None]
 
-    Y = np.zeros((nch, 2, L), dtype=complex)
-    Y[0, 1] = 1.0            # S(0) = 0, S^[1](0) = 1
+    Y = np.zeros((n_s, 2, nch - n_s + 1, 1, L), dtype=complex)
+    Y[0, 1, 0] = 1.0         # S(0) = 0, S^[1](0) = 1
     if with_c:
-        Y[n_s, 0] = 1.0      # C(0) = 1, C^[1](0) = 0
-
-    lam2 = lams * lams
-
-    def rhs(Yc, sig, q1v):
-        g = 2.0 * lams * q1v - lam2 - sig * sig
-        dY = np.empty_like(Yc)
-        dY[:, 0] = Yc[:, 1] + sig * Yc[:, 0]
-        dY[:, 1] = -sig * Yc[:, 1] + g * Yc[:, 0]
-        if n_s > 1:
-            g1 = 2.0 * q1v - 2.0 * lams
-            dY[1:n_s, 1] += g1 * Yc[0:n_s - 1, 0]
-            if n_s > 2:
-                dY[2:n_s, 1] -= Yc[0:n_s - 2, 0]
-        return dY
-
+        Y[0, 0, 1] = 1.0     # C(0) = 1, C^[1](0) = 0
     trace = None
     if with_trace:
         trace = np.empty((m_steps + 1, nch, 2, L), dtype=complex)
-        trace[0] = Y
+        trace[0] = _chains(Y)[0]
 
-    for i in range(m_steps):
-        k1 = rhs(Y, sig_n[i], q1_n[i])
-        k2 = rhs(Y + 0.5 * h * k1, sig_m[i], q1_m[i])
-        k3 = rhs(Y + 0.5 * h * k2, sig_m[i], q1_m[i])
-        k4 = rhs(Y + h * k3, sig_n[i + 1], q1_n[i + 1])
-        Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    chunk = max(1, CHUNK_ENTRIES // max(L, 1))
+    for a in range(0, m_steps, chunk):
+        b = min(a + chunk, m_steps)
+        T = _step_matrices(h, sig_n[a:b + 1], sig_m[a:b],
+                           _g_series(lams, q1_n[a:b + 1], sig_n[a:b + 1], n_s),
+                           _g_series(lams, q1_m[a:b], sig_m[a:b], n_s), n_s)
         if with_trace:
-            trace[i + 1] = Y
+            states = _mul(_prefix_products(T), Y)
+            trace[a + 1:b + 1] = _chains(states)
+            Y = states[:, :, :, -1:]
+        else:
+            Y = _mul(_tree_product(T), Y)
 
-    return ShootingResult(
-        lams=lams, s=Y[:n_s, 0], c=Y[n_s, 0] if with_c else None,
-        trace=trace, x_refined=xr)
+    end = _chains(Y)[0]
+    return ShootingResult(lams=lams, s=end[:n_s, 0], c=end[n_s, 0] if with_c else None,
+                          trace=trace, x_refined=xr)
 
 
 def char_delta(potentials: PotentialPair, lam, refine: int = DEFAULT_REFINE):

@@ -6,7 +6,8 @@ from math import pi
 import pytest
 
 from qpencil import PotentialPair, SpectralDataSet, make_split_data
-from qpencil.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from qpencil import cli
+from qpencil.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
 
 def test_forward_zero_potentials(tmp_path, capsys):
@@ -110,3 +111,14 @@ def test_roundtrip_on_model_data(tmp_path, capsys):
     code = main(["roundtrip", "--data", str(data_path), "--n-check", "2"])
     assert code == EXIT_OK
     assert "lam_in" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["inverse", "roundtrip"])
+def test_profile_cond_limit_is_honoured(tmp_path, monkeypatch, command):
+    data_path = tmp_path / "split.json"
+    make_split_data(0.01).save_json(data_path)
+    monkeypatch.setitem(cli.PROFILES["default"], "cond_limit", 1.0)
+    argv = [command, "--data", str(data_path)]
+    if command == "inverse":
+        argv += ["--out", str(tmp_path / "rec.csv")]
+    assert main(argv) == EXIT_NUMERICAL

@@ -1,5 +1,6 @@
 """Shooting integrator, root search, residues, weight numbers."""
 
+import tracemalloc
 from math import cos, pi, sin
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from qpencil import (
     NonFiniteInputError,
     PotentialPair,
+    ValidationError,
     char_delta,
     coefficients_from_weights,
     find_eigenvalues,
@@ -17,7 +19,7 @@ from qpencil import (
     weyl_residues,
     winding_number,
 )
-from qpencil.forward import sample_circle
+from qpencil.forward import circle_nodes, sample_circle
 from qpencil.zindex import window
 
 RNG = np.random.default_rng(20240817)
@@ -28,6 +30,108 @@ def smooth_pair(amp=0.5, n_grid=200):
     q1 = lambda t: amp * (np.sin(2 * t) + 0.3j * np.cos(t))
     sig = lambda t: amp * (0.4 * (1 - np.cos(t)) - 0.2j * np.sin(t) ** 2)
     return PotentialPair.from_functions(q1, sig, n_grid)
+
+
+def reference_integrate(pot, lams, n_derivs, refine):
+    """The per-step RK4 loop on the chains S_0..S_n and C, with the full trace.
+
+    Each step evaluates the right-hand side four times on the stacked state
+    (chains, 2, L); the chain S_k has the sources (2 q1 - 2 lam) S_(k-1) - S_(k-2).
+    Returns (s, c, trace) shaped like ShootingResult with with_c=True.
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    n_s = n_derivs + 1
+    m_steps = pot.n_grid * refine
+    h = pi / m_steps
+    xr = np.linspace(0.0, pi, m_steps + 1)
+    xm = xr[:-1] + 0.5 * h
+
+    def sample(vals, pts):
+        return np.interp(pts, pot.x, vals.real) + 1j * np.interp(pts, pot.x, vals.imag)
+
+    sig_n, q1_n = sample(pot.sigma, xr), sample(pot.q1, xr)
+    sig_m, q1_m = sample(pot.sigma, xm), sample(pot.q1, xm)
+
+    def rhs(Y, sig, q1v):
+        g = 2.0 * lams * q1v - lams * lams - sig * sig
+        dY = np.empty_like(Y)
+        dY[:, 0] = Y[:, 1] + sig * Y[:, 0]
+        dY[:, 1] = -sig * Y[:, 1] + g * Y[:, 0]
+        if n_s > 1:
+            dY[1:n_s, 1] += (2.0 * q1v - 2.0 * lams) * Y[0:n_s - 1, 0]
+        if n_s > 2:
+            dY[2:n_s, 1] -= Y[0:n_s - 2, 0]
+        return dY
+
+    Y = np.zeros((n_s + 1, 2, lams.size), dtype=complex)
+    Y[0, 1] = 1.0            # S(0) = 0, S^[1](0) = 1
+    Y[n_s, 0] = 1.0          # C(0) = 1, C^[1](0) = 0
+    trace = np.empty((m_steps + 1,) + Y.shape, dtype=complex)
+    trace[0] = Y
+    for i in range(m_steps):
+        k1 = rhs(Y, sig_n[i], q1_n[i])
+        k2 = rhs(Y + 0.5 * h * k1, sig_m[i], q1_m[i])
+        k3 = rhs(Y + 0.5 * h * k2, sig_m[i], q1_m[i])
+        k4 = rhs(Y + h * k3, sig_n[i + 1], q1_n[i + 1])
+        Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        trace[i + 1] = Y
+    return Y[:n_s, 0], Y[n_s, 0], trace
+
+
+def assert_close(got, want, rtol=1e-12):
+    """Entrywise relative agreement, with a floor at rtol times the largest entry."""
+    assert got.shape == want.shape
+    floor = rtol * np.max(np.abs(want), initial=0.0)
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=floor)
+
+
+@pytest.mark.parametrize("refine", [3, 10])
+@pytest.mark.parametrize("n_derivs", [0, 1, 3])
+@pytest.mark.parametrize("n_lams", [0, 1, 7, 300])
+def test_integrate_matches_per_step_loop(n_lams, n_derivs, refine):
+    pot = smooth_pair()          # 200 intervals: 600 and 2,000 steps, chunk remainders
+    rng = np.random.default_rng(n_lams + 10 * n_derivs + refine)
+    lams = rng.uniform(-6.0, 6.0, n_lams) + 1j * rng.uniform(-1.0, 1.0, n_lams)
+    # the L=300 trace at refine 10 would hold ~100 MB per copy
+    with_trace_cases = (False, True) if n_lams < 300 or refine == 3 else (False,)
+    s, c, trace = reference_integrate(pot, lams, n_derivs, refine)
+    for with_c in (False, True):
+        for with_trace in with_trace_cases:
+            res = integrate(pot, lams, n_derivs=n_derivs, with_c=with_c,
+                            refine=refine, with_trace=with_trace)
+            assert res.s.shape == (n_derivs + 1, n_lams)
+            for k in range(n_derivs + 1):
+                assert_close(res.s[k], s[k])
+            if with_c:
+                assert_close(res.c, c)
+            else:
+                assert res.c is None
+            if with_trace:
+                chains = list(range(n_derivs + 1)) + ([n_derivs + 1] if with_c else [])
+                assert res.trace.shape == (pot.n_grid * refine + 1, len(chains), 2, n_lams)
+                for j, k in enumerate(chains):
+                    assert_close(res.trace[:, j], trace[:, k])
+            else:
+                assert res.trace is None
+
+
+def test_integrate_memory_is_bounded_by_the_chunk():
+    pot = smooth_pair()
+    zs = circle_nodes(0.0, 2.5, 1025)
+    tracemalloc.start()
+    try:
+        integrate(pot, zs, n_derivs=1, with_c=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one (steps, L) array of 2x2 series would be 2,000 x 1,025 x 128 B = 262 MB
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("kwargs", [{"refine": 0}, {"n_derivs": -1}, {"refine": 2.5}])
+def test_integrate_rejects_bad_counts(kwargs):
+    with pytest.raises(ValidationError):
+        integrate(PotentialPair.zeros(10), [1.0], **kwargs)
 
 
 def test_zero_potentials_explicit_solution():
