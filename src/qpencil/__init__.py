@@ -67,11 +67,8 @@ from .model import (
     NumericBackground,
     ZeroBackground,
     d_model,
-    d_model_mu_deriv,
-    d_model_x_deriv,
     model_spectral_data,
     s_model,
-    s_model_x,
 )
 from .spectral_data import (
     Diagnostics,

@@ -6,7 +6,9 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,12 +40,30 @@ PROFILES = {
 }
 
 
+def _checked(convert, accept, what):
+    """argparse ``type=`` converter: a bad value exits 2 with a usage message."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_finite_complex = _checked(complex, cmath.isfinite, "a finite complex number, e.g. 0.5+0j")
+
+
 def _add_common(p):
     p.add_argument("--tolerance-profile", choices=sorted(PROFILES), default="default")
 
 
 def _add_grid_n(p):
-    p.add_argument("--grid-n", type=int, default=200,
+    p.add_argument("--grid-n", type=_positive_int, default=200,
                    help="number of grid intervals on [0, pi] (default 200)")
 
 
@@ -56,11 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("forward", help="potentials CSV -> spectral JSON")
     f.add_argument("--potentials", required=True, help="input CSV (x,re_q1,im_q1,re_sigma,im_sigma)")
-    f.add_argument("--n-max", type=int, default=5)
+    f.add_argument("--n-max", type=_positive_int, default=5)
     f.add_argument("--out", required=True, help="output spectral JSON")
-    f.add_argument("--cluster-center", default=None,
+    f.add_argument("--cluster-center", type=_finite_complex, default=None,
                    help="complex center of the low-index search disc, e.g. 0.5+0j")
-    f.add_argument("--cluster-radius", type=float, default=None)
+    f.add_argument("--cluster-radius", type=_positive_float, default=None)
     f.add_argument("--n-star", type=int, default=0,
                    help="indices |n| <= n-star are searched inside the disc")
     _add_common(f)
@@ -88,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("roundtrip", help="reconstruct, re-solve forward, compare")
     r.add_argument("--data", required=True, help="input spectral JSON")
-    r.add_argument("--n-check", type=int, default=3)
+    r.add_argument("--n-check", type=_positive_int, default=3)
     r.add_argument("--trunc-n", type=int, default=None)
     _add_grid_n(r)
     _add_common(r)
@@ -102,7 +122,7 @@ def _cmd_forward(args) -> int:
     if args.cluster_radius is not None:
         if args.cluster_center is None or args.n_star <= 0:
             raise ValidationError("--cluster-radius needs --cluster-center and --n-star")
-        cluster = (complex(args.cluster_center), args.cluster_radius, args.n_star)
+        cluster = (args.cluster_center, args.cluster_radius, args.n_star)
     omega0 = pot.omega0()
     eigs = find_eigenvalues(pot, args.n_max, omega0, cluster=cluster,
                             refine=profile["refine"])

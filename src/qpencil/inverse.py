@@ -225,47 +225,6 @@ def solve_main(system: MainEquationSystem, cond_limit: float = COND_LIMIT
     return v.T, vx.T, cond, residual
 
 
-def scaled_operator_norm(data: SpectralDataSet, model: BackgroundProblem,
-                         x, width: int) -> float:
-    """Diagnostic sup-norm of the theta/chi-scaled window operator.
-
-    The scaled form conjugates the kernel blocks by [[chi_n, -chi_n], [0, 1]]
-    on the left and [[theta_k, 1], [0, -1]] (times n/k) on the right, which is
-    what makes the full infinite operator bounded.  The finite solve works in
-    unscaled variables, so this is reported for inspection only: by the
-    operator bound it shrinks with the data perturbation.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    model_set = model.spectral_data(width)
-    norm = 0.0
-    rows_sum = {}
-    for n in zindex.window(width):
-        en = _side_entry(data, n) if abs(n) <= data.max_abs_index \
-            else _side_entry(model_set, n)
-        em = _side_entry(model_set, n)
-        theta_n = abs(en.lam - em.lam)
-        chi_n = 1.0 / theta_n if theta_n != 0 else 0.0
-        left = np.array([[chi_n, -chi_n], [0.0, 1.0]])
-        for k in zindex.window(width):
-            ek = _side_entry(data, k) if abs(k) <= data.max_abs_index \
-                else _side_entry(model_set, k)
-            fk = _side_entry(model_set, k)
-            theta_k = abs(ek.lam - fk.lam)
-            right = np.array([[theta_k, 1.0], [0.0, -1.0]])
-            Pblock = np.empty((2, 2, x.size), dtype=complex)
-            for i, er in enumerate((en, em)):
-                for j, ec in enumerate((ek, fk)):
-                    T = model.d_table(x, er.lam, ec.lam, er.nu, ec.m - 1 - ec.nu)
-                    Pblock[i, j] = _group_sum(ec, er.nu, T)
-            H = (n / k) * np.einsum("ab,bcx,cd->adx", left, Pblock, right)
-            for i in (0, 1):
-                key = (n, i)
-                rows_sum[key] = rows_sum.get(key, 0.0) + np.abs(H[i]).sum(axis=0)
-    for val in rows_sum.values():
-        norm = max(norm, float(np.max(val)))
-    return norm
-
-
 @dataclass
 class EpsilonFields:
     """Auxiliary series on the grid and the derived branch-tracked factors."""

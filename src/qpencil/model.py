@@ -14,8 +14,12 @@ needs from the background reduces to
 A numeric background delegates the chains to the shooting integrator.  Both
 backgrounds share one kernel algebra (``d_table``, ``dx_table`` and, for
 order 0 against many columns at once, ``kernel_row``) and differ only in
-their chains and in the coalescent branch used when lam and mu are too close
-for the quotient form.
+their chains and in the coalescent branch used when |lam - mu| is below
+``COALESCE_GAP``, where the quotient form would cancel.  For the zero
+background that branch is the closed form
+``D = (1/lam + 1/mu)/2 [s(x, lam-mu) - s(x, lam+mu)]`` with s(x, g) =
+sin(g x)/g (a power series when lam or mu is small); for a numeric one it is
+the running integral of dD/dx.
 """
 
 from __future__ import annotations
@@ -37,16 +41,14 @@ if TYPE_CHECKING:
 P_MAX = 4
 
 # Separation |lam - mu| below which the divided difference switches to the
-# background's coalescent branch.  The quotient form loses roughly
-# |lam-mu|^-(order+1) digits to cancellation, while the truncation error of the
-# fixed-degree midpoint series grows with the absolute gap, so the switch is
-# absolute whatever the size of lam and mu.
+# background's coalescent branch.  The gap guards only the quotient form, which
+# loses roughly |lam-mu|^-(order+1) digits to cancellation whatever the size of
+# lam and mu; the coalescent branches have no 1/(lam - mu) and hold at any gap.
 COALESCE_GAP = 0.05
 
-# |lam| below which sin(lam x)/lam chains use the power series in lam.
+# |lam| below which sin(lam x)/lam chains, and the zero background's
+# coalescent kernel, use power series in lam.
 SMALL_LAMBDA = 0.5
-
-_SERIES_EXTRA = 16  # extra Taylor degrees kept beyond the requested order
 
 
 def s_chain(x, lam: complex, order: int) -> np.ndarray:
@@ -109,37 +111,6 @@ def _quotient_table(f, lam, mu, tmax, smax, shape):
                 for b in range(s + 1):
                     k = (t - a) + (s - b)
                     acc += f[a][b] * ((-1.0) ** (t - a)) * comb(k, t - a) * inv ** (k + 1)
-            T[t, s] = acc
-    return T
-
-
-def _series_table(sc, cc, u0, w0, tmax, smax, shape):
-    """Divided-difference derivatives from chains at the midpoint c=(lam+mu)/2.
-
-    F(c+u, c+w) has antisymmetric coefficients f[a,b]; dividing the pair
-    contribution u^a w^b - u^b w^a by (u - w) reorganizes the expansion into
-    coefficients d[p, r] that are exact term-by-term (no cancellation), then
-    the table is re-expanded at (u0, w0) = (+-(lam-mu)/2).
-    """
-    dmax = tmax + smax + _SERIES_EXTRA
-    d = np.zeros((dmax + 1, dmax + 1) + shape, dtype=complex)
-    for a in range(1, dmax + 2):
-        for b in range(a):
-            if a + b - 1 > dmax:
-                break
-            f = sc[a] * cc[b] - cc[a] * sc[b]
-            for q in range(a - b):
-                d[b + q, a - 1 - q] += f
-    T = np.zeros((tmax + 1, smax + 1) + shape, dtype=complex)
-    if u0 == 0.0 and w0 == 0.0:
-        T[:, :] = d[: tmax + 1, : smax + 1]
-        return T
-    for t in range(tmax + 1):
-        for s in range(smax + 1):
-            acc = np.zeros(shape, dtype=complex)
-            for p in range(t, dmax + 1):
-                for r in range(s, dmax - p + 1):   # d[p, r] complete for p+r <= dmax
-                    acc += d[p, r] * comb(p, t) * comb(r, s) * u0 ** (p - t) * w0 ** (r - s)
             T[t, s] = acc
     return T
 
@@ -211,25 +182,8 @@ def s_model(x, lam: complex) -> complex:
     return complex(val) if np.ndim(x) == 0 else val
 
 
-def s_model_x(x, lam: complex) -> complex:
-    """d/dx of s_model: cos(lam x)."""
-    val = sx_chain(x, lam, 0)[0]
-    return complex(val) if np.ndim(x) == 0 else val
-
-
 def d_model(x, lam: complex, mu: complex) -> complex:
     val = d_table(_ZERO, x, lam, mu, 0, 0)[0, 0]
-    return complex(val) if np.ndim(x) == 0 else val
-
-
-def d_model_mu_deriv(x, lam: complex, mu: complex, p: int) -> complex:
-    """Unnormalized p-th mu-derivative of d_model."""
-    val = factorial(p) * d_table(_ZERO, x, lam, mu, 0, p)[0, p]
-    return complex(val) if np.ndim(x) == 0 else val
-
-
-def d_model_x_deriv(x, lam: complex, mu: complex) -> complex:
-    val = dx_table(_ZERO, x, lam, mu, 0, 0)[0, 0]
     return complex(val) if np.ndim(x) == 0 else val
 
 
@@ -301,11 +255,41 @@ class ZeroBackground(BackgroundProblem):
         return sx_chain(x, lam, order)
 
     def _coalescent_table(self, x, lam, mu, tmax, smax):
-        # Taylor series at the midpoint, re-expanded at the two arguments
-        c = 0.5 * (lam + mu)
-        order = tmax + smax + _SERIES_EXTRA + 1
-        return _series_table(s_chain(x, c, order), sx_chain(x, c, order),
-                             lam - c, mu - c, tmax, smax, x.shape)
+        xf = x.reshape(-1)
+        if min(abs(lam), abs(mu)) < SMALL_LAMBDA:
+            # D = (lam + mu) E, E = sum (-1)^N lam^2m mu^2k x^(2N+3)
+            #     / ((2m+1)! (2k+1)! (2N+3)) over total degree N = m + k < 20
+            def even_chain(z, order):  # (1/nu!) d^nu/dz^nu z^2m/(2m+1)!, columns m
+                return np.array([[comb(2 * m, nu) * z ** (2 * m - nu) / factorial(2 * m + 1)
+                                  if 2 * m >= nu else 0.0 for m in range(20)]
+                                 for nu in range(order + 1)], dtype=complex)
+
+            a, b = even_chain(lam, tmax), even_chain(mu, smax)
+            N = np.arange(20)[:, None]
+            g = (-1.0) ** N * xf ** (2 * N + 3) / (2 * N + 3)
+            K = np.stack([a[:, :n + 1] @ b[:, n::-1].T for n in range(20)], axis=-1)
+            E = K @ g
+            T = (lam + mu) * E
+            T[1:] += E[:-1]
+            T[:, 1:] += E[:, :-1]
+        else:
+            # D = (1/lam + 1/mu)/2 [s(lam - mu) - s(lam + mu)], s(g) = sin(g x)/g
+            t = np.arange(tmax + 1)[:, None]
+            s = np.arange(smax + 1)[None, :]
+            sm = s_chain(xf, lam - mu, tmax + smax)
+            sp = s_chain(xf, lam + mu, tmax + smax)
+            binom = np.array([[comb(i + j, i) for j in range(smax + 1)]
+                              for i in range(tmax + 1)], dtype=float)
+            G = (binom * (-1.0) ** s)[..., None] * sm[t + s] - binom[..., None] * sp[t + s]
+
+            def inverse_chain(z, order):  # L[t, a] = (-1)^(t-a) / z^(t-a+1) for t >= a
+                k = np.arange(order + 1)
+                d = k[:, None] - k[None, :]
+                return np.where(d >= 0, (-1.0) ** d / z ** (np.abs(d) + 1), 0.0)
+
+            T = 0.5 * (np.einsum("ta,asn->tsn", inverse_chain(lam, tmax), G)
+                       + np.einsum("sb,tbn->tsn", inverse_chain(mu, smax), G))
+        return T.reshape((tmax + 1, smax + 1) + x.shape)
 
     def spectral_entry(self, n):
         if n == 0:

@@ -122,3 +122,31 @@ def test_profile_cond_limit_is_honoured(tmp_path, monkeypatch, command):
     if command == "inverse":
         argv += ["--out", str(tmp_path / "rec.csv")]
     assert main(argv) == EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("forward", ["--cluster-center", "abc", "--cluster-radius", "0.5", "--n-star", "1"]),
+    ("forward", ["--cluster-radius", "-1", "--cluster-center", "0.5+0j", "--n-star", "1"]),
+    ("forward", ["--n-max", "0"]),
+    ("forward", ["--n-max", "-2"]),
+    ("inverse", ["--grid-n", "-3"]),
+    ("inverse", ["--grid-n", "0"]),
+    ("roundtrip", ["--grid-n", "-3"]),
+    ("split-table", ["--grid-n", "-3"]),
+    ("roundtrip", ["--n-check", "0"]),
+    ("roundtrip", ["--n-check", "-1"]),
+], ids=lambda v: v if isinstance(v, str) else " ".join(v[:2]))  # the bad flag first
+def test_bad_numeric_flag_is_validation_error(tmp_path, command, flags):
+    pot_path = tmp_path / "pot.csv"
+    PotentialPair.zeros(200).to_csv(pot_path)
+    data_path = tmp_path / "split.json"
+    make_split_data(0.01).save_json(data_path)
+    inputs = {
+        "forward": ["--potentials", str(pot_path), "--out", str(tmp_path / "s.json")],
+        "inverse": ["--data", str(data_path), "--out", str(tmp_path / "rec.csv")],
+        "roundtrip": ["--data", str(data_path)],
+        "split-table": ["--deltas", "0.05", "--out-dir", str(tmp_path), "--no-verify"],
+    }
+    with pytest.raises(SystemExit) as exc:    # argparse rejects the value
+        main([command] + inputs[command] + flags)
+    assert exc.value.code == EXIT_VALIDATION

@@ -190,19 +190,6 @@ def test_pipeline_reports_condition_and_residual(zero_model):
     assert rec.eps.theta is not None
 
 
-def test_scaled_operator_norm_tracks_perturbation_size(zero_model):
-    from qpencil.inverse import scaled_operator_norm
-
-    x = np.linspace(0, pi, 9)
-    base = model_spectral_data(3)
-    assert scaled_operator_norm(base, zero_model, x, 3) < 1e-12
-    big = scaled_operator_norm(base.replace_entry(2, lam=2.1), zero_model, x, 3)
-    small = scaled_operator_norm(base.replace_entry(2, lam=2.01), zero_model, x, 3)
-    assert np.isfinite(big) and np.isfinite(small)
-    assert small < big
-    assert 5.0 < big / small < 20.0    # roughly linear in the eigenvalue shift
-
-
 def test_layout_rejects_oversized_groups(zero_model):
     from qpencil import OrderTooHighError, normalize_ordering
 

@@ -1,11 +1,11 @@
 """Background kernels: chains, divided differences, derivative tables."""
 
-from math import pi
+from math import factorial, pi
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpencil import (
@@ -16,16 +16,15 @@ from qpencil import (
     coefficients_from_weights,
     compute_diagnostics,
     d_model,
-    d_model_mu_deriv,
-    d_model_x_deriv,
     model_spectral_data,
     s_model,
-    s_model_x,
 )
-from qpencil.model import _SERIES_EXTRA, _quotient_table, _series_table, s_chain, sx_chain
+from qpencil.model import P_MAX, _quotient_table, s_chain, sx_chain
 
 finite_complex = st.complex_numbers(max_magnitude=8.0, allow_nan=False,
                                     allow_infinity=False)
+
+ZERO = ZeroBackground()
 
 
 def test_s_model_basics():
@@ -34,7 +33,7 @@ def test_s_model_basics():
     # removable singularity: series oracle sin(z)/z = 1 - z^2/6 + ...
     assert s_model(pi, 1e-9) == pytest.approx(pi, abs=1e-13)
     assert s_model(pi, 0.0) == pytest.approx(pi, abs=1e-15)
-    assert s_model_x(pi, 1.0) == pytest.approx(-1.0, rel=1e-14)
+    assert complex(sx_chain(pi, 1.0, 0)[0]) == pytest.approx(-1.0, rel=1e-14)
 
 
 def test_s_chain_matches_finite_difference():
@@ -77,6 +76,9 @@ def test_d_model_vanishes_at_integer_pairs():
 
 @settings(max_examples=60, deadline=None)
 @given(finite_complex, finite_complex, st.floats(min_value=0.0, max_value=pi))
+@example(0j, 0.03 + 0.01j, 2.0)   # lam = 0: small-|lam| coalescent series
+@example(0.02 - 0.01j, 0j, 2.0)   # mu = 0
+@example(0j, 0j, 2.0)             # both 0
 def test_d_model_symmetric(lam, mu, x):
     a = d_model(x, lam, mu)
     b = d_model(x, mu, lam)
@@ -84,13 +86,13 @@ def test_d_model_symmetric(lam, mu, x):
 
 
 def test_d_model_mu_deriv_order_zero_is_d():
-    assert d_model_mu_deriv(1.3, 2.0, 0.7, 0) == pytest.approx(d_model(1.3, 2.0, 0.7))
+    assert ZERO.d_table(1.3, 2.0, 0.7, 0, 0)[0, 0] == pytest.approx(d_model(1.3, 2.0, 0.7))
 
 
 def test_d_model_mu_deriv_against_finite_difference():
     h = 1e-5
     fd = (d_model(pi, 2.0, 0.5 + h) - d_model(pi, 2.0, 0.5 - h)) / (2 * h)
-    val = d_model_mu_deriv(pi, 2.0, 0.5, 1)
+    val = factorial(1) * ZERO.d_table(pi, 2.0, 0.5, 0, 1)[0, 1]
     assert val == pytest.approx(fd, rel=1e-8)
     # exact value from symbolic differentiation: 16/9
     assert val == pytest.approx(16.0 / 9.0, rel=1e-12)
@@ -98,8 +100,8 @@ def test_d_model_mu_deriv_against_finite_difference():
 
 def test_d_model_mu_deriv_at_coalescence():
     # symbolic limits of the mu-derivative at mu -> lam
-    assert d_model_mu_deriv(pi, 0.5, 0.5, 1) == pytest.approx(0.0, abs=1e-13)
-    val = d_model_mu_deriv(1.0, 0.7 + 0.1j, 0.7 + 0.1j, 1)
+    assert factorial(1) * ZERO.d_table(pi, 0.5, 0.5, 0, 1)[0, 1] == pytest.approx(0.0, abs=1e-13)
+    val = factorial(1) * ZERO.d_table(1.0, 0.7 + 0.1j, 0.7 + 0.1j, 0, 1)[0, 1]
     assert val == pytest.approx(0.24382504632008352 - 0.023959060673686884j, rel=1e-12)
 
 
@@ -108,14 +110,12 @@ def _branch_gap(lam, x):
     sa, ca = s_chain(x, lam, 0), sx_chain(x, lam, 0)
     sb, cb = s_chain(x, mu, 0), sx_chain(x, mu, 0)
     generic = _quotient_table([[sa[0] * cb[0] - ca[0] * sb[0]]], lam, mu, 0, 0, x.shape)[0, 0]
-    c = 0.5 * (lam + mu)
-    sc, cc = s_chain(x, c, _SERIES_EXTRA + 1), sx_chain(x, c, _SERIES_EXTRA + 1)
-    series = _series_table(sc, cc, lam - c, mu - c, 0, 0, x.shape)[0, 0]
-    return np.max(np.abs(generic - series)) / np.max(np.abs(series))
+    coalescent = ZERO._coalescent_table(x, lam, mu, 0, 0)[0, 0]
+    return np.max(np.abs(generic - coalescent)) / np.max(np.abs(coalescent))
 
 
 def test_d_model_branch_continuity_at_documented_threshold():
-    # generic and series branches agree to 10 digits at |lam-mu| = 1e-6 max(1,|lam|)
+    # quotient and coalescent branches agree to 10 digits at |lam-mu| = 1e-6 max(1,|lam|)
     x = np.array([1.0, 2.5, pi])
     assert _branch_gap(1.3, x) < 1e-10
     assert _branch_gap(0.5, x) < 1e-10
@@ -124,11 +124,18 @@ def test_d_model_branch_continuity_at_documented_threshold():
 
 
 def _d_oracle(x, lam, mu, t, s):
-    """(1/t! s!) d^t_lam d^s_mu D(x, lam, mu) from the closed form at 50 digits."""
-    def D(a, b):
-        return (mp.sin(a * x) / a * mp.cos(b * x) - mp.cos(a * x) * mp.sin(b * x) / b) / (a - b)
+    """(1/t! s!) d^t_lam d^s_mu D(x, lam, mu) from the quotient form at 80 digits.
 
-    with mp.workdps(50):
+    The arguments are moved apart by 1e-35 so that lam = mu and lam = 0 are
+    defined; that moves the result by about 1e-35.
+    """
+    with mp.workdps(80):
+        off = mp.mpf("1e-35")
+
+        def D(a, b):
+            a, b = a + off, b - off
+            return (mp.sin(a * x) / a * mp.cos(b * x) - mp.cos(a * x) * mp.sin(b * x) / b) / (a - b)
+
         d = mp.diff(D, (mp.mpmathify(lam), mp.mpmathify(mu)), (t, s))
         return complex(d / (mp.factorial(t) * mp.factorial(s)))
 
@@ -136,9 +143,18 @@ def _d_oracle(x, lam, mu, t, s):
 @pytest.mark.parametrize("lam, mu, t, s", [
     (45.0, 47.0, 0, 0),                 # quotient side, large index
     (100.0, 103.0, 0, 0),               # quotient side, larger index
-    (2.0, 2.04, 0, 0),                  # midpoint-series side
-    (1.3 + 0.4j, 1.33 + 0.38j, 1, 1),   # complex, series side
+    (2.0, 2.04, 0, 0),                  # closed-form coalescent side
+    (1.3 + 0.4j, 1.33 + 0.38j, 1, 1),   # complex, closed-form side
     (2.5 + 0.3j, 2.4 + 0.35j, 1, 1),    # complex, quotient side near the switch
+    (0.7, 0.7, 0, 0),                   # exact coalescence
+    (50.0, 50.03, 2, 2),                # closed form, large index
+    (100.0, 100.01, 3, 3),              # closed form, larger index
+    (-0.5, -0.5, 4, 4),                 # closed form at the SMALL_LAMBDA switch
+    (0.0, 0.01, 1, 1),                  # lam = 0: small-|lam| series
+    (1e-8, 0.0, 2, 1),                  # mu = 0, lam tiny
+    (0.49, 0.51, 2, 2),                 # series just below the switch
+    (0.3 + 0.2j, 0.31 + 0.2j, 3, 3),    # complex, series
+    (0.45 + 0.2j, 0.48 + 0.19j, 4, 4),  # complex, series, highest order
 ])
 def test_d_table_against_mpmath_oracle(lam, mu, t, s):
     x = np.linspace(0.1, pi, 9)
@@ -147,30 +163,48 @@ def test_d_table_against_mpmath_oracle(lam, mu, t, s):
     assert np.max(np.abs(got - ref)) < 1e-11 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("lam", [0.05, 0.3, 0.4999, 0.5001, 0.5 + 0.3j, 0.7, 1.2 + 0.5j,
+                                 3.0, 20.0])
+def test_s_chain_against_mpmath_oracle(lam):
+    # every order the coalescent kernel uses, on both sides of SMALL_LAMBDA
+    # (lam = 0 is left out: its odd orders are exactly 0)
+    order = 2 * P_MAX
+    x = np.linspace(0.1, pi, 9)
+    got = s_chain(x, lam, order)
+    with mp.workdps(50):
+        ref = np.array([[complex(c) for c in mp.taylor(lambda z: mp.sin(z * xi) / z, lam, order)]
+                        for xi in x]).T
+    for nu in range(order + 1):
+        assert np.max(np.abs(got[nu] - ref[nu])) < 1e-10 * np.max(np.abs(ref[nu]))
+
+
 def test_d_model_x_deriv_values():
-    assert d_model_x_deriv(0.0, 1.3, 0.7) == pytest.approx(0.0, abs=1e-15)
-    assert d_model_x_deriv(pi / 2, 1.0, 1.0) == pytest.approx(2.0, rel=1e-13)
+    assert ZERO.dx_table(0.0, 1.3, 0.7, 0, 0)[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert ZERO.dx_table(pi / 2, 1.0, 1.0, 0, 0)[0, 0] == pytest.approx(2.0, rel=1e-13)
 
 
 def test_d_model_x_deriv_matches_numeric_derivative():
     h = 1e-6
     lam, mu = 1.3, 0.7 + 0.2j
     fd = (d_model(1.0 + h, lam, mu) - d_model(1.0 - h, lam, mu)) / (2 * h)
-    assert d_model_x_deriv(1.0, lam, mu) == pytest.approx(fd, rel=1e-8)
+    assert ZERO.dx_table(1.0, lam, mu, 0, 0)[0, 0] == pytest.approx(fd, rel=1e-8)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=0.05, max_value=pi - 0.05), finite_complex, finite_complex)
+@example(1.0, 0j, 0.03 + 0.01j)   # lam = 0: small-|lam| coalescent series
+@example(1.0, 0.02 - 0.01j, 0j)   # mu = 0
+@example(1.0, 0j, 0j)             # both 0
 def test_d_model_x_deriv_property(x, lam, mu):
     h = 1e-6
     fd = (d_model(x + h, lam, mu) - d_model(x - h, lam, mu)) / (2 * h)
-    val = d_model_x_deriv(x, lam, mu)
+    val = ZERO.dx_table(x, lam, mu, 0, 0)[0, 0]
     assert val == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
 
 def test_order_too_high():
     with pytest.raises(OrderTooHighError):
-        d_model_mu_deriv(1.0, 1.0, 2.0, 5)
+        ZERO.d_table(1.0, 1.0, 2.0, 0, 5)
 
 
 def test_model_spectral_data_small():
