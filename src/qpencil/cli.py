@@ -54,6 +54,7 @@ def _checked(convert, accept, what):
 
 
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
 _finite_complex = _checked(complex, cmath.isfinite, "a finite complex number, e.g. 0.5+0j")
 
@@ -81,16 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--cluster-center", type=_finite_complex, default=None,
                    help="complex center of the low-index search disc, e.g. 0.5+0j")
     f.add_argument("--cluster-radius", type=_positive_float, default=None)
-    f.add_argument("--n-star", type=int, default=0,
+    f.add_argument("--n-star", type=_nonnegative_int, default=0,
                    help="indices |n| <= n-star are searched inside the disc")
     _add_common(f)
 
     i = sub.add_parser("inverse", help="spectral JSON -> potentials CSV")
     i.add_argument("--data", required=True, help="input spectral JSON")
     i.add_argument("--out", required=True, help="output CSV (x,re_q1,im_q1,re_q0ad,im_q0ad)")
-    i.add_argument("--trunc-n", type=int, default=None,
+    i.add_argument("--trunc-n", type=_nonnegative_int, default=None,
                    help="replace data beyond |n| <= trunc-n by the background")
-    i.add_argument("--min-window", type=int, default=0)
+    i.add_argument("--min-window", type=_nonnegative_int, default=0)
     _add_grid_n(i)
     _add_common(i)
 
@@ -98,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--deltas", default=",".join(str(d) for d in REFERENCE_DELTAS),
                    help="comma-separated splitting parameters (0 allowed)")
     t.add_argument("--contour-r", type=float, default=0.85)
-    t.add_argument("--n-star", type=int, default=1)
+    t.add_argument("--n-star", type=_nonnegative_int, default=1)
     t.add_argument("--out-dir", default=None)
     t.add_argument("--metrics", action="store_true",
                    help="also print the contour perturbation metric per delta")
@@ -109,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("roundtrip", help="reconstruct, re-solve forward, compare")
     r.add_argument("--data", required=True, help="input spectral JSON")
     r.add_argument("--n-check", type=_positive_int, default=3)
-    r.add_argument("--trunc-n", type=int, default=None)
+    r.add_argument("--trunc-n", type=_nonnegative_int, default=None)
     _add_grid_n(r)
     _add_common(r)
     return ap
@@ -154,7 +155,7 @@ def _cmd_split_table(args) -> int:
     except ValueError as err:
         raise ValidationError(f"--deltas: {err}") from None
     config = SplitExperimentConfig(delta_list=deltas, n_grid=args.grid_n,
-                                   contour_radius=args.contour_r, n_star=args.n_star)
+                                   contour_radius=args.contour_r)
     out_dir = None
     if args.out_dir is not None:
         out_dir = Path(args.out_dir)

@@ -59,7 +59,6 @@ class SplitExperimentConfig:
     delta_list: tuple[float, ...] = REFERENCE_DELTAS
     n_grid: int = 200
     contour_radius: float = 0.85   # encloses the 1/2-cluster, excludes +-1
-    n_star: int = 1
 
     def __post_init__(self):
         if any(d < 0 for d in self.delta_list):

@@ -9,10 +9,12 @@ pairwise.  Per node we solve
 
 then reuse the same matrix for the x-derivative, (I - P) v_x = s_x + P_x v,
 so no finite differences enter the series that feed the recovery formulas.
-Entries between two simple eigenvalues are built one row at a time from the
-order-0 chains S, S' of every simple entry (``model.kernel_row``); only pairs
-that touch a multiplicity group, and simple pairs closer than
-``COALESCE_GAP`` (the diagonal among them), go through the kernel tables.
+Both matrices and the series are built from per-entry chain combinations:
+the row chains S_nu, S'_nu and the column sums sum_p M_p S_(p-nu) of every
+unknown.  P_x needs no kernel table (dD/dx is a product of two S), and P
+takes the quotient form for simple pairs at least ``COALESCE_GAP`` apart;
+only pairs that touch a multiplicity group, and closer simple pairs (the
+diagonal among them), go through ``d_table``.
 Four auxiliary series built from v then produce the first potential via a
 pointwise formula and the antiderivative of the zeroth one via quadrature of
 terms that never differentiate a series numerically.
@@ -33,7 +35,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .model import P_MAX, BackgroundProblem, kernel_row
+from .model import COALESCE_GAP, P_MAX, BackgroundProblem
 from .spectral_data import SpectralDataSet
 
 DEFAULT_N_GRID = 200
@@ -68,10 +70,6 @@ class ActiveLayout:
     def rows(self):
         """Unknown order: all (n, i=0) first, then all (n, i=1)."""
         return [(e, 0) for e in self.side0] + [(e, 1) for e in self.side1]
-
-    def position(self, n: int, i: int) -> int:
-        base = 0 if i == 0 else len(self.indices)
-        return base + self.indices.index(n)
 
 
 def _side_entry(dataset: SpectralDataSet, n: int) -> SideEntry:
@@ -127,7 +125,8 @@ def _group_sum(ec: SideEntry, nu_r: int, T: np.ndarray) -> np.ndarray:
 class MainEquationSystem:
     """Per-node dense system; arrays are stacked over the grid nodes.
 
-    The rhs columns of a simple entry are its order-0 chains S and S'.
+    ``b`` and ``b_x`` are the signed column combinations
+    (-1)^j sum_p M_p S_(p-nu) and the same over S'.
     """
 
     x: np.ndarray                 # (nx,)
@@ -137,66 +136,72 @@ class MainEquationSystem:
     P_x: np.ndarray               # (nx, dim, dim)
     rhs: np.ndarray               # (nx, dim)
     rhs_x: np.ndarray             # (nx, dim)
+    b: np.ndarray                 # (dim, nx)
+    b_x: np.ndarray               # (dim, nx)
 
 
 def assemble_system(data: SpectralDataSet, model: BackgroundProblem, x,
                     min_window: int = 0,
                     layout: ActiveLayout | None = None) -> MainEquationSystem:
-    """Build the per-node matrices from the background kernel tables."""
+    """Build the per-node matrices from per-entry chain combinations.
+
+    Every unknown (entry, side j) contributes its row chains a = S_nu,
+    a' = S'_nu, a_ = S_(nu-1) and its column combinations b, b' and
+    b_ = (-1)^j sum_(p>nu) M_p S_(p-nu-1).  Leibniz on
+    dD/dx = (lam + mu - 2 q1) S(lam) S(mu) gives P_x = (lam_r + lam_c - 2 q1)
+    a_r b_c + a_r b_c_ + a_r_ b_c for every pair.  P takes the quotient form
+    for simple pairs at least ``COALESCE_GAP`` apart and the kernel tables
+    otherwise.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if layout is None:
         layout = active_layout(data, model, min_window=min_window)
     rows = layout.rows()
     dim = layout.dim
     nx = x.size
+    order: dict[complex, int] = {}
+    for e, _ in rows:
+        order[e.lam] = max(order.get(e.lam, 0), e.m - 1)
+    chains = {lam: (model.s_chain(x, lam, k), model.sx_chain(x, lam, k))
+              for lam, k in order.items()}
+
+    a, a_x, a_lo, b, b_x, b_lo = np.zeros((6, dim, nx), dtype=complex)
+    sgn = np.array([-1.0 if j == 1 else 1.0 for _, j in rows])
+    for k, (e, _) in enumerate(rows):
+        sch, cch = chains[e.lam]
+        a[k], a_x[k] = sch[e.nu], cch[e.nu]
+        if e.nu:
+            a_lo[k] = sch[e.nu - 1]
+        for p in range(e.nu, e.m):
+            b[k] += e.Ms[p] * sch[p - e.nu]
+            b_x[k] += e.Ms[p] * cch[p - e.nu]
+            if p > e.nu:
+                b_lo[k] += e.Ms[p] * sch[p - e.nu - 1]
+    b, b_x, b_lo = sgn[:, None] * b, sgn[:, None] * b_x, sgn[:, None] * b_lo
+
     P = np.zeros((dim, dim, nx), dtype=complex)
     Px = np.zeros((dim, dim, nx), dtype=complex)
-    rhs = np.zeros((dim, nx), dtype=complex)
-    rhs_x = np.zeros((dim, nx), dtype=complex)
-
-    chain_cache: dict[tuple[complex, int], tuple[np.ndarray, np.ndarray]] = {}
-
-    def chains(lam, order):
-        key = (lam, order)
-        got = chain_cache.get(key)
-        if got is None:
-            got = (model.s_chain(x, lam, order), model.sx_chain(x, lam, order))
-            chain_cache[key] = got
-        return got
-
-    for ridx, (er, i) in enumerate(rows):
-        sch, cch = chains(er.lam, er.nu)
-        rhs[ridx] = sch[er.nu]
-        rhs_x[ridx] = cch[er.nu]
-
-    # simple-pair block: a simple entry's rhs rows are its order-0 chains
-    grouped = np.array([e.m > 1 for e, _ in rows])
-    sgn = np.array([-1.0 if j == 1 else 1.0 for _, j in rows])
-    simple = np.flatnonzero(~grouped)
-    mus = [rows[c][0].lam for c in simple]
-    coef = np.array([sgn[c] * rows[c][0].Ms[0] for c in simple], dtype=complex)[:, None]
-    S, Sx = rhs[simple], rhs_x[simple]
+    lams = np.array([e.lam for e, _ in rows], dtype=complex)
     two_q1 = 2.0 * model.q1_values(x)
-    done = np.zeros((dim, dim), dtype=bool)
-    for k, ridx in enumerate(simple):
-        far, D, DX = kernel_row(mus[k], S[k], Sx[k], mus, S, Sx, two_q1)
-        P[ridx, simple[far]] = coef[far] * D
-        Px[ridx, simple] = coef * DX
-        done[ridx, simple[far]] = True
-
-    # tables for pairs touching a group and for coalescent simple pairs
-    for ridx, cidx in zip(*np.nonzero(~done)):
-        er, ec = rows[ridx][0], rows[cidx][0]
-        smax = ec.m - 1 - ec.nu
-        T = model.d_table(x, er.lam, ec.lam, er.nu, smax)
-        P[ridx, cidx] = sgn[cidx] * _group_sum(ec, er.nu, T)
-        if grouped[ridx] or grouped[cidx]:
-            X = model.dx_table(x, er.lam, ec.lam, er.nu, smax)
-            Px[ridx, cidx] = sgn[cidx] * _group_sum(ec, er.nu, X)
+    simple = np.array([e.m == 1 for e, _ in rows])
+    quotient = simple[:, None] & simple & (np.abs(lams[:, None] - lams) >= COALESCE_GAP)
+    coef = np.array([sgn[c] * e.Ms[0] for c, (e, _) in enumerate(rows)])[:, None]
+    for r, (er, _) in enumerate(rows):
+        Px[r] = (er.lam + lams[:, None] - two_q1) * a[r] * b + a[r] * b_lo + a_lo[r] * b
+        cols = np.flatnonzero(quotient[r])
+        # scalar division as in _quotient_table: numpy's complex division and
+        # Python's can differ in the last bit
+        inv = np.array([1.0 / (er.lam - rows[c][0].lam) for c in cols], dtype=complex)
+        D = (a[r] * a_x[cols] - a_x[r] * a[cols]) * inv[:, None]
+        P[r, cols] = coef[cols] * D
+    for r, c in zip(*np.nonzero(~quotient)):
+        er, ec = rows[r][0], rows[c][0]
+        T = model.d_table(x, er.lam, ec.lam, er.nu, ec.m - 1 - ec.nu)
+        P[r, c] = sgn[c] * _group_sum(ec, er.nu, T)
 
     return MainEquationSystem(x=x, layout=layout, model=model,
                               P=P.transpose(2, 0, 1), P_x=Px.transpose(2, 0, 1),
-                              rhs=rhs.T, rhs_x=rhs_x.T)
+                              rhs=a.T, rhs_x=a_x.T, b=b, b_x=b_x)
 
 
 def solve_main(system: MainEquationSystem, cond_limit: float = COND_LIMIT
@@ -248,48 +253,21 @@ def compute_epsilons(system: MainEquationSystem, v: np.ndarray,
     background, so the two sides of each term cancel exactly.  The series
     derivative is assembled term-wise from v_x, never by differencing.
     """
-    x = system.x
-    layout = system.layout
-    model = system.model
-    rows = layout.rows()
-    nx = x.size
-    dim = layout.dim
+    x, b, b_x = system.x, system.b, system.b_x
+    rows = system.layout.rows()
+    lams = np.array([e.lam for e, _ in rows], dtype=complex)
 
-    B = np.zeros((dim, nx), dtype=complex)
-    Bp = np.zeros((dim, nx), dtype=complex)
-    lamfac = np.zeros(dim, dtype=complex)
-    sgn = np.zeros(dim)
-    for cidx, (ec, j) in enumerate(rows):
-        if ec.m == 1:
-            # a simple column's order-0 chains are its rhs rows
-            B[cidx] = ec.Ms[0] * system.rhs[:, cidx]
-            Bp[cidx] = ec.Ms[0] * system.rhs_x[:, cidx]
-        else:
-            sch = model.s_chain(x, ec.lam, ec.m - 1 - ec.nu)
-            cch = model.sx_chain(x, ec.lam, ec.m - 1 - ec.nu)
-            for p in range(ec.nu, ec.m):
-                B[cidx] += ec.Ms[p] * sch[p - ec.nu]
-                Bp[cidx] += ec.Ms[p] * cch[p - ec.nu]
-        lamfac[cidx] = ec.lam
-        sgn[cidx] = -1.0 if j == 1 else 1.0
+    eps1 = (b * v).sum(axis=0)
+    eps1p = (b_x * v + b * v_x).sum(axis=0)
+    eps2 = (lams[:, None] * b * v).sum(axis=0)
+    eps3 = (b_x * v).sum(axis=0)
 
-    eps1 = (sgn[:, None] * B * v).sum(axis=0)
-    eps1p = (sgn[:, None] * (Bp * v + B * v_x)).sum(axis=0)
-    eps2 = (sgn[:, None] * lamfac[:, None] * B * v).sum(axis=0)
-    eps3 = (sgn[:, None] * Bp * v).sum(axis=0)
-
-    eps4 = np.zeros(nx, dtype=complex)
-    for side_id, side in ((0, layout.side0), (1, layout.side1)):
-        seen: set[int] = set()
-        for e in side:
-            if e.m < 2 or e.group_start in seen:
-                continue
-            seen.add(e.group_start)
-            s = -1.0 if side_id == 1 else 1.0
+    # members of a group are consecutive rows; visit each group from nu = 0
+    eps4 = np.zeros(x.size, dtype=complex)
+    for k, (e, _) in enumerate(rows):
+        if e.nu == 0:
             for nu in range(e.m - 1):
-                hi = layout.position(zindex.shift(e.group_start, nu + 1), side_id)
-                lo = layout.position(zindex.shift(e.group_start, nu), side_id)
-                eps4 += s * B[hi] * v[lo]
+                eps4 += b[k + nu + 1] * v[k + nu]
 
     return EpsilonFields(x=x, eps1=eps1, eps1_prime=eps1p, eps2=eps2,
                          eps3=eps3, eps4=eps4)

@@ -12,10 +12,9 @@ needs from the background reduces to
 * the x-derivative of D, which is ``(lam + mu - 2 q1(x)) S(x,lam) S(x,mu)``.
 
 A numeric background delegates the chains to the shooting integrator.  Both
-backgrounds share one kernel algebra (``d_table``, ``dx_table`` and, for
-order 0 against many columns at once, ``kernel_row``) and differ only in
-their chains and in the coalescent branch used when |lam - mu| is below
-``COALESCE_GAP``, where the quotient form would cancel.  For the zero
+backgrounds share one kernel algebra (``d_table``, ``dx_table``) and differ
+only in their chains and in the coalescent branch used when |lam - mu| is
+below ``COALESCE_GAP``, where the quotient form would cancel.  For the zero
 background that branch is the closed form
 ``D = (1/lam + 1/mu)/2 [s(x, lam-mu) - s(x, lam+mu)]`` with s(x, g) =
 sin(g x)/g (a power series when lam or mu is small); for a numeric one it is
@@ -152,25 +151,6 @@ def dx_table(background: "BackgroundProblem", x, lam: complex, mu: complex,
                 acc = acc + sa[t - 1] * sb[s]
             X[t, s] = acc
     return X
-
-
-def kernel_row(lam: complex, s, sx, mus, S, Sx, two_q1):
-    """Order-0 D and dD/dx of one row against stacked columns, from chains.
-
-    ``s``, ``sx`` are S(x, lam), S'(x, lam); rows of ``S``, ``Sx`` the same at
-    the column eigenvalues ``mus``; ``two_q1`` is 2 q1(x).  Returns
-    ``(far, D, DX)``: D on the columns ``far`` from lam by at least
-    COALESCE_GAP (the others need ``d_table``'s coalescent branch), dD/dx on
-    every column, both equal to the (0, 0) entries of ``d_table``/``dx_table``.
-    """
-    gaps = [lam - mu for mu in mus]
-    far = np.array([abs(g) >= COALESCE_GAP for g in gaps], dtype=bool)
-    # scalar division as in _quotient_table: numpy's complex division and
-    # Python's can differ in the last bit
-    inv = np.array([1.0 / g for g, f in zip(gaps, far) if f], dtype=complex)
-    D = (s * Sx[far] - sx * S[far]) * inv[:, None]
-    DX = ((lam + np.asarray(mus, dtype=complex))[:, None] - two_q1) * s * S
-    return far, D, DX
 
 
 # ---------------------------------------------------------------------------

@@ -375,6 +375,8 @@ def compute_diagnostics(data: SpectralDataSet, model: SpectralDataSet,
 def truncate_hybrid(data: SpectralDataSet, model: SpectralDataSet,
                     n_trunc: int) -> SpectralDataSet:
     """Data values for |n| <= n_trunc, model values beyond."""
+    if n_trunc < 0:
+        raise ValidationError(f"truncation level {n_trunc} is negative")
     for g in list(data.groups) + list(model.groups):
         inside = [abs(m) <= n_trunc for m in g.members]
         if any(inside) and not all(inside):

@@ -135,6 +135,11 @@ def test_profile_cond_limit_is_honoured(tmp_path, monkeypatch, command):
     ("split-table", ["--grid-n", "-3"]),
     ("roundtrip", ["--n-check", "0"]),
     ("roundtrip", ["--n-check", "-1"]),
+    ("inverse", ["--trunc-n", "-1"]),
+    ("inverse", ["--min-window", "-5"]),
+    ("roundtrip", ["--trunc-n", "-1"]),
+    ("forward", ["--n-star", "-1"]),
+    ("split-table", ["--n-star", "-1"]),
 ], ids=lambda v: v if isinstance(v, str) else " ".join(v[:2]))  # the bad flag first
 def test_bad_numeric_flag_is_validation_error(tmp_path, command, flags):
     pot_path = tmp_path / "pot.csv"

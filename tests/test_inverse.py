@@ -247,6 +247,21 @@ def _tabulated(system):
     return P, Px
 
 
+def _column_sums(system):
+    """b and b' written out as (-1)^j sum_p M_p S_(p-nu) and the same over S'."""
+    x, model, rows = system.x, system.model, system.layout.rows()
+    B = np.zeros_like(system.b)
+    Bx = np.zeros_like(system.b_x)
+    for cidx, (ec, j) in enumerate(rows):
+        sch = model.s_chain(x, ec.lam, ec.m - 1 - ec.nu)
+        cch = model.sx_chain(x, ec.lam, ec.m - 1 - ec.nu)
+        sgn = -1.0 if j == 1 else 1.0
+        for p in range(ec.nu, ec.m):
+            B[cidx] += sgn * ec.Ms[p] * sch[p - ec.nu]
+            Bx[cidx] += sgn * ec.Ms[p] * cch[p - ec.nu]
+    return B, Bx
+
+
 @pytest.fixture(scope="module")
 def numeric_case():
     base = PotentialPair.from_functions(
@@ -279,7 +294,8 @@ def test_assembly_matches_per_entry_tables(case, zero_model, request):
     if case == "small-lambda":
         assert any(abs(e.lam) < SMALL_LAMBDA for e, _ in rows)
     P, Px = _tabulated(system)
-    for got, want in ((system.P, P), (system.P_x, Px)):
+    B, Bx = _column_sums(system)
+    for got, want in ((system.P, P), (system.P_x, Px), (system.b, B), (system.b_x, Bx)):
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
@@ -299,4 +315,4 @@ def test_assembly_tables_group_pairs(zero_model, table_calls):
     close = sum(er.m == ec.m == 1 and abs(er.lam - ec.lam) < COALESCE_GAP
                 for er, _ in rows for ec, _ in rows)
     assert (grouped, close) == (12, 2)
-    assert table_calls == {"d_table": grouped + close, "dx_table": grouped}
+    assert table_calls == {"d_table": grouped + close, "dx_table": 0}

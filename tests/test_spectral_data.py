@@ -11,6 +11,7 @@ from qpencil import (
     SignConflictError,
     SpectralDataSet,
     SpectralEntry,
+    ValidationError,
     ZeroBackground,
     compute_diagnostics,
     eta_weight,
@@ -150,6 +151,8 @@ def test_truncate_hybrid_levels():
     for n in window(4):
         assert same.entry(n).lam == pytest.approx(
             data.entry(n).lam if abs(n) <= 1 else model.entry(n).lam)
+    with pytest.raises(ValidationError, match="negative"):
+        truncate_hybrid(data, model, -1)
 
 
 def test_truncate_hybrid_outside_is_model_elementwise():
