@@ -6,9 +6,7 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure, 4 I/O.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -55,8 +53,6 @@ def _checked(convert, accept, what):
 
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
-_positive_float = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
-_finite_complex = _checked(complex, cmath.isfinite, "a finite complex number, e.g. 0.5+0j")
 
 
 def _add_common(p):
@@ -79,11 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--potentials", required=True, help="input CSV (x,re_q1,im_q1,re_sigma,im_sigma)")
     f.add_argument("--n-max", type=_positive_int, default=5)
     f.add_argument("--out", required=True, help="output spectral JSON")
-    f.add_argument("--cluster-center", type=_finite_complex, default=None,
-                   help="complex center of the low-index search disc, e.g. 0.5+0j")
-    f.add_argument("--cluster-radius", type=_positive_float, default=None)
-    f.add_argument("--n-star", type=_nonnegative_int, default=0,
-                   help="indices |n| <= n-star are searched inside the disc")
     _add_common(f)
 
     i = sub.add_parser("inverse", help="spectral JSON -> potentials CSV")
@@ -119,14 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_forward(args) -> int:
     pot = PotentialPair.from_csv(args.potentials)
     profile = PROFILES[args.tolerance_profile]
-    cluster = None
-    if args.cluster_radius is not None:
-        if args.cluster_center is None or args.n_star <= 0:
-            raise ValidationError("--cluster-radius needs --cluster-center and --n-star")
-        cluster = (args.cluster_center, args.cluster_radius, args.n_star)
-    omega0 = pot.omega0()
-    eigs = find_eigenvalues(pot, args.n_max, omega0, cluster=cluster,
-                            refine=profile["refine"])
+    eigs = find_eigenvalues(pot, args.n_max, pot.omega0(), refine=profile["refine"])
     full = weyl_residues(pot, eigs, refine=profile["refine"])
     full.save_json(args.out)
     print(f"wrote {len(full.window_indices())} entries to {args.out}")

@@ -383,20 +383,6 @@ class RoundtripReport:
         return "\n".join(lines)
 
 
-def _cluster_disc(data: SpectralDataSet, model: BackgroundProblem,
-                  n_star: int) -> tuple[complex, float]:
-    lams = [data.entry(n).lam for n in zindex.window(n_star)]
-    center = complex(np.mean(lams))
-    spread = max(abs(l - center) for l in lams)
-    model_set = model.spectral_data(n_star + 3)
-    nearest = min(abs(center - model_set.entry(n).lam)
-                  for n in zindex.window(n_star + 3) if abs(n) > n_star)
-    radius = min(0.6 * nearest, max(1.3 * spread + 0.05, 0.1))
-    if radius <= spread:
-        raise ValidationError("cannot build a disc separating cluster from tail")
-    return center, radius
-
-
 def roundtrip_check(data: SpectralDataSet, model: BackgroundProblem,
                     n_check: int, grid=None, refine: int = 10,
                     min_window: int = 0, cond_limit: float = COND_LIMIT) -> RoundtripReport:
@@ -413,8 +399,6 @@ def roundtrip_check(data: SpectralDataSet, model: BackgroundProblem,
     # recovered q1 can differ from the data's mean shift by an integer when
     # the accumulated phase of the first potential passes through +-pi
     omega0 = complex(data.omega0)
-    layout = active_layout(data, model, min_window=min_window)
-    n_star = max((abs(n) for n in layout.indices), default=0)
 
     report = RoundtripReport()
     grouped: set[int] = set()
@@ -438,12 +422,7 @@ def roundtrip_check(data: SpectralDataSet, model: BackgroundProblem,
                 M_in=m_in, M_out=m_out,
                 M_rel_err=abs(m_out - m_in) / max(abs(m_in), 1e-300)))
 
-    cluster = None
-    if n_star > 0:
-        center, radius = _cluster_disc(data, model, n_star)
-        cluster = (center, radius, n_star)
-    eigs = find_eigenvalues(pot, max(n_check, n_star), omega0,
-                            cluster=cluster, refine=refine)
+    eigs = find_eigenvalues(pot, n_check, omega0, refine=refine)
     full = weyl_residues(pot, eigs, refine=refine)
 
     window = [n for n in zindex.window(n_check) if n not in grouped]

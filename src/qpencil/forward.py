@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
     WindingAmbiguousError,
 )
-from .spectral_data import GROUPING_TOL, SpectralDataSet, SpectralEntry
+from .spectral_data import SpectralDataSet, SpectralEntry
 
 DEFAULT_REFINE = 10
 NEWTON_TOL = 1e-12
@@ -326,50 +326,31 @@ def char_delta(potentials: PotentialPair, lam, refine: int = DEFAULT_REFINE):
 # ---------------------------------------------------------------------------
 # root location
 
-def _newton_batch(potentials, starts, refine, tol=NEWTON_TOL,
-                  max_iter=NEWTON_MAX_ITER):
-    lam = np.asarray(starts, dtype=complex).copy()
+def _newton_batch(potentials, starts, refine, max_iter=NEWTON_MAX_ITER, ns=None):
+    """Newton steps on a batch of starts; returns the iterates and a failure mask.
+
+    With indices ``ns`` the starts are the slot centres n + omega0: an iterate
+    that leaves its slot |lam - start| < 1/2 fails, and so does every start with
+    |n'| <= |n|; those stop iterating at once.
+    """
+    starts = np.asarray(starts, dtype=complex)
+    lam = starts.copy()
     active = np.ones(lam.shape, dtype=bool)
+    failed = np.zeros(lam.shape, dtype=bool)
     for _ in range(max_iter):
         res = integrate(potentials, lam[active], n_derivs=1, refine=refine)
-        delta = res.s[0]
-        ddelta = res.s[1]
-        conv = np.abs(delta) < tol
+        conv = np.abs(res.s[0]) < NEWTON_TOL
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(conv, 0.0, delta / ddelta)
-        step = np.where(np.isfinite(step), step, 0.0)
-        lam[active] = lam[active] - step
-        sub = active.copy()
-        sub[active] = ~conv
-        active = sub
+            step = np.where(conv, 0.0, res.s[0] / res.s[1])
+        lam[active] -= np.where(np.isfinite(step), step, 0.0)
+        active[active] = ~conv
+        if ns is not None:
+            failed |= np.abs(lam - starts) >= 0.5
+            failed |= np.abs(ns) <= np.abs(ns[failed]).max(initial=0)
+            active &= ~failed
         if not active.any():
-            return lam, np.zeros(lam.shape, dtype=bool)
-    return lam, active     # still-active entries did not converge
-
-
-def _muller(potentials, z0, refine, tol=NEWTON_TOL, max_iter=60):
-    """Derivative-free fallback; three-point quadratic interpolation."""
-    h = 1e-3 * max(1.0, abs(z0))
-    zs = [z0 - h, z0, z0 + h]
-    fs = [complex(char_delta(potentials, z, refine=refine)) for z in zs]
-    for _ in range(max_iter):
-        z0_, z1, z2 = zs
-        f0, f1, f2 = fs
-        q = (z2 - z1) / (z1 - z0_)
-        a = q * f2 - q * (1 + q) * f1 + q * q * f0
-        b = (2 * q + 1) * f2 - (1 + q) ** 2 * f1 + q * q * f0
-        c = (1 + q) * f2
-        disc = np.sqrt(complex(b * b - 4 * a * c))
-        den = b + disc if abs(b + disc) > abs(b - disc) else b - disc
-        if den == 0:
             break
-        z3 = z2 - (z2 - z1) * 2 * c / den
-        f3 = complex(char_delta(potentials, z3, refine=refine))
-        zs = [z1, z2, z3]
-        fs = [f1, f2, f3]
-        if abs(f3) < tol:
-            return z3
-    raise RootNotConvergedError("muller fallback failed", last=zs[-1])
+    return lam, failed | active     # still-active entries did not converge
 
 
 def circle_nodes(center: complex, radius: float, n_nodes: int = RESIDUE_NODES) -> np.ndarray:
@@ -449,16 +430,21 @@ def _cluster_search(potentials, center, radius, refine):
 
     One sample of the disc boundary gives the root count and power sums;
     Newton's identities turn them into a monic polynomial whose roots seed a
-    Newton polish.  Candidates that land within 1e-4 of each other are one
-    multiple root: a small-circle sample (count checked under radius halving)
-    gives its multiplicity and, from the first moment, its location, which
-    stays accurate where Newton is only linear.
+    Newton polish.  A polish that does not converge, or that converges
+    outside the disc, raises RootNotConvergedError.  Candidates that land
+    within 1e-4 of each other are one multiple root: a small-circle sample
+    (count checked under radius halving) gives its multiplicity and, from the
+    first moment, its location, which stays accurate where Newton is only
+    linear.
     """
     disc = sample_circle(potentials, center, radius, n_derivs=1, refine=refine)
     if disc.count == 0:
         return []
     cands = np.roots(_poly_from_power_sums(disc.power_sums(disc.count)))
-    polished, _ = _newton_batch(potentials, cands, refine, max_iter=25)
+    polished, failed = _newton_batch(potentials, cands, refine, max_iter=25)
+    if failed.any() or np.any(np.abs(polished - center) >= radius):
+        raise RootNotConvergedError(
+            f"polished roots of |lam-{center:.6g}|={radius:.6g} did not converge inside it")
 
     scale = max(1.0, abs(center))
     clusters: list[list[complex]] = []
@@ -485,50 +471,37 @@ def _cluster_search(potentials, center, radius, refine):
 
 
 def find_eigenvalues(potentials: PotentialPair, n_max: int, omega0: complex,
-                     cluster: tuple[complex, float, int] | None = None,
                      refine: int = DEFAULT_REFINE) -> SpectralDataSet:
     """Locate eigenvalues for 1 <= |n| <= n_max, with multiplicities.
 
-    Tail roots start Newton at n + omega0.  Low-index roots that may be
-    non-real or multiple are searched inside the caller-supplied disc
-    ``cluster = (center, radius, n_star)``; no default search region is
-    guessed.  Residue coefficients are left unset (see ``weyl_residues``).
-    A tail root equal to another located root raises RootNotConvergedError.
+    Newton from n + omega0 keeps the root of index n only inside its slot
+    |lam - n - omega0| < 1/2.  With n_star the largest failed |n|, the roots
+    of |n| <= n_star, which may be non-real or multiple, are searched inside
+    the disc |lam - omega0| < n_star + 1/2.  The slots are pairwise disjoint
+    and lie outside the disc, so no located root is counted twice.  The disc
+    is accepted when its polished roots converge inside it and number
+    2 n_star with multiplicities; otherwise n_star grows, and beyond n_max
+    RootNotConvergedError is raised.  Residue coefficients are left unset
+    (see ``weyl_residues``).
     """
-    n_star = 0
-    entries: list[SpectralEntry] = []
-    if cluster is not None:
-        center, radius, n_star = cluster
-        found = _cluster_search(potentials, complex(center), float(radius), refine)
-        slots = zindex.window(n_star)
-        if len(found) != len(slots):
-            raise RootNotConvergedError(
-                f"found {len(found)} roots inside the cluster disc, expected {len(slots)}")
-        entries.extend(SpectralEntry(n=s, lam=v) for s, v in zip(slots, found))
-    n_cluster = len(entries)      # cluster multiplicities are certified by winding
-
-    tail_ns = [n for n in zindex.window(n_max) if abs(n) > n_star]
-    if tail_ns:
-        starts = [n + omega0 for n in tail_ns]
-        lam, failed = _newton_batch(potentials, starts, refine)
-        for k, n in enumerate(tail_ns):
-            val = lam[k]
-            if failed[k]:
-                try:
-                    val = _muller(potentials, complex(starts[k]), refine)
-                except RootNotConvergedError as err:
-                    raise RootNotConvergedError(
-                        f"root search failed at index {n}", index=n,
-                        last=err.last) from None
-            entries.append(SpectralEntry(n=n, lam=complex(val)))
-    for a, ea in enumerate(entries):
-        for eb in entries[max(a + 1, n_cluster):]:
-            if abs(ea.lam - eb.lam) <= GROUPING_TOL:
-                n_disc = max(abs(ea.n), abs(eb.n))
-                raise RootNotConvergedError(
-                    f"roots at indices {ea.n} and {eb.n} coincide at {eb.lam:.6g}; search "
-                    f"them in a disc, e.g. cluster=({omega0:.6g}, {n_disc + 0.5}, {n_disc})",
-                    index=eb.n, last=eb.lam)
+    ns = np.array(zindex.window(n_max), dtype=int)
+    lam, failed = _newton_batch(potentials, ns + omega0, refine, ns=ns)
+    n_fail = int(np.abs(ns[failed]).max(initial=0))
+    for n_star in range(n_fail, n_max + 1):
+        try:
+            low = _cluster_search(potentials, complex(omega0), n_star + 0.5,
+                                  refine) if n_star else []
+        except (RootNotConvergedError, WindingAmbiguousError):
+            continue
+        if len(low) == 2 * n_star:
+            break
+    else:
+        raise RootNotConvergedError(
+            f"no disc |lam-{omega0:.6g}| < n + 1/2 with {n_fail} <= n <= {n_max} "
+            f"holds 2n converged roots", index=n_fail)
+    entries = [SpectralEntry(n=n, lam=v) for n, v in zip(zindex.window(n_star), low)]
+    entries += [SpectralEntry(n=int(n), lam=complex(v))
+                for n, v in zip(ns, lam) if abs(n) > n_star]
     return SpectralDataSet.from_entries(entries, tail=None, omega0=omega0)
 
 

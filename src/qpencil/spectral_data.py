@@ -154,6 +154,8 @@ class SpectralDataSet:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "SpectralDataSet":
+        if not isinstance(obj, dict):
+            raise ValidationError(f"spectral JSON must be an object, got {type(obj).__name__}")
         if obj.get("model", "dirichlet-zero") != "dirichlet-zero":
             raise ValidationError(f"unknown background model {obj.get('model')!r}")
         try:
@@ -163,10 +165,10 @@ class SpectralDataSet:
                               M=complex(e["M"][0], e["M"][1]))
                 for e in obj["entries"]
             ]
+            om = obj.get("omega0")
+            omega0 = complex(om[0], om[1]) if om is not None else None
         except (KeyError, IndexError, TypeError, ValueError) as err:
-            raise ValidationError(f"malformed spectral entry: {err!r}") from None
-        om = obj.get("omega0")
-        omega0 = complex(om[0], om[1]) if om is not None else None
+            raise ValidationError(f"malformed spectral data: {err!r}") from None
         return normalize_ordering(entries, tail=ZeroBackground(), omega0=omega0)
 
     def save_json(self, path) -> None:

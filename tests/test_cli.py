@@ -27,6 +27,21 @@ def test_forward_zero_potentials(tmp_path, capsys):
     assert entries[2]["M"][0] == pytest.approx(-2 / pi, abs=1e-6)
 
 
+def test_forward_separates_roots_without_flags(tmp_path):
+    from test_forward import _random_pair
+
+    # Newton from n + omega0 alone puts indices 1, 2 and 3 on one root here
+    pot_path = tmp_path / "pot.csv"
+    _random_pair(0).to_csv(pot_path)
+    out = tmp_path / "spec.json"
+    code = main(["forward", "--potentials", str(pot_path), "--n-max", "6",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    lams = {complex(*e["lambda"]) for e in json.loads(out.read_text())["entries"]}
+    assert len(lams) == 12
+    assert min(abs(a - b) for a in lams for b in lams if a != b) > 0.1
+
+
 def test_inverse_on_split_data(tmp_path):
     data_path = tmp_path / "split.json"
     make_split_data(0.01).save_json(data_path)
@@ -70,7 +85,34 @@ def _bad_delta(tmp_path):
     return ["split-table", "--deltas", "0.01,abc", "--out-dir", str(tmp_path), "--no-verify"]
 
 
-@pytest.mark.parametrize("argv_for", [_entry_without_m, _non_numeric_csv, _bad_delta])
+def _inverse_on_json(tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    return ["inverse", "--data", str(path), "--out", str(tmp_path / "o.csv")]
+
+
+_ENTRY = {"n": 1, "lambda": [1.0, 0.0], "M": [-1 / pi, 0.0]}
+
+
+def _top_level_list(tmp_path):
+    return _inverse_on_json(tmp_path, [])
+
+
+def _scalar_omega0(tmp_path):
+    return _inverse_on_json(tmp_path, {"omega0": 5, "entries": [_ENTRY]})
+
+
+def _short_omega0(tmp_path):
+    return _inverse_on_json(tmp_path, {"omega0": [1], "entries": [_ENTRY]})
+
+
+def _text_omega0(tmp_path):
+    return _inverse_on_json(tmp_path, {"omega0": ["x", 0], "entries": [_ENTRY]})
+
+
+@pytest.mark.parametrize("argv_for", [_entry_without_m, _non_numeric_csv, _bad_delta,
+                                      _top_level_list, _scalar_omega0, _short_omega0,
+                                      _text_omega0])
 def test_malformed_input_is_validation_error(tmp_path, argv_for):
     assert main(argv_for(tmp_path)) == EXIT_VALIDATION
 
@@ -125,8 +167,6 @@ def test_profile_cond_limit_is_honoured(tmp_path, monkeypatch, command):
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("forward", ["--cluster-center", "abc", "--cluster-radius", "0.5", "--n-star", "1"]),
-    ("forward", ["--cluster-radius", "-1", "--cluster-center", "0.5+0j", "--n-star", "1"]),
     ("forward", ["--n-max", "0"]),
     ("forward", ["--n-max", "-2"]),
     ("inverse", ["--grid-n", "-3"]),
@@ -138,7 +178,6 @@ def test_profile_cond_limit_is_honoured(tmp_path, monkeypatch, command):
     ("inverse", ["--trunc-n", "-1"]),
     ("inverse", ["--min-window", "-5"]),
     ("roundtrip", ["--trunc-n", "-1"]),
-    ("forward", ["--n-star", "-1"]),
     ("split-table", ["--n-star", "-1"]),
 ], ids=lambda v: v if isinstance(v, str) else " ".join(v[:2]))  # the bad flag first
 def test_bad_numeric_flag_is_validation_error(tmp_path, command, flags):

@@ -19,7 +19,7 @@ from qpencil import (
     weyl_residues,
     winding_number,
 )
-from qpencil.forward import circle_nodes, sample_circle
+from qpencil.forward import DEFAULT_REFINE, circle_nodes, sample_circle
 from qpencil.zindex import window
 
 RNG = np.random.default_rng(20240817)
@@ -229,13 +229,16 @@ def test_winding_zero_potentials():
 
 
 def test_cluster_disc_search_on_shifted_problem():
+    from qpencil.forward import _cluster_search
+
     pot = smooth_pair(amp=0.3)
     omega0 = pot.omega0()
     direct = find_eigenvalues(pot, 3, omega0)
-    clustered = find_eigenvalues(pot, 3, omega0,
-                                 cluster=(complex(omega0), 1.6, 1))
-    for n in window(3):
-        assert abs(direct.entry(n).lam - clustered.entry(n).lam) < 1e-8
+    # the disc |lam - omega0| < 3/2 holds the roots of -1 and 1, sorted by real part
+    in_disc = _cluster_search(pot, omega0, 1.5, DEFAULT_REFINE)
+    assert len(in_disc) == 2
+    for n, lam in zip((-1, 1), in_disc):
+        assert abs(direct.entry(n).lam - lam) < 1e-8
 
 
 def test_residue_contour_rejects_unseparable_group():
@@ -251,13 +254,68 @@ def test_residue_contour_rejects_unseparable_group():
         weyl_residues(PotentialPair.zeros(50), eigs)
 
 
-def test_cluster_count_mismatch_raises():
+def test_cluster_count_mismatch_raises(monkeypatch):
+    import qpencil.forward as fw
     from qpencil import RootNotConvergedError
 
-    pot = PotentialPair.zeros(200)
-    # the disc around 0.5 contains no eigenvalue of the zero problem
-    with pytest.raises(RootNotConvergedError):
-        find_eigenvalues(pot, 3, 0.0, cluster=(0.5 + 0j, 0.2, 1))
+    # every disc search comes back one root short, up to the disc of index n_max
+    inner = fw._cluster_search
+    discs = []
+
+    def short(potentials, center, radius, refine):
+        discs.append(radius)
+        return inner(potentials, center, radius, refine)[1:]
+
+    monkeypatch.setattr(fw, "_cluster_search", short)
+    pot = _random_pair(0)
+    with pytest.raises(RootNotConvergedError, match="no disc"):
+        find_eigenvalues(pot, 3, pot.omega0())
+    assert discs[-1] == 3.5
+
+
+def test_rejected_disc_grows(monkeypatch, large_batches):
+    import qpencil.forward as fw
+
+    pot = _random_pair(0)
+    omega0 = pot.omega0()
+    want = find_eigenvalues(pot, 6, omega0)
+    first = len(large_batches)
+    # the first disc comes back one root short; the next larger disc is accepted
+    inner = fw._cluster_search
+    calls = []
+
+    def short_once(potentials, center, radius, refine):
+        calls.append(radius)
+        found = inner(potentials, center, radius, refine)
+        return found[1:] if len(calls) == 1 else found
+
+    monkeypatch.setattr(fw, "_cluster_search", short_once)
+    got = find_eigenvalues(pot, 6, omega0)
+    assert calls == [calls[0], calls[0] + 1]
+    assert large_batches[first:] == [256, 256]
+    for n in window(6):
+        assert abs(got.entry(n).lam - want.entry(n).lam) < 1e-8
+
+
+@pytest.mark.parametrize("fault", ["unconverged", "outside"])
+def test_cluster_search_rejects_a_bad_polish(monkeypatch, fault):
+    import qpencil.forward as fw
+    from qpencil import RootNotConvergedError
+
+    inner = fw._newton_batch
+
+    def faulty(*args, **kwargs):
+        lam, failed = inner(*args, **kwargs)
+        if fault == "unconverged":
+            failed[0] = True
+        else:
+            lam[0] = args[0].omega0() + 1.6    # just outside the disc
+        return lam, failed
+
+    monkeypatch.setattr(fw, "_newton_batch", faulty)
+    pot = smooth_pair(amp=0.3)
+    with pytest.raises(RootNotConvergedError, match="inside"):
+        fw._cluster_search(pot, pot.omega0(), 1.5, DEFAULT_REFINE)
 
 
 def test_potentials_csv_roundtrip(tmp_path):
@@ -295,9 +353,11 @@ def test_circle_sample_counts_and_moments():
 
 def test_cluster_search_samples_the_disc_once(large_batches):
     pot = smooth_pair(amp=0.3)
-    omega0 = pot.omega0()
-    find_eigenvalues(pot, 3, omega0, cluster=(omega0, 1.6, 1))
-    assert large_batches == [256]
+    find_eigenvalues(pot, 3, pot.omega0())
+    assert large_batches == []        # every root stays in its slot: no disc
+    pot = _random_pair(0)
+    find_eigenvalues(pot, 6, pot.omega0())
+    assert large_batches == [256]     # one accepted disc, sampled once
 
 
 def _random_pair(seed):
@@ -312,13 +372,23 @@ def _random_pair(seed):
 
 @pytest.mark.parametrize("seed, pair", [(0, "1 and 2"), (8, "-1 and 4")])
 def test_coinciding_tail_roots_are_not_a_multiple_eigenvalue(seed, pair):
-    from qpencil import RootNotConvergedError
-
     pot = _random_pair(seed)
-    # Newton from n + omega0 lands two indices on one simple root: seed 0
-    # collapses 1, 2, 3; seed 8 puts 4 on the root of -1 (opposite signs)
-    with pytest.raises(RootNotConvergedError, match=rf"indices {pair} .* cluster="):
-        find_eigenvalues(pot, 6, pot.omega0())
+    omega0 = pot.omega0()
+    # Newton from n + omega0 alone lands two indices on one simple root: seed 0
+    # collapses 1, 2, 3; seed 8 puts 4 on the root of -1 (opposite signs).
+    # Those iterates leave their slots, and the disc search separates the roots.
+    eigs = find_eigenvalues(pot, 6, omega0)
+    a, b = (int(k) for k in pair.split(" and "))
+    assert abs(eigs.entry(a).lam - eigs.entry(b).lam) > 0.1
+    lams = np.array([eigs.entry(n).lam for n in window(6)])
+    gaps = np.abs(lams[:, None] - lams[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    assert gaps.min() > 0.1
+    assert all(g.size == 1 for g in eigs.groups)
+    # the roots hold up on a 4x finer integration grid, and none is missing
+    res = integrate(pot, lams, n_derivs=1, refine=40)
+    assert np.max(np.abs(res.s[0] / res.s[1])) < 1e-8
+    assert winding_number(pot, omega0, 6.5) == 12
 
 
 def test_weyl_residues_certifies_group_count():
