@@ -129,7 +129,7 @@ def _cmd_inverse(args) -> int:
                              cond_limit=profile["cond_limit"])
     write_recovered_csv(rec, args.out)
     print(f"wrote potentials on {args.grid_n + 1} nodes to {args.out} "
-          f"(max condition {rec.cond.max():.3e}, residual {rec.residual:.3e})")
+          f"(max 1-norm condition {rec.cond.max():.3e}, residual {rec.residual:.3e})")
     return EXIT_OK
 
 

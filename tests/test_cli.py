@@ -1,10 +1,15 @@
 """Command-line surface: verbs, file formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from math import pi
+from pathlib import Path
 
 import pytest
 
+import qpencil
 from qpencil import PotentialPair, SpectralDataSet, make_split_data
 from qpencil import cli
 from qpencil.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
@@ -42,13 +47,14 @@ def test_forward_separates_roots_without_flags(tmp_path):
     assert min(abs(a - b) for a in lams for b in lams if a != b) > 0.1
 
 
-def test_inverse_on_split_data(tmp_path):
+def test_inverse_on_split_data(tmp_path, capsys):
     data_path = tmp_path / "split.json"
     make_split_data(0.01).save_json(data_path)
     out = tmp_path / "rec.csv"
     code = main(["inverse", "--data", str(data_path), "--grid-n", "200",
                  "--out", str(out)])
     assert code == EXIT_OK
+    assert "max 1-norm condition" in capsys.readouterr().out
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "x,re_q1,im_q1,re_q0ad,im_q0ad"
     assert len(rows) == 202
@@ -164,6 +170,24 @@ def test_profile_cond_limit_is_honoured(tmp_path, monkeypatch, command):
     if command == "inverse":
         argv += ["--out", str(tmp_path / "rec.csv")]
     assert main(argv) == EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("command", ["inverse", "roundtrip"])
+def test_overflowing_data_is_numerical_error(tmp_path, command):
+    # sin(lam x) overflows for lam = 1 + 200i and P holds inf/NaN; a
+    # subprocess keeps the overflow RuntimeWarning a warning, as a user sees it
+    payload = make_split_data(0.01).to_json_dict()
+    payload["entries"][1]["lambda"] = [1.0, 200.0]
+    data_path = tmp_path / "overflow.json"
+    data_path.write_text(json.dumps(payload))
+    argv = [command, "--data", str(data_path)]
+    if command == "inverse":
+        argv += ["--out", str(tmp_path / "rec.csv")]
+    env = {**os.environ, "PYTHONPATH": str(Path(qpencil.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "qpencil"] + argv,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+    assert "numerically singular" in proc.stderr
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -1,6 +1,8 @@
 """Main-equation assembly, solve, series evaluation, and recovery formulas."""
 
-from math import pi
+import sys
+import tracemalloc
+from math import ceil, pi
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from qpencil import (
     solve_main,
     weyl_residues,
 )
-from qpencil.inverse import EpsilonFields, active_layout, default_grid
+from qpencil.inverse import SOLVE_CHUNK_ENTRIES, EpsilonFields, active_layout, default_grid
 from qpencil.model import COALESCE_GAP, SMALL_LAMBDA
 from qpencil.zindex import window
 
@@ -316,3 +318,71 @@ def test_assembly_tables_group_pairs(zero_model, table_calls):
                 for er, _ in rows for ec, _ in rows)
     assert (grouped, close) == (12, 2)
     assert table_calls == {"d_table": grouped + close, "dx_table": 0}
+
+
+@pytest.mark.parametrize("case", ["wide", "double-group", "numeric"])
+def test_solve_matches_per_node_oracle(case, zero_model, request):
+    if case == "numeric":
+        data, model = request.getfixturevalue("numeric_case")
+    else:
+        data = {"wide": _wide_data(16, 903), "double-group": make_split_data(0.0)}[case]
+        model = zero_model
+    system = assemble_system(data, model, default_grid(40))
+    v, v_x, cond, residual = solve_main(system)
+    eye = np.eye(system.layout.dim)
+    for k in range(system.x.size):
+        A = eye - system.P[k]
+        want_v = np.linalg.solve(A, system.rhs[k])
+        want_vx = np.linalg.solve(A, system.rhs_x[k] + system.P_x[k] @ want_v)
+        assert cond[k] == pytest.approx(np.linalg.cond(A, 1), rel=1e-12)
+        assert np.max(np.abs(v[:, k] - want_v)) <= 1e-12 * np.max(np.abs(want_v))
+        assert np.max(np.abs(v_x[:, k] - want_vx)) <= 1e-12 * np.max(np.abs(want_vx))
+    assert residual < 1e-12
+
+
+@pytest.mark.parametrize("fill", ["identity", "nan"])
+def test_singular_or_non_finite_node_raises(fill, zero_model):
+    system = assemble_system(_wide_data(4, 5), zero_model, default_grid(40))
+    k = 23                                   # not the first node of its chunk
+    system.P[k] = np.eye(system.layout.dim) if fill == "identity" else np.nan
+    with pytest.raises(SingularSystemError) as exc:
+        solve_main(system)
+    assert exc.value.x == system.x[k]
+    assert exc.value.cond == np.inf
+
+
+@pytest.mark.parametrize("width", [1, 16])
+def test_solve_factors_each_node_once(width, zero_model, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve path must not call svd or solve")
+
+    home = sys.modules[np.linalg.cond.__module__]     # cond reaches svd there
+    for name in ("svd", "solve"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+        monkeypatch.setattr(home, name, forbidden)
+    calls = []
+    inner = np.linalg.inv
+
+    def counting(a):
+        calls.append(a.shape[0])
+        return inner(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    x = default_grid(200)
+    rec = run_reconstruction(_wide_data(width, 904), zero_model, x)
+    dim = 4 * width
+    assert len(calls) == ceil(x.size / (SOLVE_CHUNK_ENTRIES // dim**2))
+    assert sum(calls) == x.size and rec.residual < 1e-12
+
+
+def test_solve_memory_is_bounded_by_the_chunk(zero_model):
+    system = assemble_system(_wide_data(16, 903), zero_model, default_grid(200))
+    assert system.layout.dim == 64
+    tracemalloc.start()
+    try:
+        solve_main(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one (201, 64, 64) complex array is 13.2 MB
+    assert peak < 6e6
