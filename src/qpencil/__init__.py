@@ -40,7 +40,6 @@ from .experiments import (
 from .forward import (
     PotentialPair,
     ShootingResult,
-    char_delta,
     coefficients_from_weights,
     find_eigenvalues,
     integrate,
@@ -66,9 +65,6 @@ from .model import (
     BackgroundProblem,
     NumericBackground,
     ZeroBackground,
-    d_model,
-    model_spectral_data,
-    s_model,
 )
 from .spectral_data import (
     Diagnostics,

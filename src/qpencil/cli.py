@@ -21,8 +21,8 @@ from .experiments import (
     run_table,
     write_recovered_csv,
 )
-from .forward import PotentialPair, find_eigenvalues, weyl_residues
-from .inverse import default_grid, run_reconstruction
+from .forward import DEFAULT_REFINE, PotentialPair, find_eigenvalues, weyl_residues
+from .inverse import COND_LIMIT, default_grid, run_reconstruction
 from .model import ZeroBackground
 from .spectral_data import SpectralDataSet, truncate_hybrid
 
@@ -32,7 +32,7 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 PROFILES = {
-    "default": {"refine": 10, "cond_limit": 1e10},
+    "default": {"refine": DEFAULT_REFINE, "cond_limit": COND_LIMIT},
     "strict": {"refine": 20, "cond_limit": 1e8},
     "loose": {"refine": 5, "cond_limit": 1e12},
 }
@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--deltas", default=",".join(str(d) for d in REFERENCE_DELTAS),
                    help="comma-separated splitting parameters (0 allowed)")
     t.add_argument("--contour-r", type=float, default=0.85)
-    t.add_argument("--n-star", type=_nonnegative_int, default=1)
     t.add_argument("--out-dir", default=None)
     t.add_argument("--metrics", action="store_true",
                    help="also print the contour perturbation metric per delta")
@@ -153,7 +152,7 @@ def _cmd_split_table(args) -> int:
             if d == 0:
                 continue
             metric = compute_split_delta_metric(make_split_data(d), reference,
-                                                args.n_star, args.contour_r)
+                                                n_star=1, contour_radius=args.contour_r)
             print(f"  delta={d:<8g} metric={metric:.6e}")
     if any(r.error for r in rows):
         return EXIT_NUMERICAL

@@ -27,9 +27,10 @@ from .errors import (
     ValidationError,
 )
 from .forward import (
+    DEFAULT_REFINE,
+    RESIDUE_NODES,
     circle_nodes,
     find_eigenvalues,
-    read_csv,
     sample_circle,
     weyl_residues,
     winding_number,
@@ -42,7 +43,7 @@ from .inverse import (
     default_grid,
     run_reconstruction,
 )
-from .model import BackgroundProblem, ZeroBackground
+from .model import BackgroundProblem, ZeroBackground, same_background
 from .spectral_data import SpectralDataSet, SpectralEntry, compute_diagnostics
 
 # Double-eigenvalue reference data: eigenvalue 1/2 with Laurent pair
@@ -95,25 +96,14 @@ def make_split_data(delta: float) -> SpectralDataSet:
 
 
 def compute_d_metrics(recovered: RecoveredPotentials,
-                      reference) -> tuple[float, float]:
-    """Max-norm distances of the potentials to a reference on the same grid.
-
-    ``reference`` is either another reconstruction (grids must agree) or a
-    background problem (compared against its own potentials, i.e. zero
-    perturbation).
-    """
-    if isinstance(reference, RecoveredPotentials):
-        if recovered.x.shape != reference.x.shape \
-                or not np.allclose(recovered.x, reference.x, atol=1e-12):
-            raise GridMismatchError("reconstructions live on different grids")
-        d1 = float(np.max(np.abs(recovered.q1 - reference.q1)))
-        d0 = float(np.max(np.abs(recovered.q0_antideriv - reference.q0_antideriv)))
-        return d1, d0
-    if isinstance(reference, BackgroundProblem):
-        d1 = float(np.max(np.abs(recovered.q1 - reference.q1_values(recovered.x))))
-        d0 = float(np.max(np.abs(recovered.q0_antideriv)))
-        return d1, d0
-    raise ValidationError(f"unsupported reference type {type(reference)!r}")
+                      reference: RecoveredPotentials) -> tuple[float, float]:
+    """Max-norm distances of the potentials to a reconstruction on the same grid."""
+    if recovered.x.shape != reference.x.shape \
+            or not np.allclose(recovered.x, reference.x, atol=1e-12):
+        raise GridMismatchError("reconstructions live on different grids")
+    d1 = float(np.max(np.abs(recovered.q1 - reference.q1)))
+    d0 = float(np.max(np.abs(recovered.q0_antideriv - reference.q0_antideriv)))
+    return d1, d0
 
 
 # ---------------------------------------------------------------------------
@@ -158,30 +148,30 @@ def _separated_pole_parts(sets, n_star: int, contour_radius: float, width: int) 
 
 
 def compute_split_delta_metric(data: SpectralDataSet, reference: SpectralDataSet,
-                               n_star: int, contour_radius: float,
-                               n_nodes: int = 512) -> float:
+                               n_star: int, contour_radius: float) -> float:
     """max(contour max of |pole-part difference|, tail l2 of index-weighted xi).
 
-    The contour is the circle |lam| = contour_radius; it must separate the
-    low-index cluster (inside) from everything else (outside).
+    The contour is the circle |lam| = contour_radius, sampled at 512 nodes; it
+    must separate the low-index cluster (inside) from everything else (outside).
     """
     f_data, f_ref = _separated_pole_parts(
         (data, reference), n_star, contour_radius,
         max(data.max_abs_index, reference.max_abs_index))
-    zs = circle_nodes(0.0, contour_radius, n_nodes)
+    zs = circle_nodes(0.0, contour_radius, 512)
     contour_part = float(np.max(np.abs(f_data(zs) - f_ref(zs))))
     diag = compute_diagnostics(data, reference, n_star)
     return max(contour_part, diag.tail_norm(n_star))
 
 
 def solve_contour_equation(data: SpectralDataSet, model: BackgroundProblem,
-                           x, contour_radius: float, n_star: int,
-                           n_nodes: int = 256) -> dict[tuple[int, int], np.ndarray]:
+                           x, contour_radius: float,
+                           n_star: int) -> dict[tuple[int, int], np.ndarray]:
     """Solve the contour form of the main equation and evaluate at the poles.
 
     Discretizes v(x, lam) = S(x, lam) + (1/2 pi i) oint D(x, lam, mu)
-    (pole-part difference)(mu) v(x, mu) d mu with the trapezoid rule on the
-    circle |mu| = contour_radius (spectrally accurate there), then evaluates
+    (pole-part difference)(mu) v(x, mu) d mu with the trapezoid rule on
+    ``RESIDUE_NODES`` nodes of the circle |mu| = contour_radius (spectrally
+    accurate there), then evaluates
     the continuation at the active eigenvalues of both sides.  Returns values
     keyed by (index, side), comparable with the sequence-space solve.
     """
@@ -189,8 +179,8 @@ def solve_contour_equation(data: SpectralDataSet, model: BackgroundProblem,
     model_set = model.spectral_data(max(data.max_abs_index, n_star))
     f_data, f_model = _separated_pole_parts(
         (data, model_set), n_star, contour_radius, max(data.max_abs_index, n_star + 2))
-    zs = circle_nodes(0.0, contour_radius, n_nodes)
-    weights = zs / n_nodes          # (1/2 pi i) oint f dmu -> sum f(z) z / N
+    zs = circle_nodes(0.0, contour_radius)
+    weights = zs / RESIDUE_NODES    # (1/2 pi i) oint f dmu -> sum f(z) z / N
     mhat = f_data(zs) - f_model(zs)
 
     # chains on the contour: S and S' at every node, for all grid points
@@ -217,7 +207,7 @@ def solve_contour_equation(data: SpectralDataSet, model: BackgroundProblem,
             D = num / dz
         np.fill_diagonal(D, s1 * sd - c1 * sv)   # coalescent value on the diagonal
         K = D * (weights * mhat)[None, :]
-        vg = np.linalg.solve(np.eye(n_nodes) - K, sv)
+        vg = np.linalg.solve(np.eye(RESIDUE_NODES) - K, sv)
         for n, side, lam in targets:
             svx = model.s_chain(np.array([xk]), lam, 0)[0, 0]
             row_num = svx * sd - model.sx_chain(np.array([xk]), lam, 0)[0, 0] * sv
@@ -233,7 +223,7 @@ def expected_weyl(data: SpectralDataSet, lam) -> np.ndarray:
     Background part for the zero problem is -lam cot(lam pi); the window
     contributes the data pole parts minus the background pole parts.
     """
-    if data.tail is None or data.tail.kind != "zero":
+    if not same_background(data.tail, ZeroBackground()):
         raise ValidationError("expected_weyl requires a zero-background tail")
     lam = np.asarray(lam, dtype=complex)
     base = -lam * np.cos(lam * pi) / np.sin(lam * pi)
@@ -272,15 +262,6 @@ def write_table_csv(rows: list[ExperimentRow], path) -> None:
          r.M_plus.real, r.M_plus.imag,
          r.M_minus.real, r.M_minus.imag)
         for r in rows if not r.error))
-
-
-def read_table_csv(path) -> list[ExperimentRow]:
-    return [ExperimentRow(delta=v[0], d1=v[1], d0=v[2],
-                          lambda_plus=complex(v[3], v[4]),
-                          lambda_minus=complex(v[5], v[6]),
-                          M_plus=complex(v[7], v[8]),
-                          M_minus=complex(v[9], v[10]))
-            for v in read_csv(path, TABLE_HEADER)]
 
 
 def write_recovered_csv(rec: RecoveredPotentials, path) -> None:
@@ -384,8 +365,8 @@ class RoundtripReport:
 
 
 def roundtrip_check(data: SpectralDataSet, model: BackgroundProblem,
-                    n_check: int, grid=None, refine: int = 10,
-                    min_window: int = 0, cond_limit: float = COND_LIMIT) -> RoundtripReport:
+                    n_check: int, grid=None, refine: int = DEFAULT_REFINE,
+                    cond_limit: float = COND_LIMIT) -> RoundtripReport:
     """Reconstruct, solve the direct problem on the result, compare the data.
 
     Eigenvalues are matched greedily by proximity inside the comparison
@@ -393,7 +374,7 @@ def roundtrip_check(data: SpectralDataSet, model: BackgroundProblem,
     the root search.  Multiplicity groups additionally get an
     argument-principle winding verification.
     """
-    rec = run_reconstruction(data, model, grid, min_window=min_window, cond_limit=cond_limit)
+    rec = run_reconstruction(data, model, grid, cond_limit=cond_limit)
     pot = rec.as_potentials()
     # index the output in the data's numbering frame: the mean of the
     # recovered q1 can differ from the data's mean shift by an integer when

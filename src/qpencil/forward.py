@@ -317,12 +317,6 @@ def integrate(potentials: PotentialPair, lams, n_derivs: int = 0,
                           trace=trace, x_refined=xr)
 
 
-def char_delta(potentials: PotentialPair, lam, refine: int = DEFAULT_REFINE):
-    """Characteristic function: the Dirichlet solution at the right endpoint."""
-    res = integrate(potentials, lam, refine=refine)
-    return complex(res.s[0, 0]) if np.ndim(lam) == 0 else res.s[0]
-
-
 # ---------------------------------------------------------------------------
 # root location
 
@@ -407,10 +401,9 @@ def sample_circle(potentials: PotentialPair, center: complex, radius: float, n_d
 
 
 def winding_number(potentials: PotentialPair, center: complex, radius: float,
-                   refine: int = DEFAULT_REFINE, check_halving: bool = False) -> int:
+                   refine: int = DEFAULT_REFINE) -> int:
     """Argument-principle winding of the characteristic function on a circle."""
-    return sample_circle(potentials, center, radius, refine=refine,
-                         check_halving=check_halving).count
+    return sample_circle(potentials, center, radius, refine=refine).count
 
 
 def _poly_from_power_sums(ps):
@@ -553,7 +546,7 @@ def weight_numbers(potentials: PotentialPair, eigenvalues: SpectralDataSet,
     """Generalized weight numbers by grid quadrature.
 
     For a group of size m at lam with chains S_0..S_(m-1),
-    alpha_(g+nu) = int (2(lam - q1) S_(m-1) - S_(m-2)) S_nu dx
+    alpha_(g+nu) = int (2(lam - q1) S_(m-1) + S_(m-2)) S_nu dx
                  + int S_(m-1) S_(nu-1) dx,  with S_(-1) = 0.
     """
     out: dict[int, complex] = {}
@@ -566,7 +559,7 @@ def weight_numbers(potentials: PotentialPair, eigenvalues: SpectralDataSet,
         S = res.trace[:, :, 0, 0].T      # (m, nodes+1)
         Sm1 = S[m - 1]
         Sm2 = S[m - 2] if m >= 2 else 0.0
-        lead = 2.0 * (g.lam - q1r) * Sm1 - Sm2
+        lead = 2.0 * (g.lam - q1r) * Sm1 + Sm2
         for nu, member in enumerate(g.members):
             val = simpson(lead * S[nu], x=xr)
             if nu >= 1:

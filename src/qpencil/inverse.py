@@ -35,7 +35,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .model import COALESCE_GAP, P_MAX, BackgroundProblem
+from .model import COALESCE_GAP, P_MAX, BackgroundProblem, d_table, same_background
 from .spectral_data import SpectralDataSet
 
 DEFAULT_N_GRID = 200
@@ -81,7 +81,7 @@ def _side_entry(dataset: SpectralDataSet, n: int) -> SideEntry:
 
 
 def active_layout(data: SpectralDataSet, model: BackgroundProblem,
-                  min_window: int = 0, tol: float = ACTIVE_TOL) -> ActiveLayout:
+                  min_window: int = 0) -> ActiveLayout:
     """Indices where the data differ from the background, closed under groups."""
     width = max(data.max_abs_index, min_window)
     model_set = model.spectral_data(max(width, 1))
@@ -91,8 +91,8 @@ def active_layout(data: SpectralDataSet, model: BackgroundProblem,
         me = model_set.entry(n)
         if de.M is None:
             raise ValidationError(f"entry {n} has no residue coefficient")
-        if abs(de.lam - me.lam) > tol * max(1.0, abs(me.lam)) \
-                or abs(de.M - me.M) > tol * max(1.0, abs(me.M)):
+        if abs(de.lam - me.lam) > ACTIVE_TOL * max(1.0, abs(me.lam)) \
+                or abs(de.M - me.M) > ACTIVE_TOL * max(1.0, abs(me.M)):
             active.add(n)
     # close under multiplicity groups on both sides
     changed = True
@@ -197,7 +197,7 @@ def assemble_system(data: SpectralDataSet, model: BackgroundProblem, x,
         P[r, cols] = coef[cols] * D
     for r, c in zip(*np.nonzero(~quotient)):
         er, ec = rows[r][0], rows[c][0]
-        T = model.d_table(x, er.lam, ec.lam, er.nu, ec.m - 1 - ec.nu)
+        T = d_table(model, x, er.lam, ec.lam, er.nu, ec.m - 1 - ec.nu)
         P[r, c] = sgn[c] * _group_sum(ec, er.nu, T)
 
     return MainEquationSystem(x=x, layout=layout, model=model,
@@ -295,15 +295,16 @@ def compute_epsilons(system: MainEquationSystem, v: np.ndarray,
                          eps3=eps3, eps4=eps4)
 
 
-def recover_theta(eps: EpsilonFields,
-                  degenerate_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def recover_theta(eps: EpsilonFields) -> tuple[np.ndarray, np.ndarray]:
     """Branch-tracked square root: theta = +-(1 + eps1^2)^(-1/2), theta(0) = 1.
 
     The companion factor is lambda_ = eps1 * theta; together they satisfy
     theta^2 (1 + eps1^2) = 1 and theta^2 + lambda_^2 = 1 exactly as built.
+    Where |1 + eps1^2| < 1e-8 the recovery degenerates and raises
+    ``DegenerateSeriesError``.
     """
     w2 = 1.0 + eps.eps1 ** 2
-    bad = np.abs(w2) < degenerate_tol
+    bad = np.abs(w2) < 1e-8
     if bad.any():
         k = int(np.argmax(bad))
         raise DegenerateSeriesError(
@@ -387,20 +388,19 @@ def default_grid(n_grid: int = DEFAULT_N_GRID) -> np.ndarray:
 
 def run_reconstruction(data: SpectralDataSet, model: BackgroundProblem,
                        grid=None, min_window: int = 0,
-                       cond_limit: float = COND_LIMIT,
-                       omega0_tol: float = 1e-6) -> RecoveredPotentials:
+                       cond_limit: float = COND_LIMIT) -> RecoveredPotentials:
     """Full pipeline: assemble, solve, series, branch tracking, recovery.
 
-    Requires the data's mean eigenvalue shift to match the background's.
+    Requires the data's mean eigenvalue shift to match the background's
+    within 1e-6, and the data's tail to be the same background.
     Per-node systems are independent; only the square-root branch tracking is
     a sequential pass over the node results.
     """
-    if abs(complex(data.omega0) - complex(model.omega0)) > omega0_tol:
+    if abs(complex(data.omega0) - complex(model.omega0)) > 1e-6:
         raise ValidationError(
             f"data omega0={data.omega0} incompatible with background "
             f"omega0={model.omega0}")
-    if data.tail is not None and data.tail is not model \
-            and not (data.tail.kind == "zero" and model.kind == "zero"):
+    if data.tail is not None and not same_background(data.tail, model):
         raise ValidationError("data tail must coincide with the reconstruction background")
 
     x = default_grid() if grid is None else np.atleast_1d(np.asarray(grid, dtype=float))

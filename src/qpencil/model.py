@@ -154,20 +154,6 @@ def dx_table(background: "BackgroundProblem", x, lam: complex, mu: complex,
 
 
 # ---------------------------------------------------------------------------
-# public single-point operations (zero background)
-
-def s_model(x, lam: complex) -> complex:
-    """sin(lam x)/lam with the lam -> 0 limit handled by series."""
-    val = s_chain(x, lam, 0)[0]
-    return complex(val) if np.ndim(x) == 0 else val
-
-
-def d_model(x, lam: complex, mu: complex) -> complex:
-    val = d_table(_ZERO, x, lam, mu, 0, 0)[0, 0]
-    return complex(val) if np.ndim(x) == 0 else val
-
-
-# ---------------------------------------------------------------------------
 # background problems
 
 class BackgroundProblem:
@@ -177,7 +163,6 @@ class BackgroundProblem:
     branch of the kernel; the kernel tables themselves are shared.
     """
 
-    kind: str
     omega0: complex
 
     def q1_values(self, x) -> np.ndarray:
@@ -196,12 +181,6 @@ class BackgroundProblem:
         """Kernel table for |lam - mu| < COALESCE_GAP, free of the 1/(lam - mu)."""
         raise NotImplementedError
 
-    def d_table(self, x, lam, mu, tmax, smax) -> np.ndarray:
-        return d_table(self, x, lam, mu, tmax, smax)
-
-    def dx_table(self, x, lam, mu, tmax, smax) -> np.ndarray:
-        return dx_table(self, x, lam, mu, tmax, smax)
-
     def spectral_entry(self, n: int) -> tuple[complex, complex]:
         """Eigenvalue and residue coefficient of the background at index n."""
         raise NotImplementedError
@@ -219,7 +198,6 @@ class BackgroundProblem:
 class ZeroBackground(BackgroundProblem):
     """The problem with both potentials identically zero."""
 
-    kind = "zero"
     omega0 = 0.0 + 0.0j
 
     def q1_values(self, x):
@@ -280,12 +258,10 @@ class ZeroBackground(BackgroundProblem):
         return "ZeroBackground()"
 
 
-_ZERO = ZeroBackground()
-
-
-def model_spectral_data(n_max: int) -> "SpectralDataSet":
-    """Spectral data of the zero background for 1 <= |n| <= n_max (all simple)."""
-    return ZeroBackground().spectral_data(n_max)
+def same_background(a: BackgroundProblem | None, b: BackgroundProblem | None) -> bool:
+    """Whether two backgrounds are one problem: the same object, or both zero."""
+    return a is not None and (
+        a is b or (isinstance(a, ZeroBackground) and isinstance(b, ZeroBackground)))
 
 
 class NumericBackground(BackgroundProblem):
@@ -295,16 +271,12 @@ class NumericBackground(BackgroundProblem):
     integration grid so traces can be read off without interpolation.
     """
 
-    kind = "numeric"
-
     def __init__(self, potentials: "PotentialPair", refine: int = 10):
         self.potentials = potentials
         self.refine = refine
         self._trace_cache: dict[complex, tuple[int, np.ndarray]] = {}
         self._entry_cache: dict[int, tuple[complex, complex]] = {}
-        from scipy.integrate import simpson
-
-        self.omega0 = complex(simpson(np.asarray(potentials.q1), x=potentials.x) / pi)
+        self.omega0 = potentials.omega0()
 
     # -- trace plumbing ----------------------------------------------------
 

@@ -24,7 +24,7 @@ from .errors import (
     SignConflictError,
     ValidationError,
 )
-from .model import BackgroundProblem, ZeroBackground
+from .model import BackgroundProblem, ZeroBackground, same_background
 
 # Absolute tolerance for treating two eigenvalues as equal.  Forward-solver
 # roots are accurate to ~1e-10, so true multiples collapse while split roots
@@ -74,8 +74,7 @@ class SpectralDataSet:
 
     @staticmethod
     def from_entries(entries, tail: BackgroundProblem | None = None,
-                     omega0: complex | None = None,
-                     grouping_tol: float = GROUPING_TOL) -> "SpectralDataSet":
+                     omega0: complex | None = None) -> "SpectralDataSet":
         """Build a set from entries already obeying the ordering convention."""
         emap: dict[int, SpectralEntry] = {}
         for e in entries:
@@ -84,7 +83,7 @@ class SpectralDataSet:
             emap[e.n] = e
         idx = sorted(emap)
         _check_contiguous(idx)
-        groups = _detect_groups(emap, idx, grouping_tol)
+        groups = _detect_groups(emap, idx)
         _check_assumption_o(groups)
         if omega0 is None:
             omega0 = _estimate_omega0(emap, idx)
@@ -140,7 +139,7 @@ class SpectralDataSet:
     # -- serialization --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        if self.tail is not None and self.tail.kind != "zero":
+        if self.tail is not None and not same_background(self.tail, ZeroBackground()):
             raise ValidationError("only dirichlet-zero tails are serializable")
         ents = []
         for n in self.window_indices():
@@ -181,12 +180,6 @@ class SpectralDataSet:
             return SpectralDataSet.from_json_dict(json.load(f))
 
 
-def same_tail(a: SpectralDataSet, b: SpectralDataSet) -> bool:
-    if a.tail is None or b.tail is None:
-        return False
-    return a.tail is b.tail or (a.tail.kind == "zero" and b.tail.kind == "zero")
-
-
 # ---------------------------------------------------------------------------
 # ordering / grouping
 
@@ -199,11 +192,11 @@ def _check_contiguous(idx: list[int]) -> None:
         raise IndexMismatchError("positive indices must form a contiguous run starting at 1")
 
 
-def _detect_groups(emap, idx, tol) -> list[Group]:
+def _detect_groups(emap, idx) -> list[Group]:
     groups: list[Group] = []
     run: list[int] = []
     for n in idx:
-        if run and abs(emap[n].lam - emap[run[0]].lam) <= tol \
+        if run and abs(emap[n].lam - emap[run[0]].lam) <= GROUPING_TOL \
                 and zindex.shift(run[-1], 1) == n:
             run.append(n)
         else:
@@ -235,8 +228,7 @@ def _estimate_omega0(emap, idx) -> complex:
 
 
 def normalize_ordering(raw_entries, tail: BackgroundProblem | None = None,
-                       omega0: complex | None = None,
-                       tol: float = GROUPING_TOL) -> SpectralDataSet:
+                       omega0: complex | None = None) -> SpectralDataSet:
     """Regroup raw indexed entries so equal eigenvalues sit at consecutive indices.
 
     Entries are permuted within each sign separately (values move, the index
@@ -263,7 +255,7 @@ def normalize_ordering(raw_entries, tail: BackgroundProblem | None = None,
         out: list[list[SpectralEntry]] = []
         for e in side_entries:
             for cl in out:
-                if abs(e.lam - cl[0].lam) <= tol:
+                if abs(e.lam - cl[0].lam) <= GROUPING_TOL:
                     cl.append(e)
                     break
             else:
@@ -276,7 +268,7 @@ def normalize_ordering(raw_entries, tail: BackgroundProblem | None = None,
     # cross-sign equality is only legal for the clusters adjacent to the gap
     for i, a in enumerate(neg):
         for j, b in enumerate(pos):
-            if abs(a[0].lam - b[0].lam) <= tol and not (i == len(neg) - 1 and j == 0):
+            if abs(a[0].lam - b[0].lam) <= GROUPING_TOL and not (i == len(neg) - 1 and j == 0):
                 raise SignConflictError(
                     "equal eigenvalues at indices of opposite sign cannot be "
                     "regrouped consecutively")
@@ -292,7 +284,7 @@ def normalize_ordering(raw_entries, tail: BackgroundProblem | None = None,
     # collapse each equal-eigenvalue run onto its mean so grouped entries
     # carry literally the same eigenvalue
     out_map = {e.n: e for e in out}
-    groups = _detect_groups(out_map, sorted(out_map), tol)
+    groups = _detect_groups(out_map, sorted(out_map))
     final = []
     for g in groups:
         member_lams = [out_map[m].lam for m in g.members]
@@ -302,8 +294,7 @@ def normalize_ordering(raw_entries, tail: BackgroundProblem | None = None,
             lam = complex(np.mean(member_lams))
         for m in g.members:
             final.append(SpectralEntry(n=m, lam=lam, M=out_map[m].M))
-    return SpectralDataSet.from_entries(final, tail=tail, omega0=omega0,
-                                        grouping_tol=tol)
+    return SpectralDataSet.from_entries(final, tail=tail, omega0=omega0)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +327,7 @@ def compute_diagnostics(data: SpectralDataSet, model: SpectralDataSet,
     if width == 0:
         width = n_trunc
     if data.max_abs_index < width or model.max_abs_index < width:
-        if not same_tail(data, model):
+        if not same_background(data.tail, model.tail):
             need = [s for s in (data, model) if s.max_abs_index < width and s.tail is None]
             if need:
                 raise IndexMismatchError("windows differ and no common tail to fill from")
@@ -393,9 +384,9 @@ def truncate_hybrid(data: SpectralDataSet, model: SpectralDataSet,
     return SpectralDataSet.from_entries(entries, tail=model.tail, omega0=model.omega0)
 
 
-def eta_weight(k: int, cutoff: int = 4000) -> float:
-    """Optional l2 weight sqrt(sum_l 1/(l^2 (|l-k|+1)^2)), truncated sum."""
-    ls = np.arange(-cutoff, cutoff + 1)
+def eta_weight(k: int) -> float:
+    """Optional l2 weight sqrt(sum_l 1/(l^2 (|l-k|+1)^2)), summed over |l| <= 4000."""
+    ls = np.arange(-4000, 4001)
     ls = ls[ls != 0]
     return float(np.sqrt(np.sum(1.0 / (ls.astype(float) ** 2 * (np.abs(ls - k) + 1.0) ** 2))))
 

@@ -23,7 +23,11 @@ def large_batches(monkeypatch):
 
 @pytest.fixture
 def table_calls(monkeypatch):
-    """Number of calls of the kernel tables ``model.d_table`` and ``model.dx_table``."""
+    """Number of calls of the kernel tables ``model.d_table`` and ``model.dx_table``.
+
+    Both names are patched wherever a module imported them.
+    """
+    import qpencil.inverse as inv
     import qpencil.model as md
 
     counts = {"d_table": 0, "dx_table": 0}
@@ -38,5 +42,8 @@ def table_calls(monkeypatch):
         return counting
 
     for name in counts:
-        monkeypatch.setattr(md, name, counted(name))
+        wrapper = counted(name)
+        for mod in (md, inv):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapper)
     return counts

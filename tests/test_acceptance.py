@@ -16,16 +16,15 @@ from qpencil import (
     find_eigenvalues,
     integrate,
     make_split_data,
-    model_spectral_data,
     roundtrip_check,
     run_reconstruction,
     run_table,
     solve_contour_equation,
     weight_numbers,
     weyl_residues,
-    winding_number,
 )
 from qpencil.experiments import SplitExperimentConfig
+from qpencil.forward import sample_circle
 from qpencil.inverse import (
     assemble_system,
     compute_epsilons,
@@ -124,7 +123,7 @@ def test_criterion_4_weight_residue_duality():
 
 
 def test_criterion_5_identity_reconstruction():
-    rec = run_reconstruction(model_spectral_data(3), ZeroBackground(),
+    rec = run_reconstruction(ZeroBackground().spectral_data(3), ZeroBackground(),
                              min_window=2)
     q1_max = float(np.max(np.abs(rec.q1)))
     q0_max = float(np.max(np.abs(rec.q0_antideriv)))
@@ -148,7 +147,7 @@ def test_criterion_7_multiplicity_handling():
     data = make_split_data(0.0)
     rec = run_reconstruction(data, ZeroBackground())
     pot = rec.as_potentials()
-    w = winding_number(pot, 0.5, 0.05, check_halving=True)
+    w = sample_circle(pot, 0.5, 0.05, check_halving=True).count
     # Laurent coefficients on the same circle
     zs = 0.5 + 0.05 * np.exp(2j * pi * np.arange(256) / 256)
     res = integrate(pot, zs, with_c=True)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qpencil
-from qpencil import PotentialPair, SpectralDataSet, make_split_data
+from qpencil import PotentialPair, SpectralDataSet, ZeroBackground, make_split_data
 from qpencil import cli
 from qpencil.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
@@ -153,9 +153,7 @@ def test_split_table_bad_contour_is_validation_error(tmp_path):
 
 def test_roundtrip_on_model_data(tmp_path, capsys):
     data_path = tmp_path / "model.json"
-    from qpencil import model_spectral_data
-
-    model_spectral_data(2).save_json(data_path)
+    ZeroBackground().spectral_data(2).save_json(data_path)
     code = main(["roundtrip", "--data", str(data_path), "--n-check", "2"])
     assert code == EXIT_OK
     assert "lam_in" in capsys.readouterr().out
@@ -202,7 +200,6 @@ def test_overflowing_data_is_numerical_error(tmp_path, command):
     ("inverse", ["--trunc-n", "-1"]),
     ("inverse", ["--min-window", "-5"]),
     ("roundtrip", ["--trunc-n", "-1"]),
-    ("split-table", ["--n-star", "-1"]),
 ], ids=lambda v: v if isinstance(v, str) else " ".join(v[:2]))  # the bad flag first
 def test_bad_numeric_flag_is_validation_error(tmp_path, command, flags):
     pot_path = tmp_path / "pot.csv"

@@ -18,12 +18,12 @@ from qpencil import (
     expected_weyl,
     integrate,
     make_split_data,
-    model_spectral_data,
     roundtrip_check,
     run_reconstruction,
     run_table,
 )
-from qpencil.experiments import SPLIT_M0, SPLIT_M1, read_table_csv, write_table_csv
+from qpencil.experiments import SPLIT_M0, SPLIT_M1, TABLE_HEADER, write_table_csv
+from qpencil.forward import read_csv
 from qpencil.inverse import default_grid
 
 # reference spectral columns of the splitting sweep (printed to 3-4 decimals)
@@ -83,7 +83,9 @@ def test_d_metrics_trivial_and_mismatch():
     other = run_reconstruction(make_split_data(0.01), model, default_grid(50))
     with pytest.raises(GridMismatchError):
         compute_d_metrics(rec, other)
-    d1, d0 = compute_d_metrics(rec, model)
+    # data equal to the background reconstruct the background's own potentials
+    background = run_reconstruction(model.spectral_data(1), model, default_grid(100))
+    d1, d0 = compute_d_metrics(rec, background)
     assert d1 > 0.5        # vs the raw background the recovered pencil is O(1) away
     assert d0 > 0.5
 
@@ -129,8 +131,8 @@ def test_run_table_small_sweep(tmp_path):
     assert rows[1].d0 == pytest.approx(0.2463, rel=0.03)
     assert (tmp_path / "table.csv").exists()
     assert (tmp_path / "potentials_delta=0.05.csv").exists()
-    back = read_table_csv(tmp_path / "table.csv")
-    assert [r.delta for r in back] == [0.05, 0.01]
+    back = read_csv(tmp_path / "table.csv", TABLE_HEADER)
+    assert [v[0] for v in back] == [0.05, 0.01]
 
 
 def test_table_csv_roundtrip_bit_exact(tmp_path):
@@ -138,11 +140,11 @@ def test_table_csv_roundtrip_bit_exact(tmp_path):
     rows = run_table(config, out_dir=None)
     path = tmp_path / "t.csv"
     write_table_csv(rows, path)
-    back = read_table_csv(path)
-    r0, r1 = rows[0], back[0]
-    assert (r0.delta, r0.d1, r0.d0) == (r1.delta, r1.d1, r1.d0)
-    assert r0.lambda_plus == r1.lambda_plus
-    assert r0.M_minus == r1.M_minus
+    back = read_csv(path, TABLE_HEADER)
+    r0, v = rows[0], back[0]
+    assert (r0.delta, r0.d1, r0.d0) == (v[0], v[1], v[2])
+    assert r0.lambda_plus == complex(v[3], v[4])
+    assert r0.M_minus == complex(v[9], v[10])
 
 
 def test_empty_delta_list_is_fine(tmp_path):
@@ -167,7 +169,7 @@ def test_expected_weyl_matches_forward_solution():
 
 
 def test_expected_weyl_reduces_to_background():
-    data = model_spectral_data(2)
+    data = ZeroBackground().spectral_data(2)
     lam = 0.4 + 0.3j
     val = complex(expected_weyl(data, lam))
     base = -lam * np.cos(lam * pi) / np.sin(lam * pi)
@@ -175,7 +177,7 @@ def test_expected_weyl_reduces_to_background():
 
 
 def test_roundtrip_on_model_data_is_clean():
-    report = roundtrip_check(model_spectral_data(3), ZeroBackground(), 3)
+    report = roundtrip_check(ZeroBackground().spectral_data(3), ZeroBackground(), 3)
     assert report.max_lam_err < 1e-6
     assert report.max_m_rel_err < 1e-5
     assert report.windings == {}

@@ -10,7 +10,6 @@ from qpencil import (
     NonFiniteInputError,
     PotentialPair,
     ValidationError,
-    char_delta,
     coefficients_from_weights,
     find_eigenvalues,
     integrate,
@@ -146,8 +145,8 @@ def test_zero_potentials_explicit_solution():
 def test_char_delta_zeros_at_integers():
     pot = PotentialPair.zeros(200)
     for n in (1, 2, 3, -2):
-        assert abs(char_delta(pot, float(n))) < 1e-10
-    assert char_delta(pot, 0.5) == pytest.approx(2.0, abs=1e-10)
+        assert abs(integrate(pot, float(n)).s[0, 0]) < 1e-10
+    assert complex(integrate(pot, 0.5).s[0, 0]) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_wronskian_constant_along_trace():
@@ -160,7 +159,7 @@ def test_wronskian_constant_along_trace():
 def test_step_halving_fourth_order():
     pot = smooth_pair()
     lam = 2.0 + 1.0j
-    d = [complex(char_delta(pot, lam, refine=r)) for r in (2, 4, 8)]
+    d = [complex(integrate(pot, lam, refine=r).s[0, 0]) for r in (2, 4, 8)]
     e1 = abs(d[0] - d[1])
     e2 = abs(d[1] - d[2])
     assert 11.0 < e1 / e2 < 21.0   # ~16 for a 4th-order scheme
@@ -208,6 +207,48 @@ def test_duality_triangular_system_multiplicity_two():
     assert back[1] == pytest.approx(Ms[1], rel=1e-12)
     # nu = 0 relation: alpha_g M_(g+m-1) = -1
     assert alphas[0] * Ms[1] == pytest.approx(-1.0, rel=1e-12)
+
+
+def double_eigenvalue_pair(case):
+    """Potentials on 201 nodes whose eigenvalues of index -1 and 1 coincide.
+
+    "constant": q1 = i, sigma = 0.  Then Delta = sin(k pi)/k with
+    k^2 = (lam - i)^2 + 1, the eigenvalues are i +- sqrt(n^2 - 1), and n = 1
+    gives a double one at i, where the Weyl function -k cot(k pi) has the
+    Laurent pair (0, -2/pi).  "varying": non-constant q1 and complex sigma,
+    with the constant c of q1 from a Newton solve of Delta = Delta' = 0 in
+    (lam, c); the double eigenvalue sits near -0.0227 + 0.9944i.
+    """
+    if case == "constant":
+        return PotentialPair.from_functions(lambda t: 1j, lambda t: 0.0)
+    c = -0.0604507451126278 + 1.0134945056115443j
+    return PotentialPair.from_functions(
+        lambda t: c + 0.3 * np.cos(t) + 0.2j * np.sin(2 * t),
+        lambda t: 0.25 * np.sin(t) ** 2 + 0.1j * t)
+
+
+def test_double_eigenvalue_forward_path():
+    pot = double_eigenvalue_pair("constant")
+    eigs = find_eigenvalues(pot, 3, pot.omega0())
+    groups = [g for g in eigs.groups if g.size > 1]
+    assert [g.members for g in groups] == [(-1, 1)]
+    assert abs(groups[0].lam - 1j) < 1e-9
+    for n in (-3, -2, 2, 3):
+        assert abs(eigs.entry(n).lam - (1j + np.sign(n) * np.sqrt(n * n - 1))) < 1e-9
+    M = weyl_residues(pot, eigs).group_coefficients(groups[0])
+    assert abs(M[0]) < 1e-9
+    assert abs(M[1] + 2 / pi) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["constant", "varying"])
+def test_weight_residue_duality_double_eigenvalue(case):
+    pot = double_eigenvalue_pair(case)
+    eigs = find_eigenvalues(pot, 3, pot.omega0())
+    (g,) = [g for g in eigs.groups if g.size > 1]
+    want = np.array(weyl_residues(pot, eigs).group_coefficients(g))
+    alphas = weight_numbers(pot, eigs)
+    got = np.array(coefficients_from_weights([alphas[m] for m in g.members]))
+    assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
 
 
 def test_eigenvalue_shift_decays_for_smooth_potentials():

@@ -19,7 +19,6 @@ from qpencil import (
     compute_epsilons,
     find_eigenvalues,
     make_split_data,
-    model_spectral_data,
     recover_q0_antiderivative,
     recover_q1,
     recover_theta,
@@ -28,7 +27,7 @@ from qpencil import (
     weyl_residues,
 )
 from qpencil.inverse import SOLVE_CHUNK_ENTRIES, EpsilonFields, active_layout, default_grid
-from qpencil.model import COALESCE_GAP, SMALL_LAMBDA
+from qpencil.model import COALESCE_GAP, SMALL_LAMBDA, d_table, dx_table
 from qpencil.zindex import window
 
 
@@ -40,7 +39,7 @@ def zero_model():
 def test_identity_data_recovers_model_solution(zero_model):
     # with a forced window the solve is non-trivial but must return the
     # background solution values at every active index
-    data = model_spectral_data(2)
+    data = ZeroBackground().spectral_data(2)
     x = default_grid(60)
     system = assemble_system(data, zero_model, x, min_window=2)
     v, v_x, _, _ = solve_main(system)
@@ -73,6 +72,17 @@ def test_active_layout_is_four_by_four_for_split_data(zero_model):
     assert [e.m for e in layout0.side1] == [1, 1]
 
 
+def test_active_layout_closes_over_a_data_group(zero_model):
+    # index 1 carries the background's own pair (1, -1/pi); only its group
+    # partner at index 2 differs, so index 1 is active through the closure alone
+    data = SpectralDataSet.from_entries(
+        [SpectralEntry(n=1, lam=1.0, M=-1 / pi), SpectralEntry(n=2, lam=1.0, M=-0.1)],
+        tail=zero_model, omega0=0.0)
+    assert active_layout(data, zero_model).indices == (1, 2)
+    rec = run_reconstruction(data, zero_model, default_grid(100))
+    assert np.all(np.isfinite(rec.q1)) and np.all(np.isfinite(rec.q0_antideriv))
+
+
 def test_submatrix_invertible_at_right_end(zero_model):
     # the model-row/data-column block at x = pi must be invertible
     data = make_split_data(0.01)
@@ -101,7 +111,7 @@ def test_vx_matches_finite_difference_at_second_order(zero_model):
 
 
 def test_epsilons_vanish_for_identity(zero_model):
-    data = model_spectral_data(2)
+    data = ZeroBackground().spectral_data(2)
     system = assemble_system(data, zero_model, default_grid(50), min_window=2)
     v, v_x, _, _ = solve_main(system)
     eps = compute_epsilons(system, v, v_x)
@@ -159,7 +169,7 @@ def test_recovery_zero_for_zero_series(zero_model):
 
 
 def test_full_pipeline_identity(zero_model):
-    rec = run_reconstruction(model_spectral_data(3), zero_model,
+    rec = run_reconstruction(ZeroBackground().spectral_data(3), zero_model,
                              default_grid(100), min_window=2)
     assert np.max(np.abs(rec.q1)) < 1e-10
     assert np.max(np.abs(rec.q0_antideriv)) < 1e-10
@@ -167,7 +177,7 @@ def test_full_pipeline_identity(zero_model):
 
 
 def test_pipeline_rejects_mismatched_mean_shift(zero_model):
-    data = model_spectral_data(3)
+    data = ZeroBackground().spectral_data(3)
     shifted = [(n, data.entry(n).lam + 0.4, data.entry(n).M)
                for n in data.window_indices()]
     from qpencil import normalize_ordering
@@ -240,8 +250,8 @@ def _tabulated(system):
     for ridx, (er, _) in enumerate(rows):
         for cidx, (ec, j) in enumerate(rows):
             smax = ec.m - 1 - ec.nu
-            T = model.d_table(x, er.lam, ec.lam, er.nu, smax)
-            X = model.dx_table(x, er.lam, ec.lam, er.nu, smax)
+            T = d_table(model, x, er.lam, ec.lam, er.nu, smax)
+            X = dx_table(model, x, er.lam, ec.lam, er.nu, smax)
             sgn = -1.0 if j == 1 else 1.0
             for p in range(ec.nu, ec.m):
                 P[:, ridx, cidx] += sgn * ec.Ms[p] * T[er.nu, p - ec.nu]

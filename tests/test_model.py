@@ -15,11 +15,8 @@ from qpencil import (
     ZeroBackground,
     coefficients_from_weights,
     compute_diagnostics,
-    d_model,
-    model_spectral_data,
-    s_model,
 )
-from qpencil.model import P_MAX, _quotient_table, s_chain, sx_chain
+from qpencil.model import P_MAX, _quotient_table, d_table, dx_table, s_chain, sx_chain
 
 finite_complex = st.complex_numbers(max_magnitude=8.0, allow_nan=False,
                                     allow_infinity=False)
@@ -27,12 +24,17 @@ finite_complex = st.complex_numbers(max_magnitude=8.0, allow_nan=False,
 ZERO = ZeroBackground()
 
 
+def d_zero(x, lam, mu):
+    """The zero background's kernel D(x, lam, mu) at a scalar x."""
+    return complex(d_table(ZERO, x, lam, mu, 0, 0)[0, 0])
+
+
 def test_s_model_basics():
-    assert s_model(pi, 1.0) == pytest.approx(0.0, abs=1e-14)
-    assert s_model(pi / 2, 1.0) == pytest.approx(1.0, rel=1e-14)
+    assert complex(s_chain(pi, 1.0, 0)[0]) == pytest.approx(0.0, abs=1e-14)
+    assert complex(s_chain(pi / 2, 1.0, 0)[0]) == pytest.approx(1.0, rel=1e-14)
     # removable singularity: series oracle sin(z)/z = 1 - z^2/6 + ...
-    assert s_model(pi, 1e-9) == pytest.approx(pi, abs=1e-13)
-    assert s_model(pi, 0.0) == pytest.approx(pi, abs=1e-15)
+    assert complex(s_chain(pi, 1e-9, 0)[0]) == pytest.approx(pi, abs=1e-13)
+    assert complex(s_chain(pi, 0.0, 0)[0]) == pytest.approx(pi, abs=1e-15)
     assert complex(sx_chain(pi, 1.0, 0)[0]) == pytest.approx(-1.0, rel=1e-14)
 
 
@@ -61,17 +63,17 @@ def test_s_chain_branches_agree():
 
 
 def test_d_model_reference_values():
-    assert d_model(pi, 1.0, 2.0) == pytest.approx(0.0, abs=1e-13)
-    assert d_model(pi, 1.0, 1.0) == pytest.approx(pi, rel=1e-13)
+    assert d_zero(pi, 1.0, 2.0) == pytest.approx(0.0, abs=1e-13)
+    assert d_zero(pi, 1.0, 1.0) == pytest.approx(pi, rel=1e-13)
     # quadrature oracle (scipy.integrate.quad of 2*lam*S^2): 6.283185307179586
-    assert d_model(pi, 0.5, 0.5) == pytest.approx(2 * pi, rel=1e-13)
+    assert d_zero(pi, 0.5, 0.5) == pytest.approx(2 * pi, rel=1e-13)
 
 
 def test_d_model_vanishes_at_integer_pairs():
     for n in (1, 2, -3):
         for k in (2, -1, 4):
             if n != k:
-                assert abs(d_model(pi, n, k)) < 1e-12
+                assert abs(d_zero(pi, n, k)) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,19 +82,23 @@ def test_d_model_vanishes_at_integer_pairs():
 @example(0.02 - 0.01j, 0j, 2.0)   # mu = 0
 @example(0j, 0j, 2.0)             # both 0
 def test_d_model_symmetric(lam, mu, x):
-    a = d_model(x, lam, mu)
-    b = d_model(x, mu, lam)
+    a = d_zero(x, lam, mu)
+    b = d_zero(x, mu, lam)
     assert a == pytest.approx(b, rel=1e-8, abs=1e-10)
 
 
 def test_d_model_mu_deriv_order_zero_is_d():
-    assert ZERO.d_table(1.3, 2.0, 0.7, 0, 0)[0, 0] == pytest.approx(d_model(1.3, 2.0, 0.7))
+    # the order-0 table is the divided difference of the chains themselves
+    sa, ca = s_chain(1.3, 2.0, 0)[0], sx_chain(1.3, 2.0, 0)[0]
+    sb, cb = s_chain(1.3, 0.7, 0)[0], sx_chain(1.3, 0.7, 0)[0]
+    quotient = complex((sa * cb - ca * sb) / (2.0 - 0.7))
+    assert d_zero(1.3, 2.0, 0.7) == pytest.approx(quotient)
 
 
 def test_d_model_mu_deriv_against_finite_difference():
     h = 1e-5
-    fd = (d_model(pi, 2.0, 0.5 + h) - d_model(pi, 2.0, 0.5 - h)) / (2 * h)
-    val = factorial(1) * ZERO.d_table(pi, 2.0, 0.5, 0, 1)[0, 1]
+    fd = (d_zero(pi, 2.0, 0.5 + h) - d_zero(pi, 2.0, 0.5 - h)) / (2 * h)
+    val = factorial(1) * d_table(ZERO, pi, 2.0, 0.5, 0, 1)[0, 1]
     assert val == pytest.approx(fd, rel=1e-8)
     # exact value from symbolic differentiation: 16/9
     assert val == pytest.approx(16.0 / 9.0, rel=1e-12)
@@ -100,8 +106,8 @@ def test_d_model_mu_deriv_against_finite_difference():
 
 def test_d_model_mu_deriv_at_coalescence():
     # symbolic limits of the mu-derivative at mu -> lam
-    assert factorial(1) * ZERO.d_table(pi, 0.5, 0.5, 0, 1)[0, 1] == pytest.approx(0.0, abs=1e-13)
-    val = factorial(1) * ZERO.d_table(1.0, 0.7 + 0.1j, 0.7 + 0.1j, 0, 1)[0, 1]
+    assert factorial(1) * d_table(ZERO, pi, 0.5, 0.5, 0, 1)[0, 1] == pytest.approx(0.0, abs=1e-13)
+    val = factorial(1) * d_table(ZERO, 1.0, 0.7 + 0.1j, 0.7 + 0.1j, 0, 1)[0, 1]
     assert val == pytest.approx(0.24382504632008352 - 0.023959060673686884j, rel=1e-12)
 
 
@@ -158,7 +164,7 @@ def _d_oracle(x, lam, mu, t, s):
 ])
 def test_d_table_against_mpmath_oracle(lam, mu, t, s):
     x = np.linspace(0.1, pi, 9)
-    got = ZeroBackground().d_table(x, lam, mu, t, s)[t, s]
+    got = d_table(ZeroBackground(), x, lam, mu, t, s)[t, s]
     ref = np.array([_d_oracle(mp.mpf(float(xi)), lam, mu, t, s) for xi in x])
     assert np.max(np.abs(got - ref)) < 1e-11 * np.max(np.abs(ref))
 
@@ -179,15 +185,15 @@ def test_s_chain_against_mpmath_oracle(lam):
 
 
 def test_d_model_x_deriv_values():
-    assert ZERO.dx_table(0.0, 1.3, 0.7, 0, 0)[0, 0] == pytest.approx(0.0, abs=1e-15)
-    assert ZERO.dx_table(pi / 2, 1.0, 1.0, 0, 0)[0, 0] == pytest.approx(2.0, rel=1e-13)
+    assert dx_table(ZERO, 0.0, 1.3, 0.7, 0, 0)[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert dx_table(ZERO, pi / 2, 1.0, 1.0, 0, 0)[0, 0] == pytest.approx(2.0, rel=1e-13)
 
 
 def test_d_model_x_deriv_matches_numeric_derivative():
     h = 1e-6
     lam, mu = 1.3, 0.7 + 0.2j
-    fd = (d_model(1.0 + h, lam, mu) - d_model(1.0 - h, lam, mu)) / (2 * h)
-    assert ZERO.dx_table(1.0, lam, mu, 0, 0)[0, 0] == pytest.approx(fd, rel=1e-8)
+    fd = (d_zero(1.0 + h, lam, mu) - d_zero(1.0 - h, lam, mu)) / (2 * h)
+    assert dx_table(ZERO, 1.0, lam, mu, 0, 0)[0, 0] == pytest.approx(fd, rel=1e-8)
 
 
 @settings(max_examples=40, deadline=None)
@@ -197,21 +203,21 @@ def test_d_model_x_deriv_matches_numeric_derivative():
 @example(1.0, 0j, 0j)             # both 0
 def test_d_model_x_deriv_property(x, lam, mu):
     h = 1e-6
-    fd = (d_model(x + h, lam, mu) - d_model(x - h, lam, mu)) / (2 * h)
-    val = ZERO.dx_table(x, lam, mu, 0, 0)[0, 0]
+    fd = (d_zero(x + h, lam, mu) - d_zero(x - h, lam, mu)) / (2 * h)
+    val = dx_table(ZERO, x, lam, mu, 0, 0)[0, 0]
     assert val == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
 
 def test_order_too_high():
     with pytest.raises(OrderTooHighError):
-        ZERO.d_table(1.0, 1.0, 2.0, 0, 5)
+        d_table(ZERO, 1.0, 1.0, 2.0, 0, 5)
 
 
 def test_model_spectral_data_small():
-    ds = model_spectral_data(1)
+    ds = ZERO.spectral_data(1)
     assert ds.entry(1).lam == 1.0 and ds.entry(1).M == pytest.approx(-1 / pi)
     assert ds.entry(-1).lam == -1.0 and ds.entry(-1).M == pytest.approx(1 / pi)
-    ds3 = model_spectral_data(3)
+    ds3 = ZERO.spectral_data(3)
     assert len(ds3.entries) == 6
     assert compute_diagnostics(ds3, ds3, 2).omega == 0.0
 
@@ -250,11 +256,11 @@ class TestNumericBackgroundMatchesClosedForms:
         zero = ZeroBackground()
         pairs = [(1.5, 0.5 + 0.1j), (2.0, 2.0), (0.5, 0.52)]
         for lam, mu in pairs:
-            a = numeric.d_table(grid, lam, mu, 1, 1)
-            b = zero.d_table(grid, lam, mu, 1, 1)
+            a = d_table(numeric, grid, lam, mu, 1, 1)
+            b = d_table(zero, grid, lam, mu, 1, 1)
             assert np.max(np.abs(a - b)) < 1e-7
-            ax = numeric.dx_table(grid, lam, mu, 1, 1)
-            bx = zero.dx_table(grid, lam, mu, 1, 1)
+            ax = dx_table(numeric, grid, lam, mu, 1, 1)
+            bx = dx_table(zero, grid, lam, mu, 1, 1)
             assert np.max(np.abs(ax - bx)) < 1e-8
 
     def test_spectral_entries(self, numeric):

@@ -16,7 +16,6 @@ from qpencil import (
     compute_diagnostics,
     eta_weight,
     make_split_data,
-    model_spectral_data,
     normalize_ordering,
     truncate_hybrid,
     validate_splitting_conditions,
@@ -98,7 +97,7 @@ def test_normalize_is_idempotent(lams):
 
 
 def test_diagnostics_identical_data():
-    model = model_spectral_data(4)
+    model = ZeroBackground().spectral_data(4)
     d = compute_diagnostics(model, model, 2)
     assert all(v == 0.0 for v in d.xi.values())
     assert d.omega == 0.0
@@ -106,7 +105,7 @@ def test_diagnostics_identical_data():
 
 
 def test_diagnostics_single_perturbed_eigenvalue():
-    model = model_spectral_data(3)
+    model = ZeroBackground().spectral_data(3)
     data = model.replace_entry(2, lam=2.1)
     d = compute_diagnostics(data, model, 1)
     assert d.xi[2] == pytest.approx(0.1, abs=1e-14)
@@ -116,7 +115,7 @@ def test_diagnostics_single_perturbed_eigenvalue():
 
 def test_diagnostics_split_data_tail_untouched():
     data = make_split_data(0.01)
-    model = model_spectral_data(3)
+    model = ZeroBackground().spectral_data(3)
     d = compute_diagnostics(data, model, 1)
     assert d.tail_norm(1) == 0.0
     assert d.omega_n == 0.0
@@ -124,14 +123,14 @@ def test_diagnostics_split_data_tail_untouched():
 
 def test_diagnostics_group_mismatch_gives_unit_xi():
     data = make_split_data(0.0)     # double eigenvalue at 1/2
-    model = model_spectral_data(2)  # simple everywhere
+    model = ZeroBackground().spectral_data(2)  # simple everywhere
     d = compute_diagnostics(data, model, 1)
     assert d.xi[-1] == 1.0
     assert d.xi[1] == 1.0
 
 
 def test_tail_norm_nonincreasing():
-    model = model_spectral_data(6)
+    model = ZeroBackground().spectral_data(6)
     data = model.replace_entry(2, lam=2.05).replace_entry(5, lam=5.2)
     d = compute_diagnostics(data, model, 1)
     values = [d.tail_norm(n) for n in range(0, 7)]
@@ -140,7 +139,7 @@ def test_tail_norm_nonincreasing():
 
 
 def test_truncate_hybrid_levels():
-    model = model_spectral_data(4)
+    model = ZeroBackground().spectral_data(4)
     data = make_split_data(0.01)
     full = truncate_hybrid(data, model, 4)
     assert full.entry(1).lam == data.entry(1).lam
@@ -156,7 +155,7 @@ def test_truncate_hybrid_levels():
 
 
 def test_truncate_hybrid_outside_is_model_elementwise():
-    model = model_spectral_data(5)
+    model = ZeroBackground().spectral_data(5)
     data = make_split_data(0.02)
     out = truncate_hybrid(data, model, 1)
     for n in window(5):
@@ -174,7 +173,7 @@ def test_splitting_conditions_reference_data():
 
 
 def test_splitting_conditions_identity():
-    model = model_spectral_data(3)
+    model = ZeroBackground().spectral_data(3)
     report = validate_splitting_conditions(model, model, 1, 0.01)
     assert report.all_passed
     moments = [c for c in report.checks if c.name.startswith("moment")]
@@ -182,7 +181,7 @@ def test_splitting_conditions_identity():
 
 
 def test_splitting_conditions_detect_duplicate():
-    model = model_spectral_data(3)
+    model = ZeroBackground().spectral_data(3)
     data = model.replace_entry(2, lam=1.0)  # collides with lam_1
     report = validate_splitting_conditions(data, model, 1, 0.01)
     names = [c.name for c in report.violated()]
@@ -215,7 +214,7 @@ def test_omega0_estimate_from_largest_indices():
 
 
 def test_eta_weight_decays():
-    vals = [eta_weight(k, cutoff=2000) for k in (1, 4, 16, 64)]
+    vals = [eta_weight(k) for k in (1, 4, 16, 64)]
     assert all(v > 0 for v in vals)
     assert vals[0] > vals[-1]
 
