@@ -38,9 +38,9 @@ from .errors import (
     ValidationError,
     WindingAmbiguousError,
 )
+from .model import DEFAULT_REFINE
 from .spectral_data import SpectralDataSet, SpectralEntry
 
-DEFAULT_REFINE = 10
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 RESIDUE_NODES = 256

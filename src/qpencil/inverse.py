@@ -7,14 +7,15 @@ pairwise.  Per node we solve
 
     (I - P(x)) v(x) = s(x),            P[(n,i),(k,j)] = (-1)^j  Ptilde_(n,i;k,j)(x),
 
-then reuse the same matrix for the x-derivative, (I - P) v_x = s_x + P_x v,
+then reuse the same matrix for the x-derivative, (I - P) v_x = s_x + P' v,
 so no finite differences enter the series that feed the recovery formulas.
-Both matrices and the series are built from per-entry chain combinations:
-the row chains S_nu, S'_nu and the column sums sum_p M_p S_(p-nu) of every
-unknown.  P_x needs no kernel table (dD/dx is a product of two S), and P
-takes the quotient form for simple pairs at least ``COALESCE_GAP`` apart;
-only pairs that touch a multiplicity group, and closer simple pairs (the
-diagonal among them), go through ``d_table``.
+P' = dP/dx has rank two at every node (dD/dx is a product of two S) and is
+applied through its two factors.  The matrix, the factors and the series are
+built from per-entry chain combinations: the row chains S_nu, S'_nu and the
+column sums sum_p M_p S_(p-nu) of every unknown.  P takes the quotient form
+for simple pairs at least ``COALESCE_GAP`` apart; only pairs that touch a
+multiplicity group, and closer simple pairs (the diagonal among them), go
+through ``d_table``.
 Four auxiliary series built from v then produce the first potential via a
 pointwise formula and the antiderivative of the zeroth one via quadrature of
 terms that never differentiate a series numerically.
@@ -114,31 +115,26 @@ def active_layout(data: SpectralDataSet, model: BackgroundProblem,
     return ActiveLayout(indices=indices, side0=side0, side1=side1)
 
 
-def _group_sum(ec: SideEntry, nu_r: int, T: np.ndarray) -> np.ndarray:
-    """Contraction sum_p M_p T[nu_r, p - nu] over the column's group coefficients."""
-    acc = np.zeros(T.shape[2:], dtype=complex)
-    for p in range(ec.nu, ec.m):
-        acc += ec.Ms[p] * T[nu_r, p - ec.nu]
-    return acc
-
-
 @dataclass
 class MainEquationSystem:
     """Per-node dense system; arrays are stacked over the grid nodes.
 
     ``b`` and ``b_x`` are the signed column combinations
-    (-1)^j sum_p M_p S_(p-nu) and the same over S'.
+    (-1)^j sum_p M_p S_(p-nu) and the same over S', ``b_lo`` the same with
+    S_(p-nu-1) over p > nu.  dP/dx = ``px_u @ px_w`` at every node.
     """
 
     x: np.ndarray                 # (nx,)
     layout: ActiveLayout
     model: BackgroundProblem
     P: np.ndarray                 # (nx, dim, dim)
-    P_x: np.ndarray               # (nx, dim, dim)
+    px_u: np.ndarray              # (nx, dim, 2)
+    px_w: np.ndarray              # (nx, 2, dim)
     rhs: np.ndarray               # (nx, dim)
     rhs_x: np.ndarray             # (nx, dim)
     b: np.ndarray                 # (dim, nx)
     b_x: np.ndarray               # (dim, nx)
+    b_lo: np.ndarray              # (dim, nx)
 
 
 def assemble_system(data: SpectralDataSet, model: BackgroundProblem, x,
@@ -149,10 +145,10 @@ def assemble_system(data: SpectralDataSet, model: BackgroundProblem, x,
     Every unknown (entry, side j) contributes its row chains a = S_nu,
     a' = S'_nu, a_ = S_(nu-1) and its column combinations b, b' and
     b_ = (-1)^j sum_(p>nu) M_p S_(p-nu-1).  Leibniz on
-    dD/dx = (lam + mu - 2 q1) S(lam) S(mu) gives P_x = (lam_r + lam_c - 2 q1)
-    a_r b_c + a_r b_c_ + a_r_ b_c for every pair.  P takes the quotient form
-    for simple pairs at least ``COALESCE_GAP`` apart and the kernel tables
-    otherwise.
+    dD/dx = (lam + mu - 2 q1) S(lam) S(mu) gives dP/dx = u_r b_c + a_r w_c
+    with u = (lam - 2 q1) a + a_ and w = lam b + b_.  P takes the quotient
+    form for simple pairs at least ``COALESCE_GAP`` apart and the kernel
+    tables otherwise.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if layout is None:
@@ -180,34 +176,30 @@ def assemble_system(data: SpectralDataSet, model: BackgroundProblem, x,
                 b_lo[k] += e.Ms[p] * sch[p - e.nu - 1]
     b, b_x, b_lo = sgn[:, None] * b, sgn[:, None] * b_x, sgn[:, None] * b_lo
 
-    P = np.zeros((dim, dim, nx), dtype=complex)
-    Px = np.zeros((dim, dim, nx), dtype=complex)
     lams = np.array([e.lam for e, _ in rows], dtype=complex)
-    two_q1 = 2.0 * model.q1_values(x)
     simple = np.array([e.m == 1 for e, _ in rows])
     quotient = simple[:, None] & simple & (np.abs(lams[:, None] - lams) >= COALESCE_GAP)
-    coef = np.array([sgn[c] * e.Ms[0] for c, (e, _) in enumerate(rows)])[:, None]
-    for r, (er, _) in enumerate(rows):
-        Px[r] = (er.lam + lams[:, None] - two_q1) * a[r] * b + a[r] * b_lo + a_lo[r] * b
-        cols = np.flatnonzero(quotient[r])
-        # scalar division as in _quotient_table: numpy's complex division and
-        # Python's can differ in the last bit
-        inv = np.array([1.0 / (er.lam - rows[c][0].lam) for c in cols], dtype=complex)
-        D = (a[r] * a_x[cols] - a_x[r] * a[cols]) * inv[:, None]
-        P[r, cols] = coef[cols] * D
+    coef = np.array([sgn[c] * e.Ms[0] for c, (e, _) in enumerate(rows)])
+    scale = np.divide(coef, lams[:, None] - lams, out=np.zeros((dim, dim), dtype=complex),
+                      where=quotient)
+    P = a[:, None] * a_x
+    P -= a_x[:, None] * a
+    P *= scale[:, :, None]
     for r, c in zip(*np.nonzero(~quotient)):
         er, ec = rows[r][0], rows[c][0]
         T = d_table(model, x, er.lam, ec.lam, er.nu, ec.m - 1 - ec.nu)
-        P[r, c] = sgn[c] * _group_sum(ec, er.nu, T)
+        P[r, c] = sgn[c] * sum(ec.Ms[p] * T[er.nu, p - ec.nu] for p in range(ec.nu, ec.m))
 
-    return MainEquationSystem(x=x, layout=layout, model=model,
-                              P=P.transpose(2, 0, 1), P_x=Px.transpose(2, 0, 1),
-                              rhs=a.T, rhs_x=a_x.T, b=b, b_x=b_x)
+    u = (lams[:, None] - 2.0 * model.q1_values(x)) * a + a_lo
+    return MainEquationSystem(x=x, layout=layout, model=model, P=P.transpose(2, 0, 1),
+                              px_u=np.stack((u.T, a.T), axis=2),
+                              px_w=np.stack((b.T, (lams[:, None] * b + b_lo).T), axis=1),
+                              rhs=a.T, rhs_x=a_x.T, b=b, b_x=b_x, b_lo=b_lo)
 
 
 def solve_main(system: MainEquationSystem, cond_limit: float = COND_LIMIT
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Solve (I - P) v = s and (I - P) v_x = s_x + P_x v at every node.
+    """Solve (I - P) v = s and (I - P) v_x = s_x + (dP/dx) v at every node.
 
     Returns ``(v, v_x, cond, residual)``: v and v_x of shape (dim, nx), the
     per-node exact 1-norm condition ||A||_1 ||A^-1||_1 of A = I - P, and the
@@ -239,7 +231,7 @@ def solve_main(system: MainEquationSystem, cond_limit: float = COND_LIMIT
             raise _singular(x[lo + int(np.argmin(finite))], np.inf)
         v[sl] = Ainv @ s[sl]
         residual = max(residual, float(np.max(np.abs(A @ v[sl] - s[sl]))))
-        vx[sl] = Ainv @ (s_x[sl] + system.P_x[sl] @ v[sl])
+        vx[sl] = Ainv @ (s_x[sl] + system.px_u[sl] @ (system.px_w[sl] @ v[sl]))
     worst = int(np.argmax(cond))
     if cond[worst] > cond_limit:
         raise _singular(x[worst], cond[worst])
@@ -264,7 +256,6 @@ class EpsilonFields:
     eps4: np.ndarray
     theta: np.ndarray | None = None
     lambda_: np.ndarray | None = None
-    b: np.ndarray | None = None
 
 
 def compute_epsilons(system: MainEquationSystem, v: np.ndarray,
@@ -283,14 +274,8 @@ def compute_epsilons(system: MainEquationSystem, v: np.ndarray,
     eps1p = (b_x * v + b * v_x).sum(axis=0)
     eps2 = (lams[:, None] * b * v).sum(axis=0)
     eps3 = (b_x * v).sum(axis=0)
-
-    # members of a group are consecutive rows; visit each group from nu = 0
-    eps4 = np.zeros(x.size, dtype=complex)
-    for k, (e, _) in enumerate(rows):
-        if e.nu == 0:
-            for nu in range(e.m - 1):
-                eps4 += b[k + nu + 1] * v[k + nu]
-
+    # group members are consecutive rows, so b_lo of member nu is b of nu + 1
+    eps4 = (system.b_lo * v).sum(axis=0)
     return EpsilonFields(x=x, eps1=eps1, eps1_prime=eps1p, eps2=eps2,
                          eps3=eps3, eps4=eps4)
 
@@ -326,10 +311,7 @@ def recover_theta(eps: EpsilonFields) -> tuple[np.ndarray, np.ndarray]:
 
 def recover_q1(eps: EpsilonFields, model: BackgroundProblem) -> np.ndarray:
     """Pointwise update of the first potential from the series derivative."""
-    q1t = model.q1_values(eps.x)
-    q1 = q1t + eps.eps1_prime / (1.0 + eps.eps1 ** 2)
-    eps.b = 2.0 * (q1t - q1) * eps.eps1
-    return q1
+    return model.q1_values(eps.x) + eps.eps1_prime / (1.0 + eps.eps1 ** 2)
 
 
 def _cumulative(y, x):
@@ -348,7 +330,7 @@ def recover_q0_antiderivative(eps: EpsilonFields, q1: np.ndarray,
     """
     x = eps.x
     q1t = model.q1_values(x)
-    b = eps.b if eps.b is not None else 2.0 * (q1t - q1) * eps.eps1
+    b = 2.0 * (q1t - q1) * eps.eps1
 
     def jump(f):
         return f - f[0]
@@ -411,7 +393,7 @@ def run_reconstruction(data: SpectralDataSet, model: BackgroundProblem,
         eps = EpsilonFields(x=x, eps1=zero, eps1_prime=zero.copy(),
                             eps2=zero.copy(), eps3=zero.copy(), eps4=zero.copy(),
                             theta=np.ones(nx, dtype=complex),
-                            lambda_=zero.copy(), b=zero.copy())
+                            lambda_=zero.copy())
         return RecoveredPotentials(x=x, q1=model.q1_values(x) + 0j,
                                    q0_antideriv=zero.copy(), background=model,
                                    eps=eps, cond=np.ones(nx), residual=0.0)

@@ -39,6 +39,8 @@ if TYPE_CHECKING:
 # Highest supported derivative order (covers eigenvalue multiplicities up to 3).
 P_MAX = 4
 
+DEFAULT_REFINE = 10   # integrator steps per interval of the potentials' grid
+
 # Separation |lam - mu| below which the divided difference switches to the
 # background's coalescent branch.  The gap guards only the quotient form, which
 # loses roughly |lam-mu|^-(order+1) digits to cancellation whatever the size of
@@ -271,7 +273,7 @@ class NumericBackground(BackgroundProblem):
     integration grid so traces can be read off without interpolation.
     """
 
-    def __init__(self, potentials: "PotentialPair", refine: int = 10):
+    def __init__(self, potentials: "PotentialPair", refine: int = DEFAULT_REFINE):
         self.potentials = potentials
         self.refine = refine
         self._trace_cache: dict[complex, tuple[int, np.ndarray]] = {}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import sqrt
 
 import numpy as np
@@ -43,8 +44,11 @@ class SpectralEntry:
     def __post_init__(self):
         if self.n == 0:
             raise ValidationError("index 0 is not in Z0")
-        vals = [self.lam] + ([self.M] if self.M is not None else [])
-        if not all(np.isfinite(complex(v)) for v in vals):
+        # stored as complex, so float and complex inputs give the same bits
+        object.__setattr__(self, "lam", complex(self.lam))
+        if self.M is not None:
+            object.__setattr__(self, "M", complex(self.M))
+        if not all(np.isfinite(v) for v in (self.lam, self.M) if v is not None):
             raise NonFiniteInputError(f"non-finite spectral entry at n={self.n}")
 
 
@@ -108,12 +112,13 @@ class SpectralDataSet:
         lam, M = self.tail.spectral_entry(n)
         return SpectralEntry(n=n, lam=lam, M=M)
 
+    @cached_property
+    def _group_of(self) -> dict[int, Group]:
+        return {m: g for g in self.groups for m in g.members}
+
     def group_for(self, n: int) -> Group:
-        for g in self.groups:
-            if n in g.members:
-                return g
-        e = self.entry(n)  # tail entries are simple
-        return Group(start=n, size=1, lam=e.lam)
+        g = self._group_of.get(n)     # indices outside the window are simple
+        return g if g is not None else Group(start=n, size=1, lam=self.entry(n).lam)
 
     def group_coefficients(self, g: Group) -> list[complex]:
         """Laurent coefficients of the group, ordered by offset."""
@@ -242,8 +247,7 @@ def normalize_ordering(raw_entries, tail: BackgroundProblem | None = None,
     for e in raw_entries:
         if not isinstance(e, SpectralEntry):
             n, lam, M = e
-            e = SpectralEntry(n=int(n), lam=complex(lam),
-                              M=None if M is None else complex(M))
+            e = SpectralEntry(n=int(n), lam=lam, M=M)
         if e.n in seen:
             raise DuplicateIndexError(f"index {e.n} appears twice")
         seen.add(e.n)

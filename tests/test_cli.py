@@ -145,6 +145,17 @@ def test_split_table_writes_outputs(tmp_path, capsys):
     assert "0.4157" in printed or "0.416" in printed
 
 
+def test_inverse_on_json_matches_split_table(tmp_path):
+    # the same double-eigenvalue data through JSON and through the API
+    data_path = tmp_path / "split.json"
+    make_split_data(0.0).save_json(data_path)
+    rec = tmp_path / "rec.csv"
+    assert main(["inverse", "--data", str(data_path), "--out", str(rec)]) == EXIT_OK
+    assert main(["split-table", "--deltas", "0", "--no-verify",
+                 "--out-dir", str(tmp_path / "table")]) == EXIT_OK
+    assert rec.read_bytes() == (tmp_path / "table" / "potentials_delta=0.csv").read_bytes()
+
+
 def test_split_table_bad_contour_is_validation_error(tmp_path):
     code = main(["split-table", "--deltas", "0.05", "--contour-r", "1.5",
                  "--out-dir", str(tmp_path)])

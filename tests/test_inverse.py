@@ -243,10 +243,10 @@ def _wide_data(width, seed):
 
 
 def _tabulated(system):
-    """P and P_x built entry by entry from the kernel tables (reference loop)."""
+    """P and dP/dx built entry by entry from the kernel tables (reference loop)."""
     x, model, rows = system.x, system.model, system.layout.rows()
     P = np.zeros_like(system.P)
-    Px = np.zeros_like(system.P_x)
+    Px = np.zeros_like(system.P)
     for ridx, (er, _) in enumerate(rows):
         for cidx, (ec, j) in enumerate(rows):
             smax = ec.m - 1 - ec.nu
@@ -307,8 +307,12 @@ def test_assembly_matches_per_entry_tables(case, zero_model, request):
         assert any(abs(e.lam) < SMALL_LAMBDA for e, _ in rows)
     P, Px = _tabulated(system)
     B, Bx = _column_sums(system)
-    for got, want in ((system.P, P), (system.P_x, Px), (system.b, B), (system.b_x, Bx)):
+    for got, want in ((system.P, P), (system.b, B), (system.b_x, Bx)):
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    # the factored dP/dx adds lam_r a b and lam_c a b apart, so entries where
+    # lam_r + lam_c - 2 q1 nearly cancels keep their absolute digits only
+    err = np.abs(system.px_u @ system.px_w - Px).max(axis=(1, 2))
+    assert np.all(err <= 1e-13 * np.abs(Px).max(axis=(1, 2)))
 
 
 def test_assembly_tables_only_coalescent_pairs(zero_model, table_calls):
@@ -339,15 +343,55 @@ def test_solve_matches_per_node_oracle(case, zero_model, request):
         model = zero_model
     system = assemble_system(data, model, default_grid(40))
     v, v_x, cond, residual = solve_main(system)
+    _, Px = _tabulated(system)
     eye = np.eye(system.layout.dim)
     for k in range(system.x.size):
         A = eye - system.P[k]
         want_v = np.linalg.solve(A, system.rhs[k])
-        want_vx = np.linalg.solve(A, system.rhs_x[k] + system.P_x[k] @ want_v)
+        want_vx = np.linalg.solve(A, system.rhs_x[k] + Px[k] @ want_v)
         assert cond[k] == pytest.approx(np.linalg.cond(A, 1), rel=1e-12)
         assert np.max(np.abs(v[:, k] - want_v)) <= 1e-12 * np.max(np.abs(want_v))
         assert np.max(np.abs(v_x[:, k] - want_vx)) <= 1e-12 * np.max(np.abs(want_vx))
     assert residual < 1e-12
+
+
+def _triple_group_data():
+    """lam = 1.3 at n = 1, 2, 3 against the zero background."""
+    entries = [SpectralEntry(n=n, lam=1.3, M=M)
+               for n, M in ((1, -1 / pi), (2, 0.3 + 0.1j), (3, -0.2))]
+    return SpectralDataSet.from_entries(entries, tail=ZeroBackground(), omega0=0.0)
+
+
+@pytest.mark.parametrize("case", ["double-group", "triple-group"])
+def test_eps4_matches_the_group_sum(case, zero_model):
+    data = make_split_data(0.0) if case == "double-group" else _triple_group_data()
+    system = assemble_system(data, zero_model, default_grid(30))
+    rows = system.layout.rows()
+    assert max(e.m for e, _ in rows) == (2 if case == "double-group" else 3)
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(system.b.shape + (2,)) @ np.array([1.0, 1j])
+    # eps4 = sum over groups of sum_(nu < m-1) b_(nu+1) v_nu, written out per group
+    row_of = {(e.group_start, e.nu, j): k for k, (e, j) in enumerate(rows)}
+    want = np.zeros(system.x.size, dtype=complex)
+    for (start, nu, j), k in row_of.items():
+        if (start, nu + 1, j) in row_of:
+            want += system.b[row_of[start, nu + 1, j]] * v[k]
+    eps = compute_epsilons(system, v, v)
+    assert np.any(want != 0)
+    assert np.array_equal(eps.eps4, want)
+
+
+def test_assembly_keeps_one_dense_matrix(zero_model):
+    data = _wide_data(16, 903)
+    tracemalloc.start()
+    try:
+        system = assemble_system(data, zero_model, default_grid(200))
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert system.layout.dim == 64
+    # one (201, 64, 64) complex P is 13.2 MB; the (dim, 201) arrays add about 2 MB
+    assert retained < 17.5e6
 
 
 @pytest.mark.parametrize("fill", ["identity", "nan"])

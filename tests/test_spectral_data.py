@@ -20,6 +20,7 @@ from qpencil import (
     truncate_hybrid,
     validate_splitting_conditions,
 )
+from qpencil.spectral_data import Group
 from qpencil.zindex import offset, shift, window
 
 
@@ -31,6 +32,25 @@ def test_zindex_skips_zero():
     assert offset(-1, 1) == 1
     assert offset(-3, 2) == 4
     assert window(2) == [-2, -1, 1, 2]
+
+
+def test_group_for_matches_a_scan_over_the_groups():
+    lams = {-3: -3.0, -2: -2.0, -1: 0.5, 1: 0.5, 2: 3.1, 3: 3.1, 4: 3.1}
+    ds = SpectralDataSet.from_entries(
+        [SpectralEntry(n=n, lam=lam, M=-1.0) for n, lam in lams.items()],
+        tail=ZeroBackground(), omega0=0.0)
+    assert sorted(g.size for g in ds.groups) == [1, 1, 2, 3]
+    for n in window(8):
+        want = next((g for g in ds.groups if n in g.members), None)
+        if want is None:
+            want = Group(start=n, size=1, lam=ds.entry(n).lam)
+        assert ds.group_for(n) == want
+
+
+def test_entries_store_complex_values():
+    e = SpectralEntry(n=1, lam=0.5, M=-1)
+    assert type(e.lam) is complex and type(e.M) is complex
+    assert SpectralEntry(n=1, lam=0.5).M is None
 
 
 def test_double_eigenvalue_pair_groups_across_gap():
