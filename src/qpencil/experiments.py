@@ -13,7 +13,7 @@ cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import pi, sqrt
+from math import isfinite, pi, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from .errors import (
     ContourTouchesPoleError,
     GridMismatchError,
     NegativeDeltaError,
+    NonFiniteInputError,
     QPencilError,
     ValidationError,
 )
@@ -62,6 +63,8 @@ class SplitExperimentConfig:
     contour_radius: float = 0.85   # encloses the 1/2-cluster, excludes +-1
 
     def __post_init__(self):
+        if not all(isfinite(d) for d in self.delta_list):
+            raise NonFiniteInputError("splitting parameters must be finite")
         if any(d < 0 for d in self.delta_list):
             raise NegativeDeltaError("splitting parameters must be nonnegative")
         dmax = max([d for d in self.delta_list if d > 0], default=0.0)
@@ -184,8 +187,7 @@ def solve_contour_equation(data: SpectralDataSet, model: BackgroundProblem,
     mhat = f_data(zs) - f_model(zs)
 
     # chains on the contour: S and S' at every node, for all grid points
-    s0 = np.array([model.s_chain(x, complex(z), 1) for z in zs])   # (N, 2, nx)
-    c0 = np.array([model.sx_chain(x, complex(z), 1) for z in zs])
+    s0, c0 = model.s_chain(x, zs, 1), model.sx_chain(x, zs, 1)   # (2, N, nx)
 
     out: dict[tuple[int, int], np.ndarray] = {}
     layout = active_layout(data, model)
@@ -196,11 +198,10 @@ def solve_contour_equation(data: SpectralDataSet, model: BackgroundProblem,
         if any(abs(lam - z) < 1e-9 for z in zs):
             raise ContourTouchesPoleError("evaluation point on the contour")
 
-    for k, xk in enumerate(x):
-        sv = s0[:, 0, k]
-        sd = c0[:, 0, k]
-        s1 = s0[:, 1, k]
-        c1 = c0[:, 1, k]
+    lams = np.array([lam for _, _, lam in targets], dtype=complex)
+    st, ct = model.s_chain(x, lams, 0)[0], model.sx_chain(x, lams, 0)[0]
+    for k in range(x.size):
+        sv, sd, s1, c1 = s0[0, :, k], c0[0, :, k], s0[1, :, k], c0[1, :, k]
         dz = zs[:, None] - zs[None, :]
         num = sv[:, None] * sd[None, :] - sd[:, None] * sv[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -208,11 +209,9 @@ def solve_contour_equation(data: SpectralDataSet, model: BackgroundProblem,
         np.fill_diagonal(D, s1 * sd - c1 * sv)   # coalescent value on the diagonal
         K = D * (weights * mhat)[None, :]
         vg = np.linalg.solve(np.eye(RESIDUE_NODES) - K, sv)
-        for n, side, lam in targets:
-            svx = model.s_chain(np.array([xk]), lam, 0)[0, 0]
-            row_num = svx * sd - model.sx_chain(np.array([xk]), lam, 0)[0, 0] * sv
-            Drow = row_num / (lam - zs)
-            val = svx + np.sum(Drow * weights * mhat * vg)
+        for i, (n, side, lam) in enumerate(targets):
+            Drow = (st[i, k] * sd - ct[i, k] * sv) / (lam - zs)
+            val = st[i, k] + np.sum(Drow * weights * mhat * vg)
             out.setdefault((n, side), np.zeros(x.size, dtype=complex))[k] = val
     return out
 

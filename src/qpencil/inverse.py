@@ -12,10 +12,11 @@ so no finite differences enter the series that feed the recovery formulas.
 P' = dP/dx has rank two at every node (dD/dx is a product of two S) and is
 applied through its two factors.  The matrix, the factors and the series are
 built from per-entry chain combinations: the row chains S_nu, S'_nu and the
-column sums sum_p M_p S_(p-nu) of every unknown.  P takes the quotient form
-for simple pairs at least ``COALESCE_GAP`` apart; only pairs that touch a
-multiplicity group, and closer simple pairs (the diagonal among them), go
-through ``d_table``.
+column sums sum_p M_p S_(p-nu) of every unknown, all from one chain call over
+the distinct eigenvalues.  P takes the quotient form for simple pairs at
+least ``COALESCE_GAP`` apart; only pairs that touch a multiplicity group, and
+closer simple pairs (the diagonal among them), go through ``d_table``, in one
+call per derivative-order key.
 Four auxiliary series built from v then produce the first potential via a
 pointwise formula and the antiderivative of the zeroth one via quadrature of
 terms that never differentiate a series numerically.
@@ -148,24 +149,29 @@ def assemble_system(data: SpectralDataSet, model: BackgroundProblem, x,
     dD/dx = (lam + mu - 2 q1) S(lam) S(mu) gives dP/dx = u_r b_c + a_r w_c
     with u = (lam - 2 q1) a + a_ and w = lam b + b_.  P takes the quotient
     form for simple pairs at least ``COALESCE_GAP`` apart and the kernel
-    tables otherwise.
+    tables otherwise, one ``d_table`` call for all pairs that share the
+    derivative orders (row nu, column m - 1 - nu).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if layout is None:
         layout = active_layout(data, model, min_window=min_window)
     rows = layout.rows()
     dim = layout.dim
-    nx = x.size
-    order: dict[complex, int] = {}
-    for e, _ in rows:
-        order[e.lam] = max(order.get(e.lam, 0), e.m - 1)
-    chains = {lam: (model.s_chain(x, lam, k), model.sx_chain(x, lam, k))
-              for lam, k in order.items()}
-
-    a, a_x, a_lo, b, b_x, b_lo = np.zeros((6, dim, nx), dtype=complex)
+    lams = np.array([e.lam for e, _ in rows], dtype=complex)
+    nu = np.array([e.nu for e, _ in rows])
+    m = np.array([e.m for e, _ in rows])
     sgn = np.array([-1.0 if j == 1 else 1.0 for _, j in rows])
+    top = int(m.max()) - 1
+    Ms = np.zeros((dim, top + 1), dtype=complex)   # zero past each group
     for k, (e, _) in enumerate(rows):
-        sch, cch = chains[e.lam]
+        Ms[k, :e.m] = e.Ms
+
+    # one chain call over the distinct lam, at the largest order
+    distinct, which = np.unique(lams, return_inverse=True)
+    S, C = model.s_chain(x, distinct, top), model.sx_chain(x, distinct, top)
+    a, a_x, a_lo, b, b_x, b_lo = np.zeros((6, dim, x.size), dtype=complex)
+    for k, (e, _) in enumerate(rows):
+        sch, cch = S[:, which[k]], C[:, which[k]]
         a[k], a_x[k] = sch[e.nu], cch[e.nu]
         if e.nu:
             a_lo[k] = sch[e.nu - 1]
@@ -176,19 +182,25 @@ def assemble_system(data: SpectralDataSet, model: BackgroundProblem, x,
                 b_lo[k] += e.Ms[p] * sch[p - e.nu - 1]
     b, b_x, b_lo = sgn[:, None] * b, sgn[:, None] * b_x, sgn[:, None] * b_lo
 
-    lams = np.array([e.lam for e, _ in rows], dtype=complex)
-    simple = np.array([e.m == 1 for e, _ in rows])
+    simple = m == 1
     quotient = simple[:, None] & simple & (np.abs(lams[:, None] - lams) >= COALESCE_GAP)
-    coef = np.array([sgn[c] * e.Ms[0] for c, (e, _) in enumerate(rows)])
-    scale = np.divide(coef, lams[:, None] - lams, out=np.zeros((dim, dim), dtype=complex),
-                      where=quotient)
+    scale = np.divide(sgn * Ms[:, 0], lams[:, None] - lams,
+                      out=np.zeros((dim, dim), dtype=complex), where=quotient)
     P = a[:, None] * a_x
-    P -= a_x[:, None] * a
+    for k in range(dim):     # row by row: no second (dim, dim, nx) array
+        P[k] -= a_x[k] * a
     P *= scale[:, :, None]
-    for r, c in zip(*np.nonzero(~quotient)):
-        er, ec = rows[r][0], rows[c][0]
-        T = d_table(model, x, er.lam, ec.lam, er.nu, ec.m - 1 - ec.nu)
-        P[r, c] = sgn[c] * sum(ec.Ms[p] * T[er.nu, p - ec.nu] for p in range(ec.nu, ec.m))
+    # the other pairs: one kernel table call per derivative-order key
+    r, c = np.nonzero(~quotient)
+    tkey, skey = nu[r], m[c] - 1 - nu[c]
+    for t, s in sorted(set(zip(tkey.tolist(), skey.tolist()))):
+        sel = (tkey == t) & (skey == s)
+        rs, cs = r[sel], c[sel]
+        T = d_table(model, x, lams[rs], lams[cs], t, s)[:, t]
+        acc = Ms[cs, nu[cs]][:, None] * T[:, 0]
+        for d in range(1, s + 1):
+            acc += Ms[cs, nu[cs] + d][:, None] * T[:, d]
+        P[rs, cs] = sgn[cs][:, None] * acc
 
     u = (lams[:, None] - 2.0 * model.q1_values(x)) * a + a_lo
     return MainEquationSystem(x=x, layout=layout, model=model, P=P.transpose(2, 0, 1),

@@ -19,6 +19,10 @@ background that branch is the closed form
 ``D = (1/lam + 1/mu)/2 [s(x, lam-mu) - s(x, lam+mu)]`` with s(x, g) =
 sin(g x)/g (a power series when lam or mu is small); for a numeric one it is
 the running integral of dD/dx.
+
+The chains take arrays of lam and the tables arrays of (lam, mu) pairs, and
+pick their branch per element by mask, so a caller needs one call per
+derivative order however many parameters it has.
 """
 
 from __future__ import annotations
@@ -52,17 +56,23 @@ COALESCE_GAP = 0.05
 SMALL_LAMBDA = 0.5
 
 
-def s_chain(x, lam: complex, order: int) -> np.ndarray:
-    """Normalized lam-derivatives of sin(lam x)/lam, shape (order+1,) + x.shape.
+def s_chain(x, lam, order: int) -> np.ndarray:
+    """Normalized lam-derivatives of sin(lam x)/lam, shape (order+1,) + lam.shape + x.shape.
 
-    Entry nu is (1/nu!) d^nu/dlam^nu [sin(lam x)/lam]; the removable
-    singularity at lam = 0 is handled by the power series in lam.
+    Entry nu is (1/nu!) d^nu/dlam^nu [sin(lam x)/lam].  Each lam below
+    ``SMALL_LAMBDA`` takes the power series in lam, which also handles the
+    removable singularity at lam = 0; the others take the closed form.
     """
     x = np.asarray(x, dtype=float)
-    out = np.zeros((order + 1,) + x.shape, dtype=complex)
-    if abs(lam) >= SMALL_LAMBDA:
-        lx = lam * x
-        quarter = (np.sin(lx), np.cos(lx), -np.sin(lx), -np.cos(lx))
+    lam = np.asarray(lam, dtype=complex)
+    z = lam.reshape((-1,) + (1,) * x.ndim)     # one lam per leading entry
+    out = np.empty((order + 1, z.shape[0]) + x.shape, dtype=complex)
+    small = np.abs(lam.reshape(-1)) < SMALL_LAMBDA
+    if not small.all():
+        zb = z[~small]
+        lx = zb * x
+        sin, cos = np.sin(lx), np.cos(lx)
+        quarter = (sin, cos, -sin, -cos)
         # x^j d^j/d(lam x)^j sin(lam x) / j!, shared by every nu
         terms = []
         xpow = np.ones_like(x)
@@ -72,28 +82,36 @@ def s_chain(x, lam: complex, order: int) -> np.ndarray:
                 jfac *= j
             terms.append(xpow * quarter[j % 4] / jfac)
             xpow = xpow * x
+        # np.power, not **, whose squaring shortcut rounds differently; 1/z^k
+        # as the reciprocal of z^k, since np.power divides naively for k < 0
+        inv = [np.reciprocal(np.power(zb, k)) for k in range(1, order + 2)]
         for nu in range(order + 1):
-            acc = np.zeros_like(x, dtype=complex)
+            acc = np.zeros(lx.shape, dtype=complex)
             for j in range(nu + 1):
-                acc += terms[j] * ((-1.0) ** (nu - j)) * lam ** (-(nu - j + 1))
-            out[nu] = acc
-    else:
+                acc += terms[j] * ((-1.0) ** (nu - j)) * inv[nu - j]
+            out[nu, ~small] = acc
+    if small.any():
+        zs = z[small]
         for nu in range(order + 1):
-            acc = np.zeros_like(x, dtype=complex)
+            acc = np.zeros(zs.shape[:1] + x.shape, dtype=complex)
             m0 = (nu + 1) // 2
             for m in range(m0, m0 + 30):
-                acc += ((-1.0) ** m) * comb(2 * m, nu) * lam ** (2 * m - nu) \
+                acc += ((-1.0) ** m) * comb(2 * m, nu) * np.power(zs, 2 * m - nu) \
                     * x ** (2 * m + 1) / factorial(2 * m + 1)
-            out[nu] = acc
-    return out
+            out[nu, small] = acc
+    return out.reshape((order + 1,) + lam.shape + x.shape)
 
 
-def sx_chain(x, lam: complex, order: int) -> np.ndarray:
-    """Normalized lam-derivatives of cos(lam x): x^nu cos(lam x + nu pi/2)/nu!."""
+def sx_chain(x, lam, order: int) -> np.ndarray:
+    """Normalized lam-derivatives of cos(lam x): x^nu cos(lam x + nu pi/2)/nu!.
+
+    Shape (order+1,) + lam.shape + x.shape, as for ``s_chain``.
+    """
     x = np.asarray(x, dtype=float)
-    lx = lam * x
-    quarter = (np.cos(lx), -np.sin(lx), -np.cos(lx), np.sin(lx))
-    out = np.zeros((order + 1,) + x.shape, dtype=complex)
+    lx = np.multiply.outer(np.asarray(lam, dtype=complex), x)
+    sin, cos = np.sin(lx), np.cos(lx)
+    quarter = (cos, -sin, -cos, sin)
+    out = np.empty((order + 1,) + lx.shape, dtype=complex)
     xpow = np.ones_like(x)
     for nu in range(order + 1):
         out[nu] = xpow * quarter[nu % 4] / factorial(nu)
@@ -104,46 +122,60 @@ def sx_chain(x, lam: complex, order: int) -> np.ndarray:
 def _quotient_table(f, lam, mu, tmax, smax, shape):
     """Mixed derivatives of F/(lam-mu) from a table f[a,b] of F's coefficients."""
     T = np.zeros((tmax + 1, smax + 1) + shape, dtype=complex)
-    inv = 1.0 / (lam - mu)
+    inv = np.reciprocal(lam - mu)
     for t in range(tmax + 1):
         for s in range(smax + 1):
             acc = np.zeros(shape, dtype=complex)
             for a in range(t + 1):
                 for b in range(s + 1):
                     k = (t - a) + (s - b)
-                    acc += f[a][b] * ((-1.0) ** (t - a)) * comb(k, t - a) * inv ** (k + 1)
+                    acc += f[a][b] * ((-1.0) ** (t - a)) * comb(k, t - a) * np.power(inv, k + 1)
             T[t, s] = acc
     return T
 
 
-def d_table(background: "BackgroundProblem", x, lam: complex, mu: complex,
-            tmax: int, smax: int) -> np.ndarray:
-    """T[t, s] = (1/t! s!) d^t_lam d^s_mu D(x, lam, mu) for ``background``.
+def _pairs(lam, mu):
+    """The common shape of ``lam`` and ``mu``, and both flattened to 1-D."""
+    lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=complex), np.asarray(mu, dtype=complex))
+    return lam.shape, lam.reshape(-1), mu.reshape(-1)
 
-    The quotient form is built from the background's own chains; pairs closer
-    than ``COALESCE_GAP`` go to its coalescent branch instead.
+
+def d_table(background: "BackgroundProblem", x, lam, mu,
+            tmax: int, smax: int) -> np.ndarray:
+    """T[..., t, s] = (1/t! s!) d^t_lam d^s_mu D(x, lam, mu) for ``background``.
+
+    The shape of the broadcast (lam, mu) pairs leads the result.  Pairs at
+    least ``COALESCE_GAP`` apart take the quotient form, built from the
+    background's own chains; closer ones take its coalescent branch.
     """
     if tmax > P_MAX or smax > P_MAX:
         raise OrderTooHighError(f"derivative order ({tmax}, {smax}) exceeds p_max={P_MAX}")
     x = np.asarray(x, dtype=float)
-    if abs(lam - mu) < COALESCE_GAP:
-        return background._coalescent_table(x, lam, mu, tmax, smax)
-    sa = background.s_chain(x, lam, tmax)
-    ca = background.sx_chain(x, lam, tmax)
-    sb = background.s_chain(x, mu, smax)
-    cb = background.sx_chain(x, mu, smax)
-    f = [[sa[a] * cb[b] - ca[a] * sb[b] for b in range(smax + 1)] for a in range(tmax + 1)]
-    return _quotient_table(f, lam, mu, tmax, smax, x.shape)
+    shape, lam, mu = _pairs(lam, mu)
+    T = np.empty(lam.shape + (tmax + 1, smax + 1) + x.shape, dtype=complex)
+    near = np.abs(lam - mu) < COALESCE_GAP
+    if near.any():
+        T[near] = background._coalescent_table(x, lam[near], mu[near], tmax, smax)
+    if not near.all():
+        la, mb = lam[~near], mu[~near]
+        sa, ca = background.s_chain(x, la, tmax), background.sx_chain(x, la, tmax)
+        sb, cb = background.s_chain(x, mb, smax), background.sx_chain(x, mb, smax)
+        f = [[sa[a] * cb[b] - ca[a] * sb[b] for b in range(smax + 1)] for a in range(tmax + 1)]
+        col = (-1,) + (1,) * x.ndim
+        T[~near] = np.moveaxis(
+            _quotient_table(f, la.reshape(col), mb.reshape(col), tmax, smax, sa.shape[1:]), 2, 0)
+    return T.reshape(shape + T.shape[1:])
 
 
-def dx_table(background: "BackgroundProblem", x, lam: complex, mu: complex,
+def dx_table(background: "BackgroundProblem", x, lam, mu,
              tmax: int, smax: int) -> np.ndarray:
-    """Mixed derivatives of dD/dx = (lam + mu - 2 q1(x)) S(x,lam) S(x,mu)."""
+    """Mixed derivatives of dD/dx = (lam + mu - 2 q1(x)) S(x,lam) S(x,mu), as ``d_table``."""
     x = np.asarray(x, dtype=float)
+    shape, lam, mu = _pairs(lam, mu)
     sa = background.s_chain(x, lam, tmax)
     sb = background.s_chain(x, mu, smax)
-    w = lam + mu - 2.0 * background.q1_values(x)
-    X = np.zeros((tmax + 1, smax + 1) + x.shape, dtype=complex)
+    w = (lam + mu).reshape((-1,) + (1,) * x.ndim) - 2.0 * background.q1_values(x)
+    X = np.zeros(lam.shape + (tmax + 1, smax + 1) + x.shape, dtype=complex)
     for t in range(tmax + 1):
         for s in range(smax + 1):
             acc = w * sa[t] * sb[s]
@@ -151,8 +183,60 @@ def dx_table(background: "BackgroundProblem", x, lam: complex, mu: complex,
                 acc = acc + sa[t] * sb[s - 1]
             if t >= 1:
                 acc = acc + sa[t - 1] * sb[s]
-            X[t, s] = acc
-    return X
+            X[:, t, s] = acc
+    return X.reshape(shape + X.shape[1:])
+
+
+def _series_coalescent(x, lam, mu, tmax, smax):
+    """Zero-background ``_coalescent_table`` when lam or mu is below SMALL_LAMBDA.
+
+    D = (lam + mu) E, E = sum (-1)^N lam^2m mu^2k x^(2N+3) / ((2m+1)! (2k+1)! (2N+3))
+    over total degree N = m + k < 20.
+    """
+    m = np.arange(20)
+
+    def even_chain(z, order):  # (1/nu!) d^nu/dz^nu z^2m/(2m+1)!, shape (pairs, nu, m)
+        nu = np.arange(order + 1)[:, None]
+        binom = np.array([[comb(2 * j, k) for j in m] for k in range(order + 1)], dtype=float)
+        c = (binom * (2 * m >= nu)) * np.power(z[:, None, None], np.maximum(2 * m - nu, 0))
+        # divide re and im by the real (2m+1)!: numpy's complex / real would
+        # multiply by its reciprocal instead
+        fac = np.repeat([float(factorial(2 * j + 1)) for j in m], 2)
+        return (c.view(float) / fac).view(complex)
+
+    a, b = even_chain(lam, tmax), even_chain(mu, smax)
+    K = np.stack([a[..., :n + 1] @ b[..., n::-1].swapaxes(1, 2) for n in m], axis=-1)
+    g = (-1.0) ** m[:, None] * x.reshape(-1) ** (2 * m[:, None] + 3) / (2 * m[:, None] + 3)
+    E = K @ g
+    T = (lam + mu)[:, None, None, None] * E
+    T[:, 1:] += E[:, :-1]
+    T[:, :, 1:] += E[:, :, :-1]
+    return T.reshape(T.shape[:3] + x.shape)
+
+
+def _closed_coalescent(x, lam, mu, tmax, smax):
+    """Zero-background ``_coalescent_table``: (1/lam + 1/mu)/2 [s(lam - mu) - s(lam + mu)].
+
+    s(g) = sin(g x)/g; needs |lam|, |mu| >= SMALL_LAMBDA.
+    """
+    t = np.arange(tmax + 1)[:, None]
+    s = np.arange(smax + 1)[None, :]
+    sm = np.moveaxis(s_chain(x, lam - mu, tmax + smax), 1, 0)
+    sp = np.moveaxis(s_chain(x, lam + mu, tmax + smax), 1, 0)
+    flat = (lam.size, tmax + 1, smax + 1, -1)
+    binom = np.array([[comb(i + j, i) for j in range(smax + 1)]
+                      for i in range(tmax + 1)], dtype=float)[..., None]
+    G = (binom * (-1.0) ** s[..., None]) * sm[:, t + s].reshape(flat) \
+        - binom * sp[:, t + s].reshape(flat)
+
+    def inverse_chain(z, order):  # L[t, a] = (-1)^(t-a) / z^(t-a+1) for t >= a
+        k = np.arange(order + 1)
+        d = k[:, None] - k[None, :]
+        return np.where(d >= 0, (-1.0) ** d / np.power(z[:, None, None], np.abs(d) + 1), 0.0)
+
+    T = 0.5 * (np.einsum("pta,pasn->ptsn", inverse_chain(lam, tmax), G)
+               + np.einsum("psb,ptbn->ptsn", inverse_chain(mu, smax), G))
+    return T.reshape(T.shape[:3] + x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +264,10 @@ class BackgroundProblem:
         raise NotImplementedError
 
     def _coalescent_table(self, x, lam, mu, tmax, smax) -> np.ndarray:
-        """Kernel table for |lam - mu| < COALESCE_GAP, free of the 1/(lam - mu)."""
+        """Kernel tables, free of the 1/(lam - mu), of the 1-D pair arrays (lam, mu).
+
+        Used for pairs closer than COALESCE_GAP; shape (pairs, tmax+1, smax+1) + x.shape.
+        """
         raise NotImplementedError
 
     def spectral_entry(self, n: int) -> tuple[complex, complex]:
@@ -215,41 +302,13 @@ class ZeroBackground(BackgroundProblem):
         return sx_chain(x, lam, order)
 
     def _coalescent_table(self, x, lam, mu, tmax, smax):
-        xf = x.reshape(-1)
-        if min(abs(lam), abs(mu)) < SMALL_LAMBDA:
-            # D = (lam + mu) E, E = sum (-1)^N lam^2m mu^2k x^(2N+3)
-            #     / ((2m+1)! (2k+1)! (2N+3)) over total degree N = m + k < 20
-            def even_chain(z, order):  # (1/nu!) d^nu/dz^nu z^2m/(2m+1)!, columns m
-                return np.array([[comb(2 * m, nu) * z ** (2 * m - nu) / factorial(2 * m + 1)
-                                  if 2 * m >= nu else 0.0 for m in range(20)]
-                                 for nu in range(order + 1)], dtype=complex)
-
-            a, b = even_chain(lam, tmax), even_chain(mu, smax)
-            N = np.arange(20)[:, None]
-            g = (-1.0) ** N * xf ** (2 * N + 3) / (2 * N + 3)
-            K = np.stack([a[:, :n + 1] @ b[:, n::-1].T for n in range(20)], axis=-1)
-            E = K @ g
-            T = (lam + mu) * E
-            T[1:] += E[:-1]
-            T[:, 1:] += E[:, :-1]
-        else:
-            # D = (1/lam + 1/mu)/2 [s(lam - mu) - s(lam + mu)], s(g) = sin(g x)/g
-            t = np.arange(tmax + 1)[:, None]
-            s = np.arange(smax + 1)[None, :]
-            sm = s_chain(xf, lam - mu, tmax + smax)
-            sp = s_chain(xf, lam + mu, tmax + smax)
-            binom = np.array([[comb(i + j, i) for j in range(smax + 1)]
-                              for i in range(tmax + 1)], dtype=float)
-            G = (binom * (-1.0) ** s)[..., None] * sm[t + s] - binom[..., None] * sp[t + s]
-
-            def inverse_chain(z, order):  # L[t, a] = (-1)^(t-a) / z^(t-a+1) for t >= a
-                k = np.arange(order + 1)
-                d = k[:, None] - k[None, :]
-                return np.where(d >= 0, (-1.0) ** d / z ** (np.abs(d) + 1), 0.0)
-
-            T = 0.5 * (np.einsum("ta,asn->tsn", inverse_chain(lam, tmax), G)
-                       + np.einsum("sb,tbn->tsn", inverse_chain(mu, smax), G))
-        return T.reshape((tmax + 1, smax + 1) + x.shape)
+        T = np.empty(lam.shape + (tmax + 1, smax + 1) + x.shape, dtype=complex)
+        small = np.minimum(np.abs(lam), np.abs(mu)) < SMALL_LAMBDA
+        if small.any():
+            T[small] = _series_coalescent(x, lam[small], mu[small], tmax, smax)
+        if not small.all():
+            T[~small] = _closed_coalescent(x, lam[~small], mu[~small], tmax, smax)
+        return T
 
     def spectral_entry(self, n):
         if n == 0:
@@ -286,18 +345,26 @@ class NumericBackground(BackgroundProblem):
         n = (len(self.potentials.x) - 1) * self.refine
         return np.linspace(0.0, pi, n + 1)
 
-    def _trace(self, lam: complex, order: int) -> np.ndarray:
-        """(order+1, 2, n_refined+1): values and quasi-derivatives of the chain."""
-        cached = self._trace_cache.get(lam)
-        if cached is not None and cached[0] >= order:
-            return cached[1][: order + 1]
-        from .forward import integrate
+    def _traces(self, lam, order: int) -> np.ndarray:
+        """(order+1, 2) + lam.shape + (n_refined+1,): chains and quasi-derivatives.
 
-        res = integrate(self.potentials, np.array([lam]), n_derivs=order,
-                        refine=self.refine, with_trace=True)
-        tr = res.trace[:, :, :, 0].transpose(1, 2, 0)  # (order+1, 2, nodes)
-        self._trace_cache[lam] = (order, tr)
-        return tr
+        All lam not yet cached at ``order`` are integrated in one batch.
+        """
+        lam = np.asarray(lam, dtype=complex)
+        keys = lam.reshape(-1).tolist()
+        todo = [z for z in dict.fromkeys(keys) if self._trace_cache.get(z, (-1,))[0] < order]
+        if todo:
+            from .forward import integrate
+
+            res = integrate(self.potentials, np.array(todo), n_derivs=order,
+                            refine=self.refine, with_trace=True)
+            tr = res.trace.transpose(1, 2, 3, 0)  # (order+1, 2, batch, nodes)
+            for i, z in enumerate(todo):
+                self._trace_cache[z] = (order, tr[:, :, i])
+        out = np.empty((order + 1, 2, len(keys), self._refined_x().size), dtype=complex)
+        for i, z in enumerate(keys):
+            out[:, :, i] = self._trace_cache[z][1][: order + 1]
+        return out.reshape(out.shape[:2] + lam.shape + out.shape[-1:])
 
     def _node_index(self, x):
         xr = self._refined_x()
@@ -319,14 +386,11 @@ class NumericBackground(BackgroundProblem):
         return np.interp(x, xg, s.real) + 1j * np.interp(x, xg, s.imag)
 
     def s_chain(self, x, lam, order):
-        idx = self._node_index(x)
-        return self._trace(lam, order)[:, 0, idx]
+        return self._traces(lam, order)[:, 0][..., self._node_index(x)]
 
     def sx_chain(self, x, lam, order):
-        idx = self._node_index(x)
-        tr = self._trace(lam, order)
-        sig = self.sigma_values(np.asarray(x))
-        return tr[:, 1, idx] + sig * tr[:, 0, idx]
+        tr = self._traces(lam, order)[..., self._node_index(x)]
+        return tr[:, 1] + self.sigma_values(np.asarray(x)) * tr[:, 0]
 
     def _coalescent_table(self, x, lam, mu, tmax, smax):
         # D(0, ., .) = 0, so D is the running integral of dD/dx on the refined grid

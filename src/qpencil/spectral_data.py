@@ -164,7 +164,7 @@ class SpectralDataSet:
             raise ValidationError(f"unknown background model {obj.get('model')!r}")
         try:
             entries = [
-                SpectralEntry(n=int(e["n"]),
+                SpectralEntry(n=_json_index(e["n"]),
                               lam=complex(e["lambda"][0], e["lambda"][1]),
                               M=complex(e["M"][0], e["M"][1]))
                 for e in obj["entries"]
@@ -183,6 +183,13 @@ class SpectralDataSet:
     def load_json(path) -> "SpectralDataSet":
         with open(path, encoding="utf-8") as f:
             return SpectralDataSet.from_json_dict(json.load(f))
+
+
+def _json_index(n) -> int:
+    """An index as JSON writes it: an integer, never a bool, float or string."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValidationError(f"index must be a JSON integer, got {n!r}")
+    return n
 
 
 # ---------------------------------------------------------------------------

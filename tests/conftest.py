@@ -23,25 +23,29 @@ def large_batches(monkeypatch):
 
 @pytest.fixture
 def table_calls(monkeypatch):
-    """Number of calls of the kernel tables ``model.d_table`` and ``model.dx_table``.
+    """Calls of the kernel tables ``model.d_table`` and ``model.dx_table``.
 
-    Both names are patched wherever a module imported them.
+    ``counts[name]`` is the number of calls and ``counts[name + " pairs"]`` the
+    number of (lam, mu) pairs they received.  Both names are patched wherever
+    a module imported them.
     """
     import qpencil.inverse as inv
     import qpencil.model as md
 
-    counts = {"d_table": 0, "dx_table": 0}
+    names = ("d_table", "dx_table")
+    counts = {key: 0 for name in names for key in (name, name + " pairs")}
 
     def counted(name):
         inner = getattr(md, name)
 
-        def counting(*args, **kwargs):
+        def counting(background, x, lam, mu, *args, **kwargs):
             counts[name] += 1
-            return inner(*args, **kwargs)
+            counts[name + " pairs"] += np.broadcast(lam, mu).size
+            return inner(background, x, lam, mu, *args, **kwargs)
 
         return counting
 
-    for name in counts:
+    for name in names:
         wrapper = counted(name)
         for mod in (md, inv):
             if hasattr(mod, name):

@@ -123,6 +123,22 @@ def test_malformed_input_is_validation_error(tmp_path, argv_for):
     assert main(argv_for(tmp_path)) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("index", [1.5, True, "3"])
+def test_non_integer_json_index_is_validation_error(tmp_path, capsys, index):
+    # int() would read these as indices 1, 1 and 3
+    argv = _inverse_on_json(tmp_path, {"entries": [dict(_ENTRY, n=index)]})
+    assert main(argv) == EXIT_VALIDATION
+    assert "index must be a JSON integer" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("delta", ["inf", "nan"])
+def test_non_finite_delta_is_validation_error(tmp_path, capsys, delta):
+    argv = ["split-table", "--deltas", f"0.01,{delta}", "--out-dir", str(tmp_path), "--no-verify"]
+    assert main(argv) == EXIT_VALIDATION
+    assert "splitting parameters must be finite" in capsys.readouterr().err
+
+
 def test_forward_has_no_grid_n():
     with pytest.raises(SystemExit) as exc:    # argparse rejects the unknown flag
         main(["forward", "--potentials", "p.csv", "--out", "s.json", "--grid-n", "50"])

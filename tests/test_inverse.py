@@ -321,17 +321,22 @@ def test_assembly_tables_only_coalescent_pairs(zero_model, table_calls):
     close = sum(abs(er.lam - ec.lam) < COALESCE_GAP for er, _ in rows for ec, _ in rows)
     assert system.layout.dim == 64
     assert close < 2 * system.layout.dim     # the diagonal and same-index pairs
-    assert table_calls == {"d_table": close, "dx_table": 0}
+    # all simple: every pair has the order key (0, 0), so one call takes them all
+    assert table_calls == {"d_table": 1, "d_table pairs": close,
+                           "dx_table": 0, "dx_table pairs": 0}
 
 
 def test_assembly_tables_group_pairs(zero_model, table_calls):
     system = assemble_system(make_split_data(0.0), zero_model, default_grid(20))
     rows = system.layout.rows()
-    grouped = sum(er.m > 1 or ec.m > 1 for er, _ in rows for ec, _ in rows)
-    close = sum(er.m == ec.m == 1 and abs(er.lam - ec.lam) < COALESCE_GAP
-                for er, _ in rows for ec, _ in rows)
-    assert (grouped, close) == (12, 2)
-    assert table_calls == {"d_table": grouped + close, "dx_table": 0}
+    tabled = [(er, ec) for er, _ in rows for ec, _ in rows
+              if er.m > 1 or ec.m > 1 or abs(er.lam - ec.lam) < COALESCE_GAP]
+    grouped = sum(er.m > 1 or ec.m > 1 for er, ec in tabled)
+    close = len(tabled) - grouped
+    keys = {(er.nu, ec.m - 1 - ec.nu) for er, ec in tabled}
+    assert (grouped, close, len(keys)) == (12, 2, 4)
+    assert table_calls == {"d_table": len(keys), "d_table pairs": grouped + close,
+                           "dx_table": 0, "dx_table pairs": 0}
 
 
 @pytest.mark.parametrize("case", ["wide", "double-group", "numeric"])

@@ -116,7 +116,7 @@ def _branch_gap(lam, x):
     sa, ca = s_chain(x, lam, 0), sx_chain(x, lam, 0)
     sb, cb = s_chain(x, mu, 0), sx_chain(x, mu, 0)
     generic = _quotient_table([[sa[0] * cb[0] - ca[0] * sb[0]]], lam, mu, 0, 0, x.shape)[0, 0]
-    coalescent = ZERO._coalescent_table(x, lam, mu, 0, 0)[0, 0]
+    coalescent = ZERO._coalescent_table(x, np.array([lam]), np.array([mu]), 0, 0)[0, 0, 0]
     return np.max(np.abs(generic - coalescent)) / np.max(np.abs(coalescent))
 
 
@@ -167,6 +167,37 @@ def test_d_table_against_mpmath_oracle(lam, mu, t, s):
     got = d_table(ZeroBackground(), x, lam, mu, t, s)[t, s]
     ref = np.array([_d_oracle(mp.mpf(float(xi)), lam, mu, t, s) for xi in x])
     assert np.max(np.abs(got - ref)) < 1e-11 * np.max(np.abs(ref))
+
+
+def test_d_table_batch_against_mpmath_oracle():
+    # one call over quotient, closed-form coalescent and small-|lam| series
+    # pairs, equal pairs among them; each pair is checked at every order
+    pairs = [(45.0, 47.0), (3.0 + 0.2j, 2.0 - 0.1j), (0.3, 1.2),          # quotient
+             (2.0, 2.04), (1.3 + 0.4j, 1.33 + 0.38j), (0.7, 0.7), (-0.5, -0.5),  # closed form
+             (0.0, 0.01), (0.3 + 0.2j, 0.31 + 0.2j), (0.2 - 0.1j, 0.2 - 0.1j)]   # series
+    lam, mu = np.array(pairs).T
+    x = np.linspace(0.1, pi, 5)
+    got = d_table(ZERO, x, lam, mu, 2, 2)
+    assert got.shape == (len(pairs), 3, 3, x.size)
+    for i, (a, b) in enumerate(pairs):
+        one = d_table(ZERO, x, a, b, 2, 2)
+        assert np.max(np.abs(got[i] - one)) <= 1e-15 * np.max(np.abs(one))
+        for t in range(3):
+            for s in range(3):
+                ref = np.array([_d_oracle(mp.mpf(float(xi)), a, b, t, s) for xi in x])
+                err = np.max(np.abs(got[i, t, s] - ref))
+                assert err < 1e-11 * np.max(np.abs(ref)), (a, b, t, s)
+
+
+def test_s_chain_batch_equals_elementwise():
+    lams = np.array([[0.0, 0.3, 0.4999, 0.5], [0.5001, 0.5 + 0.3j, 0.49j, 20.0]])
+    x = np.linspace(0.0, pi, 7)
+    got = s_chain(x, lams, 2 * P_MAX)
+    gotx = sx_chain(x, lams, 2 * P_MAX)
+    assert got.shape == gotx.shape == (2 * P_MAX + 1,) + lams.shape + x.shape
+    for idx in np.ndindex(lams.shape):
+        assert np.array_equal(got[(slice(None),) + idx], s_chain(x, lams[idx], 2 * P_MAX))
+        assert np.array_equal(gotx[(slice(None),) + idx], sx_chain(x, lams[idx], 2 * P_MAX))
 
 
 @pytest.mark.parametrize("lam", [0.05, 0.3, 0.4999, 0.5001, 0.5 + 0.3j, 0.7, 1.2 + 0.5j,
@@ -227,6 +258,28 @@ def test_model_weight_numbers_via_duality():
     for n in (1, 2, -3):
         (alpha,) = coefficients_from_weights([pi / n])
         assert alpha == pytest.approx(-n / pi)
+
+
+def test_numeric_chains_integrate_uncached_lams_in_one_batch(monkeypatch):
+    import qpencil.forward as fw
+
+    batches = []
+    inner = fw.integrate
+
+    def counting(potentials, lams, *args, **kwargs):
+        batches.append((len(lams), kwargs["n_derivs"]))
+        return inner(potentials, lams, *args, **kwargs)
+
+    monkeypatch.setattr(fw, "integrate", counting)
+    bg = NumericBackground(PotentialPair.zeros(40), refine=2)
+    x = np.linspace(0.0, pi, 41)
+    lams = np.array([1.0, 2.5 + 0.3j, 1.0, 0.2])
+    first = bg.s_chain(x, lams, 1)
+    assert batches == [(3, 1)]                # one batch of the distinct lams
+    assert np.array_equal(bg.s_chain(x, lams[1], 0), first[:1, 1])
+    bg.sx_chain(x, np.array([0.2, 3.0]), 1)   # only 3.0 is new
+    bg.s_chain(x, np.array([1.0]), 2)         # a higher order than cached
+    assert batches == [(3, 1), (1, 1), (1, 2)]
 
 
 @pytest.fixture(scope="module")
