@@ -19,13 +19,19 @@ S_k = (1/k!) d^k S / d lam^k: the eps^k coefficients of the same product taken
 at lam + eps, where A(lam + eps) = A0 + eps A1 + eps^2 A2 with
 A1 = [[0, 0], [2 q1 - 2 lam, 0]] and A2 = [[0, 0], [-1, 0]].  Every transfer
 matrix is therefore handled as a truncated eps-series of 2x2 matrices.
+
+Only G depends on lam, so each entry of T_i - I is a polynomial of degree at
+most 4 in lam with coefficients tabled once per integration.  The eps^k term of
+T(lam + eps) - I is that table times the powers comb(d, k) lam^(d-k), d = 0..4
+(zero for k >= 5): a (steps, 5) @ (5, L) matrix product per order and entry,
+to which I is added afterwards, so the small terms are not summed against 1.
 """
 
 from __future__ import annotations
 
 import csv as _csv
 from dataclasses import dataclass
-from math import pi
+from math import comb, pi
 
 import numpy as np
 from scipy.integrate import simpson
@@ -119,8 +125,9 @@ class PotentialPair:
         return PotentialPair(x=x, q1=q1, sigma=sigma)
 
     def omega0(self) -> complex:
-        """Mean of q1 over the interval: (1/pi) integral of q1."""
-        return complex(simpson(self.q1, x=self.x) / pi)
+        """Mean of q1 over the interval: (1/pi) integral of q1 (not finite on overflow)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return complex(simpson(self.q1, x=self.x) / pi)
 
     def to_csv(self, path) -> None:
         write_csv(path, POTENTIALS_HEADER, zip(self.x, self.q1.real, self.q1.imag,
@@ -155,63 +162,54 @@ class ShootingResult:
         return np.max(np.abs(S * C1 - S1 * C + 1.0), axis=0)
 
 
-def _interp_complex(xg, vals, pts):
-    return np.interp(pts, xg, vals.real) + 1j * np.interp(pts, xg, vals.imag)
+def _step_polynomials(h, s_n, s_m, q_n, q_m):
+    """Coefficients of T_i - I as polynomials in lam: (5 degrees, 4 entries, steps).
 
-
-def _g_series(lams, q1, sig, n):
-    """The first min(n, 3) eps-coefficients of G(lam + eps), shape (., nodes, L).
-
-    ``q1`` and ``sig`` are node columns; G has no terms beyond eps^2.
-    """
-    G = np.empty((min(n, 3), q1.shape[0], lams.size), dtype=complex)
-    G[0] = lams * (2.0 * q1 - lams) - sig * sig
-    if n > 1:
-        G[1] = 2.0 * (q1 - lams)
-    if n > 2:
-        G[2] = -1.0
-    return G
-
-
-def _step_matrices(h, s_n, s_m, G_n, G_m, n):
-    """RK4 transfer matrices T_i(lam + eps) to order eps^(n-1): (n, 2, 2, steps, L).
-
-    A is traceless, so A_m^2 = w I with w = G_m + sigma_m^2, and the RK4 step
-    of the module docstring expands to
+    A is traceless, so A_m^2 = w I with w = G_m + sigma_m^2 = 2 q1_m lam - lam^2,
+    and the RK4 step of the module docstring expands to
 
         T = I + h/6 (A_a + 4 A_m + A_b) + h^2/6 (A_m A_a + A_b A_m)
               + w (h^2/6 I + h^3/12 (A_a + A_b) + h^4/24 A_b A_a)
 
-    for A_a, A_m, A_b at the step's start, midpoint and end.  Only the G
-    entries carry eps, so every entry is a node coefficient times G terms;
-    the zero entries of A1 and A2 are never multiplied.
+    for A_a, A_m, A_b at the step's start, midpoint and end.  With
+    G_x = -lam^2 + 2 q1_x lam - sigma_x^2 every entry has degree at most 4;
+    entry (r, c) is column 2 r + c.  T_11 is T_00 with start and end swapped
+    and the signs of the odd powers of h turned.
     """
-    s_a, s_b = s_n[:-1], s_n[1:]
-    G_a, G_b = G_n[:, :-1], G_n[:, 1:]
-    ng, m, L = G_m.shape
+    a, b, qa, qb = s_n[:-1], s_n[1:], q_n[:-1], q_n[1:]
     c1, c2, c3, c4 = h / 6.0, h ** 2 / 6.0, h ** 3 / 12.0, h ** 4 / 24.0
-    s_sum, s_prod = s_a + s_b, s_a * s_b
-    diag = c1 * (s_sum + 4.0 * s_m)
-    T = np.zeros((n, 2, 2, m, L), dtype=complex)
-    T[0, 0, 0] = 1.0 + diag + c2 * s_m * s_sum
-    T[0, 0, 1] = h + c2 * (s_b - s_a)
-    T[0, 1, 1] = 1.0 - diag + c2 * s_m * s_sum
-    T[:ng, 0, 0] += c2 * (G_a + G_m)
-    T[:ng, 1, 1] += c2 * (G_m + G_b)
-    T[:ng, 1, 0] = ((c1 - c2 * s_m) * G_a + (c1 + c2 * s_m) * G_b
-                    + (4.0 * c1 + c2 * (s_a - s_b)) * G_m)
-    X = np.zeros((ng, 2, 2, m, L), dtype=complex)
-    X[0, 0, 0] = c2 + c3 * s_sum + c4 * s_prod
-    X[0, 0, 1] = 2.0 * c3 + c4 * (s_b - s_a)
-    X[0, 1, 1] = c2 - c3 * s_sum + c4 * s_prod
-    X[:, 0, 0] += c4 * G_a
-    X[:, 1, 1] += c4 * G_b
-    X[:, 1, 0] = (c3 - c4 * s_b) * G_a + (c3 + c4 * s_a) * G_b
-    w = G_m.copy()
-    w[0] += s_m * s_m
-    for j in range(min(ng, n)):          # T += w X, truncated after n terms
-        k = min(ng, n - j)
-        T[j:j + k] += w[j, None, None] * X[:k]
+    sq = s_n * s_n
+    aa, bb, mm, ab_sq, ab_q = sq[:-1], sq[1:], s_m * s_m, sq[:-1] + sq[1:], qa + qb
+    s_sum, dif = a + b, b - a
+    mix = s_m * s_sum - mm
+    odd = c1 * (s_sum + 4.0 * s_m)
+    c3s, c4d, c2d, qm2 = c3 * s_sum, c4 * dif, c2 * dif, 2.0 * q_m
+    c4a, c4b, qm4 = c4d * a, c4d * b, (4.0 * c4) * q_m
+    T = np.empty((5, 4, s_m.size), dtype=complex)
+    np.add(odd, c2 * (mix - aa), out=T[0, 0])
+    np.subtract(c2 * (mix - bb), odd, out=T[0, 3])
+    np.add((2.0 * c2) * qa, qm2 * ((2.0 * c2) + c3s + c4a), out=T[1, 0])
+    np.add((2.0 * c2) * qb, qm2 * ((2.0 * c2) - c3s - c4b), out=T[1, 3])
+    np.subtract(qm4 * qa - c4a, c3s + 3.0 * c2, out=T[2, 0])
+    np.add(qm4 * qb + c4b, c3s - 3.0 * c2, out=T[2, 3])
+    np.multiply(-2.0 * c4, qa + q_m, out=T[3, 0])
+    np.multiply(-2.0 * c4, qb + q_m, out=T[3, 3])
+    T[4, ::3] = c4
+    # T_01 = h + h^2/6 (s_b - s_a) + w X_01, X_01 = h^3/6 + h^4/24 (s_b - s_a)
+    x = 2.0 * c3 + c4d
+    np.add(h, c2d, out=T[0, 1])
+    np.multiply(qm2, x, out=T[1, 1])
+    np.negative(x, out=T[2, 1])
+    T[3:, 1] = 0.0
+    # T_10 = h/6 (G_a + 4 G_m + G_b) + h^2/6 (..) + w H, with H = H2 lam^2 + H1 lam + H0
+    H0 = -c3 * ab_sq - c4a * b
+    H1 = (2.0 * c3) * ab_q + (2.0 * c4) * (a * qb - b * qa)
+    np.subtract(-c1 * (ab_sq + 4.0 * mm), c2d * mix, out=T[0, 2])
+    np.add((2.0 * c1) * (ab_q + 2.0 * qm2) + (2.0 * c2) * (s_m * (qb - qa) - dif * q_m),
+           qm2 * H0, out=T[1, 2])
+    np.subtract(c2d - h + qm2 * H1, H0, out=T[2, 2])
+    np.subtract(qm2 * (c4d - 2.0 * c3), H1, out=T[3, 2])
+    np.subtract(2.0 * c3, c4d, out=T[4, 2])
     return T
 
 
@@ -253,6 +251,7 @@ def _chains(Y):
     return cols.transpose(2, 0, 1, 3)
 
 
+@np.errstate(over="ignore", invalid="ignore")    # overflow shows as non-finite output
 def integrate(potentials: PotentialPair, lams, n_derivs: int = 0,
               with_c: bool = False, refine: int = DEFAULT_REFINE,
               with_trace: bool = False) -> ShootingResult:
@@ -263,8 +262,8 @@ def integrate(potentials: PotentialPair, lams, n_derivs: int = 0,
     converges at fourth order to the piecewise-linear problem.
 
     The step matrices T_i(lam + eps) (module docstring), truncated after the
-    eps^n_derivs term, are built vectorised over chunks of at most
-    ``CHUNK_ENTRIES`` steps x lambdas.  Each chunk is reduced by a pairwise
+    eps^n_derivs term, are evaluated from the coefficient table over chunks of
+    at most ``CHUNK_ENTRIES`` steps x lambdas.  Each chunk is reduced by a pairwise
     product tree and applied to the state, the product of all earlier steps
     applied to the initial values S = 0, S^[1] = 1 (and C = 1, C^[1] = 0 for
     ``with_c``; C carries no chains).  ``with_trace`` keeps the state at every
@@ -281,14 +280,14 @@ def integrate(potentials: PotentialPair, lams, n_derivs: int = 0,
     nch = n_s + (1 if with_c else 0)
 
     m_steps = potentials.n_grid * refine
-    xr = np.linspace(0.0, pi, m_steps + 1)
     h = pi / m_steps
-    xm = xr[:-1] + 0.5 * h
-    xg = potentials.x
-    sig_n = _interp_complex(xg, potentials.sigma, xr)[:, None]
-    q1_n = _interp_complex(xg, potentials.q1, xr)[:, None]
-    sig_m = _interp_complex(xg, potentials.sigma, xm)[:, None]
-    q1_m = _interp_complex(xg, potentials.q1, xm)[:, None]
+    half = np.linspace(0.0, pi, 2 * m_steps + 1)     # nodes and step midpoints
+    sig = np.interp(half, potentials.x, potentials.sigma)
+    q1 = np.interp(half, potentials.x, potentials.q1)
+    coef = _step_polynomials(h, sig[::2], sig[1::2], q1[::2], q1[1::2])
+    # eps^k coefficient of (lam + eps)^d is comb(d, k) lam^(d-k): zero for k >= 5
+    powers = [np.array([comb(d, k) * lams ** max(d - k, 0) for d in range(5)])
+              for k in range(n_s)]
 
     Y = np.zeros((n_s, 2, nch - n_s + 1, 1, L), dtype=complex)
     Y[0, 1, 0] = 1.0         # S(0) = 0, S^[1](0) = 1
@@ -302,9 +301,15 @@ def integrate(potentials: PotentialPair, lams, n_derivs: int = 0,
     chunk = max(1, CHUNK_ENTRIES // max(L, 1))
     for a in range(0, m_steps, chunk):
         b = min(a + chunk, m_steps)
-        T = _step_matrices(h, sig_n[a:b + 1], sig_m[a:b],
-                           _g_series(lams, q1_n[a:b + 1], sig_n[a:b + 1], n_s),
-                           _g_series(lams, q1_m[a:b], sig_m[a:b], n_s), n_s)
+        T = np.empty((n_s, 4, b - a, L), dtype=complex)
+        # one (steps, 5) @ (5, L) product per order and entry keeps every BLAS
+        # call at 5 CHUNK_ENTRIES multiply-adds or fewer
+        for k, P in enumerate(powers):
+            for e in range(4):
+                np.matmul(coef[:, e, a:b].T, P, out=T[k, e])
+        T = T.reshape(n_s, 2, 2, b - a, L)
+        T[0, 0, 0] += 1.0    # I after the sum, not rounded into it
+        T[0, 1, 1] += 1.0
         if with_trace:
             states = _mul(_prefix_products(T), Y)
             trace[a + 1:b + 1] = _chains(states)
@@ -314,7 +319,7 @@ def integrate(potentials: PotentialPair, lams, n_derivs: int = 0,
 
     end = _chains(Y)[0]
     return ShootingResult(lams=lams, s=end[:n_s, 0], c=end[n_s, 0] if with_c else None,
-                          trace=trace, x_refined=xr)
+                          trace=trace, x_refined=half[::2])
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +392,8 @@ def sample_circle(potentials: PotentialPair, center: complex, radius: float, n_d
         shot = integrate(potentials, zs, n_derivs=n_derivs, with_c=with_c, refine=refine)
         phase = np.unwrap(np.angle(np.append(shot.s[0], shot.s[0, 0])))
         w = (phase[-1] - phase[0]) / (2 * pi)
+        if not np.isfinite(w):
+            raise WindingAmbiguousError(f"Delta is not finite on |lam-{center}|={radius}")
         if abs(w - round(w)) <= 0.15:
             break
     else:
@@ -555,7 +562,7 @@ def weight_numbers(potentials: PotentialPair, eigenvalues: SpectralDataSet,
         res = integrate(potentials, np.array([g.lam]), n_derivs=m - 1,
                         refine=refine, with_trace=True)
         xr = res.x_refined
-        q1r = _interp_complex(potentials.x, potentials.q1, xr)
+        q1r = np.interp(xr, potentials.x, potentials.q1)
         S = res.trace[:, :, 0, 0].T      # (m, nodes+1)
         Sm1 = S[m - 1]
         Sm2 = S[m - 2] if m >= 2 else 0.0

@@ -61,7 +61,8 @@ def s_chain(x, lam, order: int) -> np.ndarray:
 
     Entry nu is (1/nu!) d^nu/dlam^nu [sin(lam x)/lam].  Each lam below
     ``SMALL_LAMBDA`` takes the power series in lam, which also handles the
-    removable singularity at lam = 0; the others take the closed form.
+    removable singularity at lam = 0, up to the first term that max|lam x|
+    bounds below 2^-56 of the leading one; the others take the closed form.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=complex)
@@ -92,10 +93,15 @@ def s_chain(x, lam, order: int) -> np.ndarray:
             out[nu, ~small] = acc
     if small.any():
         zs = z[small]
+        r = np.abs(zs).max() * np.abs(x).max(initial=0.0)     # bounds |lam x|
         for nu in range(order + 1):
             acc = np.zeros(zs.shape[:1] + x.shape, dtype=complex)
             m0 = (nu + 1) // 2
-            for m in range(m0, m0 + 30):
+            m1 = m0 + 1
+            while (comb(2 * m1, nu) * r ** (2 * (m1 - m0)) * factorial(2 * m0 + 1)
+                   >= 2.0 ** -56 * comb(2 * m0, nu) * factorial(2 * m1 + 1)):
+                m1 += 1
+            for m in range(m0, m1):
                 acc += ((-1.0) ** m) * comb(2 * m, nu) * np.power(zs, 2 * m - nu) \
                     * x ** (2 * m + 1) / factorial(2 * m + 1)
             out[nu, small] = acc

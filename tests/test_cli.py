@@ -13,6 +13,7 @@ import qpencil
 from qpencil import PotentialPair, SpectralDataSet, ZeroBackground, make_split_data
 from qpencil import cli
 from qpencil.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from qpencil.forward import POTENTIALS_HEADER, write_csv
 
 
 def test_forward_zero_potentials(tmp_path, capsys):
@@ -213,6 +214,21 @@ def test_overflowing_data_is_numerical_error(tmp_path, command):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == EXIT_NUMERICAL, proc.stderr
     assert "numerically singular" in proc.stderr
+
+
+@pytest.mark.parametrize("column, value, codes", [
+    (3, 1e200, {EXIT_NUMERICAL}),                   # sigma(pi/2): Delta is not finite
+    (1, 1e308, {EXIT_VALIDATION, EXIT_NUMERICAL}),  # q1: its mean overflows
+], ids=["sigma", "q1"])
+def test_forward_overflow_keeps_the_exit_contract(tmp_path, column, value, codes):
+    # in process, where the suite turns an overflow RuntimeWarning into an error
+    rows = [[x, 0.0, 0.0, 0.0, 0.0] for x in (0.0, pi / 2, pi)]
+    for row in rows if column == 1 else rows[1:2]:
+        row[column] = value
+    pot_path = tmp_path / "pot.csv"
+    write_csv(pot_path, POTENTIALS_HEADER, rows)
+    argv = ["forward", "--potentials", str(pot_path), "--out", str(tmp_path / "s.json")]
+    assert main(argv) in codes
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -31,22 +31,24 @@ def smooth_pair(amp=0.5, n_grid=200):
     return PotentialPair.from_functions(q1, sig, n_grid)
 
 
-def reference_integrate(pot, lams, n_derivs, refine):
+def reference_integrate(pot, lams, n_derivs, refine, dtype=complex):
     """The per-step RK4 loop on the chains S_0..S_n and C, with the full trace.
 
     Each step evaluates the right-hand side four times on the stacked state
     (chains, 2, L); the chain S_k has the sources (2 q1 - 2 lam) S_(k-1) - S_(k-2).
-    Returns (s, c, trace) shaped like ShootingResult with with_c=True.
+    Returns (s, c, trace) shaped like ShootingResult with with_c=True.  With
+    ``dtype=np.clongdouble`` the same steps run in extended precision on the
+    same double-precision inputs.
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex)).astype(dtype)
     n_s = n_derivs + 1
     m_steps = pot.n_grid * refine
-    h = pi / m_steps
+    h = np.finfo(dtype).dtype.type(pi / m_steps)
     xr = np.linspace(0.0, pi, m_steps + 1)
-    xm = xr[:-1] + 0.5 * h
+    xm = xr[:-1] + 0.5 * (pi / m_steps)
 
     def sample(vals, pts):
-        return np.interp(pts, pot.x, vals.real) + 1j * np.interp(pts, pot.x, vals.imag)
+        return (np.interp(pts, pot.x, vals.real) + 1j * np.interp(pts, pot.x, vals.imag)).astype(dtype)
 
     sig_n, q1_n = sample(pot.sigma, xr), sample(pot.q1, xr)
     sig_m, q1_m = sample(pot.sigma, xm), sample(pot.q1, xm)
@@ -62,10 +64,10 @@ def reference_integrate(pot, lams, n_derivs, refine):
             dY[2:n_s, 1] -= Y[0:n_s - 2, 0]
         return dY
 
-    Y = np.zeros((n_s + 1, 2, lams.size), dtype=complex)
+    Y = np.zeros((n_s + 1, 2, lams.size), dtype=dtype)
     Y[0, 1] = 1.0            # S(0) = 0, S^[1](0) = 1
     Y[n_s, 0] = 1.0          # C(0) = 1, C^[1](0) = 0
-    trace = np.empty((m_steps + 1,) + Y.shape, dtype=complex)
+    trace = np.empty((m_steps + 1,) + Y.shape, dtype=dtype)
     trace[0] = Y
     for i in range(m_steps):
         k1 = rhs(Y, sig_n[i], q1_n[i])
@@ -112,6 +114,28 @@ def test_integrate_matches_per_step_loop(n_lams, n_derivs, refine):
                     assert_close(res.trace[:, j], trace[:, k])
             else:
                 assert res.trace is None
+
+
+def rough_pair(seed=5, n_grid=200):
+    """q1 = sign(sin 3x) + 0.5i and sigma a seeded complex random walk from 0."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, pi, n_grid + 1)
+    steps = np.array([1.0, 1j]) @ rng.normal(scale=0.1, size=(2, n_grid))
+    return PotentialPair(x=x, q1=np.sign(np.sin(3 * x)) + 0.5j,
+                         sigma=np.concatenate([[0.0], np.cumsum(steps)]))
+
+
+@pytest.mark.parametrize("n_lams, radius", [(64, 3.5), (16, 20.0)])
+def test_integrate_against_extended_precision_loop(n_lams, radius):
+    # the step matrices evaluated as polynomials in lam, with I added after the
+    # sum, keep double-precision accuracy on a rough potential
+    pot = rough_pair()
+    lams = circle_nodes(0.5, radius, n_lams)
+    s, c, _ = reference_integrate(pot, lams, 1, DEFAULT_REFINE, dtype=np.clongdouble)
+    res = integrate(pot, lams, n_derivs=1, with_c=True)
+    for got, want in list(zip(res.s, s)) + [(res.c, c)]:
+        want = want.astype(complex)
+        assert np.max(np.abs(got - want)) <= 3e-14 * np.max(np.abs(want))
 
 
 def test_integrate_memory_is_bounded_by_the_chunk():
