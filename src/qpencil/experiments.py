@@ -389,8 +389,7 @@ def roundtrip_check(data: SpectralDataSet, model: BackgroundProblem,
         # error, so per-root residues are meaningless there; compare the
         # contour-stable quantities instead: the winding count, the mean root
         # location, and the Laurent coefficients on a fixed circle.
-        sample = sample_circle(pot, g.lam, 0.05, n_derivs=1, with_c=True,
-                               refine=refine, check_halving=True)
+        sample = sample_circle(pot, g.lam, 0.05, with_c=True, refine=refine, check_halving=True)
         report.windings[g.start] = (g.size, sample.count)
         center_out = complex(sample.power_sums(1)[0]) / g.size
         for member, m_out in zip(g.members, sample.laurent(g.size)):

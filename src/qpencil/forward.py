@@ -25,6 +25,9 @@ most 4 in lam with coefficients tabled once per integration.  The eps^k term of
 T(lam + eps) - I is that table times the powers comb(d, k) lam^(d-k), d = 0..4
 (zero for k >= 5): a (steps, 5) @ (5, L) matrix product per order and entry,
 to which I is added afterwards, so the small terms are not summed against 1.
+
+Roots inside |lam - c| = r are counted and located from Delta = S(pi) alone: with N
+of them, sum_j (lam_j - c)^p = -p r^p g_(-p) for the periodic g = log Delta - i N theta.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 RESIDUE_NODES = 256
 CONTOUR_RADIUS_CAP = 0.2
+PHASE_STEP_MAX = pi / 2  # largest arg Delta step between neighbouring circle nodes
 CHUNK_ENTRIES = 8192     # step matrices built at once, counted as steps x lambdas
 POTENTIALS_HEADER = ["x", "re_q1", "im_q1", "re_sigma", "im_sigma"]
 
@@ -125,9 +129,12 @@ class PotentialPair:
         return PotentialPair(x=x, q1=q1, sigma=sigma)
 
     def omega0(self) -> complex:
-        """Mean of q1 over the interval: (1/pi) integral of q1 (not finite on overflow)."""
+        """Mean of q1 over the interval: (1/pi) integral of q1."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return complex(simpson(self.q1, x=self.x) / pi)
+            mean = complex(simpson(self.q1, x=self.x) / pi)
+        if not np.isfinite(mean):
+            raise NonFiniteInputError(f"the mean of q1 is not finite ({mean}): q1 overflows")
+        return mean
 
     def to_csv(self, path) -> None:
         write_csv(path, POTENTIALS_HEADER, zip(self.x, self.q1.real, self.q1.imag,
@@ -359,17 +366,22 @@ def circle_nodes(center: complex, radius: float, n_nodes: int = RESIDUE_NODES) -
 
 @dataclass(frozen=True)
 class CircleSample:
-    """One integrator batch on a circle, with the root count of Delta inside."""
+    """One batch of Delta on |lam - c| = r with N roots inside: at node angles theta,
+    g = ln|Delta| + i (phase - N theta) is periodic, and expanding log(lam - lam_j)
+    gives the centred sums sum_j (lam_j - c)^p = -p r^p g_(-p)."""
 
     zs: np.ndarray
     dz: np.ndarray
     shot: ShootingResult
     count: int
+    phase: np.ndarray           # arg Delta, unwrapped from node to node
 
     def power_sums(self, p_max: int) -> list:
-        """Sums of lam^p over the roots inside, p = 1..p_max (needs n_derivs >= 1)."""
-        logd = self.shot.s[1] / self.shot.s[0]
-        return [np.mean(self.zs ** p * logd * self.dz) for p in range(1, p_max + 1)]
+        """Sums of lam^p inside, p = 1..p_max: the centred sums, binomially shifted under the mean."""
+        theta = 2 * pi * np.arange(self.zs.size) / self.zs.size
+        g = np.log(np.abs(self.shot.s[0])) + 1j * (self.phase - self.count * theta)
+        return [np.mean(self.count * self.zs ** p - p * self.zs ** (p - 1) * g * self.dz)
+                for p in range(1, p_max + 1)]
 
     def laurent(self, m: int) -> list[complex]:
         """Coefficients of (lam - center)^-(nu+1) in -C/Delta, nu < m (needs with_c)."""
@@ -377,34 +389,34 @@ class CircleSample:
         return [complex(np.mean(self.dz ** (nu + 1) * mvals)) for nu in range(m)]
 
 
-def sample_circle(potentials: PotentialPair, center: complex, radius: float, n_derivs: int = 0,
+def sample_circle(potentials: PotentialPair, center: complex, radius: float,
                   with_c: bool = False, refine: int = DEFAULT_REFINE,
                   check_halving: bool = False) -> CircleSample:
-    """Integrate on the nodes of |lam - center| = radius and count the roots inside.
+    """Integrate Delta on the nodes of |lam - center| = radius and count the roots inside.
 
-    The count is the phase change of Delta around the closed loop if that lies
-    within 0.15 of an integer; otherwise the circle is sampled once more at 4x
-    the nodes.  ``check_halving`` also requires the count on half the radius.
-    Node means of f (z - center) are trapezoid sums for (1/2 pi i) oint f dz.
+    The count is the phase change of Delta around the closed loop, unwrapped
+    node to node; a step above ``PHASE_STEP_MAX`` between neighbours samples
+    the circle once more at 4x the nodes.  ``check_halving`` also requires the
+    count on half the radius.  Node means of f (z - center) are trapezoid sums
+    for (1/2 pi i) oint f dz.
     """
     for n_nodes in (RESIDUE_NODES, 4 * RESIDUE_NODES):
         zs = circle_nodes(center, radius, n_nodes)
-        shot = integrate(potentials, zs, n_derivs=n_derivs, with_c=with_c, refine=refine)
-        phase = np.unwrap(np.angle(np.append(shot.s[0], shot.s[0, 0])))
-        w = (phase[-1] - phase[0]) / (2 * pi)
-        if not np.isfinite(w):
+        shot = integrate(potentials, zs, with_c=with_c, refine=refine)
+        if not np.all(np.isfinite(shot.s[0])):
             raise WindingAmbiguousError(f"Delta is not finite on |lam-{center}|={radius}")
-        if abs(w - round(w)) <= 0.15:
+        phase = np.unwrap(np.angle(np.append(shot.s[0], shot.s[0, 0])))
+        if np.abs(np.diff(phase)).max() <= PHASE_STEP_MAX:
             break
     else:
         raise WindingAmbiguousError(f"winding unresolved on |lam-{center}|={radius}")
-    count = int(round(w))
+    count = int(round((phase[-1] - phase[0]) / (2 * pi)))
     if check_halving:
         w_half = sample_circle(potentials, center, radius / 2, refine=refine).count
         if w_half != count:
             raise WindingAmbiguousError(
                 f"winding {count} at radius {radius} vs {w_half} at half radius")
-    return CircleSample(zs=zs, dz=zs - center, shot=shot, count=count)
+    return CircleSample(zs=zs, dz=zs - center, shot=shot, count=count, phase=phase[:-1])
 
 
 def winding_number(potentials: PotentialPair, center: complex, radius: float,
@@ -437,7 +449,7 @@ def _cluster_search(potentials, center, radius, refine):
     first moment, its location, which stays accurate where Newton is only
     linear.
     """
-    disc = sample_circle(potentials, center, radius, n_derivs=1, refine=refine)
+    disc = sample_circle(potentials, center, radius, refine=refine)
     if disc.count == 0:
         return []
     cands = np.roots(_poly_from_power_sums(disc.power_sums(disc.count)))
@@ -463,8 +475,7 @@ def _cluster_search(potentials, center, radius, refine):
         cen = complex(np.mean(cl))
         spread = max(abs(z - cen) for z in cl)
         r_loc = max(3.0 * spread, 1e-3 * scale)
-        loc = sample_circle(potentials, cen, r_loc, n_derivs=1, refine=refine,
-                            check_halving=True)
+        loc = sample_circle(potentials, cen, r_loc, refine=refine, check_halving=True)
         roots.extend([complex(loc.power_sums(1)[0]) / loc.count] * loc.count)
     roots.sort(key=lambda z: (z.real, z.imag))
     return roots

@@ -6,19 +6,19 @@ import pytest
 
 @pytest.fixture
 def large_batches(monkeypatch):
-    """Sizes of the integrator batches of 256 or more nodes, in call order."""
+    """(size, n_derivs) of the integrator batches of 256 or more nodes, in call order."""
     import qpencil.forward as fw
 
-    sizes = []
+    batches = []
     inner = fw.integrate
 
-    def counting(potentials, lams, *args, **kwargs):
+    def counting(potentials, lams, n_derivs=0, *args, **kwargs):
         if np.size(lams) >= 256:
-            sizes.append(np.size(lams))
-        return inner(potentials, lams, *args, **kwargs)
+            batches.append((np.size(lams), n_derivs))
+        return inner(potentials, lams, n_derivs, *args, **kwargs)
 
     monkeypatch.setattr(fw, "integrate", counting)
-    return sizes
+    return batches
 
 
 @pytest.fixture

@@ -231,6 +231,14 @@ def test_forward_overflow_keeps_the_exit_contract(tmp_path, column, value, codes
     assert main(argv) in codes
 
 
+def test_forward_names_the_overflowing_mean_of_q1(tmp_path, capsys):
+    pot_path = tmp_path / "pot.csv"
+    write_csv(pot_path, POTENTIALS_HEADER, [[x, 1e308, 0.0, 0.0, 0.0] for x in (0.0, pi / 2, pi)])
+    argv = ["forward", "--potentials", str(pot_path), "--out", str(tmp_path / "s.json")]
+    assert main(argv) == EXIT_VALIDATION
+    assert "the mean of q1 is not finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, flags", [
     ("forward", ["--n-max", "0"]),
     ("forward", ["--n-max", "-2"]),

@@ -195,5 +195,5 @@ def test_roundtrip_double_eigenvalue_uses_stable_quantities():
 
 def test_roundtrip_group_takes_one_circle_sample(large_batches):
     roundtrip_check(make_split_data(0.0), ZeroBackground(), 2)
-    # group circle, its half-radius check, and the cluster disc
-    assert large_batches == [256, 256, 256]
+    # group circle, its half-radius check, and the cluster disc, none with chains
+    assert large_batches == [(256, 0)] * 3

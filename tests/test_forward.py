@@ -357,7 +357,7 @@ def test_rejected_disc_grows(monkeypatch, large_batches):
     monkeypatch.setattr(fw, "_cluster_search", short_once)
     got = find_eigenvalues(pot, 6, omega0)
     assert calls == [calls[0], calls[0] + 1]
-    assert large_batches[first:] == [256, 256]
+    assert large_batches[first:] == [(256, 0)] * 2
     for n in window(6):
         assert abs(got.entry(n).lam - want.entry(n).lam) < 1e-8
 
@@ -406,13 +406,13 @@ def test_nonfinite_rejected():
 def test_circle_sample_counts_and_moments():
     pot = PotentialPair.zeros(200)
     # Delta = sin(lam pi)/lam: one root at 1, Weyl residue -1/pi
-    s = sample_circle(pot, 1.0, 0.3, n_derivs=1, with_c=True)
+    s = sample_circle(pot, 1.0, 0.3, with_c=True)
     assert s.count == 1
     assert s.zs.size == 256
     assert abs(s.power_sums(1)[0] - 1.0) < 1e-8
     assert abs(s.laurent(1)[0] + 1 / pi) < 1e-6
     # roots +-1, +-2 inside |lam| < 2.5: power sums 0 and 1 + 1 + 4 + 4
-    ps = sample_circle(pot, 0.0, 2.5, n_derivs=1).power_sums(2)
+    ps = sample_circle(pot, 0.0, 2.5).power_sums(2)
     assert abs(ps[0]) < 1e-6 and abs(ps[1] - 10) < 1e-6
 
 
@@ -422,7 +422,37 @@ def test_cluster_search_samples_the_disc_once(large_batches):
     assert large_batches == []        # every root stays in its slot: no disc
     pot = _random_pair(0)
     find_eigenvalues(pot, 6, pot.omega0())
-    assert large_batches == [256]     # one accepted disc, sampled once
+    assert large_batches == [(256, 0)]    # one accepted disc, sampled once, no chains
+
+
+def test_multiple_root_circles_take_no_chains(large_batches):
+    # q1 = i, sigma = 0: lam^2 - 2i lam = n^2 has the double root i at n = +-1
+    pot = PotentialPair.from_functions(lambda t: 1j, lambda t: 0.0)
+    eigs = find_eigenvalues(pot, 2, pot.omega0())
+    assert abs(eigs.entry(1).lam - 1j) < 1e-9 and eigs.entry(-1).lam == eigs.entry(1).lam
+    # the disc, the cluster's local circle and its half-radius check
+    assert large_batches == [(256, 0)] * 3
+
+
+def test_power_sums_match_the_constant_potential_oracle():
+    # q1 = a, sigma = 0: Delta vanishes where lam^2 - 2 a lam = n^2
+    a = 0.3 + 0.2j
+    pot = PotentialPair.from_functions(lambda t: a, lambda t: 0.0)
+    n = np.arange(1, 4)
+    roots = np.concatenate([a + np.sqrt(a * a + n * n), a - np.sqrt(a * a + n * n)])
+    inside = roots[np.abs(roots - 0.1) < 2.5]
+    s = sample_circle(pot, 0.1, 2.5)
+    assert s.count == len(inside) == 4
+    for p, ps in enumerate(s.power_sums(4), start=1):
+        assert abs(ps - np.sum(inside ** p)) < 1e-9
+
+
+def test_winding_resamples_a_phase_step_near_pi(large_batches):
+    # Delta = sin(pi lam)/lam has the 60 roots +-1..+-30 inside |lam| < 30.5; on
+    # 256 nodes arg Delta steps by up to 2.3 rad between neighbours
+    s = sample_circle(PotentialPair.zeros(200), 0.0, 30.5)
+    assert large_batches == [(256, 0), (1024, 0)]
+    assert s.count == 60 and s.zs.size == 1024
 
 
 def _random_pair(seed):
