@@ -72,7 +72,6 @@ from .spectral_data import (
     SpectralEntry,
     compute_diagnostics,
     eta_weight,
-    normalize_ordering,
     truncate_hybrid,
     validate_splitting_conditions,
 )

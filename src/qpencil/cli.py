@@ -116,13 +116,18 @@ def _cmd_forward(args) -> int:
     return EXIT_OK
 
 
-def _cmd_inverse(args) -> int:
+def _load_data(args):
+    """The --data set, truncated at --trunc-n, its zero background and the profile."""
     data = SpectralDataSet.load_json(args.data)
     model = ZeroBackground()
     if args.trunc_n is not None:
         data = truncate_hybrid(data, model.spectral_data(max(1, data.max_abs_index)),
                                args.trunc_n)
-    profile = PROFILES[args.tolerance_profile]
+    return data, model, PROFILES[args.tolerance_profile]
+
+
+def _cmd_inverse(args) -> int:
+    data, model, profile = _load_data(args)
     rec = run_reconstruction(data, model, default_grid(args.grid_n),
                              min_window=args.min_window,
                              cond_limit=profile["cond_limit"])
@@ -160,12 +165,7 @@ def _cmd_split_table(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
-    data = SpectralDataSet.load_json(args.data)
-    model = ZeroBackground()
-    if args.trunc_n is not None:
-        data = truncate_hybrid(data, model.spectral_data(max(1, data.max_abs_index)),
-                               args.trunc_n)
-    profile = PROFILES[args.tolerance_profile]
+    data, model, profile = _load_data(args)
     report = roundtrip_check(data, model, args.n_check,
                              grid=default_grid(args.grid_n),
                              refine=profile["refine"], cond_limit=profile["cond_limit"])

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from math import pi
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import zindex
 from .errors import (
@@ -37,7 +36,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .model import COALESCE_GAP, P_MAX, BackgroundProblem, d_table, same_background
+from .model import COALESCE_GAP, P_MAX, BackgroundProblem, cumulative, d_table, same_background
 from .spectral_data import SpectralDataSet
 
 DEFAULT_N_GRID = 200
@@ -326,11 +325,6 @@ def recover_q1(eps: EpsilonFields, model: BackgroundProblem) -> np.ndarray:
     return model.q1_values(eps.x) + eps.eps1_prime / (1.0 + eps.eps1 ** 2)
 
 
-def _cumulative(y, x):
-    return cumulative_simpson(y.real, x=x, initial=0.0) \
-        + 1j * cumulative_simpson(y.imag, x=x, initial=0.0)
-
-
 def recover_q0_antiderivative(eps: EpsilonFields, q1: np.ndarray,
                               model: BackgroundProblem) -> np.ndarray:
     """Antiderivative of the zeroth-potential difference, in integrated form.
@@ -352,7 +346,7 @@ def recover_q0_antiderivative(eps: EpsilonFields, q1: np.ndarray,
                  + b * (eps.eps2 - 2.0 * q1t * eps.eps1 + eps.eps4)
                  + 0.25 * b * b)
     return (2.0 * jump(eps.eps2) + 2.0 * jump(eps.eps4) + 0.5 * jump(b)
-            - 2.0 * jump(q1t * eps.eps1) + _cumulative(integrand, x))
+            - 2.0 * jump(q1t * eps.eps1) + cumulative(integrand, x))
 
 
 @dataclass

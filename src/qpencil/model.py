@@ -56,6 +56,12 @@ COALESCE_GAP = 0.05
 SMALL_LAMBDA = 0.5
 
 
+def cumulative(y, x) -> np.ndarray:
+    """Running composite-Simpson integral of complex samples y(x) over the last axis."""
+    return cumulative_simpson(y.real, x=x, initial=0.0) \
+        + 1j * cumulative_simpson(y.imag, x=x, initial=0.0)
+
+
 def s_chain(x, lam, order: int) -> np.ndarray:
     """Normalized lam-derivatives of sin(lam x)/lam, shape (order+1,) + lam.shape + x.shape.
 
@@ -401,10 +407,7 @@ class NumericBackground(BackgroundProblem):
     def _coalescent_table(self, x, lam, mu, tmax, smax):
         # D(0, ., .) = 0, so D is the running integral of dD/dx on the refined grid
         xr = self._refined_x()
-        X = dx_table(self, xr, lam, mu, tmax, smax)
-        cum = cumulative_simpson(X.real, x=xr, initial=0.0) \
-            + 1j * cumulative_simpson(X.imag, x=xr, initial=0.0)
-        return cum[..., self._node_index(x)]
+        return cumulative(dx_table(self, xr, lam, mu, tmax, smax), xr)[..., self._node_index(x)]
 
     def spectral_entry(self, n):
         if n == 0:

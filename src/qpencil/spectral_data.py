@@ -5,7 +5,9 @@ coefficient) plus a background problem supplying every index outside the
 window, so sums over all of Z0 against a matching background are finite and
 exact.  Index convention: a multiplicity group occupies consecutive members
 of Z0 starting at its most negative index; equal eigenvalues at opposite-sign
-indices are legal only when they form one such consecutive group.
+indices are legal only when they form one such consecutive group.  Every set
+is regrouped onto that convention when it is built: ``from_entries`` is the
+one constructor, behind JSON, ``replace_entry``, truncation and the solvers.
 """
 
 from __future__ import annotations
@@ -79,7 +81,18 @@ class SpectralDataSet:
     @staticmethod
     def from_entries(entries, tail: BackgroundProblem | None = None,
                      omega0: complex | None = None) -> "SpectralDataSet":
-        """Build a set from entries already obeying the ordering convention."""
+        """Build a set, regrouping equal eigenvalues onto consecutive indices.
+
+        The indices must form a window of Z0 without repeats.  Per sign of n,
+        eigenvalues within GROUPING_TOL of a cluster's first value join that
+        cluster, and the clusters fill the sign's index slots in order of
+        first appearance: values move with their coefficients, the slots stay.
+        The clusters next to the gap bridge -1 and 1 when equal.  A run whose
+        members differ is collapsed onto their mean, so a group carries one
+        eigenvalue; equal eigenvalues left at opposite signs raise
+        SignConflictError.  Input that already obeys the convention comes back
+        unchanged.
+        """
         emap: dict[int, SpectralEntry] = {}
         for e in entries:
             if e.n in emap:
@@ -87,12 +100,13 @@ class SpectralDataSet:
             emap[e.n] = e
         idx = sorted(emap)
         _check_contiguous(idx)
-        groups = _detect_groups(emap, idx)
+        emap, groups = _regroup(emap, idx)
         _check_assumption_o(groups)
-        if omega0 is None:
-            omega0 = _estimate_omega0(emap, idx)
+        omega0 = complex(_estimate_omega0(emap, idx) if omega0 is None else omega0)
+        if not np.isfinite(omega0):
+            raise NonFiniteInputError(f"omega0={omega0} is not finite")
         return SpectralDataSet(entries=emap, groups=tuple(groups), tail=tail,
-                               omega0=complex(omega0))
+                               omega0=omega0)
 
     # -- access --------------------------------------------------------------
 
@@ -132,7 +146,7 @@ class SpectralDataSet:
 
     def replace_entry(self, n: int, lam: complex | None = None,
                       M: complex | None = None) -> "SpectralDataSet":
-        """Copy with one window entry modified (renormalizes grouping)."""
+        """Copy with one window entry modified, regrouped like any new set."""
         cur = self.entry(n)
         new = SpectralEntry(n=n, lam=cur.lam if lam is None else lam,
                             M=cur.M if M is None else M)
@@ -173,7 +187,7 @@ class SpectralDataSet:
             omega0 = complex(om[0], om[1]) if om is not None else None
         except (KeyError, IndexError, TypeError, ValueError) as err:
             raise ValidationError(f"malformed spectral data: {err!r}") from None
-        return normalize_ordering(entries, tail=ZeroBackground(), omega0=omega0)
+        return SpectralDataSet.from_entries(entries, tail=ZeroBackground(), omega0=omega0)
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -204,20 +218,35 @@ def _check_contiguous(idx: list[int]) -> None:
         raise IndexMismatchError("positive indices must form a contiguous run starting at 1")
 
 
-def _detect_groups(emap, idx) -> list[Group]:
+def _regroup(emap: dict[int, SpectralEntry],
+             idx: list[int]) -> tuple[dict[int, SpectralEntry], list[Group]]:
+    """Entries moved onto the grouping convention, and their groups."""
+    runs: list[list[SpectralEntry]] = []
+    for side in ([n for n in idx if n < 0], [n for n in idx if n > 0]):
+        clusters: list[list[SpectralEntry]] = []
+        for n in side:
+            for cl in clusters:
+                if abs(emap[n].lam - cl[0].lam) <= GROUPING_TOL:
+                    cl.append(emap[n])
+                    break
+            else:
+                clusters.append([emap[n]])
+        # the clusters next to the gap bridge -1 and 1 when equal
+        if runs and clusters and abs(clusters[0][0].lam - runs[-1][0].lam) <= GROUPING_TOL:
+            runs[-1] += clusters.pop(0)
+        runs += clusters
+    out: dict[int, SpectralEntry] = {}
     groups: list[Group] = []
-    run: list[int] = []
-    for n in idx:
-        if run and abs(emap[n].lam - emap[run[0]].lam) <= GROUPING_TOL \
-                and zindex.shift(run[-1], 1) == n:
-            run.append(n)
-        else:
-            if run:
-                groups.append(Group(start=run[0], size=len(run), lam=emap[run[0]].lam))
-            run = [n]
-    if run:
-        groups.append(Group(start=run[0], size=len(run), lam=emap[run[0]].lam))
-    return groups
+    slots = iter(idx)   # a window of Z0, so neighbouring slots are consecutive indices
+    for run in runs:
+        lam = run[0].lam
+        if any(e.lam != lam for e in run):   # averaging is not a fixed point
+            lam = complex(np.mean([e.lam for e in run]))
+        members = [next(slots) for _ in run]
+        for n, e in zip(members, run):
+            out[n] = e if (n, lam) == (e.n, e.lam) else SpectralEntry(n=n, lam=lam, M=e.M)
+        groups.append(Group(start=members[0], size=len(run), lam=lam))
+    return out, groups
 
 
 def _check_assumption_o(groups: list[Group]) -> None:
@@ -237,75 +266,6 @@ def _estimate_omega0(emap, idx) -> complex:
     if not ranked:
         return 0.0
     return complex(np.mean([emap[n].lam - n for n in ranked]))
-
-
-def normalize_ordering(raw_entries, tail: BackgroundProblem | None = None,
-                       omega0: complex | None = None) -> SpectralDataSet:
-    """Regroup raw indexed entries so equal eigenvalues sit at consecutive indices.
-
-    Entries are permuted within each sign separately (values move, the index
-    slots stay); a run of equal eigenvalues may bridge -1 and 1, which becomes
-    a single group starting at the negative index.  Equal eigenvalues at
-    opposite signs that cannot bridge raise ``SignConflictError`` rather than
-    being silently reordered across the sign of n.
-    """
-    items: list[SpectralEntry] = []
-    seen: set[int] = set()
-    for e in raw_entries:
-        if not isinstance(e, SpectralEntry):
-            n, lam, M = e
-            e = SpectralEntry(n=int(n), lam=lam, M=M)
-        if e.n in seen:
-            raise DuplicateIndexError(f"index {e.n} appears twice")
-        seen.add(e.n)
-        items.append(e)
-    idx = sorted(seen)
-    _check_contiguous(idx)
-
-    def clusters(side_entries):
-        out: list[list[SpectralEntry]] = []
-        for e in side_entries:
-            for cl in out:
-                if abs(e.lam - cl[0].lam) <= GROUPING_TOL:
-                    cl.append(e)
-                    break
-            else:
-                out.append([e])
-        return out
-
-    neg = clusters([e for e in sorted(items, key=lambda s: s.n) if e.n < 0])
-    pos = clusters([e for e in sorted(items, key=lambda s: s.n) if e.n > 0])
-
-    # cross-sign equality is only legal for the clusters adjacent to the gap
-    for i, a in enumerate(neg):
-        for j, b in enumerate(pos):
-            if abs(a[0].lam - b[0].lam) <= GROUPING_TOL and not (i == len(neg) - 1 and j == 0):
-                raise SignConflictError(
-                    "equal eigenvalues at indices of opposite sign cannot be "
-                    "regrouped consecutively")
-
-    def reassign(cls, slots):
-        flat = [e for cl in cls for e in cl]
-        return [SpectralEntry(n=s, lam=e.lam, M=e.M) for s, e in zip(slots, flat)]
-
-    neg_slots = [n for n in idx if n < 0]
-    pos_slots = [n for n in idx if n > 0]
-    out = reassign(neg, neg_slots) + reassign(pos, pos_slots)
-
-    # collapse each equal-eigenvalue run onto its mean so grouped entries
-    # carry literally the same eigenvalue
-    out_map = {e.n: e for e in out}
-    groups = _detect_groups(out_map, sorted(out_map))
-    final = []
-    for g in groups:
-        member_lams = [out_map[m].lam for m in g.members]
-        if all(v == member_lams[0] for v in member_lams):
-            lam = member_lams[0]   # already collapsed; averaging is not a fixed point
-        else:
-            lam = complex(np.mean(member_lams))
-        for m in g.members:
-            final.append(SpectralEntry(n=m, lam=lam, M=out_map[m].M))
-    return SpectralDataSet.from_entries(final, tail=tail, omega0=omega0)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,18 @@ def test_malformed_input_is_validation_error(tmp_path, argv_for):
     assert main(argv_for(tmp_path)) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("command", ["inverse", "roundtrip"])
+@pytest.mark.parametrize("omega0", [[float("nan"), 0], [0, float("inf")]])
+def test_non_finite_omega0_is_validation_error(tmp_path, capsys, command, omega0):
+    path = tmp_path / "omega0.json"
+    path.write_text(json.dumps({"omega0": omega0, "entries": [_ENTRY]}))   # NaN, Infinity
+    out = tmp_path / "o.csv"
+    argv = [command, "--data", str(path)] + (["--out", str(out)] if command == "inverse" else [])
+    assert main(argv) == EXIT_VALIDATION
+    assert "omega0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("index", [1.5, True, "3"])
 def test_non_integer_json_index_is_validation_error(tmp_path, capsys, index):
     # int() would read these as indices 1, 1 and 3

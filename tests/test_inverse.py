@@ -178,11 +178,9 @@ def test_full_pipeline_identity(zero_model):
 
 def test_pipeline_rejects_mismatched_mean_shift(zero_model):
     data = ZeroBackground().spectral_data(3)
-    shifted = [(n, data.entry(n).lam + 0.4, data.entry(n).M)
+    shifted = [SpectralEntry(n, data.entry(n).lam + 0.4, data.entry(n).M)
                for n in data.window_indices()]
-    from qpencil import normalize_ordering
-
-    bad = normalize_ordering(shifted, tail=ZeroBackground())
+    bad = SpectralDataSet.from_entries(shifted, tail=ZeroBackground())
     with pytest.raises(Exception):
         run_reconstruction(bad, zero_model)
 
@@ -203,10 +201,10 @@ def test_pipeline_reports_condition_and_residual(zero_model):
 
 
 def test_layout_rejects_oversized_groups(zero_model):
-    from qpencil import OrderTooHighError, normalize_ordering
+    from qpencil import OrderTooHighError
 
-    raw = [(n, 0.4, 1.0) for n in (-3, -2, -1, 1, 2, 3)]   # one group of six
-    data = normalize_ordering(raw, tail=ZeroBackground(), omega0=0.0)
+    raw = [SpectralEntry(n, 0.4, 1.0) for n in (-3, -2, -1, 1, 2, 3)]   # one group of six
+    data = SpectralDataSet.from_entries(raw, tail=ZeroBackground(), omega0=0.0)
     with pytest.raises(OrderTooHighError):
         active_layout(data, zero_model)
 

@@ -2,6 +2,7 @@
 
 from math import pi
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,10 @@ from qpencil import (
     ValidationError,
     ZeroBackground,
     compute_diagnostics,
+    default_grid,
     eta_weight,
     make_split_data,
-    normalize_ordering,
+    run_reconstruction,
     truncate_hybrid,
     validate_splitting_conditions,
 )
@@ -54,8 +56,8 @@ def test_entries_store_complex_values():
 
 
 def test_double_eigenvalue_pair_groups_across_gap():
-    raw = [(1, 0.5, -1j / (2 * pi)), (-1, 0.5, -1 / pi)]
-    ds = normalize_ordering(raw, tail=ZeroBackground(), omega0=0.0)
+    raw = [SpectralEntry(1, 0.5, -1j / (2 * pi)), SpectralEntry(-1, 0.5, -1 / pi)]
+    ds = SpectralDataSet.from_entries(raw, tail=ZeroBackground(), omega0=0.0)
     assert len(ds.groups) == 1
     g = ds.groups[0]
     assert g.start == -1 and g.size == 2
@@ -65,55 +67,101 @@ def test_double_eigenvalue_pair_groups_across_gap():
 
 
 def test_model_like_data_stays_singletons():
-    raw = [(n, n, -n / pi) for n in window(3)]
-    ds = normalize_ordering(raw, tail=ZeroBackground())
+    raw = [SpectralEntry(n, n, -n / pi) for n in window(3)]
+    ds = SpectralDataSet.from_entries(raw, tail=ZeroBackground())
     assert len(ds.groups) == 6
     assert all(g.size == 1 for g in ds.groups)
     assert [g.start for g in ds.groups] == window(3)
 
 
 def test_grouping_tolerance_collapses_close_eigenvalues():
-    raw = [(1, 1 + 1e-15, 1.0), (2, 1.0, 2.0)]
-    ds = normalize_ordering(raw)
+    raw = [SpectralEntry(1, 1 + 1e-15, 1.0), SpectralEntry(2, 1.0, 2.0)]
+    ds = SpectralDataSet.from_entries(raw)
     assert len(ds.groups) == 1
     assert ds.groups[0].start == 1 and ds.groups[0].size == 2
     # both entries carry literally the same eigenvalue after collapse
     assert ds.entries[1].lam == ds.entries[2].lam
 
 
+def test_equal_eigenvalues_are_regrouped_by_every_constructor():
+    # lambda_1 = lambda_3 = 1.2 with lambda_2 = 2 between them
+    lams = {-3: -3.0, -2: -2.0, -1: -1.0, 1: 1.2, 2: 2.0, 3: 1.2}
+    built = SpectralDataSet.from_entries(
+        [SpectralEntry(n, lam, -n / pi) for n, lam in lams.items()],
+        tail=ZeroBackground(), omega0=0.0)
+    replaced = ZeroBackground().spectral_data(3).replace_entry(1, lam=1.2) \
+        .replace_entry(3, lam=1.2)
+    recs = []
+    for ds in (built, replaced):
+        assert [(g.start, g.size) for g in ds.groups] == \
+            [(-3, 1), (-2, 1), (-1, 1), (1, 2), (3, 1)]
+        assert [ds.entries[n].lam for n in (1, 2, 3)] == [1.2, 1.2, 2.0]
+        assert [ds.entries[n].M for n in (1, 2, 3)] == [-1 / pi, -3 / pi, -2 / pi]
+        recs.append(run_reconstruction(ds, ZeroBackground(), default_grid(100)))
+    assert np.array_equal(recs[0].q1, recs[1].q1)
+    assert np.array_equal(recs[0].q0_antideriv, recs[1].q0_antideriv)
+    assert np.all(np.isfinite(recs[0].q1))
+
+    # eigenvalues within GROUPING_TOL come out as one value, in the group too
+    close = SpectralDataSet.from_entries([SpectralEntry(1, 1 + 1e-12, 1.0),
+                                          SpectralEntry(2, 1.0, 2.0)])
+    close_replaced = SpectralDataSet.from_entries(
+        [SpectralEntry(1, 1.0, 1.0), SpectralEntry(2, 3.0, 2.0)]).replace_entry(2, lam=1 + 1e-12)
+    for ds in (close, close_replaced):
+        assert ds.entries[1].lam == ds.entries[2].lam == ds.groups[0].lam
+        assert [(g.start, g.size) for g in ds.groups] == [(1, 2)]
+
+
 def test_duplicate_index_rejected():
     with pytest.raises(DuplicateIndexError):
-        normalize_ordering([(1, 1.0, 1.0), (1, 2.0, 1.0)])
+        SpectralDataSet.from_entries([SpectralEntry(1, 1.0, 1.0), SpectralEntry(1, 2.0, 1.0)])
 
 
 def test_sign_conflict_rejected():
     # equal eigenvalues at -2 and 2 with distinct values in between cannot
     # be regrouped without crossing the sign of n
-    raw = [(-2, 7.0, 1.0), (-1, -1.0, 1.0), (1, 1.0, 1.0), (2, 7.0, 1.0)]
+    raw = [SpectralEntry(-2, 7.0, 1.0), SpectralEntry(-1, -1.0, 1.0),
+           SpectralEntry(1, 1.0, 1.0), SpectralEntry(2, 7.0, 1.0)]
     with pytest.raises(SignConflictError):
-        normalize_ordering(raw)
+        SpectralDataSet.from_entries(raw)
 
 
 def test_same_sign_regrouping_moves_values():
-    raw = [(1, 5.0, 10.0), (2, 3.0, 20.0), (3, 5.0, 30.0)]
-    ds = normalize_ordering(raw)
+    raw = [SpectralEntry(1, 5.0, 10.0), SpectralEntry(2, 3.0, 20.0), SpectralEntry(3, 5.0, 30.0)]
+    ds = SpectralDataSet.from_entries(raw)
     assert [g.size for g in ds.groups] == [2, 1]
     assert ds.entries[1].M == 10.0
     assert ds.entries[2].M == 30.0   # second member of the 5.0 group
     assert ds.entries[3].M == 20.0
 
 
+# values that recur, so draws put equal eigenvalues on both signs of n
+_LAMS = st.one_of(st.sampled_from([0.5, 1.0, 1.0 + 1e-12, 2j]),
+                  st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False))
+
+
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False),
-                min_size=1, max_size=6))
-def test_normalize_is_idempotent(lams):
-    n_side = len(lams)
-    raw = [(k + 1, lams[k], float(k)) for k in range(n_side)]
-    ds = normalize_ordering(raw)
-    again = normalize_ordering(
-        [(n, ds.entries[n].lam, ds.entries[n].M) for n in ds.window_indices()])
+@given(st.lists(_LAMS, min_size=1, max_size=6), st.integers(0, 6))
+def test_normalize_is_idempotent(lams, n_neg):
+    n_neg = min(n_neg, len(lams))
+    ns = list(range(-n_neg, 0)) + list(range(1, len(lams) - n_neg + 1))
+    raw = [SpectralEntry(n, lam, float(k)) for k, (n, lam) in enumerate(zip(ns, lams))]
+    raw_json = {"entries": [{"n": e.n, "lambda": [e.lam.real, e.lam.imag],
+                             "M": [e.M.real, e.M.imag]} for e in raw]}
+    try:
+        ds = SpectralDataSet.from_entries(raw, tail=ZeroBackground())
+    except SignConflictError:
+        with pytest.raises(SignConflictError):
+            SpectralDataSet.from_json_dict(raw_json)
+        return
+    again = SpectralDataSet.from_entries(
+        [SpectralEntry(n, ds.entries[n].lam, ds.entries[n].M) for n in ds.window_indices()])
     assert ds.entries == again.entries
     assert ds.groups == again.groups
+    via_json = SpectralDataSet.from_json_dict(raw_json)
+    assert via_json.entries == ds.entries
+    assert via_json.groups == ds.groups
+    assert via_json.omega0 == ds.omega0
 
 
 def test_diagnostics_identical_data():
@@ -228,8 +276,8 @@ def test_json_defaults_outside_entries_to_model():
 
 def test_omega0_estimate_from_largest_indices():
     shiftv = 0.3 + 0.1j
-    raw = [(n, n + shiftv, -n / pi) for n in window(6)]
-    ds = normalize_ordering(raw)
+    raw = [SpectralEntry(n, n + shiftv, -n / pi) for n in window(6)]
+    ds = SpectralDataSet.from_entries(raw)
     assert ds.omega0 == pytest.approx(shiftv)
 
 
