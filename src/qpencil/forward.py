@@ -21,10 +21,15 @@ A1 = [[0, 0], [2 q1 - 2 lam, 0]] and A2 = [[0, 0], [-1, 0]].  Every transfer
 matrix is therefore handled as a truncated eps-series of 2x2 matrices.
 
 Only G depends on lam, so each entry of T_i - I is a polynomial of degree at
-most 4 in lam with coefficients tabled once per integration.  The eps^k term of
-T(lam + eps) - I is that table times the powers comb(d, k) lam^(d-k), d = 0..4
-(zero for k >= 5): a (steps, 5) @ (5, L) matrix product per order and entry,
-to which I is added afterwards, so the small terms are not summed against 1.
+most 4 in lam with a lam-independent coefficient table.  Adjacent steps
+multiply in that coefficient space, (I + X_1)(I + X_0) - I = X_1 + X_0 + X_1 X_0,
+so a block of BLOCK_STEPS = 4 steps is tabled as degree-16 polynomials.  The
+eps^k term of T(lam + eps) - I is a table times the powers comb(d, k) lam^(d-k)
+(zero for k > d): a (steps, 5) @ (5, L) or (blocks, 17) @ (17, L) matrix product
+per order and entry, to which I is added afterwards, so the small terms are not
+summed against 1.  Both tables depend on the potentials and the refinement
+alone: each is built once and kept on the (read-only) ``PotentialPair``; the
+block table serves every call but traces, which need each node.
 
 Roots inside |lam - c| = r are counted and located from Delta = S(pi) alone: with N
 of them, sum_j (lam_j - c)^p = -p r^p g_(-p) for the periodic g = log Delta - i N theta.
@@ -33,7 +38,7 @@ of them, sum_j (lam_j - c)^p = -p r^p g_(-p) for the periodic g = log Delta - i 
 from __future__ import annotations
 
 import csv as _csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, pi
 
 import numpy as np
@@ -55,7 +60,8 @@ NEWTON_MAX_ITER = 50
 RESIDUE_NODES = 256
 CONTOUR_RADIUS_CAP = 0.2
 PHASE_STEP_MAX = pi / 2  # largest arg Delta step between neighbouring circle nodes
-CHUNK_ENTRIES = 8192     # step matrices built at once, counted as steps x lambdas
+CHUNK_ENTRIES = 8192     # block (or step) matrices built at once, counted as matrices x lambdas
+BLOCK_STEPS = 4          # steps per block of the untraced integrator, a power of 2
 POTENTIALS_HEADER = ["x", "re_q1", "im_q1", "re_sigma", "im_sigma"]
 
 
@@ -87,17 +93,19 @@ class PotentialPair:
     ``sigma`` is the antiderivative of the zeroth-order potential with
     sigma(0) = 0; both arrays are interpreted as piecewise-linear functions
     of x.  Genuinely singular potentials (delta functions) are out of scope:
-    sigma must be continuous, i.e. representable by its node values.
+    sigma must be continuous, i.e. representable by its node values.  The
+    arrays are read-only copies, so tables cached on them never go stale.
     """
 
     x: np.ndarray
     q1: np.ndarray
     sigma: np.ndarray
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        q1 = np.asarray(self.q1, dtype=complex)
-        sigma = np.asarray(self.sigma, dtype=complex)
+        x = np.array(self.x, dtype=float)
+        q1 = np.array(self.q1, dtype=complex)
+        sigma = np.array(self.sigma, dtype=complex)
         if not (len(x) == len(q1) == len(sigma)):
             raise ValidationError("grid and potential arrays must have equal length")
         if len(x) < 2 or abs(x[0]) > 1e-12 or abs(x[-1] - pi) > 1e-12:
@@ -107,9 +115,9 @@ class PotentialPair:
             raise ValidationError("grid must be uniform")
         if not (np.all(np.isfinite(q1)) and np.all(np.isfinite(sigma))):
             raise NonFiniteInputError("potential values must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "sigma", sigma)
+        for name, arr in (("x", x), ("q1", q1), ("sigma", sigma)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_grid(self) -> int:
@@ -220,6 +228,40 @@ def _step_polynomials(h, s_n, s_m, q_n, q_m):
     return T
 
 
+def _pair_steps(X):
+    """Adjacent steps of a (degrees, 4, even) table: (I + X1)(I + X0) - I = X1 + X0 + X1 X0."""
+    d, n = X.shape[0], X.shape[2] // 2
+    X = X.reshape(d, 2, 2, n, 2)        # the last axis is the step's parity
+    X0, X1 = X[..., 0], X[..., 1]
+    P = np.zeros((2 * d - 1, 2, 2, n), dtype=complex)
+    for i in range(d):                  # lam^i of X1 times every power of X0
+        P[i:i + d] += X1[i, :, 0, None] * X0[:, None, 0] + X1[i, :, 1, None] * X0[:, None, 1]
+    P[:d] += X0 + X1
+    return P.reshape(2 * d - 1, 4, n)
+
+
+def _coefficients(potentials, refine, per_step):
+    """The table of T - I per step or per block, built once per (potentials, refine).
+
+    Identity steps (X = 0) fill the last block of a step count not divisible by BLOCK_STEPS.
+    """
+    key = (refine, per_step)
+    if key not in potentials._tables:
+        if per_step:
+            m_steps = potentials.n_grid * refine
+            half = np.linspace(0.0, pi, 2 * m_steps + 1)     # nodes and step midpoints
+            sig = np.interp(half, potentials.x, potentials.sigma)
+            q1 = np.interp(half, potentials.x, potentials.q1)
+            X = _step_polynomials(pi / m_steps, sig[::2], sig[1::2], q1[::2], q1[1::2])
+        else:
+            X = _coefficients(potentials, refine, True)
+            X = np.concatenate([X, np.zeros(X.shape[:2] + (-X.shape[2] % BLOCK_STEPS,))], axis=2)
+            for _ in range(BLOCK_STEPS.bit_length() - 1):
+                X = _pair_steps(X)
+        potentials._tables[key] = X
+    return potentials._tables[key]
+
+
 def _mul(A, B):
     """Truncated series product (A B)_k = sum_j A_j B_(k-j), k < len(B).
 
@@ -268,13 +310,14 @@ def integrate(potentials: PotentialPair, lams, n_derivs: int = 0,
     piecewise-linear interpolants, so step halving (larger ``refine``)
     converges at fourth order to the piecewise-linear problem.
 
-    The step matrices T_i(lam + eps) (module docstring), truncated after the
-    eps^n_derivs term, are evaluated from the coefficient table over chunks of
-    at most ``CHUNK_ENTRIES`` steps x lambdas.  Each chunk is reduced by a pairwise
-    product tree and applied to the state, the product of all earlier steps
-    applied to the initial values S = 0, S^[1] = 1 (and C = 1, C^[1] = 0 for
-    ``with_c``; C carries no chains).  ``with_trace`` keeps the state at every
-    node from the prefix products of each chunk.
+    The matrices T(lam + eps) of blocks of BLOCK_STEPS steps (module
+    docstring), truncated after the eps^n_derivs term, are evaluated from the
+    block table over chunks of at most ``CHUNK_ENTRIES`` blocks x lambdas.
+    Each chunk is reduced by a pairwise product tree and applied to the state:
+    S = 0, S^[1] = 1 (and C = 1, C^[1] = 0 for ``with_c``; C carries no
+    chains) times all earlier blocks.  ``with_trace`` evaluates the per-step
+    table instead and keeps every node from the chunks' prefix products.  The
+    tables (1.2 MB at 200 intervals x refine 10) are kept for later calls.
     """
     for name, val, low in (("refine", refine, 1), ("n_derivs", n_derivs, 0)):
         if not isinstance(val, (int, np.integer)) or val < low:
@@ -287,13 +330,9 @@ def integrate(potentials: PotentialPair, lams, n_derivs: int = 0,
     nch = n_s + (1 if with_c else 0)
 
     m_steps = potentials.n_grid * refine
-    h = pi / m_steps
-    half = np.linspace(0.0, pi, 2 * m_steps + 1)     # nodes and step midpoints
-    sig = np.interp(half, potentials.x, potentials.sigma)
-    q1 = np.interp(half, potentials.x, potentials.q1)
-    coef = _step_polynomials(h, sig[::2], sig[1::2], q1[::2], q1[1::2])
-    # eps^k coefficient of (lam + eps)^d is comb(d, k) lam^(d-k): zero for k >= 5
-    powers = [np.array([comb(d, k) * lams ** max(d - k, 0) for d in range(5)])
+    coef = _coefficients(potentials, refine, per_step=with_trace)
+    # eps^k coefficient of (lam + eps)^d is comb(d, k) lam^(d-k): zero for k > d
+    powers = [np.array([comb(d, k) * lams ** max(d - k, 0) for d in range(len(coef))])
               for k in range(n_s)]
 
     Y = np.zeros((n_s, 2, nch - n_s + 1, 1, L), dtype=complex)
@@ -306,11 +345,11 @@ def integrate(potentials: PotentialPair, lams, n_derivs: int = 0,
         trace[0] = _chains(Y)[0]
 
     chunk = max(1, CHUNK_ENTRIES // max(L, 1))
-    for a in range(0, m_steps, chunk):
-        b = min(a + chunk, m_steps)
+    for a in range(0, coef.shape[2], chunk):
+        b = min(a + chunk, coef.shape[2])
         T = np.empty((n_s, 4, b - a, L), dtype=complex)
-        # one (steps, 5) @ (5, L) product per order and entry keeps every BLAS
-        # call at 5 CHUNK_ENTRIES multiply-adds or fewer
+        # one (blocks, 17) @ (17, L) product per order and entry (steps and 5
+        # for traces) keeps every BLAS call at 17 CHUNK_ENTRIES multiply-adds or fewer
         for k, P in enumerate(powers):
             for e in range(4):
                 np.matmul(coef[:, e, a:b].T, P, out=T[k, e])
@@ -326,7 +365,7 @@ def integrate(potentials: PotentialPair, lams, n_derivs: int = 0,
 
     end = _chains(Y)[0]
     return ShootingResult(lams=lams, s=end[:n_s, 0], c=end[n_s, 0] if with_c else None,
-                          trace=trace, x_refined=half[::2])
+                          trace=trace, x_refined=np.linspace(0.0, pi, 2 * m_steps + 1)[::2])
 
 
 # ---------------------------------------------------------------------------
@@ -566,23 +605,24 @@ def weight_numbers(potentials: PotentialPair, eigenvalues: SpectralDataSet,
     For a group of size m at lam with chains S_0..S_(m-1),
     alpha_(g+nu) = int (2(lam - q1) S_(m-1) + S_(m-2)) S_nu dx
                  + int S_(m-1) S_(nu-1) dx,  with S_(-1) = 0.
+    The groups of one size share one traced integration.
     """
-    out: dict[int, complex] = {}
+    by_size: dict[int, list] = {}
     for g in eigenvalues.groups:
-        m = g.size
-        res = integrate(potentials, np.array([g.lam]), n_derivs=m - 1,
-                        refine=refine, with_trace=True)
+        by_size.setdefault(g.size, []).append(g)
+    out: dict[int, complex] = {}
+    for m, groups in by_size.items():
+        lams = np.array([g.lam for g in groups])
+        res = integrate(potentials, lams, n_derivs=m - 1, refine=refine, with_trace=True)
         xr = res.x_refined
-        q1r = np.interp(xr, potentials.x, potentials.q1)
-        S = res.trace[:, :, 0, 0].T      # (m, nodes+1)
-        Sm1 = S[m - 1]
-        Sm2 = S[m - 2] if m >= 2 else 0.0
-        lead = 2.0 * (g.lam - q1r) * Sm1 + Sm2
-        for nu, member in enumerate(g.members):
-            val = simpson(lead * S[nu], x=xr)
+        q1r = np.interp(xr, potentials.x, potentials.q1)[:, None]
+        S = res.trace[:, :, 0].transpose(1, 0, 2)      # (m, nodes+1, groups)
+        lead = 2.0 * (lams - q1r) * S[m - 1] + (S[m - 2] if m >= 2 else 0.0)
+        for nu in range(m):
+            val = simpson(lead * S[nu], x=xr, axis=0)
             if nu >= 1:
-                val = val + simpson(Sm1 * S[nu - 1], x=xr)
-            out[member] = complex(val)
+                val = val + simpson(S[m - 1] * S[nu - 1], x=xr, axis=0)
+            out.update((g.members[nu], complex(v)) for g, v in zip(groups, val))
     return out
 
 

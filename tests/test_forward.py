@@ -90,30 +90,33 @@ def assert_close(got, want, rtol=1e-12):
 @pytest.mark.parametrize("n_derivs", [0, 1, 3])
 @pytest.mark.parametrize("n_lams", [0, 1, 7, 300])
 def test_integrate_matches_per_step_loop(n_lams, n_derivs, refine):
-    pot = smooth_pair()          # 200 intervals: 600 and 2,000 steps, chunk remainders
+    # 200 intervals: 600 and 2,000 steps, chunk remainders; 101 intervals at
+    # refine 3: 303 steps, so the last block of four holds three
+    pots = [smooth_pair()] + ([smooth_pair(n_grid=101)] if refine == 3 else [])
     rng = np.random.default_rng(n_lams + 10 * n_derivs + refine)
     lams = rng.uniform(-6.0, 6.0, n_lams) + 1j * rng.uniform(-1.0, 1.0, n_lams)
     # the L=300 trace at refine 10 would hold ~100 MB per copy
     with_trace_cases = (False, True) if n_lams < 300 or refine == 3 else (False,)
-    s, c, trace = reference_integrate(pot, lams, n_derivs, refine)
-    for with_c in (False, True):
-        for with_trace in with_trace_cases:
-            res = integrate(pot, lams, n_derivs=n_derivs, with_c=with_c,
-                            refine=refine, with_trace=with_trace)
-            assert res.s.shape == (n_derivs + 1, n_lams)
-            for k in range(n_derivs + 1):
-                assert_close(res.s[k], s[k])
-            if with_c:
-                assert_close(res.c, c)
-            else:
-                assert res.c is None
-            if with_trace:
-                chains = list(range(n_derivs + 1)) + ([n_derivs + 1] if with_c else [])
-                assert res.trace.shape == (pot.n_grid * refine + 1, len(chains), 2, n_lams)
-                for j, k in enumerate(chains):
-                    assert_close(res.trace[:, j], trace[:, k])
-            else:
-                assert res.trace is None
+    for pot in pots:
+        s, c, trace = reference_integrate(pot, lams, n_derivs, refine)
+        for with_c in (False, True):
+            for with_trace in with_trace_cases:
+                res = integrate(pot, lams, n_derivs=n_derivs, with_c=with_c,
+                                refine=refine, with_trace=with_trace)
+                assert res.s.shape == (n_derivs + 1, n_lams)
+                for k in range(n_derivs + 1):
+                    assert_close(res.s[k], s[k])
+                if with_c:
+                    assert_close(res.c, c)
+                else:
+                    assert res.c is None
+                if with_trace:
+                    chains = list(range(n_derivs + 1)) + ([n_derivs + 1] if with_c else [])
+                    assert res.trace.shape == (pot.n_grid * refine + 1, len(chains), 2, n_lams)
+                    for j, k in enumerate(chains):
+                        assert_close(res.trace[:, j], trace[:, k])
+                else:
+                    assert res.trace is None
 
 
 def rough_pair(seed=5, n_grid=200):
@@ -125,10 +128,10 @@ def rough_pair(seed=5, n_grid=200):
                          sigma=np.concatenate([[0.0], np.cumsum(steps)]))
 
 
-@pytest.mark.parametrize("n_lams, radius", [(64, 3.5), (16, 20.0)])
+@pytest.mark.parametrize("n_lams, radius", [(64, 3.5), (16, 20.0), (16, 50.0)])
 def test_integrate_against_extended_precision_loop(n_lams, radius):
-    # the step matrices evaluated as polynomials in lam, with I added after the
-    # sum, keep double-precision accuracy on a rough potential
+    # the block matrices evaluated as degree-16 polynomials in lam, with I
+    # added after the sum, keep double-precision accuracy on a rough potential
     pot = rough_pair()
     lams = circle_nodes(0.5, radius, n_lams)
     s, c, _ = reference_integrate(pot, lams, 1, DEFAULT_REFINE, dtype=np.clongdouble)
@@ -149,6 +152,59 @@ def test_integrate_memory_is_bounded_by_the_chunk():
         tracemalloc.stop()
     # one (steps, L) array of 2x2 series would be 2,000 x 1,025 x 128 B = 262 MB
     assert peak < 8e6
+
+
+def test_coefficient_tables_are_built_once_per_refine(monkeypatch):
+    import qpencil.forward as fw
+
+    calls = []
+    inner = fw._step_polynomials
+
+    def counting(h, *args):
+        calls.append(round(pi / h))
+        return inner(h, *args)
+
+    monkeypatch.setattr(fw, "_step_polynomials", counting)
+    pot = smooth_pair(n_grid=50)
+    lams = np.array([1.5 + 0.2j, -2.0])
+    first = integrate(pot, lams, n_derivs=1, refine=4)
+    again = integrate(pot, lams, n_derivs=1, refine=4)
+    assert calls == [200]
+    assert np.array_equal(first.s, again.s)
+    integrate(pot, lams, refine=6)
+    integrate(pot, lams, with_c=True, refine=6)
+    assert calls == [200, 300]
+    # a traced call reads the per-step table that the block table was paired from
+    integrate(pot, lams, refine=4, with_trace=True)
+    assert calls == [200, 300]
+    fresh = smooth_pair(n_grid=50)
+    integrate(fresh, lams, refine=4, with_trace=True)
+    integrate(fresh, lams, refine=4)
+    assert calls == [200, 300, 200]
+
+
+def test_potentials_are_read_only_copies():
+    q1 = np.linspace(0.0, 1.0, 11) + 0.5j
+    pot = PotentialPair(x=np.linspace(0.0, pi, 11), q1=q1, sigma=np.zeros(11))
+    for arr in (pot.q1, pot.sigma):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    q1[0] = 2.0           # the caller's array stays writeable, the copy does not follow
+    assert pot.q1[0] == 0.5j
+
+
+def test_cached_tables_stay_small():
+    pot = smooth_pair()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        integrate(pot, [1.0 + 0.5j], n_derivs=1)
+        integrate(pot, [1.0 + 0.5j], with_trace=True)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # per-step table 5 x 4 x 2,000 and block table 17 x 4 x 500 complex: 1.18 MB
+    assert retained < 1.5e6
 
 
 @pytest.mark.parametrize("kwargs", [{"refine": 0}, {"n_derivs": -1}, {"refine": 2.5}])
@@ -221,6 +277,28 @@ def test_weight_residue_duality_random_smooth():
     alphas = weight_numbers(pot, eigs)
     for n in window(5):
         assert abs(alphas[n] * full.entry(n).M + 1.0) < 1e-5
+
+
+def test_weight_numbers_batch_the_groups_of_one_size(monkeypatch):
+    import qpencil.forward as fw
+
+    pot = smooth_pair(amp=0.35)
+    eigs = find_eigenvalues(pot, 8, pot.omega0())
+    batched = weight_numbers(pot, eigs)
+    inner, calls = fw.integrate, []
+
+    def one_at_a_time(potentials, lams, n_derivs=0, **kwargs):
+        calls.append(np.size(lams))
+        parts = [inner(potentials, [lam], n_derivs, **kwargs) for lam in lams]
+        return fw.ShootingResult(lams=np.asarray(lams), s=None, c=None,
+                                 trace=np.concatenate([p.trace for p in parts], axis=3),
+                                 x_refined=parts[0].x_refined)
+
+    monkeypatch.setattr(fw, "integrate", one_at_a_time)
+    single = weight_numbers(pot, eigs)
+    assert calls == [16]          # 16 simple roots, one traced call
+    for n in window(8):
+        assert abs(batched[n] - single[n]) <= 1e-13 * abs(single[n])
 
 
 def test_duality_triangular_system_multiplicity_two():
