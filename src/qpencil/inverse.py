@@ -25,9 +25,11 @@ terms that never differentiate a series numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import pi
 
 import numpy as np
+from scipy.linalg.lapack import zgetrf, zgetri, zgetri_lwork
 
 from . import zindex
 from .errors import (
@@ -41,7 +43,8 @@ from .spectral_data import SpectralDataSet
 
 DEFAULT_N_GRID = 200
 COND_LIMIT = 1e10
-SOLVE_CHUNK_ENTRIES = 1 << 16   # matrices inverted at once, counted as nodes x dim^2
+SOLVE_CHUNK_ENTRIES = 1 << 16   # matrices formed at once, counted as nodes x dim^2
+LU_MIN_DIM = 16                 # from this dim on, invert node by node by getrf + getri
 ACTIVE_TOL = 1e-11
 
 
@@ -117,17 +120,23 @@ def active_layout(data: SpectralDataSet, model: BackgroundProblem,
 
 @dataclass
 class MainEquationSystem:
-    """Per-node dense system; arrays are stacked over the grid nodes.
+    """Per-node dense system in factored form; arrays are stacked over the nodes.
 
-    ``b`` and ``b_x`` are the signed column combinations
-    (-1)^j sum_p M_p S_(p-nu) and the same over S', ``b_lo`` the same with
-    S_(p-nu-1) over p > nu.  dP/dx = ``px_u @ px_w`` at every node.
+    P = (a_r a'_c - a'_r a_c) ``scale``_rc with the row chains a = ``rhs``,
+    a' = ``rhs_x``, except at the pairs (``table_rows``, ``table_cols``) with
+    per-node values ``table_vals``.  P is not stored: ``form_P`` forms it per slice.
+    ``b`` and ``b_x`` are the signed column combinations (-1)^j sum_p M_p S_(p-nu)
+    and the same over S', ``b_lo`` the same with S_(p-nu-1) over p > nu.
+    dP/dx = ``px_u @ px_w`` at every node.
     """
 
     x: np.ndarray                 # (nx,)
     layout: ActiveLayout
     model: BackgroundProblem
-    P: np.ndarray                 # (nx, dim, dim)
+    scale: np.ndarray             # (dim, dim), zero at the tabled pairs
+    table_rows: np.ndarray        # (pairs,)
+    table_cols: np.ndarray        # (pairs,)
+    table_vals: np.ndarray        # (nx, pairs)
     px_u: np.ndarray              # (nx, dim, 2)
     px_w: np.ndarray              # (nx, 2, dim)
     rhs: np.ndarray               # (nx, dim)
@@ -136,20 +145,28 @@ class MainEquationSystem:
     b_x: np.ndarray               # (dim, nx)
     b_lo: np.ndarray              # (dim, nx)
 
+    def form_P(self, nodes: slice = slice(None)) -> np.ndarray:
+        """P at a slice of nodes, (nodes, dim, dim).  Complex products do not
+        commute bitwise, so a' a^T is its own product, not (a a'^T)^T."""
+        a, a_x = self.rhs[nodes], self.rhs_x[nodes]
+        P = (a[:, :, None] * a_x[:, None, :] - a_x[:, :, None] * a[:, None, :]) * self.scale
+        P[:, self.table_rows, self.table_cols] = self.table_vals[nodes]
+        return P
+
 
 def assemble_system(data: SpectralDataSet, model: BackgroundProblem, x,
                     min_window: int = 0,
                     layout: ActiveLayout | None = None) -> MainEquationSystem:
-    """Build the per-node matrices from per-entry chain combinations.
+    """Build the factors of the per-node matrices from per-entry chain combinations.
 
     Every unknown (entry, side j) contributes its row chains a = S_nu,
     a' = S'_nu, a_ = S_(nu-1) and its column combinations b, b' and
     b_ = (-1)^j sum_(p>nu) M_p S_(p-nu-1).  Leibniz on
     dD/dx = (lam + mu - 2 q1) S(lam) S(mu) gives dP/dx = u_r b_c + a_r w_c
     with u = (lam - 2 q1) a + a_ and w = lam b + b_.  P takes the quotient
-    form for simple pairs at least ``COALESCE_GAP`` apart and the kernel
-    tables otherwise, one ``d_table`` call for all pairs that share the
-    derivative orders (row nu, column m - 1 - nu).
+    form for simple pairs at least ``COALESCE_GAP`` apart, kept as a, a' and
+    ``scale``, and the kernel tables otherwise, one ``d_table`` call for all
+    pairs that share the derivative orders (row nu, column m - 1 - nu).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if layout is None:
@@ -185,12 +202,9 @@ def assemble_system(data: SpectralDataSet, model: BackgroundProblem, x,
     quotient = simple[:, None] & simple & (np.abs(lams[:, None] - lams) >= COALESCE_GAP)
     scale = np.divide(sgn * Ms[:, 0], lams[:, None] - lams,
                       out=np.zeros((dim, dim), dtype=complex), where=quotient)
-    P = a[:, None] * a_x
-    for k in range(dim):     # row by row: no second (dim, dim, nx) array
-        P[k] -= a_x[k] * a
-    P *= scale[:, :, None]
     # the other pairs: one kernel table call per derivative-order key
     r, c = np.nonzero(~quotient)
+    vals = np.empty((x.size, r.size), dtype=complex)
     tkey, skey = nu[r], m[c] - 1 - nu[c]
     for t, s in sorted(set(zip(tkey.tolist(), skey.tolist()))):
         sel = (tkey == t) & (skey == s)
@@ -199,13 +213,14 @@ def assemble_system(data: SpectralDataSet, model: BackgroundProblem, x,
         acc = Ms[cs, nu[cs]][:, None] * T[:, 0]
         for d in range(1, s + 1):
             acc += Ms[cs, nu[cs] + d][:, None] * T[:, d]
-        P[rs, cs] = sgn[cs][:, None] * acc
+        vals[:, sel] = (sgn[cs][:, None] * acc).T
 
     u = (lams[:, None] - 2.0 * model.q1_values(x)) * a + a_lo
-    return MainEquationSystem(x=x, layout=layout, model=model, P=P.transpose(2, 0, 1),
+    return MainEquationSystem(x=x, layout=layout, model=model, scale=scale,
+                              table_rows=r, table_cols=c, table_vals=vals,
                               px_u=np.stack((u.T, a.T), axis=2),
                               px_w=np.stack((b.T, (lams[:, None] * b + b_lo).T), axis=1),
-                              rhs=a.T, rhs_x=a_x.T, b=b, b_x=b_x, b_lo=b_lo)
+                              rhs=a.T.copy(), rhs_x=a_x.T.copy(), b=b, b_x=b_x, b_lo=b_lo)
 
 
 def solve_main(system: MainEquationSystem, cond_limit: float = COND_LIMIT
@@ -214,39 +229,51 @@ def solve_main(system: MainEquationSystem, cond_limit: float = COND_LIMIT
 
     Returns ``(v, v_x, cond, residual)``: v and v_x of shape (dim, nx), the
     per-node exact 1-norm condition ||A||_1 ||A^-1||_1 of A = I - P, and the
-    max-norm residual of A v - s over all nodes.  Each A is inverted once, in
-    batches of ``SOLVE_CHUNK_ENTRIES`` matrix entries, and serves both
-    right-hand sides.  A non-finite or exactly singular A, or a condition
-    above ``cond_limit`` (1e10; the CLI profiles use 1e8 strict, 1e12 loose)
-    at the worst node, raises ``SingularSystemError`` (the bounded
-    invertibility assumption fails) rather than returning garbage.
+    max-norm residual of A v - s over all nodes.  A is formed in chunks of
+    ``SOLVE_CHUNK_ENTRIES`` matrix entries, and each A is inverted once for
+    both right-hand sides: below ``LU_MIN_DIM`` by a batched ``np.linalg.inv``,
+    from it node by node by LAPACK getrf + getri (2 dim^3 operations, not
+    8/3 dim^3).  scipy's LAPACK and numpy's BLAS have separate thread pools
+    that contend for the CPUs when called in turn, so the products in the
+    loop are einsums, which call no BLAS.  A non-finite or exactly singular
+    A, or a condition above ``cond_limit`` (1e10; the CLI profiles use 1e8
+    strict, 1e12 loose) at the worst node, raises ``SingularSystemError``
+    (the bounded invertibility assumption fails) rather than returning garbage.
     """
-    x, P = system.x, system.P
-    s, s_x = system.rhs[:, :, None], system.rhs_x[:, :, None]    # column stacks
-    nx, dim = system.rhs.shape
-    eye = np.eye(dim)
-    v, vx = np.empty((2, nx, dim, 1), dtype=complex)
+    x, (nx, dim) = system.x, system.rhs.shape
+    eye, lwork = np.eye(dim), int(zgetri_lwork(dim)[0].real)   # lwork: the blocked getri
+    mv = partial(np.einsum, "nij,nj->ni")    # a product per node, through no BLAS
+    v, vx = np.empty((2, nx, dim), dtype=complex)
     cond = np.empty(nx)
     residual = 0.0
     chunk = max(1, SOLVE_CHUNK_ENTRIES // (dim * dim))
     for lo in range(0, nx, chunk):
         sl = slice(lo, lo + chunk)
-        A = eye - P[sl]
-        try:
-            Ainv = np.linalg.inv(A)
-        except np.linalg.LinAlgError:      # an exactly singular node
-            raise _singular(x[lo + int(np.argmax(np.linalg.cond(A, 1)))], np.inf) from None
+        A = eye - system.form_P(sl)
+        if dim < LU_MIN_DIM:
+            try:
+                Ainv = np.linalg.inv(A)
+            except np.linalg.LinAlgError:      # an exactly singular node
+                raise _singular(x[lo + int(np.argmax(np.linalg.cond(A, 1)))], np.inf) from None
+        else:
+            Ainv = A.copy()
+            for k, Ak in enumerate(Ainv):   # in place on the Fortran-ordered A_k^T
+                lu, piv, info = zgetrf(Ak.T, overwrite_a=1)
+                if info > 0:
+                    raise _singular(x[lo + k], np.inf)
+                zgetri(lu, piv, lwork=lwork, overwrite_lu=1)   # inv(A_k^T)^T = inv(A_k)
         cond[sl] = np.abs(A).sum(axis=1).max(axis=1) * np.abs(Ainv).sum(axis=1).max(axis=1)
         finite = np.isfinite(cond[sl])     # NaN/inf in A, or an overflowing inverse
         if not finite.all():
             raise _singular(x[lo + int(np.argmin(finite))], np.inf)
-        v[sl] = Ainv @ s[sl]
-        residual = max(residual, float(np.max(np.abs(A @ v[sl] - s[sl]))))
-        vx[sl] = Ainv @ (s_x[sl] + system.px_u[sl] @ (system.px_w[sl] @ v[sl]))
+        s = system.rhs[sl]
+        v[sl] = mv(Ainv, s)
+        residual = max(residual, float(np.max(np.abs(mv(A, v[sl]) - s))))
+        vx[sl] = mv(Ainv, system.rhs_x[sl] + mv(system.px_u[sl], mv(system.px_w[sl], v[sl])))
     worst = int(np.argmax(cond))
     if cond[worst] > cond_limit:
         raise _singular(x[worst], cond[worst])
-    return v[:, :, 0].T, vx[:, :, 0].T, cond, residual
+    return v.T, vx.T, cond, residual
 
 
 def _singular(x: float, cond: float) -> SingularSystemError:
@@ -307,13 +334,10 @@ def recover_theta(eps: EpsilonFields) -> tuple[np.ndarray, np.ndarray]:
             f"1 + eps1^2 vanishes at x={eps.x[k]:.6f}; the square-root "
             "recovery degenerates there")
     w = 1.0 / np.sqrt(w2)
-    theta = np.empty_like(w)
-    s = 1.0
-    theta[0] = s * w[0]
-    for k in range(1, w.size):
-        if abs(s * w[k] - theta[k - 1]) > abs(-s * w[k] - theta[k - 1]):
-            s = -s
-        theta[k] = s * w[k]
+    # theta_(k-1) = s w_(k-1) with s = +-1, so the flip test
+    # |s w_k - theta_(k-1)| > |-s w_k - theta_(k-1)| does not depend on s
+    flips = np.cumsum(np.abs(w[1:] - w[:-1]) > np.abs(w[1:] + w[:-1]))
+    theta = w * np.concatenate(([1.0], np.where(flips % 2, -1.0, 1.0)))
     lam = eps.eps1 * theta
     eps.theta = theta
     eps.lambda_ = lam

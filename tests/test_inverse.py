@@ -26,7 +26,14 @@ from qpencil import (
     solve_main,
     weyl_residues,
 )
-from qpencil.inverse import SOLVE_CHUNK_ENTRIES, EpsilonFields, active_layout, default_grid
+import qpencil.inverse as qinv
+from qpencil.inverse import (
+    LU_MIN_DIM,
+    SOLVE_CHUNK_ENTRIES,
+    EpsilonFields,
+    active_layout,
+    default_grid,
+)
 from qpencil.model import COALESCE_GAP, SMALL_LAMBDA, d_table, dx_table
 from qpencil.zindex import window
 
@@ -54,7 +61,7 @@ def test_solver_residual_small(zero_model):
     data = make_split_data(0.01)
     system = assemble_system(data, zero_model, default_grid(200))
     v, _, _, residual = solve_main(system)
-    A = np.eye(system.layout.dim) - system.P
+    A = np.eye(system.layout.dim) - system.form_P()
     direct = np.max(np.abs(np.einsum("nij,jn->ni", A, v) - system.rhs))
     assert residual == pytest.approx(direct, rel=1e-6)
     assert residual < 1e-12
@@ -88,7 +95,7 @@ def test_submatrix_invertible_at_right_end(zero_model):
     data = make_split_data(0.01)
     x = np.array([pi])
     system = assemble_system(data, zero_model, x)
-    P = system.P[0]
+    P = system.form_P()[0]
     dim_half = system.layout.dim // 2
     block = P[dim_half:, :dim_half]
     assert abs(np.linalg.det(block)) > 1e-6
@@ -154,6 +161,39 @@ def test_recover_theta_trivial_and_degenerate():
                         eps2=zero, eps3=zero, eps4=zero)
     with pytest.raises(DegenerateSeriesError):
         recover_theta(bad)
+
+
+def _theta_loop(eps1):
+    """Branch tracking node by node: flip the sign when -theta is the nearer root."""
+    w = 1.0 / np.sqrt(1.0 + eps1**2)
+    theta = np.empty_like(w)
+    s = 1.0
+    theta[0] = s * w[0]
+    for k in range(1, w.size):
+        if abs(s * w[k] - theta[k - 1]) > abs(-s * w[k] - theta[k - 1]):
+            s = -s
+        theta[k] = s * w[k]
+    return theta
+
+
+@pytest.mark.parametrize("case", ["winding", "split-0", "split-0.01", "split-0.0001"])
+def test_recover_theta_matches_the_node_loop(case, zero_model):
+    x = default_grid(200)
+    if case == "winding":
+        # 1 + eps1^2 winds six times around 0, so the principal root flips six times
+        eps1 = 2.0 * np.exp(6j * x)
+    else:
+        system = assemble_system(make_split_data(float(case[6:])), zero_model, x)
+        eps1 = compute_epsilons(system, *solve_main(system)[:2]).eps1
+    zero = np.zeros_like(eps1)
+    eps = EpsilonFields(x=x, eps1=eps1, eps1_prime=zero, eps2=zero, eps3=zero, eps4=zero)
+    want = _theta_loop(eps1)
+    theta, lam = recover_theta(eps)
+    if case == "winding":
+        w = 1.0 / np.sqrt(1.0 + eps1**2)
+        assert np.count_nonzero(np.diff(np.sign((want / w).real))) == 6
+    assert np.array_equal(theta, want)
+    assert np.array_equal(lam, eps1 * want)
 
 
 def test_recovery_zero_for_zero_series(zero_model):
@@ -243,8 +283,8 @@ def _wide_data(width, seed):
 def _tabulated(system):
     """P and dP/dx built entry by entry from the kernel tables (reference loop)."""
     x, model, rows = system.x, system.model, system.layout.rows()
-    P = np.zeros_like(system.P)
-    Px = np.zeros_like(system.P)
+    P = np.zeros((x.size, len(rows), len(rows)), dtype=complex)
+    Px = np.zeros_like(P)
     for ridx, (er, _) in enumerate(rows):
         for cidx, (ec, j) in enumerate(rows):
             smax = ec.m - 1 - ec.nu
@@ -305,7 +345,7 @@ def test_assembly_matches_per_entry_tables(case, zero_model, request):
         assert any(abs(e.lam) < SMALL_LAMBDA for e, _ in rows)
     P, Px = _tabulated(system)
     B, Bx = _column_sums(system)
-    for got, want in ((system.P, P), (system.b, B), (system.b_x, Bx)):
+    for got, want in ((system.form_P(), P), (system.b, B), (system.b_x, Bx)):
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
     # the factored dP/dx adds lam_r a b and lam_c a b apart, so entries where
     # lam_r + lam_c - 2 q1 nearly cancels keep their absolute digits only
@@ -337,19 +377,21 @@ def test_assembly_tables_group_pairs(zero_model, table_calls):
                            "dx_table": 0, "dx_table pairs": 0}
 
 
-@pytest.mark.parametrize("case", ["wide", "double-group", "numeric"])
+@pytest.mark.parametrize("case", ["wide", "wide-128", "double-group", "numeric"])
 def test_solve_matches_per_node_oracle(case, zero_model, request):
     if case == "numeric":
         data, model = request.getfixturevalue("numeric_case")
     else:
-        data = {"wide": _wide_data(16, 903), "double-group": make_split_data(0.0)}[case]
+        # dim 128 is large enough for getrf to use its threads
+        data = {"wide": _wide_data(16, 903), "wide-128": _wide_data(32, 905),
+                "double-group": make_split_data(0.0)}[case]
         model = zero_model
     system = assemble_system(data, model, default_grid(40))
     v, v_x, cond, residual = solve_main(system)
     _, Px = _tabulated(system)
-    eye = np.eye(system.layout.dim)
+    eye, P = np.eye(system.layout.dim), system.form_P()
     for k in range(system.x.size):
-        A = eye - system.P[k]
+        A = eye - P[k]
         want_v = np.linalg.solve(A, system.rhs[k])
         want_vx = np.linalg.solve(A, system.rhs_x[k] + Px[k] @ want_v)
         assert cond[k] == pytest.approx(np.linalg.cond(A, 1), rel=1e-12)
@@ -384,7 +426,7 @@ def test_eps4_matches_the_group_sum(case, zero_model):
     assert np.array_equal(eps.eps4, want)
 
 
-def test_assembly_keeps_one_dense_matrix(zero_model):
+def test_assembly_keeps_no_dense_matrix(zero_model):
     data = _wide_data(16, 903)
     tracemalloc.start()
     try:
@@ -393,15 +435,25 @@ def test_assembly_keeps_one_dense_matrix(zero_model):
     finally:
         tracemalloc.stop()
     assert system.layout.dim == 64
-    # one (201, 64, 64) complex P is 13.2 MB; the (dim, 201) arrays add about 2 MB
-    assert retained < 17.5e6
+    # one (201, 64, 64) complex P would be 13.2 MB.  Kept are eleven (201, 64)
+    # arrays of 0.2 MB (a, a', b, b', b_ and the four dP/dx factors count as
+    # such) and the values of the 126 tabled pairs, 0.4 MB.
+    assert retained < 3e6
 
 
-@pytest.mark.parametrize("fill", ["identity", "nan"])
-def test_singular_or_non_finite_node_raises(fill, zero_model):
-    system = assemble_system(_wide_data(4, 5), zero_model, default_grid(40))
+@pytest.mark.parametrize("fill, width", [
+    pytest.param("identity", 4, id="identity"),       # dim 16: LU node by node
+    pytest.param("nan", 4, id="nan"),
+    pytest.param("identity", 1, id="identity-dim4"),  # dim 4: batched inverse
+    pytest.param("nan", 1, id="nan-dim4"),
+])
+def test_singular_or_non_finite_node_raises(fill, width, zero_model, monkeypatch):
+    system = assemble_system(_wide_data(width, 5), zero_model, default_grid(40))
+    assert (system.layout.dim >= LU_MIN_DIM) == (width == 4)
     k = 23                                   # not the first node of its chunk
-    system.P[k] = np.eye(system.layout.dim) if fill == "identity" else np.nan
+    P = system.form_P()
+    P[k] = np.eye(system.layout.dim) if fill == "identity" else np.nan
+    monkeypatch.setattr(system, "form_P", lambda nodes: P[nodes])
     with pytest.raises(SingularSystemError) as exc:
         solve_main(system)
     assert exc.value.x == system.x[k]
@@ -417,19 +469,28 @@ def test_solve_factors_each_node_once(width, zero_model, monkeypatch):
     for name in ("svd", "solve"):
         monkeypatch.setattr(np.linalg, name, forbidden)
         monkeypatch.setattr(home, name, forbidden)
-    calls = []
-    inner = np.linalg.inv
+    calls = {"inv": [], "zgetrf": [], "zgetri": []}
 
-    def counting(a):
-        calls.append(a.shape[0])
-        return inner(a)
+    def counted(name, inner):
+        def counting(a, *args, **kwargs):
+            calls[name].append(a.shape[0] if name == "inv" else 1)
+            return inner(a, *args, **kwargs)
+        return counting
 
-    monkeypatch.setattr(np.linalg, "inv", counting)
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    for name in ("zgetrf", "zgetri"):
+        monkeypatch.setattr(qinv, name, counted(name, getattr(qinv, name)))
     x = default_grid(200)
     rec = run_reconstruction(_wide_data(width, 904), zero_model, x)
     dim = 4 * width
-    assert len(calls) == ceil(x.size / (SOLVE_CHUNK_ENTRIES // dim**2))
-    assert sum(calls) == x.size and rec.residual < 1e-12
+    if dim < LU_MIN_DIM:
+        assert len(calls["inv"]) == ceil(x.size / (SOLVE_CHUNK_ENTRIES // dim**2))
+        assert sum(calls["inv"]) == x.size
+        assert calls["zgetrf"] == calls["zgetri"] == []
+    else:
+        assert calls["inv"] == []
+        assert len(calls["zgetrf"]) == len(calls["zgetri"]) == x.size
+    assert rec.residual < 1e-12
 
 
 def test_solve_memory_is_bounded_by_the_chunk(zero_model):
