@@ -29,7 +29,7 @@ from functools import partial
 from math import pi
 
 import numpy as np
-from scipy.linalg.lapack import zgetrf, zgetri, zgetri_lwork
+from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
 from . import zindex
 from .errors import (
@@ -44,7 +44,7 @@ from .spectral_data import SpectralDataSet
 DEFAULT_N_GRID = 200
 COND_LIMIT = 1e10
 SOLVE_CHUNK_ENTRIES = 1 << 16   # matrices formed at once, counted as nodes x dim^2
-LU_MIN_DIM = 16                 # from this dim on, invert node by node by getrf + getri
+LU_MIN_DIM = 16                 # from this dim on, factor node by node by getrf
 ACTIVE_TOL = 1e-11
 
 
@@ -98,17 +98,11 @@ def active_layout(data: SpectralDataSet, model: BackgroundProblem,
         if abs(de.lam - me.lam) > ACTIVE_TOL * max(1.0, abs(me.lam)) \
                 or abs(de.M - me.M) > ACTIVE_TOL * max(1.0, abs(me.M)):
             active.add(n)
-    # close under multiplicity groups on both sides
-    changed = True
-    while changed:
-        changed = False
-        for ds in (data, model_set):
-            for n in list(active):
-                g = ds.group_for(n)
-                for m in g.members:
-                    if m not in active:
-                        active.add(m)
-                        changed = True
+    while True:     # close under multiplicity groups on both sides
+        closed = {m for ds in (data, model_set) for n in active for m in ds.group_for(n).members}
+        if closed <= active:
+            break
+        active |= closed
     indices = tuple(sorted(active))
     side0 = tuple(_side_entry(data, n) for n in indices)
     side1 = tuple(_side_entry(model_set, n) for n in indices)
@@ -228,48 +222,54 @@ def solve_main(system: MainEquationSystem, cond_limit: float = COND_LIMIT
     """Solve (I - P) v = s and (I - P) v_x = s_x + (dP/dx) v at every node.
 
     Returns ``(v, v_x, cond, residual)``: v and v_x of shape (dim, nx), the
-    per-node exact 1-norm condition ||A||_1 ||A^-1||_1 of A = I - P, and the
-    max-norm residual of A v - s over all nodes.  A is formed in chunks of
-    ``SOLVE_CHUNK_ENTRIES`` matrix entries, and each A is inverted once for
-    both right-hand sides: below ``LU_MIN_DIM`` by a batched ``np.linalg.inv``,
-    from it node by node by LAPACK getrf + getri (2 dim^3 operations, not
-    8/3 dim^3).  scipy's LAPACK and numpy's BLAS have separate thread pools
-    that contend for the CPUs when called in turn, so the products in the
-    loop are einsums, which call no BLAS.  A non-finite or exactly singular
+    per-node 1-norm condition ||A||_1 ||A^-1||_1 of A = I - P, and the
+    max-norm residual of A v - s.  A is formed in chunks of
+    ``SOLVE_CHUNK_ENTRIES`` matrix entries.  Below ``LU_MIN_DIM`` a batched
+    ``np.linalg.inv`` serves both solves and gives the exact condition.  From
+    it on, each node is factored once by LAPACK getrf: v and v_x are getrs
+    solves and ||A^-1||_1 is gecon's Hager-Higham estimate, a lower bound, all
+    on that LU.  scipy's LAPACK and numpy's BLAS have thread pools that contend
+    for the CPUs when called in turn, so the products between the LAPACK
+    phases are einsums, which call no BLAS.  A non-finite or exactly singular
     A, or a condition above ``cond_limit`` (1e10; the CLI profiles use 1e8
     strict, 1e12 loose) at the worst node, raises ``SingularSystemError``
     (the bounded invertibility assumption fails) rather than returning garbage.
     """
     x, (nx, dim) = system.x, system.rhs.shape
-    eye, lwork = np.eye(dim), int(zgetri_lwork(dim)[0].real)   # lwork: the blocked getri
+    eye = np.eye(dim)
     mv = partial(np.einsum, "nij,nj->ni")    # a product per node, through no BLAS
     v, vx = np.empty((2, nx, dim), dtype=complex)
-    cond = np.empty(nx)
-    residual = 0.0
+    cond, residual = np.empty(nx), 0.0
     chunk = max(1, SOLVE_CHUNK_ENTRIES // (dim * dim))
     for lo in range(0, nx, chunk):
         sl = slice(lo, lo + chunk)
         A = eye - system.form_P(sl)
+        norm = np.abs(A).sum(axis=1).max(axis=1)
         if dim < LU_MIN_DIM:
             try:
                 Ainv = np.linalg.inv(A)
             except np.linalg.LinAlgError:      # an exactly singular node
                 raise _singular(x[lo + int(np.argmax(np.linalg.cond(A, 1)))], np.inf) from None
+            cond[sl] = norm * np.abs(Ainv).sum(axis=1).max(axis=1)
+            solve = partial(mv, Ainv)
         else:
-            Ainv = A.copy()
-            for k, Ak in enumerate(Ainv):   # in place on the Fortran-ordered A_k^T
-                lu, piv, info = zgetrf(Ak.T, overwrite_a=1)
+            lu, piv = A.copy(), np.empty((len(A), dim), dtype=np.int32)
+            for k, f in enumerate(lu):   # in place on the Fortran-ordered f.T = A_k^T
+                _, piv[k], info = zgetrf(f.T, overwrite_a=1)
                 if info > 0:
                     raise _singular(x[lo + k], np.inf)
-                zgetri(lu, piv, lwork=lwork, overwrite_lu=1)   # inv(A_k^T)^T = inv(A_k)
-        cond[sl] = np.abs(A).sum(axis=1).max(axis=1) * np.abs(Ainv).sum(axis=1).max(axis=1)
+                rcond, info = zgecon(f.T, norm[k], norm="I")   # kappa_inf(A_k^T) = kappa_1(A_k)
+                cond[lo + k] = 1.0 / rcond if info == 0 and rcond > 0 else np.inf
+
+            def solve(b):    # A_k y = b_k is the transposed solve on A_k^T's LU
+                return [zgetrs(f.T, p, bk, trans=1)[0] for f, p, bk in zip(lu, piv, b)]
         finite = np.isfinite(cond[sl])     # NaN/inf in A, or an overflowing inverse
         if not finite.all():
             raise _singular(x[lo + int(np.argmin(finite))], np.inf)
         s = system.rhs[sl]
-        v[sl] = mv(Ainv, s)
+        v[sl] = solve(s)
         residual = max(residual, float(np.max(np.abs(mv(A, v[sl]) - s))))
-        vx[sl] = mv(Ainv, system.rhs_x[sl] + mv(system.px_u[sl], mv(system.px_w[sl], v[sl])))
+        vx[sl] = solve(system.rhs_x[sl] + mv(system.px_u[sl], mv(system.px_w[sl], v[sl])))
     worst = int(np.argmax(cond))
     if cond[worst] > cond_limit:
         raise _singular(x[worst], cond[worst])
@@ -305,8 +305,7 @@ def compute_epsilons(system: MainEquationSystem, v: np.ndarray,
     derivative is assembled term-wise from v_x, never by differencing.
     """
     x, b, b_x = system.x, system.b, system.b_x
-    rows = system.layout.rows()
-    lams = np.array([e.lam for e, _ in rows], dtype=complex)
+    lams = np.array([e.lam for e, _ in system.layout.rows()], dtype=complex)
 
     eps1 = (b * v).sum(axis=0)
     eps1p = (b_x * v + b * v_x).sum(axis=0)
@@ -338,10 +337,8 @@ def recover_theta(eps: EpsilonFields) -> tuple[np.ndarray, np.ndarray]:
     # |s w_k - theta_(k-1)| > |-s w_k - theta_(k-1)| does not depend on s
     flips = np.cumsum(np.abs(w[1:] - w[:-1]) > np.abs(w[1:] + w[:-1]))
     theta = w * np.concatenate(([1.0], np.where(flips % 2, -1.0, 1.0)))
-    lam = eps.eps1 * theta
-    eps.theta = theta
-    eps.lambda_ = lam
-    return theta, lam
+    eps.theta, eps.lambda_ = theta, eps.eps1 * theta
+    return eps.theta, eps.lambda_
 
 
 def recover_q1(eps: EpsilonFields, model: BackgroundProblem) -> np.ndarray:
@@ -375,7 +372,11 @@ def recover_q0_antiderivative(eps: EpsilonFields, q1: np.ndarray,
 
 @dataclass
 class RecoveredPotentials:
-    """Result of the reconstruction on a grid."""
+    """Result of the reconstruction on a grid.
+
+    ``cond`` is the per-node 1-norm condition of I - P: exact below
+    ``LU_MIN_DIM``, LAPACK's gecon estimate (a lower bound) from it on.
+    """
 
     x: np.ndarray
     q1: np.ndarray
@@ -417,16 +418,11 @@ def run_reconstruction(data: SpectralDataSet, model: BackgroundProblem,
 
     x = default_grid() if grid is None else np.atleast_1d(np.asarray(grid, dtype=float))
     layout = active_layout(data, model, min_window=min_window)
-    if not layout.indices:
-        nx = x.size
-        zero = np.zeros(nx, dtype=complex)
-        eps = EpsilonFields(x=x, eps1=zero, eps1_prime=zero.copy(),
-                            eps2=zero.copy(), eps3=zero.copy(), eps4=zero.copy(),
-                            theta=np.ones(nx, dtype=complex),
-                            lambda_=zero.copy())
-        return RecoveredPotentials(x=x, q1=model.q1_values(x) + 0j,
-                                   q0_antideriv=zero.copy(), background=model,
-                                   eps=eps, cond=np.ones(nx), residual=0.0)
+    if not layout.indices:      # the data are the background's
+        zero = np.zeros((7, x.size), dtype=complex)    # five series, lambda_, q0_antideriv
+        eps = EpsilonFields(x, *zero[:5], theta=np.ones(x.size, dtype=complex), lambda_=zero[5])
+        return RecoveredPotentials(x=x, q1=model.q1_values(x) + 0j, q0_antideriv=zero[6],
+                                   background=model, eps=eps, cond=np.ones(x.size), residual=0.0)
 
     system = assemble_system(data, model, x, layout=layout)
     v, v_x, cond, residual = solve_main(system, cond_limit=cond_limit)

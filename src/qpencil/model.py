@@ -73,8 +73,10 @@ def s_chain(x, lam, order: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=complex)
     z = lam.reshape((-1,) + (1,) * x.ndim)     # one lam per leading entry
-    out = np.empty((order + 1, z.shape[0]) + x.shape, dtype=complex)
     small = np.abs(lam.reshape(-1)) < SMALL_LAMBDA
+    if order == 0 and not small.any():   # the closed form's one term, zeros made +0.0 as below
+        return (np.sin(z * x) * np.reciprocal(z) + 0.0).reshape((1,) + lam.shape + x.shape)
+    out = np.empty((order + 1, z.shape[0]) + x.shape, dtype=complex)
     if not small.all():
         zb = z[~small]
         lx = zb * x
@@ -121,6 +123,8 @@ def sx_chain(x, lam, order: int) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     lx = np.multiply.outer(np.asarray(lam, dtype=complex), x)
+    if order == 0:
+        return (np.cos(lx) + 0.0)[None]   # zeros made +0.0, as the loop below does
     sin, cos = np.sin(lx), np.cos(lx)
     quarter = (cos, -sin, -cos, sin)
     out = np.empty((order + 1,) + lx.shape, dtype=complex)

@@ -6,6 +6,7 @@ from math import ceil, pi
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from qpencil import (
     DegenerateSeriesError,
@@ -394,7 +395,11 @@ def test_solve_matches_per_node_oracle(case, zero_model, request):
         A = eye - P[k]
         want_v = np.linalg.solve(A, system.rhs[k])
         want_vx = np.linalg.solve(A, system.rhs_x[k] + Px[k] @ want_v)
-        assert cond[k] == pytest.approx(np.linalg.cond(A, 1), rel=1e-12)
+        exact = np.linalg.cond(A, 1)
+        if system.layout.dim < LU_MIN_DIM:
+            assert cond[k] == pytest.approx(exact, rel=1e-12)
+        else:       # gecon's estimate: a lower bound, within a factor 3 here
+            assert exact / 3 <= cond[k] <= exact * (1 + 1e-12)
         assert np.max(np.abs(v[:, k] - want_v)) <= 1e-12 * np.max(np.abs(want_v))
         assert np.max(np.abs(v_x[:, k] - want_vx)) <= 1e-12 * np.max(np.abs(want_vx))
     assert residual < 1e-12
@@ -460,16 +465,41 @@ def test_singular_or_non_finite_node_raises(fill, width, zero_model, monkeypatch
     assert exc.value.cond == np.inf
 
 
+@pytest.mark.parametrize("width", [
+    pytest.param(4, id="dim16"),       # LU node by node: the gecon estimate
+    pytest.param(1, id="dim4"),        # batched inverse: the exact condition
+])
+def test_near_singular_node_trips_the_guard(width, zero_model, monkeypatch):
+    system = assemble_system(_wide_data(width, 5), zero_model, default_grid(40))
+    k, eye = 23, np.eye(system.layout.dim)
+    P = system.form_P()
+    U, sv, Vh = np.linalg.svd(eye - P[k])
+    A = (U * np.append(sv[:-1], 1e-12 * sv[0])) @ Vh     # kappa_2 = 1e12
+    exact = np.linalg.cond(A, 1)
+    assert 1e11 < exact < 1e13
+    P[k] = eye - A
+    monkeypatch.setattr(system, "form_P", lambda nodes: P[nodes])
+    with pytest.raises(SingularSystemError) as exc:
+        solve_main(system)
+    assert exc.value.x == system.x[k]
+    # at kappa 1e12 any computed inverse, the exact one too, keeps about 4 digits
+    assert exact / 3 <= exc.value.cond <= exact * (1 + 1e-3)
+
+
 @pytest.mark.parametrize("width", [1, 16])
 def test_solve_factors_each_node_once(width, zero_model, monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("solve path must not call svd or solve")
+        raise AssertionError("solve path must not call svd, solve or getri")
 
     home = sys.modules[np.linalg.cond.__module__]     # cond reaches svd there
     for name in ("svd", "solve"):
         monkeypatch.setattr(np.linalg, name, forbidden)
         monkeypatch.setattr(home, name, forbidden)
-    calls = {"inv": [], "zgetrf": [], "zgetri": []}
+    # nor invert by getri, through the module's names or scipy's
+    assert not hasattr(qinv, "zgetri")
+    monkeypatch.setattr(scipy.linalg.lapack, "zgetri", forbidden)
+    lapack = ("zgetrf", "zgecon", "zgetrs")
+    calls = {name: [] for name in ("inv",) + lapack}
 
     def counted(name, inner):
         def counting(a, *args, **kwargs):
@@ -478,7 +508,7 @@ def test_solve_factors_each_node_once(width, zero_model, monkeypatch):
         return counting
 
     monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
-    for name in ("zgetrf", "zgetri"):
+    for name in lapack:
         monkeypatch.setattr(qinv, name, counted(name, getattr(qinv, name)))
     x = default_grid(200)
     rec = run_reconstruction(_wide_data(width, 904), zero_model, x)
@@ -486,10 +516,11 @@ def test_solve_factors_each_node_once(width, zero_model, monkeypatch):
     if dim < LU_MIN_DIM:
         assert len(calls["inv"]) == ceil(x.size / (SOLVE_CHUNK_ENTRIES // dim**2))
         assert sum(calls["inv"]) == x.size
-        assert calls["zgetrf"] == calls["zgetri"] == []
+        assert all(calls[name] == [] for name in lapack)
     else:
         assert calls["inv"] == []
-        assert len(calls["zgetrf"]) == len(calls["zgetri"]) == x.size
+        assert len(calls["zgetrf"]) == len(calls["zgecon"]) == x.size
+        assert len(calls["zgetrs"]) == 2 * x.size
     assert rec.residual < 1e-12
 
 

@@ -200,6 +200,48 @@ def test_s_chain_batch_equals_elementwise():
         assert np.array_equal(gotx[(slice(None),) + idx], sx_chain(x, lams[idx], 2 * P_MAX))
 
 
+def _closed_chains(x, lam, order):
+    """The closed-form s_chain and the sx_chain at every order, as the general
+    sums over derivative terms (the reference for the order-0 shortcut)."""
+    lx = np.multiply.outer(lam, x)
+    sin, cos = np.sin(lx), np.cos(lx)
+    z = lam[:, None]
+    terms, xpow, jfac = [], np.ones_like(x), 1.0
+    for j in range(order + 1):
+        if j:
+            jfac *= j
+        terms.append(xpow * (sin, cos, -sin, -cos)[j % 4] / jfac)
+        xpow = xpow * x
+    inv = [np.reciprocal(np.power(z, k)) for k in range(1, order + 2)]
+    S = np.empty((order + 1,) + lx.shape, dtype=complex)
+    for nu in range(order + 1):
+        acc = np.zeros(lx.shape, dtype=complex)
+        for j in range(nu + 1):
+            acc += terms[j] * ((-1.0) ** (nu - j)) * inv[nu - j]
+        S[nu] = acc
+    C = np.empty_like(S)
+    xpow = np.ones_like(x)
+    for nu in range(order + 1):
+        C[nu] = xpow * (cos, -sin, -cos, sin)[nu % 4] / factorial(nu)
+        xpow = xpow * x
+    return S, C
+
+
+@pytest.mark.parametrize("order", range(P_MAX + 1))
+def test_closed_chains_match_the_general_sums_bitwise(order):
+    rng = np.random.default_rng(18)
+    n = np.concatenate((np.arange(-32, 0), np.arange(1, 33)))
+    wide = n + 0.05 * (rng.uniform(-1, 1, n.size) + 1j * rng.uniform(-1, 1, n.size)) / np.abs(n)
+    # every sign of both parts and |lam| from SMALL_LAMBDA to 40; 2 wide stands
+    # for lam + mu of the coalescent pairs
+    z = rng.uniform(0.5, 40.0, 64) * np.exp(2j * pi * rng.random(64))
+    lams = np.concatenate((wide, 2 * wide, z, [1.0, -1.0, 2j, -2j]))
+    x = np.linspace(0.0, pi, 201)
+    S, C = _closed_chains(x, lams, order)
+    for got, want in ((s_chain(x, lams, order), S), (sx_chain(x, lams, order), C)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("lam", [0.05, 0.3, 0.4999, 0.5001, 0.5 + 0.3j, 0.7, 1.2 + 0.5j,
                                  3.0, 20.0])
 def test_s_chain_against_mpmath_oracle(lam):
