@@ -24,11 +24,14 @@ terms that never differentiate a series numerically.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from math import pi
 
 import numpy as np
+from scipy.integrate import cumulative_simpson
 from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
 from . import zindex
@@ -38,13 +41,14 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .model import COALESCE_GAP, P_MAX, BackgroundProblem, cumulative, d_table, same_background
+from .model import COALESCE_GAP, P_MAX, BackgroundProblem, d_table, same_background
 from .spectral_data import SpectralDataSet
 
 DEFAULT_N_GRID = 200
 COND_LIMIT = 1e10
 SOLVE_CHUNK_ENTRIES = 1 << 16   # matrices formed at once, counted as nodes x dim^2
 LU_MIN_DIM = 16                 # from this dim on, factor node by node by getrf
+POOL_MAX_ENTRIES = 10_000       # below this dim^2, LU chunks go to one thread per CPU
 ACTIVE_TOL = 1e-11
 
 
@@ -222,28 +226,33 @@ def solve_main(system: MainEquationSystem, cond_limit: float = COND_LIMIT
     """Solve (I - P) v = s and (I - P) v_x = s_x + (dP/dx) v at every node.
 
     Returns ``(v, v_x, cond, residual)``: v and v_x of shape (dim, nx), the
-    per-node 1-norm condition ||A||_1 ||A^-1||_1 of A = I - P, and the
-    max-norm residual of A v - s.  A is formed in chunks of
+    per-node 1-norm condition ||A||_1 ||A^-1||_1 of A = I - P, and the max-norm
+    residual of A v - s.  A is formed in place in chunks of
     ``SOLVE_CHUNK_ENTRIES`` matrix entries.  Below ``LU_MIN_DIM`` a batched
     ``np.linalg.inv`` serves both solves and gives the exact condition.  From
     it on, each node is factored once by LAPACK getrf: v and v_x are getrs
     solves and ||A^-1||_1 is gecon's Hager-Higham estimate, a lower bound, all
-    on that LU.  scipy's LAPACK and numpy's BLAS have thread pools that contend
-    for the CPUs when called in turn, so the products between the LAPACK
-    phases are einsums, which call no BLAS.  A non-finite or exactly singular
-    A, or a condition above ``cond_limit`` (1e10; the CLI profiles use 1e8
-    strict, 1e12 loose) at the worst node, raises ``SingularSystemError``
-    (the bounded invertibility assumption fails) rather than returning garbage.
+    on that LU.  While dim^2 < ``POOL_MAX_ENTRIES`` (OpenBLAS threads larger
+    getrf calls), one thread per usable CPU takes chunks sharing the budget,
+    and outputs and failures stay the serial loop's.  The products are einsums,
+    off numpy's BLAS pool.  A non-finite or exactly singular A, or a condition
+    above ``cond_limit`` (1e10; the CLI profiles use 1e8 strict, 1e12 loose) at
+    the worst node, raises ``SingularSystemError`` (the bounded invertibility
+    assumption fails) rather than returning garbage.
     """
     x, (nx, dim) = system.x, system.rhs.shape
-    eye = np.eye(dim)
     mv = partial(np.einsum, "nij,nj->ni")    # a product per node, through no BLAS
     v, vx = np.empty((2, nx, dim), dtype=complex)
-    cond, residual = np.empty(nx), 0.0
-    chunk = max(1, SOLVE_CHUNK_ENTRIES // (dim * dim))
-    for lo in range(0, nx, chunk):
+    cond = np.empty(nx)
+    pooled = LU_MIN_DIM <= dim and dim * dim < POOL_MAX_ENTRIES
+    workers = min(_cpus(), SOLVE_CHUNK_ENTRIES // (dim * dim)) if pooled else 1
+    chunk = max(1, SOLVE_CHUNK_ENTRIES // (workers * dim * dim))
+
+    def solve_chunk(lo: int) -> float:      # the chunk's nodes; returns their residual
         sl = slice(lo, lo + chunk)
-        A = eye - system.form_P(sl)
+        A = system.form_P(sl)
+        np.subtract(0.0, A, out=A)       # bitwise eye - P, without its temporary
+        A[:, range(dim), range(dim)] += 1.0
         norm = np.abs(A).sum(axis=1).max(axis=1)
         if dim < LU_MIN_DIM:
             try:
@@ -266,14 +275,25 @@ def solve_main(system: MainEquationSystem, cond_limit: float = COND_LIMIT
         finite = np.isfinite(cond[sl])     # NaN/inf in A, or an overflowing inverse
         if not finite.all():
             raise _singular(x[lo + int(np.argmin(finite))], np.inf)
-        s = system.rhs[sl]
-        v[sl] = solve(s)
-        residual = max(residual, float(np.max(np.abs(mv(A, v[sl]) - s))))
+        v[sl] = solve(system.rhs[sl])
         vx[sl] = solve(system.rhs_x[sl] + mv(system.px_u[sl], mv(system.px_w[sl], v[sl])))
+        return float(np.max(np.abs(mv(A, v[sl]) - system.rhs[sl])))
+
+    run = _executor(os.getpid(), workers).map if workers > 1 else map
+    residual = max(run(solve_chunk, range(0, nx, chunk)))
     worst = int(np.argmax(cond))
     if cond[worst] > cond_limit:
         raise _singular(x[worst], cond[worst])
     return v.T, vx.T, cond, residual
+
+
+def _cpus() -> int:     # the CPUs this process may run on
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@cache     # per process: a forked child has none of its parent's threads
+def _executor(pid: int, workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(workers, thread_name_prefix="qpencil-solve")
 
 
 def _singular(x: float, cond: float) -> SingularSystemError:
@@ -367,7 +387,7 @@ def recover_q0_antiderivative(eps: EpsilonFields, q1: np.ndarray,
                  + b * (eps.eps2 - 2.0 * q1t * eps.eps1 + eps.eps4)
                  + 0.25 * b * b)
     return (2.0 * jump(eps.eps2) + 2.0 * jump(eps.eps4) + 0.5 * jump(b)
-            - 2.0 * jump(q1t * eps.eps1) + cumulative(integrand, x))
+            - 2.0 * jump(q1t * eps.eps1) + cumulative_simpson(integrand, x=x, initial=0.0))
 
 
 @dataclass

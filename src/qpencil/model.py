@@ -56,12 +56,6 @@ COALESCE_GAP = 0.05
 SMALL_LAMBDA = 0.5
 
 
-def cumulative(y, x) -> np.ndarray:
-    """Running composite-Simpson integral of complex samples y(x) over the last axis."""
-    return cumulative_simpson(y.real, x=x, initial=0.0) \
-        + 1j * cumulative_simpson(y.imag, x=x, initial=0.0)
-
-
 def s_chain(x, lam, order: int) -> np.ndarray:
     """Normalized lam-derivatives of sin(lam x)/lam, shape (order+1,) + lam.shape + x.shape.
 
@@ -411,7 +405,8 @@ class NumericBackground(BackgroundProblem):
     def _coalescent_table(self, x, lam, mu, tmax, smax):
         # D(0, ., .) = 0, so D is the running integral of dD/dx on the refined grid
         xr = self._refined_x()
-        return cumulative(dx_table(self, xr, lam, mu, tmax, smax), xr)[..., self._node_index(x)]
+        D = cumulative_simpson(dx_table(self, xr, lam, mu, tmax, smax), x=xr, initial=0.0)
+        return D[..., self._node_index(x)]
 
     def spectral_entry(self, n):
         if n == 0:

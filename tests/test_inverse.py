@@ -1,12 +1,18 @@
 """Main-equation assembly, solve, series evaluation, and recovery formulas."""
 
+import os
+import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from math import ceil, pi
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg.lapack
+from scipy.integrate import cumulative_simpson
 
 from qpencil import (
     DegenerateSeriesError,
@@ -27,7 +33,9 @@ from qpencil import (
     solve_main,
     weyl_residues,
 )
+import qpencil
 import qpencil.inverse as qinv
+import qpencil.model as qmodel
 from qpencil.inverse import (
     LU_MIN_DIM,
     SOLVE_CHUNK_ENTRIES,
@@ -466,6 +474,7 @@ def test_singular_or_non_finite_node_raises(fill, width, zero_model, monkeypatch
 
 
 @pytest.mark.parametrize("width", [
+    pytest.param(16, id="dim64"),      # LU chunks on the thread pool when CPUs > 1
     pytest.param(4, id="dim16"),       # LU node by node: the gecon estimate
     pytest.param(1, id="dim4"),        # batched inverse: the exact condition
 ])
@@ -535,3 +544,163 @@ def test_solve_memory_is_bounded_by_the_chunk(zero_model):
         tracemalloc.stop()
     # one (201, 64, 64) complex array is 13.2 MB
     assert peak < 6e6
+
+
+def _solve_threads(monkeypatch):
+    """Names of the threads that factor nodes, gathered from ``zgetrf`` calls."""
+    names = set()
+    inner = qinv.zgetrf
+
+    def recording(*args, **kwargs):
+        names.add(threading.current_thread().name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(qinv, "zgetrf", recording)
+    return names
+
+
+def test_pool_shares_the_chunk_budget(zero_model, monkeypatch):
+    system = assemble_system(_wide_data(16, 903), zero_model, default_grid(200))
+    threads = _solve_threads(monkeypatch)
+    peaks = {}
+    for cpus in (1, 2, 64):
+        monkeypatch.setattr(qinv, "_cpus", lambda: cpus)
+        tracemalloc.start()
+        try:
+            solve_main(system)
+            peaks[cpus] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the serial peak holds about two 1 MB chunk arrays; two workers with the
+    # whole budget each would hold four.  No more workers than one-node chunks
+    # fit in the budget, 16 at dim 64, whose per-thread arrays add up to a
+    # third more; 64 workers, one node each, would hold 8-11 MB.
+    assert peaks[2] < 1.25 * peaks[1] and peaks[64] < 2 * peaks[1], peaks
+    assert 2 < len(threads - {threading.current_thread().name}) <= SOLVE_CHUNK_ENTRIES // 64**2
+
+
+@pytest.mark.parametrize("width", [pytest.param(16, id="dim64"), pytest.param(24, id="dim96")])
+def test_pool_changes_no_bit_of_the_solve(width, zero_model, monkeypatch):
+    system = assemble_system(_wide_data(width, 906), zero_model, default_grid(200))
+    assert system.layout.dim ** 2 < qinv.POOL_MAX_ENTRIES
+    threads = _solve_threads(monkeypatch)
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # eight workers on few CPUs, switching often
+    try:
+        for cpus in (8, 2, 1):
+            monkeypatch.setattr(qinv, "_cpus", lambda: cpus)
+            threads.clear()
+            runs[cpus] = solve_main(system)
+            on_pool = {name.startswith("qpencil-solve") for name in threads}
+            assert on_pool == {cpus > 1}
+    finally:
+        sys.setswitchinterval(interval)
+    v, v_x, cond, residual = runs[1]
+    for cpus in (8, 2):
+        assert np.array_equal(runs[cpus][0], v) and np.array_equal(runs[cpus][1], v_x)
+        assert np.array_equal(runs[cpus][2], cond) and runs[cpus][3] == residual
+
+
+def test_pool_is_left_out_past_openblas_threading(zero_model, monkeypatch):
+    # dim 100: dim^2 = 1e4, from where OpenBLAS threads each getrf itself
+    system = assemble_system(_wide_data(25, 907), zero_model, default_grid(20))
+    monkeypatch.setattr(qinv, "_cpus", lambda: 2)
+    threads = _solve_threads(monkeypatch)
+    solve_main(system)
+    assert threads == {threading.current_thread().name}
+
+
+@pytest.mark.parametrize("fills", [("nan", "identity"), ("identity", "nan"), ("identity", "identity")],
+                         ids="-".join)
+def test_parallel_solve_reports_the_lowest_failing_node(fills, zero_model, monkeypatch):
+    monkeypatch.setattr(qinv, "_cpus", lambda: 2)
+    system = assemble_system(_wide_data(16, 5), zero_model, default_grid(200))
+    dim = system.layout.dim
+    chunk = SOLVE_CHUNK_ENTRIES // (2 * dim * dim)
+    # the last node of one chunk and the first of the next: the later chunk
+    # meets its failure first, on the other worker
+    nodes = (4 * chunk - 1, 4 * chunk)
+    P = system.form_P()
+    for k, fill in zip(nodes, fills):
+        P[k] = np.eye(dim) if fill == "identity" else np.nan
+    monkeypatch.setattr(system, "form_P", lambda nodes: P[nodes])
+    threads = _solve_threads(monkeypatch)
+    with pytest.raises(SingularSystemError) as exc:
+        solve_main(system)
+    assert exc.value.x == system.x[nodes[0]]
+    assert exc.value.cond == np.inf
+    assert all(name.startswith("qpencil-solve") for name in threads)
+
+
+def test_solve_starts_threads_only_for_the_pool():
+    script = """
+import threading
+before = threading.active_count()
+import qpencil
+import qpencil.inverse as qinv
+from qpencil import ZeroBackground, assemble_system, default_grid, make_split_data, run_reconstruction
+run_reconstruction(make_split_data(0.01), ZeroBackground(), default_grid(200))
+assert threading.active_count() == before, (before, threading.active_count())
+qinv._cpus = lambda: 2
+data = make_split_data(0.0).replace_entry(1, lam=1.5)
+system = assemble_system(data, ZeroBackground(), default_grid(200), min_window=16)
+assert system.layout.dim == 64
+qinv.solve_main(system)
+pooled = threading.active_count()
+assert before < pooled <= before + 2, (before, pooled)
+qinv.solve_main(system)
+assert threading.active_count() == pooled
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(qpencil.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:.*use of fork\\(\\) may lead to deadlocks:DeprecationWarning")
+def test_forked_child_solves_after_a_parallel_solve(zero_model, monkeypatch):
+    monkeypatch.setattr(qinv, "_cpus", lambda: 2)
+    system = assemble_system(_wide_data(16, 903), zero_model, default_grid(40))
+    want = solve_main(system)
+    pid = os.fork()
+    if pid == 0:        # the child inherits the pool object, not its threads
+        code = 1
+        try:
+            got = solve_main(system)
+            code = 0 if all(np.array_equal(a, b) for a, b in zip(got, want)) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish its solve in 60 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+@pytest.mark.parametrize("case", ["split-0", "split-0.01", "split-0.0001", "numeric"])
+def test_complex_simpson_is_its_real_and_imaginary_parts(case, zero_model, request, monkeypatch):
+    if case == "numeric":
+        data, model = request.getfixturevalue("numeric_case")
+    else:
+        data, model = make_split_data(float(case[6:])), zero_model
+    x = default_grid(200)
+    got = run_reconstruction(data, model, x)
+    calls = []
+
+    def by_parts(y, x, initial):
+        calls.append(y.shape)
+        return cumulative_simpson(y.real, x=x, initial=initial) \
+            + 1j * cumulative_simpson(y.imag, x=x, initial=initial)
+
+    monkeypatch.setattr(qinv, "cumulative_simpson", by_parts)
+    monkeypatch.setattr(qmodel, "cumulative_simpson", by_parts)
+    want = run_reconstruction(data, model, x)
+    assert len(calls) >= (2 if case == "numeric" else 1)
+    for name in ("q1", "q0_antideriv", "cond"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.residual == want.residual
