@@ -48,7 +48,7 @@ DEFAULT_N_GRID = 200
 COND_LIMIT = 1e10
 SOLVE_CHUNK_ENTRIES = 1 << 16   # matrices formed at once, counted as nodes x dim^2
 LU_MIN_DIM = 16                 # from this dim on, factor node by node by getrf
-POOL_MAX_ENTRIES = 10_000       # below this dim^2, LU chunks go to one thread per CPU
+POOL_MAX_ENTRIES = 10_000       # below this dim^2, LU chunks go to two threads
 ACTIVE_TOL = 1e-11
 
 
@@ -144,8 +144,8 @@ class MainEquationSystem:
     b_lo: np.ndarray              # (dim, nx)
 
     def form_P(self, nodes: slice = slice(None)) -> np.ndarray:
-        """P at a slice of nodes, (nodes, dim, dim).  Complex products do not
-        commute bitwise, so a' a^T is its own product, not (a a'^T)^T."""
+        """P at a slice of nodes, (nodes, dim, dim), a new array the caller may overwrite.
+        Complex products do not commute bitwise, so a' a^T is its own product."""
         a, a_x = self.rhs[nodes], self.rhs_x[nodes]
         P = (a[:, :, None] * a_x[:, None, :] - a_x[:, :, None] * a[:, None, :]) * self.scale
         P[:, self.table_rows, self.table_cols] = self.table_vals[nodes]
@@ -233,19 +233,19 @@ def solve_main(system: MainEquationSystem, cond_limit: float = COND_LIMIT
     it on, each node is factored once by LAPACK getrf: v and v_x are getrs
     solves and ||A^-1||_1 is gecon's Hager-Higham estimate, a lower bound, all
     on that LU.  While dim^2 < ``POOL_MAX_ENTRIES`` (OpenBLAS threads larger
-    getrf calls), one thread per usable CPU takes chunks sharing the budget,
-    and outputs and failures stay the serial loop's.  The products are einsums,
-    off numpy's BLAS pool.  A non-finite or exactly singular A, or a condition
-    above ``cond_limit`` (1e10; the CLI profiles use 1e8 strict, 1e12 loose) at
-    the worst node, raises ``SingularSystemError`` (the bounded invertibility
-    assumption fails) rather than returning garbage.
+    getrf calls) and there is more than one chunk, two threads (one on one CPU)
+    take chunks sharing the budget; outputs and failures stay the serial loop's.
+    The products are einsums, off numpy's BLAS pool.  A non-finite or exactly
+    singular A, or a condition above ``cond_limit`` (1e10; the CLI profiles use
+    1e8 strict, 1e12 loose) at the worst node, raises ``SingularSystemError``
+    (the bounded invertibility assumption fails) rather than returning garbage.
     """
     x, (nx, dim) = system.x, system.rhs.shape
     mv = partial(np.einsum, "nij,nj->ni")    # a product per node, through no BLAS
     v, vx = np.empty((2, nx, dim), dtype=complex)
     cond = np.empty(nx)
     pooled = LU_MIN_DIM <= dim and dim * dim < POOL_MAX_ENTRIES
-    workers = min(_cpus(), SOLVE_CHUNK_ENTRIES // (dim * dim)) if pooled else 1
+    workers = min(2, _cpus()) if pooled else 1   # more than two: no gain measured
     chunk = max(1, SOLVE_CHUNK_ENTRIES // (workers * dim * dim))
 
     def solve_chunk(lo: int) -> float:      # the chunk's nodes; returns their residual
@@ -279,7 +279,7 @@ def solve_main(system: MainEquationSystem, cond_limit: float = COND_LIMIT
         vx[sl] = solve(system.rhs_x[sl] + mv(system.px_u[sl], mv(system.px_w[sl], v[sl])))
         return float(np.max(np.abs(mv(A, v[sl]) - system.rhs[sl])))
 
-    run = _executor(os.getpid(), workers).map if workers > 1 else map
+    run = _executor(os.getpid(), workers).map if workers > 1 and nx > chunk else map
     residual = max(run(solve_chunk, range(0, nx, chunk)))
     worst = int(np.argmax(cond))
     if cond[worst] > cond_limit:
