@@ -59,6 +59,7 @@ from .inverse import (
     recover_q1,
     recover_theta,
     run_reconstruction,
+    run_reconstructions,
     solve_main,
 )
 from .model import (

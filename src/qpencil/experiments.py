@@ -43,6 +43,7 @@ from .inverse import (
     active_layout,
     default_grid,
     run_reconstruction,
+    run_reconstructions,
 )
 from .model import BackgroundProblem, ZeroBackground, same_background
 from .spectral_data import SpectralDataSet, SpectralEntry, compute_diagnostics
@@ -289,22 +290,27 @@ def run_table(config: SplitExperimentConfig, out_dir=None,
               verify_multiplicity: bool = True) -> list[ExperimentRow]:
     """Run the delta sweep against the double-eigenvalue reference.
 
-    For every delta the split data are reconstructed against the zero
-    background; d1/d0 measure the distance to the delta = 0 reconstruction.
+    The split data of every delta and the delta = 0 reference are
+    reconstructed against the zero background in one stacked
+    ``run_reconstructions`` call; d1/d0 measure the distance to the reference.
+    A delta whose reconstruction fails gets its error row, the others stand.
     A delta = 0 entry in the list is reported as a multiplicity extension and
     (optionally) verified by the winding count of the forward characteristic
     function around the double eigenvalue.
     """
     model = ZeroBackground()
     grid = default_grid(config.n_grid)
-    reference = run_reconstruction(make_split_data(0.0), model, grid)
+    data = {delta: make_split_data(delta) for delta in (0.0,) + config.delta_list}
+    recs = dict(zip(data, run_reconstructions(list(data.values()), model, grid)))
+    if isinstance(reference := recs[0.0], QPencilError):
+        raise reference
     rows: list[ExperimentRow] = []
     for delta in config.delta_list:
-        data = make_split_data(delta)
-        lam_p, lam_m = data.entry(1).lam, data.entry(-1).lam
-        m_p, m_m = data.entry(1).M, data.entry(-1).M
+        rec, lam_p, lam_m = recs[delta], data[delta].entry(1).lam, data[delta].entry(-1).lam
+        m_p, m_m = data[delta].entry(1).M, data[delta].entry(-1).M
         try:
-            rec = reference if delta == 0 else run_reconstruction(data, model, grid)
+            if isinstance(rec, QPencilError):
+                raise rec
             d1, d0 = compute_d_metrics(rec, reference)
             note = ""
             if delta == 0:

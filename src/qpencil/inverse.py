@@ -38,6 +38,7 @@ from . import zindex
 from .errors import (
     DegenerateSeriesError,
     OrderTooHighError,
+    QPencilError,
     SingularSystemError,
     ValidationError,
 )
@@ -91,8 +92,12 @@ def _side_entry(dataset: SpectralDataSet, n: int) -> SideEntry:
 def active_layout(data: SpectralDataSet, model: BackgroundProblem,
                   min_window: int = 0) -> ActiveLayout:
     """Indices where the data differ from the background, closed under groups."""
+    return _layout(data, model.spectral_data(max(data.max_abs_index, min_window, 1)), min_window)
+
+
+def _layout(data: SpectralDataSet, model_set: SpectralDataSet, min_window: int) -> ActiveLayout:
+    """``active_layout`` against the background's data, at least as wide as the set's."""
     width = max(data.max_abs_index, min_window)
-    model_set = model.spectral_data(max(width, 1))
     active: set[int] = set(zindex.window(min_window))
     for n in zindex.window(width):
         de = data.entry(n)
@@ -118,138 +123,161 @@ def active_layout(data: SpectralDataSet, model: BackgroundProblem,
 
 @dataclass
 class MainEquationSystem:
-    """Per-node dense system in factored form; arrays are stacked over the nodes.
+    """Per-node dense systems in factored form; node s * nx + k is node k of set s.
 
     P = (a_r a'_c - a'_r a_c) ``scale``_rc with the row chains a = ``rhs``,
-    a' = ``rhs_x``, except at the pairs (``table_rows``, ``table_cols``) with
-    per-node values ``table_vals``.  P is not stored: ``form_P`` forms it per slice.
+    a' = ``rhs_x``, except at the pairs (``table_rows``, ``table_cols``) a set
+    tables, with per-node values ``table_vals``; ``form_P`` forms it per slice.
     ``b`` and ``b_x`` are the signed column combinations (-1)^j sum_p M_p S_(p-nu)
     and the same over S', ``b_lo`` the same with S_(p-nu-1) over p > nu.
     dP/dx = ``px_u @ px_w`` at every node.
     """
 
-    x: np.ndarray                 # (nx,)
-    layout: ActiveLayout
+    x: np.ndarray                 # (nx,), the grid of every set
+    layouts: tuple[ActiveLayout, ...]
     model: BackgroundProblem
-    scale: np.ndarray             # (dim, dim), zero at the tabled pairs
-    table_rows: np.ndarray        # (pairs,)
+    scale: np.ndarray             # (sets, dim, dim), zero at the tabled pairs
+    table_rows: np.ndarray        # (pairs,), tabled by some set
     table_cols: np.ndarray        # (pairs,)
-    table_vals: np.ndarray        # (nx, pairs)
-    px_u: np.ndarray              # (nx, dim, 2)
-    px_w: np.ndarray              # (nx, 2, dim)
-    rhs: np.ndarray               # (nx, dim)
-    rhs_x: np.ndarray             # (nx, dim)
-    b: np.ndarray                 # (dim, nx)
-    b_x: np.ndarray               # (dim, nx)
-    b_lo: np.ndarray              # (dim, nx)
+    tabled: np.ndarray            # (sets, pairs), whether the set tables the pair
+    table_vals: np.ndarray        # (nodes, pairs)
+    px_u: np.ndarray              # (nodes, dim, 2)
+    px_w: np.ndarray              # (nodes, 2, dim)
+    rhs: np.ndarray               # (nodes, dim)
+    rhs_x: np.ndarray             # (nodes, dim)
+    b: np.ndarray                 # (dim, nodes)
+    b_x: np.ndarray               # (dim, nodes)
+    b_lo: np.ndarray              # (dim, nodes)
+
+    @property
+    def layout(self) -> ActiveLayout:     # the first set's; the sets share its dim
+        return self.layouts[0]
 
     def form_P(self, nodes: slice = slice(None)) -> np.ndarray:
-        """P at a slice of nodes, (nodes, dim, dim), a new array the caller may overwrite.
-        Complex products do not commute bitwise, so a' a^T is its own product."""
-        a, a_x = self.rhs[nodes], self.rhs_x[nodes]
-        P = (a[:, :, None] * a_x[:, None, :] - a_x[:, :, None] * a[:, None, :]) * self.scale
-        P[:, self.table_rows, self.table_cols] = self.table_vals[nodes]
-        return P
+        """P at a slice of nodes in one set or of whole sets, a new array the caller
+        may overwrite.  Complex products do not commute bitwise: a' a^T is its own."""
+        (lo, hi, _), nx, dim = nodes.indices(len(self.rhs)), self.x.size, self.rhs.shape[1]
+        first, k = lo // nx, max(1, (hi - lo) // nx)     # the first set, the number of sets
+        a, a_x, r, c = self.rhs[nodes], self.rhs_x[nodes], self.table_rows, self.table_cols
+        P = (a[:, :, None] * a_x[:, None, :] - a_x[:, :, None] * a[:, None, :]).reshape(
+            k, -1, dim, dim) * self.scale[first:first + k, None]
+        for p, tv, t in zip(P, self.table_vals[nodes].reshape(k, -1, r.size), self.tabled[first:]):
+            p[:, r[t], c[t]] = tv[:, t]
+        return P.reshape(-1, dim, dim)
 
 
-def assemble_system(data: SpectralDataSet, model: BackgroundProblem, x,
-                    min_window: int = 0,
-                    layout: ActiveLayout | None = None) -> MainEquationSystem:
+def assemble_system(data, model: BackgroundProblem, x, min_window: int = 0,
+                    layout=None) -> MainEquationSystem:
     """Build the factors of the per-node matrices from per-entry chain combinations.
 
-    Every unknown (entry, side j) contributes its row chains a = S_nu,
-    a' = S'_nu, a_ = S_(nu-1) and its column combinations b, b' and
-    b_ = (-1)^j sum_(p>nu) M_p S_(p-nu-1).  Leibniz on
-    dD/dx = (lam + mu - 2 q1) S(lam) S(mu) gives dP/dx = u_r b_c + a_r w_c
-    with u = (lam - 2 q1) a + a_ and w = lam b + b_.  P takes the quotient
-    form for simple pairs at least ``COALESCE_GAP`` apart, kept as a, a' and
-    ``scale``, and the kernel tables otherwise, one ``d_table`` call for all
-    pairs that share the derivative orders (row nu, column m - 1 - nu).
+    ``layout`` is the set's layout if known, or a sequence of layouts of one dim
+    to stack (``data`` unused).  Every unknown (entry, side j) contributes its row
+    chains a = S_nu, a' = S'_nu, a_ = S_(nu-1) and its column combinations b, b'
+    and b_ = (-1)^j sum_(p>nu) M_p S_(p-nu-1).  Leibniz on dD/dx = (lam + mu - 2 q1)
+    S(lam) S(mu) gives dP/dx = u_r b_c + a_r w_c with u = (lam - 2 q1) a + a_ and
+    w = lam b + b_.  P takes the quotient form for simple pairs at least
+    ``COALESCE_GAP`` apart, kept as a, a' and ``scale``, and the kernel tables
+    otherwise: one chain call for the distinct lam of all sets, one ``d_table``
+    call per derivative-order key (row nu, column m - 1 - nu) for all their pairs.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if layout is None:
         layout = active_layout(data, model, min_window=min_window)
-    rows = layout.rows()
-    dim = layout.dim
+    layouts = (layout,) if isinstance(layout, ActiveLayout) else tuple(layout)
+    rows = [row for lay in layouts for row in lay.rows()]
+    n_sets, dim, nx = len(layouts), layouts[0].dim, x.size
     lams = np.array([e.lam for e, _ in rows], dtype=complex)
-    nu = np.array([e.nu for e, _ in rows])
-    m = np.array([e.m for e, _ in rows])
+    nu, m = np.array([(e.nu, e.m) for e, _ in rows]).T
     sgn = np.array([-1.0 if j == 1 else 1.0 for _, j in rows])
     top = int(m.max()) - 1
-    Ms = np.zeros((dim, top + 1), dtype=complex)   # zero past each group
-    for k, (e, _) in enumerate(rows):
-        Ms[k, :e.m] = e.Ms
+    Ms = np.array([e.Ms + (0,) * (top + 1 - e.m) for e, _ in rows], dtype=complex)
 
     # one chain call over the distinct lam, at the largest order
     distinct, which = np.unique(lams, return_inverse=True)
     S, C = model.s_chain(x, distinct, top), model.sx_chain(x, distinct, top)
-    a, a_x, a_lo, b, b_x, b_lo = np.zeros((6, dim, x.size), dtype=complex)
-    for k, (e, _) in enumerate(rows):
-        sch, cch = S[:, which[k]], C[:, which[k]]
-        a[k], a_x[k] = sch[e.nu], cch[e.nu]
-        if e.nu:
-            a_lo[k] = sch[e.nu - 1]
-        for p in range(e.nu, e.m):
-            b[k] += e.Ms[p] * sch[p - e.nu]
-            b_x[k] += e.Ms[p] * cch[p - e.nu]
-            if p > e.nu:
-                b_lo[k] += e.Ms[p] * sch[p - e.nu - 1]
+    a, a_x = S[nu, which], C[nu, which]
+    a_lo = np.where((nu > 0)[:, None], S[nu - 1, which], 0.0)
+    b, b_x, b_lo = np.zeros((3, len(rows), nx), dtype=complex)
+    for d in range(top + 1):       # the group's terms p = nu + d
+        k = nu + d < m
+        M = Ms[k, nu[k] + d][:, None]
+        b[k] += M * S[d, which[k]]
+        b_x[k] += M * C[d, which[k]]
+        if d:
+            b_lo[k] += M * S[d - 1, which[k]]
     b, b_x, b_lo = sgn[:, None] * b, sgn[:, None] * b_x, sgn[:, None] * b_lo
 
-    simple = m == 1
-    quotient = simple[:, None] & simple & (np.abs(lams[:, None] - lams) >= COALESCE_GAP)
-    scale = np.divide(sgn * Ms[:, 0], lams[:, None] - lams,
-                      out=np.zeros((dim, dim), dtype=complex), where=quotient)
-    # the other pairs: one kernel table call per derivative-order key
-    r, c = np.nonzero(~quotient)
-    vals = np.empty((x.size, r.size), dtype=complex)
-    tkey, skey = nu[r], m[c] - 1 - nu[c]
+    simple, per_set = (m == 1).reshape(n_sets, dim), lams.reshape(n_sets, dim)
+    gap = per_set[:, :, None] - per_set[:, None, :]
+    quotient = simple[:, :, None] & simple[:, None, :] & (np.abs(gap) >= COALESCE_GAP)
+    scale = np.divide((sgn * Ms[:, 0]).reshape(n_sets, 1, dim), gap,
+                      out=np.zeros(gap.shape, dtype=complex), where=quotient)
+    # the pairs some set tables: one kernel table call per derivative-order key
+    r, c = np.nonzero(~quotient.all(axis=0))
+    tabled = ~quotient[:, r, c]
+    sets, pair = np.nonzero(tabled)
+    rr, cc = sets * dim + r[pair], sets * dim + c[pair]
+    vals = np.zeros((n_sets, nx, r.size), dtype=complex)
+    tkey, skey = nu[rr], m[cc] - 1 - nu[cc]
     for t, s in sorted(set(zip(tkey.tolist(), skey.tolist()))):
         sel = (tkey == t) & (skey == s)
-        rs, cs = r[sel], c[sel]
+        rs, cs = rr[sel], cc[sel]
         T = d_table(model, x, lams[rs], lams[cs], t, s)[:, t]
-        acc = Ms[cs, nu[cs]][:, None] * T[:, 0]
-        for d in range(1, s + 1):
-            acc += Ms[cs, nu[cs] + d][:, None] * T[:, d]
-        vals[:, sel] = (sgn[cs][:, None] * acc).T
+        acc = sum(Ms[cs, nu[cs] + d][:, None] * T[:, d] for d in range(s + 1))
+        vals[sets[sel], :, pair[sel]] = sgn[cs][:, None] * acc
 
+    def by_node(f):     # (sets * dim, nx) -> (nodes, dim), C-ordered
+        return np.ascontiguousarray(f.reshape(n_sets, dim, nx).swapaxes(1, 2)).reshape(-1, dim)
     u = (lams[:, None] - 2.0 * model.q1_values(x)) * a + a_lo
-    return MainEquationSystem(x=x, layout=layout, model=model, scale=scale,
-                              table_rows=r, table_cols=c, table_vals=vals,
-                              px_u=np.stack((u.T, a.T), axis=2),
-                              px_w=np.stack((b.T, (lams[:, None] * b + b_lo).T), axis=1),
-                              rhs=a.T.copy(), rhs_x=a_x.T.copy(), b=b, b_x=b_x, b_lo=b_lo)
+    px_u, px_w = np.stack((by_node(u), by_node(a)), axis=2), \
+        np.stack((by_node(b), by_node(lams[:, None] * b + b_lo)), axis=1)
+    b, b_x, b_lo = (f.reshape(n_sets, dim, nx).swapaxes(0, 1).reshape(dim, -1)
+                    for f in (b, b_x, b_lo))
+    return MainEquationSystem(x=x, layouts=layouts, model=model, scale=scale, table_rows=r,
+                              table_cols=c, tabled=tabled, table_vals=vals.reshape(-1, r.size),
+                              px_u=px_u, px_w=px_w, rhs=by_node(a), rhs_x=by_node(a_x),
+                              b=b, b_x=b_x, b_lo=b_lo)
 
 
 def solve_main(system: MainEquationSystem, cond_limit: float = COND_LIMIT
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Solve (I - P) v = s and (I - P) v_x = s_x + (dP/dx) v at every node.
 
-    Returns ``(v, v_x, cond, residual)``: v and v_x of shape (dim, nx), the
+    Returns ``(v, v_x, cond, residual)``: v and v_x of shape (dim, nodes), the
     per-node 1-norm condition ||A||_1 ||A^-1||_1 of A = I - P, and the max-norm
-    residual of A v - s.  A is formed in place in chunks of
-    ``SOLVE_CHUNK_ENTRIES`` matrix entries.  Below ``LU_MIN_DIM`` a batched
-    ``np.linalg.inv`` serves both solves and gives the exact condition.  From
-    it on, each node is factored once by LAPACK getrf: v and v_x are getrs
-    solves and ||A^-1||_1 is gecon's Hager-Higham estimate, a lower bound, all
-    on that LU.  While dim^2 < ``POOL_MAX_ENTRIES`` (OpenBLAS threads larger
-    getrf calls) and there is more than one chunk, two threads (one on one CPU)
-    take chunks sharing the budget; outputs and failures stay the serial loop's.
-    The products are einsums, off numpy's BLAS pool.  A non-finite or exactly
-    singular A, or a condition above ``cond_limit`` (1e10; the CLI profiles use
-    1e8 strict, 1e12 loose) at the worst node, raises ``SingularSystemError``
-    (the bounded invertibility assumption fails) rather than returning garbage.
+    residual of A v - s.  A is formed in place in chunks of ``SOLVE_CHUNK_ENTRIES``
+    matrix entries, in one set or of whole sets.  Below ``LU_MIN_DIM`` a batched
+    ``np.linalg.inv`` serves both solves and gives the exact condition; from it on
+    one LAPACK getrf per node serves two getrs solves and gecon's Hager-Higham
+    estimate (a lower bound).  While dim^2 < ``POOL_MAX_ENTRIES`` (OpenBLAS threads
+    larger getrf calls), several chunks go to two threads (one on one CPU) that
+    share the budget.  The products are einsums, off numpy's BLAS pool.  A failed node
+    (non-finite or exactly singular A, overflowing inverse) gets cond = inf and NaN
+    solutions, and the loop goes on; then, per set, the lowest failed node or else
+    the worst node above ``cond_limit`` (1e10; the CLI profiles use 1e8 strict,
+    1e12 loose) raises ``SingularSystemError``.
     """
-    x, (nx, dim) = system.x, system.rhs.shape
+    v, v_x, cond, residual = _solve_nodes(system)
+    for set_cond in cond.reshape(-1, system.x.size):
+        if (error := _guard(system.x, set_cond, cond_limit)) is not None:
+            raise error
+    return v, v_x, cond, float(residual.max())
+
+
+def _solve_nodes(system: MainEquationSystem):
+    """``solve_main`` without the guard; the residual is per node."""
+    nx, (nodes, dim) = system.x.size, system.rhs.shape
     mv = partial(np.einsum, "nij,nj->ni")    # a product per node, through no BLAS
-    v, vx = np.empty((2, nx, dim), dtype=complex)
-    cond = np.empty(nx)
+    v, vx = np.empty((2, nodes, dim), dtype=complex)
+    cond, residual = np.empty((2, nodes))
     pooled = LU_MIN_DIM <= dim and dim * dim < POOL_MAX_ENTRIES
     workers = min(2, _cpus()) if pooled else 1   # more than two: no gain measured
     chunk = max(1, SOLVE_CHUNK_ENTRIES // (workers * dim * dim))
+    span = max(1, chunk // nx) * nx      # whole sets to a chunk, or one set in chunks
+    chunks = [slice(lo + k, min(lo + k + chunk, lo + span)) for lo in range(0, nodes, span)
+              for k in range(0, nx, chunk)]
 
-    def solve_chunk(lo: int) -> float:      # the chunk's nodes; returns their residual
-        sl = slice(lo, lo + chunk)
+    def solve_chunk(sl: slice) -> None:
         A = system.form_P(sl)
         np.subtract(0.0, A, out=A)       # bitwise eye - P, without its temporary
         A[:, range(dim), range(dim)] += 1.0
@@ -257,34 +285,37 @@ def solve_main(system: MainEquationSystem, cond_limit: float = COND_LIMIT
         if dim < LU_MIN_DIM:
             try:
                 Ainv = np.linalg.inv(A)
-            except np.linalg.LinAlgError:      # an exactly singular node
-                raise _singular(x[lo + int(np.argmax(np.linalg.cond(A, 1)))], np.inf) from None
+            except np.linalg.LinAlgError:      # exactly singular nodes (a zero pivot): NaN there
+                singular = np.linalg.slogdet(A)[1] == -np.inf
+                Ainv = np.linalg.inv(np.where(singular[:, None, None], np.nan, A))
             cond[sl] = norm * np.abs(Ainv).sum(axis=1).max(axis=1)
             solve = partial(mv, Ainv)
         else:
             lu, piv = A.copy(), np.empty((len(A), dim), dtype=np.int32)
             for k, f in enumerate(lu):   # in place on the Fortran-ordered f.T = A_k^T
-                _, piv[k], info = zgetrf(f.T, overwrite_a=1)
-                if info > 0:
-                    raise _singular(x[lo + k], np.inf)
+                piv[k] = zgetrf(f.T, overwrite_a=1)[1]   # rcond = 0 on an exactly singular A_k
                 rcond, info = zgecon(f.T, norm[k], norm="I")   # kappa_inf(A_k^T) = kappa_1(A_k)
-                cond[lo + k] = 1.0 / rcond if info == 0 and rcond > 0 else np.inf
+                cond[sl.start + k] = 1.0 / rcond if info == 0 and rcond > 0 else np.inf
 
             def solve(b):    # A_k y = b_k is the transposed solve on A_k^T's LU
                 return [zgetrs(f.T, p, bk, trans=1)[0] for f, p, bk in zip(lu, piv, b)]
-        finite = np.isfinite(cond[sl])     # NaN/inf in A, or an overflowing inverse
-        if not finite.all():
-            raise _singular(x[lo + int(np.argmin(finite))], np.inf)
+        cond[sl][~np.isfinite(cond[sl])] = np.inf    # NaN/inf in A, or an overflowing inverse
         v[sl] = solve(system.rhs[sl])
+        v[sl][np.isinf(cond[sl])] = np.nan            # and so v_x there
         vx[sl] = solve(system.rhs_x[sl] + mv(system.px_u[sl], mv(system.px_w[sl], v[sl])))
-        return float(np.max(np.abs(mv(A, v[sl]) - system.rhs[sl])))
+        residual[sl] = np.abs(mv(A, v[sl]) - system.rhs[sl]).max(axis=1)
 
-    run = _executor(os.getpid(), workers).map if workers > 1 and nx > chunk else map
-    residual = max(run(solve_chunk, range(0, nx, chunk)))
-    worst = int(np.argmax(cond))
-    if cond[worst] > cond_limit:
-        raise _singular(x[worst], cond[worst])
+    run = _executor(os.getpid(), workers).map if workers > 1 and len(chunks) > 1 else map
+    list(run(solve_chunk, chunks))
     return v.T, vx.T, cond, residual
+
+
+def _guard(x: np.ndarray, cond: np.ndarray, cond_limit: float) -> SingularSystemError | None:
+    """One set's failure at its worst node, the lowest failed one (cond = inf) if any."""
+    k = int(np.argmax(cond))
+    if not (np.isfinite(cond[k]) and cond[k] <= cond_limit):
+        return SingularSystemError(f"main equation numerically singular at x={x[k]:.6f} "
+                                   f"(cond={cond[k]:.3e})", x=float(x[k]), cond=float(cond[k]))
 
 
 def _cpus() -> int:     # the CPUs this process may run on
@@ -294,12 +325,6 @@ def _cpus() -> int:     # the CPUs this process may run on
 @cache     # per process: a forked child has none of its parent's threads
 def _executor(pid: int, workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, thread_name_prefix="qpencil-solve")
-
-
-def _singular(x: float, cond: float) -> SingularSystemError:
-    return SingularSystemError(
-        f"main equation numerically singular at x={x:.6f} (cond={cond:.3e})",
-        x=float(x), cond=float(cond))
 
 
 @dataclass
@@ -324,17 +349,24 @@ def compute_epsilons(system: MainEquationSystem, v: np.ndarray,
     background, so the two sides of each term cancel exactly.  The series
     derivative is assembled term-wise from v_x, never by differencing.
     """
-    x, b, b_x = system.x, system.b, system.b_x
-    lams = np.array([e.lam for e, _ in system.layout.rows()], dtype=complex)
+    x, b, b_x, per_set = system.x, system.b, system.b_x, (-1, len(system.layouts), system.x.size)
+    lams = np.array([[e.lam for e, _ in lay.rows()] for lay in system.layouts], dtype=complex)
 
     eps1 = (b * v).sum(axis=0)
     eps1p = (b_x * v + b * v_x).sum(axis=0)
-    eps2 = (lams[:, None] * b * v).sum(axis=0)
+    eps2 = (lams.T[:, :, None] * b.reshape(per_set) * v.reshape(per_set)).sum(axis=0).reshape(-1)
     eps3 = (b_x * v).sum(axis=0)
     # group members are consecutive rows, so b_lo of member nu is b of nu + 1
     eps4 = (system.b_lo * v).sum(axis=0)
     return EpsilonFields(x=x, eps1=eps1, eps1_prime=eps1p, eps2=eps2,
                          eps3=eps3, eps4=eps4)
+
+
+def _degenerate(x: np.ndarray, eps1: np.ndarray) -> DegenerateSeriesError | None:
+    """The failure at the first node, of the first row, where |1 + eps1^2| < 1e-8."""
+    bad = np.flatnonzero(np.abs(1.0 + eps1 ** 2) < 1e-8)
+    return DegenerateSeriesError(f"1 + eps1^2 vanishes at x={x[bad[0] % x.size]:.6f}; the "
+                                 "square-root recovery degenerates there") if bad.size else None
 
 
 def recover_theta(eps: EpsilonFields) -> tuple[np.ndarray, np.ndarray]:
@@ -343,20 +375,16 @@ def recover_theta(eps: EpsilonFields) -> tuple[np.ndarray, np.ndarray]:
     The companion factor is lambda_ = eps1 * theta; together they satisfy
     theta^2 (1 + eps1^2) = 1 and theta^2 + lambda_^2 = 1 exactly as built.
     Where |1 + eps1^2| < 1e-8 the recovery degenerates and raises
-    ``DegenerateSeriesError``.
+    ``DegenerateSeriesError``.  Each row of stacked series is tracked apart.
     """
-    w2 = 1.0 + eps.eps1 ** 2
-    bad = np.abs(w2) < 1e-8
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise DegenerateSeriesError(
-            f"1 + eps1^2 vanishes at x={eps.x[k]:.6f}; the square-root "
-            "recovery degenerates there")
-    w = 1.0 / np.sqrt(w2)
+    if (error := _degenerate(eps.x, eps.eps1)) is not None:
+        raise error
+    w = 1.0 / np.sqrt(1.0 + eps.eps1 ** 2)
     # theta_(k-1) = s w_(k-1) with s = +-1, so the flip test
     # |s w_k - theta_(k-1)| > |-s w_k - theta_(k-1)| does not depend on s
-    flips = np.cumsum(np.abs(w[1:] - w[:-1]) > np.abs(w[1:] + w[:-1]))
-    theta = w * np.concatenate(([1.0], np.where(flips % 2, -1.0, 1.0)))
+    flips = np.cumsum(np.abs(w[..., 1:] - w[..., :-1]) > np.abs(w[..., 1:] + w[..., :-1]), axis=-1)
+    start = np.ones(w.shape[:-1] + (1,))
+    theta = w * np.concatenate((start, np.where(flips % 2, -1.0, 1.0)), axis=-1)
     eps.theta, eps.lambda_ = theta, eps.eps1 * theta
     return eps.theta, eps.lambda_
 
@@ -371,16 +399,16 @@ def recover_q0_antiderivative(eps: EpsilonFields, q1: np.ndarray,
     """Antiderivative of the zeroth-potential difference, in integrated form.
 
     The exact-derivative terms contribute endpoint differences; the remaining
-    continuous terms go through composite Simpson.  The background derivative
-    q1t' is eliminated by integration by parts, so nothing is differentiated
-    numerically.
+    continuous terms go through composite Simpson, along the last axis.  The
+    background derivative q1t' is eliminated by integration by parts, so
+    nothing is differentiated numerically.
     """
     x = eps.x
     q1t = model.q1_values(x)
     b = 2.0 * (q1t - q1) * eps.eps1
 
     def jump(f):
-        return f - f[0]
+        return f - f[..., :1]
 
     integrand = (-2.0 * q1t * eps.eps1_prime
                  + 2.0 * (q1t - q1) * eps.eps3
@@ -419,36 +447,58 @@ def default_grid(n_grid: int = DEFAULT_N_GRID) -> np.ndarray:
     return np.linspace(0.0, pi, n_grid + 1)
 
 
-def run_reconstruction(data: SpectralDataSet, model: BackgroundProblem,
-                       grid=None, min_window: int = 0,
-                       cond_limit: float = COND_LIMIT) -> RecoveredPotentials:
-    """Full pipeline: assemble, solve, series, branch tracking, recovery.
+def run_reconstruction(data: SpectralDataSet, model: BackgroundProblem, grid=None,
+                       min_window: int = 0, cond_limit: float = COND_LIMIT) -> RecoveredPotentials:
+    """Reconstruct one set: ``run_reconstructions`` on a stack of one, raising its error."""
+    (rec,) = run_reconstructions([data], model, grid, min_window, cond_limit)
+    if isinstance(rec, QPencilError):
+        raise rec
+    return rec
 
-    Requires the data's mean eigenvalue shift to match the background's
-    within 1e-6, and the data's tail to be the same background.
-    Per-node systems are independent; only the square-root branch tracking is
-    a sequential pass over the node results.
+
+def run_reconstructions(datasets: list[SpectralDataSet], model: BackgroundProblem, grid=None,
+                        min_window: int = 0, cond_limit: float = COND_LIMIT) -> list:
+    """Full pipeline on a stack of sets: assemble, solve, series, branch tracking, recovery.
+
+    Returns, per set, its ``RecoveredPotentials`` or the ``QPencilError`` it raises
+    (an error of a whole stack, such as a grid off a numeric background's, raises).
+    A set's mean eigenvalue shift must match the background's within 1e-6, and its
+    tail must be that background.  Sets of one dim share one ``assemble_system`` and
+    one solve; the guard, the branch tracking and the quadrature restart at each set,
+    so a set's outputs are bitwise those of its reconstruction alone.
     """
-    if abs(complex(data.omega0) - complex(model.omega0)) > 1e-6:
-        raise ValidationError(
-            f"data omega0={data.omega0} incompatible with background "
-            f"omega0={model.omega0}")
-    if data.tail is not None and not same_background(data.tail, model):
-        raise ValidationError("data tail must coincide with the reconstruction background")
-
     x = default_grid() if grid is None else np.atleast_1d(np.asarray(grid, dtype=float))
-    layout = active_layout(data, model, min_window=min_window)
-    if not layout.indices:      # the data are the background's
-        zero = np.zeros((7, x.size), dtype=complex)    # five series, lambda_, q0_antideriv
-        eps = EpsilonFields(x, *zero[:5], theta=np.ones(x.size, dtype=complex), lambda_=zero[5])
-        return RecoveredPotentials(x=x, q1=model.q1_values(x) + 0j, q0_antideriv=zero[6],
-                                   background=model, eps=eps, cond=np.ones(x.size), residual=0.0)
-
-    system = assemble_system(data, model, x, layout=layout)
-    v, v_x, cond, residual = solve_main(system, cond_limit=cond_limit)
-    eps = compute_epsilons(system, v, v_x)
-    recover_theta(eps)
-    q1 = recover_q1(eps, model)
-    q0ad = recover_q0_antiderivative(eps, q1, model)
-    return RecoveredPotentials(x=x, q1=q1, q0_antideriv=q0ad, background=model,
-                               eps=eps, cond=cond, residual=residual)
+    model_set = model.spectral_data(max([min_window, 1] + [d.max_abs_index for d in datasets]))
+    out: list = []
+    for data in datasets:
+        try:
+            if abs(complex(data.omega0) - complex(model.omega0)) > 1e-6:
+                raise ValidationError(f"data omega0={data.omega0} incompatible with background "
+                                      f"omega0={model.omega0}")
+            if data.tail is not None and not same_background(data.tail, model):
+                raise ValidationError("data tail must coincide with the reconstruction background")
+            out.append(_layout(data, model_set, min_window))
+        except QPencilError as err:
+            out.append(err)
+    for dim in {lay.dim for lay in out if isinstance(lay, ActiveLayout)}:
+        stack = [i for i, e in enumerate(out) if isinstance(e, ActiveLayout) and e.dim == dim]
+        series = np.zeros((5, len(stack), x.size), dtype=complex)   # the background's own data
+        cond, residual = np.ones(series.shape[1:]), [0.0] * len(stack)
+        if dim:
+            system = assemble_system(None, model, x, layout=[out[i] for i in stack])
+            v, v_x, cond, residual = _solve_nodes(system)
+            eps = compute_epsilons(system, v, v_x)
+            series.reshape(5, -1)[:] = [eps.eps1, eps.eps1_prime, eps.eps2, eps.eps3, eps.eps4]
+            cond, residual = cond.reshape(len(stack), -1), residual.reshape(len(stack), -1).max(1)
+        for i, c, e1 in zip(stack, cond, series[0]):
+            out[i] = _guard(x, c, cond_limit) or _degenerate(x, e1)
+        ok = [s for s, i in enumerate(stack) if out[i] is None]
+        eps = EpsilonFields(x, *series[:, ok])
+        theta, lambda_ = recover_theta(eps)
+        q1 = recover_q1(eps, model)
+        q0ad = recover_q0_antiderivative(eps, q1, model)
+        for j, s in enumerate(ok):
+            eps = EpsilonFields(x, *series[:, s], theta=theta[j], lambda_=lambda_[j])
+            out[stack[s]] = RecoveredPotentials(x, q1[j], q0ad[j], model, eps, cond[s],
+                                                float(residual[s]))
+    return out

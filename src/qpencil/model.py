@@ -61,8 +61,9 @@ def s_chain(x, lam, order: int) -> np.ndarray:
 
     Entry nu is (1/nu!) d^nu/dlam^nu [sin(lam x)/lam].  Each lam below
     ``SMALL_LAMBDA`` takes the power series in lam, which also handles the
-    removable singularity at lam = 0, up to the first term that max|lam x|
-    bounds below 2^-56 of the leading one; the others take the closed form.
+    removable singularity at lam = 0, up to the first term that its own
+    max|lam x| bounds below 2^-56 of the leading one, so a value does not
+    depend on the other lam of the call; the others take the closed form.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=complex)
@@ -94,19 +95,21 @@ def s_chain(x, lam, order: int) -> np.ndarray:
                 acc += terms[j] * ((-1.0) ** (nu - j)) * inv[nu - j]
             out[nu, ~small] = acc
     if small.any():
-        zs = z[small]
-        r = np.abs(zs).max() * np.abs(x).max(initial=0.0)     # bounds |lam x|
+        which = np.flatnonzero(small)[np.argsort(-np.abs(z[small].reshape(-1)), kind="stable")]
+        zs = z[which]
+        r = np.abs(zs.reshape(-1)) * np.abs(x).max(initial=0.0)     # bounds |lam x|, per lam
         for nu in range(order + 1):
             acc = np.zeros(zs.shape[:1] + x.shape, dtype=complex)
-            m0 = (nu + 1) // 2
-            m1 = m0 + 1
-            while (comb(2 * m1, nu) * r ** (2 * (m1 - m0)) * factorial(2 * m0 + 1)
-                   >= 2.0 ** -56 * comb(2 * m0, nu) * factorial(2 * m1 + 1)):
-                m1 += 1
-            for m in range(m0, m1):
-                acc += ((-1.0) ** m) * comb(2 * m, nu) * np.power(zs, 2 * m - nu) \
+            m0 = m = (nu + 1) // 2
+            live = r.size       # the lam with a term m, a prefix as |lam| falls
+            while live:
+                acc[:live] += ((-1.0) ** m) * comb(2 * m, nu) * np.power(zs[:live], 2 * m - nu) \
                     * x ** (2 * m + 1) / factorial(2 * m + 1)
-            out[nu, small] = acc
+                m += 1
+                live = min(live, np.count_nonzero(
+                    comb(2 * m, nu) * r ** (2 * (m - m0)) * factorial(2 * m0 + 1)
+                    >= 2.0 ** -56 * comb(2 * m0, nu) * factorial(2 * m + 1)))
+            out[nu, which] = acc
     return out.reshape((order + 1,) + lam.shape + x.shape)
 
 

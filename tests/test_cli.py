@@ -175,14 +175,21 @@ def test_split_table_writes_outputs(tmp_path, capsys):
 
 
 def test_inverse_on_json_matches_split_table(tmp_path):
-    # the same double-eigenvalue data through JSON and through the API
-    data_path = tmp_path / "split.json"
-    make_split_data(0.0).save_json(data_path)
-    rec = tmp_path / "rec.csv"
-    assert main(["inverse", "--data", str(data_path), "--out", str(rec)]) == EXIT_OK
+    # the same split data through JSON and through the API, alone and stacked
+    rec = {}
+    for delta in (0.0, 0.01):
+        data_path = tmp_path / f"split{delta:g}.json"
+        make_split_data(delta).save_json(data_path)
+        rec[delta] = tmp_path / f"rec{delta:g}.csv"
+        assert main(["inverse", "--data", str(data_path), "--out", str(rec[delta])]) == EXIT_OK
     assert main(["split-table", "--deltas", "0", "--no-verify",
                  "--out-dir", str(tmp_path / "table")]) == EXIT_OK
-    assert rec.read_bytes() == (tmp_path / "table" / "potentials_delta=0.csv").read_bytes()
+    assert rec[0.0].read_bytes() == (tmp_path / "table" / "potentials_delta=0.csv").read_bytes()
+    assert main(["split-table", "--deltas", "0,0.01,0.05", "--no-verify",
+                 "--out-dir", str(tmp_path / "stack")]) == EXIT_OK
+    for delta in (0.0, 0.01):
+        stacked = tmp_path / "stack" / f"potentials_delta={delta:g}.csv"
+        assert rec[delta].read_bytes() == stacked.read_bytes(), delta
 
 
 def test_split_table_bad_contour_is_validation_error(tmp_path):

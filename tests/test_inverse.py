@@ -30,12 +30,14 @@ from qpencil import (
     recover_q1,
     recover_theta,
     run_reconstruction,
+    run_reconstructions,
     solve_main,
     weyl_residues,
 )
 import qpencil
 import qpencil.inverse as qinv
 import qpencil.model as qmodel
+from qpencil.experiments import REFERENCE_DELTAS
 from qpencil.inverse import (
     LU_MIN_DIM,
     SOLVE_CHUNK_ENTRIES,
@@ -707,3 +709,78 @@ def test_complex_simpson_is_its_real_and_imaginary_parts(case, zero_model, reque
     for name in ("q1", "q0_antideriv", "cond"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.residual == want.residual
+
+
+def _same_reconstruction(got, want):
+    for name in ("q1", "q0_antideriv", "cond"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.residual == want.residual
+
+
+@pytest.mark.parametrize("case", ["sweep", "wide-dim16", "wide-dim64"])
+def test_stacked_reconstructions_are_the_separate_ones(case, zero_model, table_calls):
+    if case == "sweep":
+        sets = [make_split_data(d) for d in (0.0,) + REFERENCE_DELTAS]
+    else:
+        width = 4 if case == "wide-dim16" else 16
+        sets = [_wide_data(width, 31), _wide_data(width, 32)]
+    x = default_grid(200)
+    stacked = run_reconstructions(sets, zero_model, x)
+    # one kernel table call per derivative-order key: the double eigenvalue's
+    # four keys cover the simple sets' (0, 0) pairs too
+    assert table_calls["d_table"] == (4 if case == "sweep" else 1)
+    assert len(stacked) == len(sets)
+    for got, data in zip(stacked, sets):
+        _same_reconstruction(got, run_reconstruction(data, zero_model, x))
+
+
+def test_a_failing_set_leaves_the_stack_alone(zero_model):
+    x = default_grid(200)
+    sets = [make_split_data(d) for d in (1e-12, 0.01, 0.05)]
+    stacked = run_reconstructions(sets, zero_model, x)
+    with pytest.raises(SingularSystemError) as exc:
+        run_reconstruction(sets[0], zero_model, x)
+    assert isinstance(stacked[0], SingularSystemError)
+    assert str(stacked[0]) == str(exc.value) \
+        == "main equation numerically singular at x=2.199115 (cond=1.986e+12)"
+    for got, data in zip(stacked[1:], sets[1:]):
+        _same_reconstruction(got, run_reconstruction(data, zero_model, x))
+
+
+@pytest.mark.parametrize("width", [
+    pytest.param(1, id="dim4"),        # batched inverse, then node by node
+    pytest.param(4, id="dim16"),       # LU node by node
+])
+def test_an_exactly_singular_node_fails_only_its_set(width, zero_model, monkeypatch):
+    x = default_grid(40)
+    sets = [_wide_data(width, seed) for seed in (41, 42, 43)]
+    want = [run_reconstruction(data, zero_model, x) for data in sets]
+    node = x.size + 23           # grid node 23 of the second set
+    inner = qinv.MainEquationSystem.form_P
+
+    def singular_at_node(self, nodes=slice(None)):
+        P = inner(self, nodes)
+        k = node - nodes.indices(len(self.rhs))[0]
+        if 0 <= k < len(P):
+            P[k] = np.eye(self.layout.dim)
+        return P
+
+    monkeypatch.setattr(qinv.MainEquationSystem, "form_P", singular_at_node)
+    got = run_reconstructions(sets, zero_model, x)
+    assert isinstance(got[1], SingularSystemError)
+    assert got[1].x == x[23] and got[1].cond == np.inf
+    _same_reconstruction(got[0], want[0])
+    _same_reconstruction(got[2], want[2])
+
+
+def test_stack_groups_sets_by_dim_and_keeps_their_order(zero_model):
+    x = default_grid(40)
+    bad_shift = SpectralDataSet.from_entries(list(make_split_data(0.01).entries.values()),
+                                             tail=ZeroBackground(), omega0=0.4)
+    # dim 16, dim 4, a mean-shift mismatch, the background's own data, dim 4
+    sets = [_wide_data(4, 44), make_split_data(0.01), bad_shift, ZeroBackground().spectral_data(2),
+            make_split_data(0.02)]
+    got = run_reconstructions(sets, zero_model, x)
+    assert isinstance(got[2], qpencil.ValidationError)
+    for k in (0, 1, 3, 4):
+        _same_reconstruction(got[k], run_reconstruction(sets[k], zero_model, x))

@@ -200,6 +200,21 @@ def test_s_chain_batch_equals_elementwise():
         assert np.array_equal(gotx[(slice(None),) + idx], sx_chain(x, lams[idx], 2 * P_MAX))
 
 
+@pytest.mark.parametrize("order", range(P_MAX + 1))
+def test_s_chain_small_lambda_sums_its_own_terms(order):
+    # each lam below SMALL_LAMBDA stops its series by its own |lam| max|x|, so a
+    # larger lam' in the same call adds no term to it, and a smaller none either.
+    # The first pair is lambda_- of the split data at delta = 0.005 and 0.0002.
+    x = np.linspace(0.0, pi, 201)
+    for lam, other in [(0.4292893218813453 - 0.02j, 0.48585786437626904 - 0.0008j),
+                       (0.4552786404500042 - 0.008j, 0.49j), (0.01, 0.45),
+                       (0.3 - 0.1j, 0.02j), (0.0, 0.4), (0.2, -0.2)]:
+        alone = s_chain(x, [lam], order)[:, 0]
+        for pair in ([lam, other], [other, lam]):
+            column = s_chain(x, pair, order)[:, pair.index(lam)]
+            assert np.array_equal(column.view(np.uint64), alone.view(np.uint64)), (lam, other)
+
+
 def _closed_chains(x, lam, order):
     """The closed-form s_chain and the sx_chain at every order, as the general
     sums over derivative terms (the reference for the order-0 shortcut)."""
