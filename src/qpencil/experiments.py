@@ -29,7 +29,6 @@ from .errors import (
 )
 from .forward import (
     DEFAULT_REFINE,
-    RESIDUE_NODES,
     circle_nodes,
     find_eigenvalues,
     sample_circle,
@@ -173,8 +172,8 @@ def solve_contour_equation(data: SpectralDataSet, model: BackgroundProblem,
     """Solve the contour form of the main equation and evaluate at the poles.
 
     Discretizes v(x, lam) = S(x, lam) + (1/2 pi i) oint D(x, lam, mu)
-    (pole-part difference)(mu) v(x, mu) d mu with the trapezoid rule on
-    ``RESIDUE_NODES`` nodes of the circle |mu| = contour_radius (spectrally
+    (pole-part difference)(mu) v(x, mu) d mu by the Nystrom rule on a fixed
+    count of 256 trapezoid nodes of the circle |mu| = contour_radius (spectrally
     accurate there), then evaluates
     the continuation at the active eigenvalues of both sides.  Returns values
     keyed by (index, side), comparable with the sequence-space solve.
@@ -183,8 +182,8 @@ def solve_contour_equation(data: SpectralDataSet, model: BackgroundProblem,
     model_set = model.spectral_data(max(data.max_abs_index, n_star))
     f_data, f_model = _separated_pole_parts(
         (data, model_set), n_star, contour_radius, max(data.max_abs_index, n_star + 2))
-    zs = circle_nodes(0.0, contour_radius)
-    weights = zs / RESIDUE_NODES    # (1/2 pi i) oint f dmu -> sum f(z) z / N
+    zs = circle_nodes(0.0, contour_radius, 256)
+    weights = zs / zs.size    # (1/2 pi i) oint f dmu -> sum f(z) z / N
     mhat = f_data(zs) - f_model(zs)
 
     # chains on the contour: S and S' at every node, for all grid points
@@ -209,7 +208,7 @@ def solve_contour_equation(data: SpectralDataSet, model: BackgroundProblem,
             D = num / dz
         np.fill_diagonal(D, s1 * sd - c1 * sv)   # coalescent value on the diagonal
         K = D * (weights * mhat)[None, :]
-        vg = np.linalg.solve(np.eye(RESIDUE_NODES) - K, sv)
+        vg = np.linalg.solve(np.eye(zs.size) - K, sv)
         for i, (n, side, lam) in enumerate(targets):
             Drow = (st[i, k] * sd - ct[i, k] * sv) / (lam - zs)
             val = st[i, k] + np.sum(Drow * weights * mhat * vg)
@@ -395,10 +394,12 @@ def roundtrip_check(data: SpectralDataSet, model: BackgroundProblem,
         # error, so per-root residues are meaningless there; compare the
         # contour-stable quantities instead: the winding count, the mean root
         # location, and the Laurent coefficients on a fixed circle.
-        sample = sample_circle(pot, g.lam, 0.05, with_c=True, refine=refine, check_halving=True)
+        sample = sample_circle(pot, g.lam, 0.05, sums=1, laurent=g.size, refine=refine,
+                               check_halving=True)
         report.windings[g.start] = (g.size, sample.count)
-        center_out = complex(sample.power_sums(1)[0]) / g.size
-        for member, m_out in zip(g.members, sample.laurent(g.size)):
+        ps, *ms = map(complex, sample.moments(1, g.size))
+        center_out = ps / g.size
+        for member, m_out in zip(g.members, ms):
             grouped.add(member)
             m_in = data.entry(member).M
             report.rows.append(RoundtripRow(

@@ -57,7 +57,8 @@ from .spectral_data import SpectralDataSet, SpectralEntry
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
-RESIDUE_NODES = 256
+CIRCLE_NODES = (16, 32, 64, 128, 256, 512, 1024)    # the levels of a circle sample
+MOMENT_TOL = 1e-10       # accepted change N -> 2N of a moment, per its integrand's size
 CONTOUR_RADIUS_CAP = 0.2
 PHASE_STEP_MAX = pi / 2  # largest arg Delta step between neighbouring circle nodes
 CHUNK_ENTRIES = 8192     # block (or step) matrices built at once, counted as matrices x lambdas
@@ -398,64 +399,76 @@ def _newton_batch(potentials, starts, refine, max_iter=NEWTON_MAX_ITER, ns=None)
     return lam, failed | active     # still-active entries did not converge
 
 
-def circle_nodes(center: complex, radius: float, n_nodes: int = RESIDUE_NODES) -> np.ndarray:
+def circle_nodes(center: complex, radius: float, n_nodes: int) -> np.ndarray:
     """Trapezoid nodes center + radius exp(2 pi i k / N), k = 0..N-1."""
     return center + radius * np.exp(2j * pi * np.arange(n_nodes) / n_nodes)
 
 
 @dataclass(frozen=True)
 class CircleSample:
-    """One batch of Delta on |lam - c| = r with N roots inside: at node angles theta,
-    g = ln|Delta| + i (phase - N theta) is periodic, and expanding log(lam - lam_j)
-    gives the centred sums sum_j (lam_j - c)^p = -p r^p g_(-p)."""
+    """Delta (and C) on the N nodes of |lam - c| = r with ``count`` roots inside: at node
+    angles theta, g = ln|Delta| + i (phase - count theta) is periodic, and expanding
+    log(lam - lam_j) gives the centred sums sum_j (lam_j - c)^p = -p r^p g_(-p).  Node
+    means of f (z - c) are trapezoid sums for (1/2 pi i) oint f dz."""
 
     zs: np.ndarray
     dz: np.ndarray
-    shot: ShootingResult
+    delta: np.ndarray
+    c: np.ndarray | None
     count: int
     phase: np.ndarray           # arg Delta, unwrapped from node to node
 
-    def power_sums(self, p_max: int) -> list:
-        """Sums of lam^p inside, p = 1..p_max: the centred sums, binomially shifted under the mean."""
+    def integrands(self, sums: int, laurent: int) -> np.ndarray:
+        """(sums + laurent, N) node values whose means are ``moments(sums, laurent)``."""
+        p, nu = np.arange(1, sums + 1)[:, None], np.arange(1, laurent + 1)[:, None]
         theta = 2 * pi * np.arange(self.zs.size) / self.zs.size
-        g = np.log(np.abs(self.shot.s[0])) + 1j * (self.phase - self.count * theta)
-        return [np.mean(self.count * self.zs ** p - p * self.zs ** (p - 1) * g * self.dz)
-                for p in range(1, p_max + 1)]
+        g = np.log(np.abs(self.delta)) + 1j * (self.phase - self.count * theta) if sums else 0
+        return np.concatenate([self.count * self.zs ** p - p * self.zs ** (p - 1) * g * self.dz,
+                               self.dz ** nu * (-self.c / self.delta if laurent else 0)])
 
-    def laurent(self, m: int) -> list[complex]:
-        """Coefficients of (lam - center)^-(nu+1) in -C/Delta, nu < m (needs with_c)."""
-        mvals = -self.shot.c / self.shot.s[0]
-        return [complex(np.mean(self.dz ** (nu + 1) * mvals)) for nu in range(m)]
+    def moments(self, sums: int, laurent: int = 0) -> np.ndarray:
+        """Sums of lam^p inside, p = 1..sums (the centred sums, binomially shifted under the
+        mean), then the coefficients of (lam - c)^-(nu+1) in -C/Delta, nu < laurent (need C)."""
+        return self.integrands(sums, laurent).mean(axis=1)
 
 
 def sample_circle(potentials: PotentialPair, center: complex, radius: float,
-                  with_c: bool = False, refine: int = DEFAULT_REFINE,
+                  sums: int = 0, laurent: int = 0, refine: int = DEFAULT_REFINE,
                   check_halving: bool = False) -> CircleSample:
-    """Integrate Delta on the nodes of |lam - center| = radius and count the roots inside.
+    """Integrate Delta on |lam - center| = radius by nested doubling; count the roots inside.
 
-    The count is the phase change of Delta around the closed loop, unwrapped
-    node to node; a step above ``PHASE_STEP_MAX`` between neighbours samples
-    the circle once more at 4x the nodes.  ``check_halving`` also requires the
-    count on half the radius.  Node means of f (z - center) are trapezoid sums
-    for (1/2 pi i) oint f dz.
+    The count is the phase change of Delta around the loop, unwrapped node to node.
+    Each level integrates only the odd nodes of the doubled circle.  It is accepted
+    when no arg Delta step exceeds ``PHASE_STEP_MAX``, its count is the level
+    before's, and its requested ``moments(sums, laurent)`` moved by at most
+    MOMENT_TOL times their integrand's largest node value.  ``check_halving``
+    also requires the count on half the radius.
     """
-    for n_nodes in (RESIDUE_NODES, 4 * RESIDUE_NODES):
+    vals = last = None
+    for n_nodes in CIRCLE_NODES:
         zs = circle_nodes(center, radius, n_nodes)
-        shot = integrate(potentials, zs, with_c=with_c, refine=refine)
+        shot = integrate(potentials, zs if vals is None else zs[1::2],
+                         with_c=laurent > 0, refine=refine)
         if not np.all(np.isfinite(shot.s[0])):
             raise WindingAmbiguousError(f"Delta is not finite on |lam-{center}|={radius}")
-        phase = np.unwrap(np.angle(np.append(shot.s[0], shot.s[0, 0])))
-        if np.abs(np.diff(phase)).max() <= PHASE_STEP_MAX:
+        new = np.vstack([shot.s[0], shot.c]) if laurent else shot.s[:1]    # odd nodes
+        vals = new if vals is None else np.stack([vals, new], axis=2).reshape(len(new), -1)
+        phase = np.unwrap(np.angle(np.append(vals[0], vals[0, 0])))
+        count = int(round((phase[-1] - phase[0]) / (2 * pi)))
+        sample = CircleSample(zs=zs, dz=zs - center, delta=vals[0], c=vals[-1] if laurent else None,
+                              count=count, phase=phase[:-1])
+        f = sample.integrands(sums, laurent)
+        moved = np.abs(f.mean(axis=1) - f[:, ::2].mean(axis=1)) <= MOMENT_TOL * abs(f).max(axis=1)
+        resolved = np.abs(np.diff(phase)).max() <= PHASE_STEP_MAX
+        if resolved and count == last and moved.all():
             break
+        last = count
     else:
         raise WindingAmbiguousError(f"winding unresolved on |lam-{center}|={radius}")
-    count = int(round((phase[-1] - phase[0]) / (2 * pi)))
-    if check_halving:
-        w_half = sample_circle(potentials, center, radius / 2, refine=refine).count
-        if w_half != count:
-            raise WindingAmbiguousError(
-                f"winding {count} at radius {radius} vs {w_half} at half radius")
-    return CircleSample(zs=zs, dz=zs - center, shot=shot, count=count, phase=phase[:-1])
+    if check_halving and (half := sample_circle(potentials, center, radius / 2,
+                                                refine=refine).count) != count:
+        raise WindingAmbiguousError(f"winding {count} at radius {radius} vs {half} at half radius")
+    return sample
 
 
 def winding_number(potentials: PotentialPair, center: complex, radius: float,
@@ -466,14 +479,10 @@ def winding_number(potentials: PotentialPair, center: complex, radius: float,
 
 def _poly_from_power_sums(ps):
     """Monic polynomial with given root power sums, via Newton's identities."""
-    m = len(ps)
     e = [1.0 + 0j]
-    for k in range(1, m + 1):
-        acc = 0.0 + 0j
-        for j in range(1, k + 1):
-            acc += ((-1.0) ** (j - 1)) * e[k - j] * ps[j - 1]
-        e.append(acc / k)
-    return np.array([((-1.0) ** k) * e[k] for k in range(m + 1)], dtype=complex)
+    for k in range(1, len(ps) + 1):
+        e.append(sum(((-1.0) ** (j - 1)) * e[k - j] * ps[j - 1] for j in range(1, k + 1)) / k)
+    return np.array([((-1.0) ** k) * ek for k, ek in enumerate(e)], dtype=complex)
 
 
 def _cluster_search(potentials, center, radius, refine):
@@ -491,7 +500,7 @@ def _cluster_search(potentials, center, radius, refine):
     disc = sample_circle(potentials, center, radius, refine=refine)
     if disc.count == 0:
         return []
-    cands = np.roots(_poly_from_power_sums(disc.power_sums(disc.count)))
+    cands = np.roots(_poly_from_power_sums(disc.moments(disc.count)))
     polished, failed = _newton_batch(potentials, cands, refine, max_iter=25)
     if failed.any() or np.any(np.abs(polished - center) >= radius):
         raise RootNotConvergedError(
@@ -514,8 +523,8 @@ def _cluster_search(potentials, center, radius, refine):
         cen = complex(np.mean(cl))
         spread = max(abs(z - cen) for z in cl)
         r_loc = max(3.0 * spread, 1e-3 * scale)
-        loc = sample_circle(potentials, cen, r_loc, refine=refine, check_halving=True)
-        roots.extend([complex(loc.power_sums(1)[0]) / loc.count] * loc.count)
+        loc = sample_circle(potentials, cen, r_loc, sums=1, refine=refine, check_halving=True)
+        roots.extend([complex(loc.moments(1)[0]) / loc.count] * loc.count)
     roots.sort(key=lambda z: (z.real, z.imag))
     return roots
 
@@ -585,12 +594,12 @@ def weyl_residues(potentials: PotentialPair, eigenvalues: SpectralDataSet,
         if radius < 1e-8:
             raise PoleTooCloseError(
                 f"cannot separate the group at {g.start} (gap {gap:.2e})")
-        sample = sample_circle(potentials, g.lam, radius, with_c=True, refine=refine)
+        sample = sample_circle(potentials, g.lam, radius, laurent=g.size, refine=refine)
         if sample.count != g.size:
             raise RootNotConvergedError(
                 f"circle |lam-{g.lam:.6g}|={radius:.3g} holds {sample.count} roots, "
                 f"the group at index {g.start} has {g.size}", index=g.start, last=g.lam)
-        Ms.update(zip(g.members, sample.laurent(g.size)))
+        Ms.update(zip(g.members, map(complex, sample.moments(0, g.size))))
 
     entries = [SpectralEntry(n=n, lam=eigenvalues.entries[n].lam, M=Ms[n])
                for n in eigenvalues.window_indices()]

@@ -5,15 +5,17 @@ import pytest
 
 
 @pytest.fixture
-def large_batches(monkeypatch):
-    """(size, n_derivs) of the integrator batches of 256 or more nodes, in call order."""
+def circle_batches(monkeypatch):
+    """(size, n_derivs) of the integrator batches that sample a circle, in call order."""
+    import sys
+
     import qpencil.forward as fw
 
     batches = []
-    inner = fw.integrate
+    inner, sampler = fw.integrate, fw.sample_circle.__code__
 
     def counting(potentials, lams, n_derivs=0, *args, **kwargs):
-        if np.size(lams) >= 256:
+        if sys._getframe(1).f_code is sampler:
             batches.append((np.size(lams), n_derivs))
         return inner(potentials, lams, n_derivs, *args, **kwargs)
 

@@ -193,7 +193,8 @@ def test_roundtrip_double_eigenvalue_uses_stable_quantities():
     assert all(r.M_rel_err < 1e-2 for r in cluster_rows)
 
 
-def test_roundtrip_group_takes_one_circle_sample(large_batches):
+def test_roundtrip_group_takes_one_circle_sample(circle_batches):
     roundtrip_check(make_split_data(0.0), ZeroBackground(), 2)
-    # group circle, its half-radius check, and the cluster disc, none with chains
-    assert large_batches == [(256, 0)] * 3
+    # group circle, its half-radius check, and the cluster disc, each on
+    # 16 + 16 nodes, none with chains
+    assert circle_batches == [(16, 0), (16, 0)] * 3

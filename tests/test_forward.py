@@ -10,9 +10,13 @@ from qpencil import (
     NonFiniteInputError,
     PotentialPair,
     ValidationError,
+    WindingAmbiguousError,
+    ZeroBackground,
     coefficients_from_weights,
     find_eigenvalues,
     integrate,
+    make_split_data,
+    run_reconstruction,
     weight_numbers,
     weights_from_coefficients,
     weyl_residues,
@@ -416,13 +420,13 @@ def test_cluster_count_mismatch_raises(monkeypatch):
     assert discs[-1] == 3.5
 
 
-def test_rejected_disc_grows(monkeypatch, large_batches):
+def test_rejected_disc_grows(monkeypatch, circle_batches):
     import qpencil.forward as fw
 
     pot = _random_pair(0)
     omega0 = pot.omega0()
     want = find_eigenvalues(pot, 6, omega0)
-    first = len(large_batches)
+    first = len(circle_batches)
     # the first disc comes back one root short; the next larger disc is accepted
     inner = fw._cluster_search
     calls = []
@@ -435,7 +439,9 @@ def test_rejected_disc_grows(monkeypatch, large_batches):
     monkeypatch.setattr(fw, "_cluster_search", short_once)
     got = find_eigenvalues(pot, 6, omega0)
     assert calls == [calls[0], calls[0] + 1]
-    assert large_batches[first:] == [(256, 0)] * 2
+    # each disc is sampled once, doubling from 16 nodes to 128 and to 64
+    assert circle_batches[first:] == [(16, 0), (16, 0), (32, 0), (64, 0),
+                                      (16, 0), (16, 0), (32, 0)]
     for n in window(6):
         assert abs(got.entry(n).lam - want.entry(n).lam) < 1e-8
 
@@ -484,32 +490,36 @@ def test_nonfinite_rejected():
 def test_circle_sample_counts_and_moments():
     pot = PotentialPair.zeros(200)
     # Delta = sin(lam pi)/lam: one root at 1, Weyl residue -1/pi
-    s = sample_circle(pot, 1.0, 0.3, with_c=True)
+    s = sample_circle(pot, 1.0, 0.3, sums=1, laurent=1)
     assert s.count == 1
-    assert s.zs.size == 256
-    assert abs(s.power_sums(1)[0] - 1.0) < 1e-8
-    assert abs(s.laurent(1)[0] + 1 / pi) < 1e-6
+    assert s.zs.size == 64
+    ps, lau = s.moments(1, 1)
+    assert abs(ps - 1.0) < 1e-8
+    assert abs(lau + 1 / pi) < 1e-6
     # roots +-1, +-2 inside |lam| < 2.5: power sums 0 and 1 + 1 + 4 + 4
-    ps = sample_circle(pot, 0.0, 2.5).power_sums(2)
+    s = sample_circle(pot, 0.0, 2.5, sums=2)
+    assert s.zs.size == 256
+    ps = s.moments(2)
     assert abs(ps[0]) < 1e-6 and abs(ps[1] - 10) < 1e-6
 
 
-def test_cluster_search_samples_the_disc_once(large_batches):
+def test_cluster_search_samples_the_disc_once(circle_batches):
     pot = smooth_pair(amp=0.3)
     find_eigenvalues(pot, 3, pot.omega0())
-    assert large_batches == []        # every root stays in its slot: no disc
+    assert circle_batches == []        # every root stays in its slot: no disc
     pot = _random_pair(0)
     find_eigenvalues(pot, 6, pot.omega0())
-    assert large_batches == [(256, 0)]    # one accepted disc, sampled once, no chains
+    # one accepted disc, sampled once by doubling to 128 nodes, no chains
+    assert circle_batches == [(16, 0), (16, 0), (32, 0), (64, 0)]
 
 
-def test_multiple_root_circles_take_no_chains(large_batches):
+def test_multiple_root_circles_take_no_chains(circle_batches):
     # q1 = i, sigma = 0: lam^2 - 2i lam = n^2 has the double root i at n = +-1
     pot = PotentialPair.from_functions(lambda t: 1j, lambda t: 0.0)
     eigs = find_eigenvalues(pot, 2, pot.omega0())
     assert abs(eigs.entry(1).lam - 1j) < 1e-9 and eigs.entry(-1).lam == eigs.entry(1).lam
-    # the disc, the cluster's local circle and its half-radius check
-    assert large_batches == [(256, 0)] * 3
+    # the disc, the cluster's local circle and its half-radius check, each on 16 + 16 nodes
+    assert circle_batches == [(16, 0), (16, 0)] * 3
 
 
 def test_power_sums_match_the_constant_potential_oracle():
@@ -519,18 +529,52 @@ def test_power_sums_match_the_constant_potential_oracle():
     n = np.arange(1, 4)
     roots = np.concatenate([a + np.sqrt(a * a + n * n), a - np.sqrt(a * a + n * n)])
     inside = roots[np.abs(roots - 0.1) < 2.5]
-    s = sample_circle(pot, 0.1, 2.5)
+    s = sample_circle(pot, 0.1, 2.5, sums=4)
     assert s.count == len(inside) == 4
-    for p, ps in enumerate(s.power_sums(4), start=1):
+    for p, ps in enumerate(s.moments(4), start=1):
         assert abs(ps - np.sum(inside ** p)) < 1e-9
 
 
-def test_winding_resamples_a_phase_step_near_pi(large_batches):
-    # Delta = sin(pi lam)/lam has the 60 roots +-1..+-30 inside |lam| < 30.5; on
-    # 256 nodes arg Delta steps by up to 2.3 rad between neighbours
+def test_winding_resamples_a_phase_step_near_pi(circle_batches):
+    # Delta = sin(pi lam)/lam has the 60 roots +-1..+-30 inside |lam| < 30.5.  On
+    # 16 nodes arg Delta steps by at most 1.53 rad but winds 0 times; on 256 it
+    # steps by up to 2.3 rad and winds 60 times; 512 nodes resolve the phase
     s = sample_circle(PotentialPair.zeros(200), 0.0, 30.5)
-    assert large_batches == [(256, 0), (1024, 0)]
-    assert s.count == 60 and s.zs.size == 1024
+    assert circle_batches == [(16, 0), (16, 0), (32, 0), (64, 0), (128, 0), (256, 0)]
+    assert s.count == 60 and s.zs.size == 512
+
+
+@pytest.mark.parametrize("factor", [1.05, 0.95, 1.001])
+@pytest.mark.parametrize("radius, phi", [(0.3, 0.0), (0.3, pi / 32), (0.3, 0.3), (2.0, 0.3)])
+def test_a_root_near_the_circle_is_counted_right_or_refused(factor, radius, phi):
+    # Delta = sin(pi lam)/lam; the root 3 lies factor * radius from the centre, on
+    # the ray of a 16-node (phi = 0), between two 32-nodes (pi / 32) or off both
+    center = 3.0 - factor * radius * np.exp(1j * phi)
+    want = sum(abs(k - center) < radius for k in range(-10, 11) if k)
+    try:
+        count = sample_circle(PotentialPair.zeros(200), center, radius).count
+    except WindingAmbiguousError:
+        assert factor == 1.001      # 5% off the circle, the phase resolves
+        return
+    assert count == want
+
+
+@pytest.mark.parametrize("case", ["split", "constant"])
+def test_requested_moments_match_a_1024_node_sample(monkeypatch, case):
+    import qpencil.forward as fw
+
+    if case == "split":     # the sweep's delta = 0 recovered potentials
+        pot = run_reconstruction(make_split_data(0.0), ZeroBackground()).as_potentials()
+        center, radius = 0.5, 0.05
+    else:
+        pot, center, radius = double_eigenvalue_pair("constant"), 1j, 0.2
+    got = sample_circle(pot, center, radius, sums=1, laurent=2)
+    monkeypatch.setattr(fw, "CIRCLE_NODES", (512, 1024))
+    want = sample_circle(pot, center, radius, sums=1, laurent=2)
+    assert got.zs.size < want.zs.size == 1024
+    assert got.count == want.count == 2
+    err = np.abs(got.moments(1, 2) - want.moments(1, 2))
+    assert np.max(err) <= 1e-10 * np.max(np.abs(want.moments(1, 2)))
 
 
 def _random_pair(seed):
