@@ -34,17 +34,14 @@ from .experiments import (
     make_split_data,
     roundtrip_check,
     run_table,
-    solve_contour_equation,
     write_recovered_csv,
 )
 from .forward import (
     PotentialPair,
     ShootingResult,
-    coefficients_from_weights,
     find_eigenvalues,
     integrate,
     weight_numbers,
-    weights_from_coefficients,
     weyl_residues,
     winding_number,
 )
@@ -72,9 +69,7 @@ from .spectral_data import (
     SpectralDataSet,
     SpectralEntry,
     compute_diagnostics,
-    eta_weight,
     truncate_hybrid,
-    validate_splitting_conditions,
 )
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Splitting experiment, stability metrics, and cross-formulation checks.
+"""Splitting experiment, stability metrics, and the roundtrip check.
 
 The experiment approximates a pencil having a double eigenvalue by a family
 of pencils with simple eigenvalues: the double eigenvalue at 1/2 splits by
@@ -39,7 +39,6 @@ from .forward import (
 from .inverse import (
     COND_LIMIT,
     RecoveredPotentials,
-    active_layout,
     default_grid,
     run_reconstruction,
     run_reconstructions,
@@ -110,7 +109,7 @@ def compute_d_metrics(recovered: RecoveredPotentials,
 
 
 # ---------------------------------------------------------------------------
-# contour metric and contour-equation solve
+# contour metric
 
 def rational_pole_part(dataset: SpectralDataSet, n_star: int):
     """The rational function with the data's poles of |index| <= n_star."""
@@ -164,56 +163,6 @@ def compute_split_delta_metric(data: SpectralDataSet, reference: SpectralDataSet
     contour_part = float(np.max(np.abs(f_data(zs) - f_ref(zs))))
     diag = compute_diagnostics(data, reference, n_star)
     return max(contour_part, diag.tail_norm(n_star))
-
-
-def solve_contour_equation(data: SpectralDataSet, model: BackgroundProblem,
-                           x, contour_radius: float,
-                           n_star: int) -> dict[tuple[int, int], np.ndarray]:
-    """Solve the contour form of the main equation and evaluate at the poles.
-
-    Discretizes v(x, lam) = S(x, lam) + (1/2 pi i) oint D(x, lam, mu)
-    (pole-part difference)(mu) v(x, mu) d mu by the Nystrom rule on a fixed
-    count of 256 trapezoid nodes of the circle |mu| = contour_radius (spectrally
-    accurate there), then evaluates
-    the continuation at the active eigenvalues of both sides.  Returns values
-    keyed by (index, side), comparable with the sequence-space solve.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    model_set = model.spectral_data(max(data.max_abs_index, n_star))
-    f_data, f_model = _separated_pole_parts(
-        (data, model_set), n_star, contour_radius, max(data.max_abs_index, n_star + 2))
-    zs = circle_nodes(0.0, contour_radius, 256)
-    weights = zs / zs.size    # (1/2 pi i) oint f dmu -> sum f(z) z / N
-    mhat = f_data(zs) - f_model(zs)
-
-    # chains on the contour: S and S' at every node, for all grid points
-    s0, c0 = model.s_chain(x, zs, 1), model.sx_chain(x, zs, 1)   # (2, N, nx)
-
-    out: dict[tuple[int, int], np.ndarray] = {}
-    layout = active_layout(data, model)
-    # evaluation points: active eigenvalues on both sides (simple only)
-    targets = [(e.n, 0, e.lam) for e in layout.side0] + \
-              [(e.n, 1, e.lam) for e in layout.side1]
-    for _, _, lam in targets:
-        if any(abs(lam - z) < 1e-9 for z in zs):
-            raise ContourTouchesPoleError("evaluation point on the contour")
-
-    lams = np.array([lam for _, _, lam in targets], dtype=complex)
-    st, ct = model.s_chain(x, lams, 0)[0], model.sx_chain(x, lams, 0)[0]
-    for k in range(x.size):
-        sv, sd, s1, c1 = s0[0, :, k], c0[0, :, k], s0[1, :, k], c0[1, :, k]
-        dz = zs[:, None] - zs[None, :]
-        num = sv[:, None] * sd[None, :] - sd[:, None] * sv[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            D = num / dz
-        np.fill_diagonal(D, s1 * sd - c1 * sv)   # coalescent value on the diagonal
-        K = D * (weights * mhat)[None, :]
-        vg = np.linalg.solve(np.eye(zs.size) - K, sv)
-        for i, (n, side, lam) in enumerate(targets):
-            Drow = (st[i, k] * sd - ct[i, k] * sv) / (lam - zs)
-            val = st[i, k] + np.sum(Drow * weights * mhat * vg)
-            out.setdefault((n, side), np.zeros(x.size, dtype=complex))[k] = val
-    return out
 
 
 def expected_weyl(data: SpectralDataSet, lam) -> np.ndarray:

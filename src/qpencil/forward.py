@@ -81,10 +81,16 @@ def read_csv(path, header: list[str]) -> list[list[float]]:
         got = next(r, None)
         if got != header:
             raise ValidationError(f"unexpected CSV header: {got}")
-        try:
-            return [[float(row[k]) for k in range(len(header))] for row in r]
-        except (IndexError, ValueError) as err:
-            raise ValidationError(f"bad CSV row {r.line_num}: {err}") from None
+        rows = []
+        for row in r:
+            if len(row) != len(header):
+                raise ValidationError(f"bad CSV row {r.line_num}: {len(row)} fields, "
+                                      f"expected {len(header)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as err:
+                raise ValidationError(f"bad CSV row {r.line_num}: {err}") from None
+        return rows
 
 
 @dataclass(frozen=True)
@@ -166,16 +172,6 @@ class ShootingResult:
     c: np.ndarray | None        # (L,)
     trace: np.ndarray | None    # (n_nodes+1, n_chain, 2, L)
     x_refined: np.ndarray
-
-    def wronskian_defect(self) -> np.ndarray:
-        """max over nodes of |S C1 - S1 C + 1| (needs with_c and with_trace)."""
-        if self.trace is None or self.c is None:
-            raise ValidationError("wronskian check needs with_c and with_trace")
-        S = self.trace[:, 0, 0]
-        S1 = self.trace[:, 0, 1]
-        C = self.trace[:, -1, 0]
-        C1 = self.trace[:, -1, 1]
-        return np.max(np.abs(S * C1 - S1 * C + 1.0), axis=0)
 
 
 def _step_polynomials(h, s_n, s_m, q_n, q_m):
@@ -634,28 +630,3 @@ def weight_numbers(potentials: PotentialPair, eigenvalues: SpectralDataSet,
             out.update((g.members[nu], complex(v)) for g, v in zip(groups, val))
     return out
 
-
-def coefficients_from_weights(alphas: list[complex]) -> list[complex]:
-    """Solve the triangular duality relation of one group for the M's."""
-    m = len(alphas)
-    Ms: list[complex | None] = [None] * m
-    for nu in range(m):
-        acc = 0.0 + 0j
-        for j in range(nu):
-            acc += alphas[nu - j] * Ms[m - 1 - j]
-        rhs = (-1.0 if nu == 0 else 0.0) - acc
-        Ms[m - 1 - nu] = rhs / alphas[0]
-    return [complex(v) for v in Ms]
-
-
-def weights_from_coefficients(Ms: list[complex]) -> list[complex]:
-    """Inverse of ``coefficients_from_weights``."""
-    m = len(Ms)
-    alphas: list[complex | None] = [None] * m
-    alphas[0] = -1.0 / Ms[m - 1]
-    for nu in range(1, m):
-        acc = 0.0 + 0j
-        for j in range(1, nu + 1):
-            acc += alphas[nu - j] * Ms[m - 1 - j]
-        alphas[nu] = -acc / Ms[m - 1]
-    return [complex(v) for v in alphas]

@@ -13,7 +13,7 @@ one constructor, behind JSON, ``replace_entry``, truncation and the solvers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
 
@@ -273,14 +273,9 @@ def _estimate_omega0(emap, idx) -> complex:
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Per-index deviation measures and their weighted l2 aggregates."""
+    """Per-index deviations xi_k and their index-weighted l2 tails."""
 
-    theta: dict[int, float]
-    chi: dict[int, float]
     xi: dict[int, float]
-    omega: float
-    omega_n: float
-    n_trunc: int
 
     def tail_norm(self, n_level: int) -> float:
         """sqrt(sum over |k| > n_level of (k xi_k)^2); nonincreasing in n_level."""
@@ -289,10 +284,13 @@ class Diagnostics:
 
 def compute_diagnostics(data: SpectralDataSet, model: SpectralDataSet,
                         n_trunc: int) -> Diagnostics:
-    """Per-index theta/chi/xi and the aggregates over the union window.
+    """Per-index xi over the union window, read through ``Diagnostics.tail_norm``.
 
-    Requires both sets to resolve every index of the union window; beyond it
-    the two tails must coincide (then all tail terms vanish identically).
+    Member nu of a group at n gets xi = |lam - lam~| + sum_(p >= nu) |M_p - M~_p| / |n|,
+    and 1 where the two group structures disagree.  Requires both sets to
+    resolve every index of the union window (n_trunc wide if both are empty);
+    beyond it the two tails must coincide (then all tail terms vanish
+    identically).
     """
     width = max(data.max_abs_index, model.max_abs_index)
     if width == 0:
@@ -303,14 +301,7 @@ def compute_diagnostics(data: SpectralDataSet, model: SpectralDataSet,
             if need:
                 raise IndexMismatchError("windows differ and no common tail to fill from")
 
-    theta: dict[int, float] = {}
-    chi: dict[int, float] = {}
     xi: dict[int, float] = {}
-    for n in zindex.window(width):
-        th = abs(data.entry(n).lam - model.entry(n).lam)
-        theta[n] = th
-        chi[n] = 1.0 / th if th != 0.0 else 0.0
-
     done: set[int] = set()
     for n in zindex.window(width):
         if n in done:
@@ -329,11 +320,7 @@ def compute_diagnostics(data: SpectralDataSet, model: SpectralDataSet,
             # group structures disagree at this index
             xi[n] = 1.0
             done.add(n)
-
-    omega = sqrt(sum((k * x) ** 2 for k, x in xi.items()))
-    omega_n = sqrt(sum((k * x) ** 2 for k, x in xi.items() if abs(k) > n_trunc))
-    return Diagnostics(theta=theta, chi=chi, xi=xi, omega=omega,
-                       omega_n=omega_n, n_trunc=n_trunc)
+    return Diagnostics(xi=xi)
 
 
 def truncate_hybrid(data: SpectralDataSet, model: SpectralDataSet,
@@ -354,88 +341,3 @@ def truncate_hybrid(data: SpectralDataSet, model: SpectralDataSet,
             entries.append(model.entry(n))
     return SpectralDataSet.from_entries(entries, tail=model.tail, omega0=model.omega0)
 
-
-def eta_weight(k: int) -> float:
-    """Optional l2 weight sqrt(sum_l 1/(l^2 (|l-k|+1)^2)), summed over |l| <= 4000."""
-    ls = np.arange(-4000, 4001)
-    ls = ls[ls != 0]
-    return float(np.sqrt(np.sum(1.0 / (ls.astype(float) ** 2 * (np.abs(ls - k) + 1.0) ** 2))))
-
-
-# ---------------------------------------------------------------------------
-# splitting-condition validation
-
-@dataclass(frozen=True)
-class ConditionCheck:
-    name: str
-    measured: float
-    bound: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class SplittingReport:
-    delta: float
-    slack: float
-    checks: tuple[ConditionCheck, ...] = field(default_factory=tuple)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def violated(self) -> list[ConditionCheck]:
-        return [c for c in self.checks if not c.passed]
-
-
-def validate_splitting_conditions(data: SpectralDataSet, model: SpectralDataSet,
-                                  n_star: int, delta: float,
-                                  slack: float = 1.0) -> SplittingReport:
-    """Check the discrete perturbation-size conditions for eigenvalue splitting.
-
-    The nominal bounds carry unspecified constants, so each check compares the
-    measured value against its bound scaled by ``slack`` and reports both.
-    Checks: tail l2 bound, pairwise distinctness of the perturbed eigenvalues,
-    moment sums of orders 0..m-1 against the reference coefficients, bare
-    moment sums of orders m..2(m-1), and magnitude bounds delta^(1/m) /
-    delta^((1-m)/m) on eigenvalue shifts and coefficients.
-    """
-    checks: list[ConditionCheck] = []
-
-    diag = compute_diagnostics(data, model, n_star)
-    tail = diag.tail_norm(n_star)
-    checks.append(ConditionCheck("tail-l2", tail, delta * slack, tail <= delta * slack))
-
-    width = max(data.max_abs_index, n_star) + 2
-    lams = [data.entry(n).lam for n in zindex.window(width)]
-    per_pair = [abs(a - b) for i, a in enumerate(lams) for b in lams[i + 1:]]
-    min_gap = min(per_pair) if per_pair else float("inf")
-    checks.append(ConditionCheck("pairwise-distinct", min_gap, GROUPING_TOL,
-                                 min_gap > GROUPING_TOL))
-
-    for g in model.groups:
-        if abs(g.start) > n_star:
-            continue
-        m = g.size
-        Mts = model.group_coefficients(g)
-        lam_t = g.lam
-        pairs = [(data.entry(mem).lam, data.entry(mem).M) for mem in g.members]
-        for s in range(m):
-            total = sum((lam - lam_t) ** s * M for lam, M in pairs) - Mts[s]
-            checks.append(ConditionCheck(
-                f"moment-s{s}-at-{g.start}", abs(total), delta * slack,
-                abs(total) <= delta * slack))
-        for s in range(m, 2 * (m - 1) + 1):
-            total = sum((lam - lam_t) ** s * M for lam, M in pairs)
-            checks.append(ConditionCheck(
-                f"higher-moment-s{s}-at-{g.start}", abs(total), delta * slack,
-                abs(total) <= delta * slack))
-        shift_bound = delta ** (1.0 / m) * slack
-        mag_bound = delta ** ((1.0 - m) / m) * slack
-        for nu, (lam, M) in enumerate(pairs):
-            checks.append(ConditionCheck(
-                f"shift-nu{nu}-at-{g.start}", abs(lam - lam_t), shift_bound,
-                abs(lam - lam_t) <= shift_bound))
-            checks.append(ConditionCheck(
-                f"coeff-nu{nu}-at-{g.start}", abs(M), mag_bound,
-                abs(M) <= mag_bound))
-    return SplittingReport(delta=delta, slack=slack, checks=tuple(checks))

@@ -88,6 +88,18 @@ def _non_numeric_csv(tmp_path):
     return ["forward", "--potentials", str(path), "--out", str(tmp_path / "s.json")]
 
 
+def _extra_field_csv(tmp_path):
+    path = tmp_path / "pot.csv"
+    write_csv(path, POTENTIALS_HEADER, [[x, 0, 0, 0, 0, 7] for x in (0, pi / 2, pi)])
+    return ["forward", "--potentials", str(path), "--out", str(tmp_path / "s.json")]
+
+
+def _short_row_csv(tmp_path):
+    path = tmp_path / "pot.csv"
+    write_csv(path, POTENTIALS_HEADER, [[0, 0, 0, 0, 0], [pi / 2, 0, 0, 0], [pi, 0, 0, 0, 0]])
+    return ["forward", "--potentials", str(path), "--out", str(tmp_path / "s.json")]
+
+
 def _bad_delta(tmp_path):
     return ["split-table", "--deltas", "0.01,abc", "--out-dir", str(tmp_path), "--no-verify"]
 
@@ -117,9 +129,9 @@ def _text_omega0(tmp_path):
     return _inverse_on_json(tmp_path, {"omega0": ["x", 0], "entries": [_ENTRY]})
 
 
-@pytest.mark.parametrize("argv_for", [_entry_without_m, _non_numeric_csv, _bad_delta,
-                                      _top_level_list, _scalar_omega0, _short_omega0,
-                                      _text_omega0])
+@pytest.mark.parametrize("argv_for", [_entry_without_m, _non_numeric_csv, _extra_field_csv,
+                                      _short_row_csv, _bad_delta, _top_level_list,
+                                      _scalar_omega0, _short_omega0, _text_omega0])
 def test_malformed_input_is_validation_error(tmp_path, argv_for):
     assert main(argv_for(tmp_path)) == EXIT_VALIDATION
 

@@ -13,10 +13,10 @@ from qpencil import (
     OrderTooHighError,
     PotentialPair,
     ZeroBackground,
-    coefficients_from_weights,
     compute_diagnostics,
 )
 from qpencil.model import P_MAX, _quotient_table, d_table, dx_table, s_chain, sx_chain
+from test_forward import coefficients_from_weights
 
 finite_complex = st.complex_numbers(max_magnitude=8.0, allow_nan=False,
                                     allow_infinity=False)
@@ -307,7 +307,7 @@ def test_model_spectral_data_small():
     assert ds.entry(-1).lam == -1.0 and ds.entry(-1).M == pytest.approx(1 / pi)
     ds3 = ZERO.spectral_data(3)
     assert len(ds3.entries) == 6
-    assert compute_diagnostics(ds3, ds3, 2).omega == 0.0
+    assert compute_diagnostics(ds3, ds3, 2).tail_norm(0) == 0.0
 
 
 def test_model_weight_numbers_via_duality():

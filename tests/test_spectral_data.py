@@ -1,6 +1,6 @@
-"""Ordering, grouping, diagnostics, truncation, and splitting-condition checks."""
+"""Ordering, grouping, diagnostics and truncation."""
 
-from math import pi
+from math import pi, sqrt
 
 import numpy as np
 import pytest
@@ -16,11 +16,9 @@ from qpencil import (
     ZeroBackground,
     compute_diagnostics,
     default_grid,
-    eta_weight,
     make_split_data,
     run_reconstruction,
     truncate_hybrid,
-    validate_splitting_conditions,
 )
 from qpencil.spectral_data import Group
 from qpencil.zindex import offset, shift, window
@@ -168,8 +166,7 @@ def test_diagnostics_identical_data():
     model = ZeroBackground().spectral_data(4)
     d = compute_diagnostics(model, model, 2)
     assert all(v == 0.0 for v in d.xi.values())
-    assert d.omega == 0.0
-    assert all(d.chi[n] * d.theta[n] in (0.0, 1.0) for n in d.theta)
+    assert d.tail_norm(0) == 0.0
 
 
 def test_diagnostics_single_perturbed_eigenvalue():
@@ -177,8 +174,7 @@ def test_diagnostics_single_perturbed_eigenvalue():
     data = model.replace_entry(2, lam=2.1)
     d = compute_diagnostics(data, model, 1)
     assert d.xi[2] == pytest.approx(0.1, abs=1e-14)
-    assert d.omega == pytest.approx(0.2, abs=1e-13)
-    assert d.chi[2] * d.theta[2] == pytest.approx(1.0)
+    assert d.tail_norm(0) == pytest.approx(0.2, abs=1e-13)
 
 
 def test_diagnostics_split_data_tail_untouched():
@@ -186,7 +182,6 @@ def test_diagnostics_split_data_tail_untouched():
     model = ZeroBackground().spectral_data(3)
     d = compute_diagnostics(data, model, 1)
     assert d.tail_norm(1) == 0.0
-    assert d.omega_n == 0.0
 
 
 def test_diagnostics_group_mismatch_gives_unit_xi():
@@ -203,7 +198,7 @@ def test_tail_norm_nonincreasing():
     d = compute_diagnostics(data, model, 1)
     values = [d.tail_norm(n) for n in range(0, 7)]
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
-    assert d.tail_norm(0) == pytest.approx(d.omega)
+    assert d.tail_norm(0) == pytest.approx(sqrt((2 * 0.05) ** 2 + (5 * 0.2) ** 2))
 
 
 def test_truncate_hybrid_levels():
@@ -232,30 +227,6 @@ def test_truncate_hybrid_outside_is_model_elementwise():
             assert out.entry(n).M == model.entry(n).M
 
 
-def test_splitting_conditions_reference_data():
-    model = make_split_data(0.0)
-    for delta in (0.05, 0.01, 0.001):
-        data = make_split_data(delta)
-        report = validate_splitting_conditions(data, model, 1, delta, slack=1.5)
-        assert report.all_passed, [c.name for c in report.violated()]
-
-
-def test_splitting_conditions_identity():
-    model = ZeroBackground().spectral_data(3)
-    report = validate_splitting_conditions(model, model, 1, 0.01)
-    assert report.all_passed
-    moments = [c for c in report.checks if c.name.startswith("moment")]
-    assert all(c.measured == 0.0 for c in moments)
-
-
-def test_splitting_conditions_detect_duplicate():
-    model = ZeroBackground().spectral_data(3)
-    data = model.replace_entry(2, lam=1.0)  # collides with lam_1
-    report = validate_splitting_conditions(data, model, 1, 0.01)
-    names = [c.name for c in report.violated()]
-    assert "pairwise-distinct" in names
-
-
 def test_json_roundtrip(tmp_path):
     data = make_split_data(0.005)
     path = tmp_path / "data.json"
@@ -279,12 +250,6 @@ def test_omega0_estimate_from_largest_indices():
     raw = [SpectralEntry(n, n + shiftv, -n / pi) for n in window(6)]
     ds = SpectralDataSet.from_entries(raw)
     assert ds.omega0 == pytest.approx(shiftv)
-
-
-def test_eta_weight_decays():
-    vals = [eta_weight(k) for k in (1, 4, 16, 64)]
-    assert all(v > 0 for v in vals)
-    assert vals[0] > vals[-1]
 
 
 def test_entries_immutable():
