@@ -170,7 +170,8 @@ def _cmd_roundtrip(args) -> int:
                              grid=default_grid(args.grid_n),
                              refine=profile["refine"], cond_limit=profile["cond_limit"])
     print(report.format())
-    return EXIT_OK
+    # a group whose circle winds other than its size is a numerical failure
+    return EXIT_NUMERICAL if any(w != m for w, m in report.windings.values()) else EXIT_OK
 
 
 def main(argv=None) -> int:

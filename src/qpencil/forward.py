@@ -101,7 +101,8 @@ class PotentialPair:
     sigma(0) = 0; both arrays are interpreted as piecewise-linear functions
     of x.  Genuinely singular potentials (delta functions) are out of scope:
     sigma must be continuous, i.e. representable by its node values.  The
-    arrays are read-only copies, so tables cached on them never go stale.
+    arrays are read-only copies, so the integrator tables and Newton's residue
+    record cached on them never go stale.
     """
 
     x: np.ndarray
@@ -171,7 +172,7 @@ class ShootingResult:
     s: np.ndarray               # (n_derivs+1, L): S_k(pi)
     c: np.ndarray | None        # (L,)
     trace: np.ndarray | None    # (n_nodes+1, n_chain, 2, L)
-    x_refined: np.ndarray
+    x_refined: np.ndarray | None    # (n_nodes+1,), traced calls only
 
 
 def _step_polynomials(h, s_n, s_m, q_n, q_m):
@@ -309,12 +310,15 @@ def integrate(potentials: PotentialPair, lams, n_derivs: int = 0,
 
     The matrices T(lam + eps) of blocks of BLOCK_STEPS steps (module
     docstring), truncated after the eps^n_derivs term, are evaluated from the
-    block table over chunks of at most ``CHUNK_ENTRIES`` blocks x lambdas.
+    block table and the powers comb(d, k) lam^(d-k), gathered per order k from
+    one broadcast power table, over chunks of at most ``CHUNK_ENTRIES`` blocks x
+    lambdas.
     Each chunk is reduced by a pairwise product tree and applied to the state:
     S = 0, S^[1] = 1 (and C = 1, C^[1] = 0 for ``with_c``; C carries no
     chains) times all earlier blocks.  ``with_trace`` evaluates the per-step
-    table instead and keeps every node from the chunks' prefix products.  The
-    tables (1.2 MB at 200 intervals x refine 10) are kept for later calls.
+    table instead and keeps every node, and its ``x_refined``, from the chunks'
+    prefix products.  The tables (1.2 MB at 200 intervals x refine 10) are kept
+    for later calls.
     """
     for name, val, low in (("refine", refine, 1), ("n_derivs", n_derivs, 0)):
         if not isinstance(val, (int, np.integer)) or val < low:
@@ -329,17 +333,20 @@ def integrate(potentials: PotentialPair, lams, n_derivs: int = 0,
     m_steps = potentials.n_grid * refine
     coef = _coefficients(potentials, refine, per_step=with_trace)
     # eps^k coefficient of (lam + eps)^d is comb(d, k) lam^(d-k): zero for k > d
-    powers = [np.array([comb(d, k) * lams ** max(d - k, 0) for d in range(len(coef))])
+    deg = np.arange(len(coef))
+    lam_pow = lams ** deg[:, None]      # one broadcast power, gathered per order
+    powers = [np.array([[comb(d, k)] for d in deg]) * lam_pow[np.maximum(deg - k, 0)]
               for k in range(n_s)]
 
     Y = np.zeros((n_s, 2, nch - n_s + 1, 1, L), dtype=complex)
     Y[0, 1, 0] = 1.0         # S(0) = 0, S^[1](0) = 1
     if with_c:
         Y[0, 0, 1] = 1.0     # C(0) = 1, C^[1](0) = 0
-    trace = None
+    trace = x_refined = None
     if with_trace:
         trace = np.empty((m_steps + 1, nch, 2, L), dtype=complex)
         trace[0] = _chains(Y)[0]
+        x_refined = np.linspace(0.0, pi, 2 * m_steps + 1)[::2]
 
     chunk = max(1, CHUNK_ENTRIES // max(L, 1))
     for a in range(0, coef.shape[2], chunk):
@@ -362,7 +369,7 @@ def integrate(potentials: PotentialPair, lams, n_derivs: int = 0,
 
     end = _chains(Y)[0]
     return ShootingResult(lams=lams, s=end[:n_s, 0], c=end[n_s, 0] if with_c else None,
-                          trace=trace, x_refined=np.linspace(0.0, pi, 2 * m_steps + 1)[::2])
+                          trace=trace, x_refined=x_refined)
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +380,22 @@ def _newton_batch(potentials, starts, refine, max_iter=NEWTON_MAX_ITER, ns=None)
 
     With indices ``ns`` the starts are the slot centres n + omega0: an iterate
     that leaves its slot |lam - start| < 1/2 fails, and so does every start with
-    |n'| <= |n|; those stop iterating at once.
+    |n'| <= |n|; those stop iterating at once.  Each step also integrates C: every
+    iterate accepted with |S| < NEWTON_TOL is recorded on the potentials, by its
+    exact bits and the refine, with its residue -C/S' for ``weyl_residues``.
     """
     starts = np.asarray(starts, dtype=complex)
     lam = starts.copy()
     active = np.ones(lam.shape, dtype=bool)
     failed = np.zeros(lam.shape, dtype=bool)
+    record = potentials._tables.setdefault(("residues", refine), {})
     for _ in range(max_iter):
-        res = integrate(potentials, lam[active], n_derivs=1, refine=refine)
+        res = integrate(potentials, lam[active], n_derivs=1, with_c=True, refine=refine)
         conv = np.abs(res.s[0]) < NEWTON_TOL
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(conv, 0.0, res.s[0] / res.s[1])
+            record.update((z.tobytes(), m) for z, m in zip(res.lams[conv],
+                                                          -res.c[conv] / res.s[1, conv]))
         lam[active] -= np.where(np.isfinite(step), step, 0.0)
         active[active] = ~conv
         if ns is not None:
@@ -536,8 +548,8 @@ def find_eigenvalues(potentials: PotentialPair, n_max: int, omega0: complex,
     and lie outside the disc, so no located root is counted twice.  The disc
     is accepted when its polished roots converge inside it and number
     2 n_star with multiplicities; otherwise n_star grows, and beyond n_max
-    RootNotConvergedError is raised.  Residue coefficients are left unset
-    (see ``weyl_residues``).
+    RootNotConvergedError is raised.  Residue coefficients are left unset, but
+    the Newton steps record them on the potentials for ``weyl_residues``.
     """
     ns = np.array(zindex.window(n_max), dtype=int)
     lam, failed = _newton_batch(potentials, ns + omega0, refine, ns=ns)
@@ -568,18 +580,19 @@ def weyl_residues(potentials: PotentialPair, eigenvalues: SpectralDataSet,
     """Laurent coefficients of the Weyl function at the located eigenvalues.
 
     The Weyl function is -C(pi, lam)/Delta(lam).  Simple eigenvalues use the
-    derivative formula -C/Delta'; a multiplicity group uses trapezoid
-    quadrature of (lam - lam_n)^nu M(lam) on a circle separating the group,
-    whose root count must equal the group size.
+    derivative formula -C/Delta', taken from the Newton step that accepted them
+    on these potentials at this refine (``_newton_batch``), else integrated
+    afresh; M values of the input set are ignored.  A multiplicity group uses
+    trapezoid quadrature of (lam - lam_n)^nu M(lam) on a circle separating the
+    group, whose root count must equal the group size.
     """
-    Ms: dict[int, complex] = {}
-    simple = [g for g in eigenvalues.groups if g.size == 1]
-    if simple:
-        lams = np.array([g.lam for g in simple])
-        res = integrate(potentials, lams, n_derivs=1, with_c=True, refine=refine)
-        vals = -res.c / res.s[1]
-        for g, v in zip(simple, vals):
-            Ms[g.start] = complex(v)
+    record = potentials._tables.get(("residues", refine), {})
+    Ms = {g.start: complex(record[k]) for g in eigenvalues.groups
+          if g.size == 1 and (k := np.complex128(g.lam).tobytes()) in record}
+    fresh = [g for g in eigenvalues.groups if g.size == 1 and g.start not in Ms]
+    if fresh:
+        res = integrate(potentials, [g.lam for g in fresh], n_derivs=1, with_c=True, refine=refine)
+        Ms.update(zip((g.start for g in fresh), map(complex, -res.c / res.s[1])))
 
     for g in eigenvalues.groups:
         if g.size == 1:

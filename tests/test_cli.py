@@ -218,6 +218,21 @@ def test_roundtrip_on_model_data(tmp_path, capsys):
     assert "lam_in" in capsys.readouterr().out
 
 
+def test_roundtrip_winding_mismatch_is_numerical_error(tmp_path, monkeypatch, capsys):
+    data_path = tmp_path / "split0.json"
+    make_split_data(0.0).save_json(data_path)
+    inner = cli.roundtrip_check
+
+    def one_root_short(*args, **kwargs):
+        report = inner(*args, **kwargs)
+        report.windings = {start: (want, want - 1) for start, (want, _) in report.windings.items()}
+        return report
+
+    monkeypatch.setattr(cli, "roundtrip_check", one_root_short)
+    assert main(["roundtrip", "--data", str(data_path)]) == EXIT_NUMERICAL
+    assert "group at -1: winding expected 2, measured 1" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["inverse", "roundtrip"])
 def test_profile_cond_limit_is_honoured(tmp_path, monkeypatch, command):
     data_path = tmp_path / "split.json"

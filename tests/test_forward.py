@@ -212,6 +212,36 @@ def test_coefficient_tables_are_built_once_per_refine(monkeypatch):
     assert calls == [200, 300, 200]
 
 
+def stride_two_pairing(X):
+    """Adjacent steps paired from stride-2 views, in a fixed association order.
+
+    The oracle of ``_pair_steps``: any change to how the block table is paired
+    must keep its bits.
+    """
+    d, n = X.shape[0], X.shape[2] // 2
+    X = X.reshape(d, 2, 2, n, 2)        # the last axis is the step's parity
+    X0, X1 = X[..., 0], X[..., 1]
+    P = np.zeros((2 * d - 1, 2, 2, n), dtype=complex)
+    for i in range(d):                  # lam^i of X1 times every power of X0
+        P[i:i + d] += X1[i, :, 0, None] * X0[:, None, 0] + X1[i, :, 1, None] * X0[:, None, 1]
+    P[:d] += X0 + X1
+    return P.reshape(2 * d - 1, 4, n)
+
+
+@pytest.mark.parametrize("n_grid, refine", [(200, 10), (101, 3)])
+def test_block_table_matches_the_stride_two_pairing(n_grid, refine):
+    # 101 intervals at refine 3: 303 steps, so the last block is padded; any
+    # change of the pairing's association order changes the table's bits
+    import qpencil.forward as fw
+
+    pot = smooth_pair(n_grid=n_grid)
+    X = fw._coefficients(pot, refine, per_step=True)
+    X = np.concatenate([X, np.zeros(X.shape[:2] + (-X.shape[2] % fw.BLOCK_STEPS,))], axis=2)
+    for _ in range(fw.BLOCK_STEPS.bit_length() - 1):
+        X = stride_two_pairing(X)
+    assert np.array_equal(fw._coefficients(pot, refine, per_step=False), X)
+
+
 def test_potentials_are_read_only_copies():
     q1 = np.linspace(0.0, 1.0, 11) + 0.5j
     pot = PotentialPair(x=np.linspace(0.0, pi, 11), q1=q1, sigma=np.zeros(11))
@@ -328,6 +358,61 @@ def test_weight_numbers_batch_the_groups_of_one_size(monkeypatch):
     assert calls == [16]          # 16 simple roots, one traced call
     for n in window(8):
         assert abs(batched[n] - single[n]) <= 1e-13 * abs(single[n])
+
+
+def counting_integrate(monkeypatch):
+    """Patch ``forward.integrate`` to record the lambdas and with_c of each call."""
+    import qpencil.forward as fw
+
+    inner, calls = fw.integrate, []
+
+    def counting(potentials, lams, *args, **kwargs):
+        calls.append((np.array(lams, dtype=complex), kwargs.get("with_c", False)))
+        return inner(potentials, lams, *args, **kwargs)
+
+    monkeypatch.setattr(fw, "integrate", counting)
+    return calls
+
+
+def test_weyl_residues_take_simple_roots_from_newton(monkeypatch):
+    pot = smooth_pair(amp=0.35)
+    eigs = find_eigenvalues(pot, 5, pot.omega0())
+    assert all(g.size == 1 for g in eigs.groups)
+    calls = counting_integrate(monkeypatch)
+    full = weyl_residues(pot, eigs)
+    monkeypatch.undo()
+    assert calls == []
+    lams = np.array([eigs.entry(n).lam for n in window(5)])
+    res = integrate(pot, lams, n_derivs=1, with_c=True)
+    got = np.array([full.entry(n).M for n in window(5)])
+    assert np.max(np.abs(got / (-res.c / res.s[1]) - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["equal arrays", "one ulp off", "foreign M", "another refine"])
+def test_weyl_residues_integrate_what_newton_did_not_accept(monkeypatch, case):
+    pot = smooth_pair(amp=0.35)
+    eigs = find_eigenvalues(pot, 5, pot.omega0())
+    refine = 5 if case == "another refine" else DEFAULT_REFINE
+    data, fresh = eigs, window(5)
+    if case == "equal arrays":          # another PotentialPair holds no record
+        pot = PotentialPair(x=pot.x, q1=pot.q1, sigma=pot.sigma)
+    elif case == "one ulp off":
+        lam = eigs.entry(2).lam
+        data, fresh = eigs.replace_entry(2, lam=complex(np.nextafter(lam.real, 9.0), lam.imag)), [2]
+    elif case == "foreign M":           # the eigenvalues and M of another potential
+        other = smooth_pair(amp=0.3)
+        data = weyl_residues(other, find_eigenvalues(other, 5, other.omega0()))
+    calls = counting_integrate(monkeypatch)
+    full = weyl_residues(pot, data, refine=refine)
+    monkeypatch.undo()
+    [(lams, with_c)] = calls
+    assert with_c and len(lams) == len(fresh)
+    assert set(lams.tolist()) == {data.entry(n).lam for n in fresh}
+    res = integrate(pot, lams, n_derivs=1, with_c=True, refine=refine)
+    want = dict(zip(lams.tolist(), -res.c / res.s[1]))
+    for n in fresh:
+        assert full.entry(n).M == want[data.entry(n).lam]
+        assert full.entry(n).M != data.entry(n).M
 
 
 def test_duality_triangular_system_multiplicity_two():
