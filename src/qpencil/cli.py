@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure, 4 I/O.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -186,7 +185,7 @@ def main(argv=None) -> int:
     except NumericalError as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (OSError, json.JSONDecodeError) as err:
+    except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
 

@@ -76,21 +76,24 @@ def write_csv(path, header: list[str], rows) -> None:
 
 def read_csv(path, header: list[str]) -> list[list[float]]:
     """Float rows of a file written by ``write_csv``; ValidationError otherwise."""
-    with open(path, newline="", encoding="utf-8") as f:
-        r = _csv.reader(f)
-        got = next(r, None)
-        if got != header:
-            raise ValidationError(f"unexpected CSV header: {got}")
-        rows = []
-        for row in r:
-            if len(row) != len(header):
-                raise ValidationError(f"bad CSV row {r.line_num}: {len(row)} fields, "
-                                      f"expected {len(header)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as err:
-                raise ValidationError(f"bad CSV row {r.line_num}: {err}") from None
-        return rows
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            r = _csv.reader(f.readlines())
+    except UnicodeDecodeError as err:       # unreadable, like a missing file
+        raise OSError(f"cannot read {path} as UTF-8: {err}") from None
+    got = next(r, None)
+    if got != header:
+        raise ValidationError(f"unexpected CSV header: {got}")
+    rows = []
+    for row in r:
+        if len(row) != len(header):
+            raise ValidationError(f"bad CSV row {r.line_num}: {len(row)} fields, "
+                                  f"expected {len(header)}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as err:
+            raise ValidationError(f"bad CSV row {r.line_num}: {err}") from None
+    return rows
 
 
 @dataclass(frozen=True)
@@ -416,8 +419,9 @@ def circle_nodes(center: complex, radius: float, n_nodes: int) -> np.ndarray:
 class CircleSample:
     """Delta (and C) on the N nodes of |lam - c| = r with ``count`` roots inside: at node
     angles theta, g = ln|Delta| + i (phase - count theta) is periodic, and expanding
-    log(lam - lam_j) gives the centred sums sum_j (lam_j - c)^p = -p r^p g_(-p).  Node
-    means of f (z - c) are trapezoid sums for (1/2 pi i) oint f dz."""
+    log(lam - lam_j) gives the centred sums sum_j (lam_j - c)^p = -p r^p g_(-p), aliased by
+    the roots outside; a known one mu is deflated out of g by log(1 - (lam - c)/(mu - c)),
+    analytic inside.  Node means of f (z - c) are trapezoid sums for (1/2 pi i) oint f dz."""
 
     zs: np.ndarray
     dz: np.ndarray
@@ -426,18 +430,20 @@ class CircleSample:
     count: int
     phase: np.ndarray           # arg Delta, unwrapped from node to node
 
-    def integrands(self, sums: int, laurent: int) -> np.ndarray:
-        """(sums + laurent, N) node values whose means are ``moments(sums, laurent)``."""
+    def integrands(self, sums: int, laurent: int, outer=()) -> np.ndarray:
+        """(sums + laurent, N) node values whose means are ``moments(sums, laurent, outer)``."""
         p, nu = np.arange(1, sums + 1)[:, None], np.arange(1, laurent + 1)[:, None]
         theta = 2 * pi * np.arange(self.zs.size) / self.zs.size
         g = np.log(np.abs(self.delta)) + 1j * (self.phase - self.count * theta) if sums else 0
+        g = g - sum(np.log1p(self.dz / (self.zs - self.dz - mu)) for mu in outer)  # deflation
         return np.concatenate([self.count * self.zs ** p - p * self.zs ** (p - 1) * g * self.dz,
                                self.dz ** nu * (-self.c / self.delta if laurent else 0)])
 
-    def moments(self, sums: int, laurent: int = 0) -> np.ndarray:
+    def moments(self, sums: int, laurent: int = 0, outer=()) -> np.ndarray:
         """Sums of lam^p inside, p = 1..sums (the centred sums, binomially shifted under the
-        mean), then the coefficients of (lam - c)^-(nu+1) in -C/Delta, nu < laurent (need C)."""
-        return self.integrands(sums, laurent).mean(axis=1)
+        mean, the known roots ``outer`` deflated), then the coefficients of (lam - c)^-(nu+1)
+        in -C/Delta, nu < laurent (need C)."""
+        return self.integrands(sums, laurent, outer).mean(axis=1)
 
 
 def sample_circle(potentials: PotentialPair, center: complex, radius: float,
@@ -493,22 +499,22 @@ def _poly_from_power_sums(ps):
     return np.array([((-1.0) ** k) * ek for k, ek in enumerate(e)], dtype=complex)
 
 
-def _cluster_search(potentials, center, radius, refine):
+def _cluster_search(potentials, center, radius, refine, outer=()):
     """Locate all roots inside a disc, a multiple root repeated per multiplicity.
 
-    One sample of the disc boundary gives the root count and power sums;
-    Newton's identities turn them into a monic polynomial whose roots seed a
-    Newton polish.  A polish that does not converge, or that converges
-    outside the disc, raises RootNotConvergedError.  Candidates that land
-    within 1e-4 of each other are one multiple root: a small-circle sample
-    (count checked under radius halving) gives its multiplicity and, from the
-    first moment, its location, which stays accurate where Newton is only
-    linear.
+    One sample of the disc boundary gives the root count and power sums, with the
+    known roots ``outer`` outside the disc deflated; Newton's identities turn them
+    into a monic polynomial whose roots seed a Newton polish.  A polish that does
+    not converge, or that converges outside the disc, raises RootNotConvergedError.
+    Candidates that land within 1e-4 of each other are one multiple root: a
+    small-circle sample (count checked under radius halving) gives its
+    multiplicity and, from the first moment, its location, which stays accurate
+    where Newton is only linear.
     """
     disc = sample_circle(potentials, center, radius, refine=refine)
     if disc.count == 0:
         return []
-    cands = np.roots(_poly_from_power_sums(disc.moments(disc.count)))
+    cands = np.roots(_poly_from_power_sums(disc.moments(disc.count, outer=outer)))
     polished, failed = _newton_batch(potentials, cands, refine, max_iter=25)
     if failed.any() or np.any(np.abs(polished - center) >= radius):
         raise RootNotConvergedError(
@@ -542,22 +548,22 @@ def find_eigenvalues(potentials: PotentialPair, n_max: int, omega0: complex,
     """Locate eigenvalues for 1 <= |n| <= n_max, with multiplicities.
 
     Newton from n + omega0 keeps the root of index n only inside its slot
-    |lam - n - omega0| < 1/2.  With n_star the largest failed |n|, the roots
-    of |n| <= n_star, which may be non-real or multiple, are searched inside
-    the disc |lam - omega0| < n_star + 1/2.  The slots are pairwise disjoint
-    and lie outside the disc, so no located root is counted twice.  The disc
-    is accepted when its polished roots converge inside it and number
-    2 n_star with multiplicities; otherwise n_star grows, and beyond n_max
-    RootNotConvergedError is raised.  Residue coefficients are left unset, but
-    the Newton steps record them on the potentials for ``weyl_residues``.
+    |lam - n - omega0| < 1/2.  With n_star the largest failed |n|, the roots of
+    |n| <= n_star, which may be non-real or multiple, are searched inside the disc
+    |lam - omega0| < n_star + 1/2.  The slots are pairwise disjoint and lie outside
+    the disc, so no located root is counted twice, and their roots are deflated out
+    of the disc's power sums.  The disc is accepted when its polished roots converge
+    inside it and number 2 n_star with multiplicities; otherwise n_star grows, and
+    beyond n_max RootNotConvergedError is raised.  Residue coefficients are left
+    unset, but the Newton steps record them on the potentials for ``weyl_residues``.
     """
     ns = np.array(zindex.window(n_max), dtype=int)
     lam, failed = _newton_batch(potentials, ns + omega0, refine, ns=ns)
     n_fail = int(np.abs(ns[failed]).max(initial=0))
     for n_star in range(n_fail, n_max + 1):
         try:
-            low = _cluster_search(potentials, complex(omega0), n_star + 0.5,
-                                  refine) if n_star else []
+            low = _cluster_search(potentials, complex(omega0), n_star + 0.5, refine,
+                                  lam[np.abs(ns) > n_star]) if n_star else []
         except (RootNotConvergedError, WindingAmbiguousError):
             continue
         if len(low) == 2 * n_star:

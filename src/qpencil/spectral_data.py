@@ -178,13 +178,11 @@ class SpectralDataSet:
             raise ValidationError(f"unknown background model {obj.get('model')!r}")
         try:
             entries = [
-                SpectralEntry(n=_json_index(e["n"]),
-                              lam=complex(e["lambda"][0], e["lambda"][1]),
-                              M=complex(e["M"][0], e["M"][1]))
+                SpectralEntry(n=_json_index(e["n"]), lam=_json_pair(e["lambda"], "lambda"),
+                              M=_json_pair(e["M"], "M"))
                 for e in obj["entries"]
             ]
-            om = obj.get("omega0")
-            omega0 = complex(om[0], om[1]) if om is not None else None
+            omega0 = None if (om := obj.get("omega0")) is None else _json_pair(om, "omega0")
         except (KeyError, IndexError, TypeError, ValueError) as err:
             raise ValidationError(f"malformed spectral data: {err!r}") from None
         return SpectralDataSet.from_entries(entries, tail=ZeroBackground(), omega0=omega0)
@@ -195,8 +193,12 @@ class SpectralDataSet:
 
     @staticmethod
     def load_json(path) -> "SpectralDataSet":
-        with open(path, encoding="utf-8") as f:
-            return SpectralDataSet.from_json_dict(json.load(f))
+        try:
+            with open(path, encoding="utf-8") as f:
+                obj = json.load(f)
+        except (ValueError, RecursionError) as err:     # not UTF-8 or not JSON, or too deep
+            raise OSError(f"cannot read {path} as JSON: {err}") from None
+        return SpectralDataSet.from_json_dict(obj)
 
 
 def _json_index(n) -> int:
@@ -204,6 +206,13 @@ def _json_index(n) -> int:
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValidationError(f"index must be a JSON integer, got {n!r}")
     return n
+
+
+def _json_pair(v, name: str) -> complex:
+    """A complex number as JSON writes it: a list [re, im] of two numbers, never bools."""
+    if not isinstance(v, list) or len(v) != 2 or any(isinstance(c, bool) for c in v):
+        raise ValidationError(f"{name} must be a JSON pair [re, im], got {v!r}")
+    return complex(v[0], v[1])
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,55 @@ def test_non_integer_json_index_is_validation_error(tmp_path, capsys, index):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("field, value", [("lambda", [True, 0]), ("lambda", [1.0, 0.0, 0.0]),
+                                          ("M", [1, 2, 3]), ("M", [-0.3, False]),
+                                          ("omega0", [False, 0]), ("omega0", [0, 0, 1])])
+def test_json_pair_must_be_two_numbers(tmp_path, capsys, field, value):
+    # complex(v[0], v[1]) would read [True, 0] as 1 and drop a third component
+    payload = {"omega0": [0.0, 0.0], "entries": [_ENTRY]}
+    if field == "omega0":
+        payload["omega0"] = value
+    else:
+        payload["entries"] = [dict(_ENTRY, **{field: value})]
+    assert main(_inverse_on_json(tmp_path, payload)) == EXIT_VALIDATION
+    assert f"{field} must be a JSON pair" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def _undecodable_csv(tmp_path):
+    path = tmp_path / "pot.csv"
+    path.write_bytes(b"x,re_q1,im_q1,re_sigma,im_sigma\n0,0,0,0,0\n\xff,0,0,0,0\n")
+    return ["forward", "--potentials", str(path), "--out", str(tmp_path / "s.json")]
+
+
+def _on_json_bytes(command, data):
+    def argv_for(tmp_path):
+        path = tmp_path / "data.json"
+        path.write_bytes(data)
+        out = ["--out", str(tmp_path / "o.csv")] if command == "inverse" else []
+        return [command, "--data", str(path)] + out
+    return argv_for
+
+
+@pytest.mark.parametrize("argv_for", [
+    pytest.param(_undecodable_csv, id="forward-not-utf8"),
+    pytest.param(_on_json_bytes("inverse", b'{"entries": [], "model": "\xff"}'),
+                 id="inverse-not-utf8"),
+    pytest.param(_on_json_bytes("roundtrip", b"\xff"), id="roundtrip-not-utf8"),
+    pytest.param(_on_json_bytes("inverse", b'{"entries": ['), id="inverse-not-json"),
+    # an integer beyond the interpreter's 4300-digit conversion limit
+    pytest.param(_on_json_bytes("inverse", b'{"entries": [{"n": ' + b"1" * 5000 + b"}]}"),
+                 id="inverse-long-integer"),
+    # the decoder raises RecursionError
+    pytest.param(_on_json_bytes("inverse", b"[" * 100000), id="inverse-deep"),
+    pytest.param(_on_json_bytes("roundtrip", b"[" * 100000), id="roundtrip-deep"),
+])
+def test_unreadable_input_is_io_error(tmp_path, capsys, argv_for):
+    assert main(argv_for(tmp_path)) == EXIT_IO
+    assert "i/o error: cannot read" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists() and not (tmp_path / "s.json").exists()
+
+
 @pytest.mark.parametrize("delta", ["inf", "nan"])
 def test_non_finite_delta_is_validation_error(tmp_path, capsys, delta):
     argv = ["split-table", "--deltas", f"0.01,{delta}", "--out-dir", str(tmp_path), "--no-verify"]

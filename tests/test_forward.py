@@ -519,9 +519,9 @@ def test_cluster_count_mismatch_raises(monkeypatch):
     inner = fw._cluster_search
     discs = []
 
-    def short(potentials, center, radius, refine):
+    def short(potentials, center, radius, refine, outer):
         discs.append(radius)
-        return inner(potentials, center, radius, refine)[1:]
+        return inner(potentials, center, radius, refine, outer)[1:]
 
     monkeypatch.setattr(fw, "_cluster_search", short)
     pot = _random_pair(0)
@@ -541,9 +541,9 @@ def test_rejected_disc_grows(monkeypatch, circle_batches):
     inner = fw._cluster_search
     calls = []
 
-    def short_once(potentials, center, radius, refine):
+    def short_once(potentials, center, radius, refine, outer):
         calls.append(radius)
-        found = inner(potentials, center, radius, refine)
+        found = inner(potentials, center, radius, refine, outer)
         return found[1:] if len(calls) == 1 else found
 
     monkeypatch.setattr(fw, "_cluster_search", short_once)
@@ -554,6 +554,48 @@ def test_rejected_disc_grows(monkeypatch, circle_batches):
                                       (16, 0), (16, 0), (32, 0)]
     for n in window(6):
         assert abs(got.entry(n).lam - want.entry(n).lam) < 1e-8
+
+
+def split_disc_polish(monkeypatch, delta):
+    """(seeds, polished roots, integrate calls) of each disc polish that finds the
+    eigenvalues of the split data's recovered potentials, as ``roundtrip_check`` does."""
+    import qpencil.forward as fw
+
+    data = make_split_data(delta)
+    pot = run_reconstruction(data, ZeroBackground()).as_potentials()
+    newton, inner, polishes, calls = fw._newton_batch, fw.integrate, [], []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    def polish(potentials, starts, refine, max_iter=fw.NEWTON_MAX_ITER, ns=None):
+        if ns is not None:              # the tail batch
+            return newton(potentials, starts, refine, max_iter, ns)
+        calls.clear()
+        lam, failed = newton(potentials, starts, refine, max_iter, ns)
+        polishes.append((np.array(starts), lam, len(calls)))
+        return lam, failed
+
+    monkeypatch.setattr(fw, "integrate", counting)
+    monkeypatch.setattr(fw, "_newton_batch", polish)
+    find_eigenvalues(pot, 3, data.omega0)
+    return polishes
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.01, 1e-3, 1e-4])
+def test_deflated_disc_seeds_land_on_the_roots(monkeypatch, delta):
+    # undeflated, the roots at +-2 alias into the power sums: seeds 5e-5 or more off
+    [(seeds, roots, _)] = split_disc_polish(monkeypatch, delta)
+    assert seeds.size == 2
+    assert np.max(np.abs(seeds - roots)) <= 1e-10
+
+
+@pytest.mark.parametrize("delta", [0.01, 1e-3, 1e-4])
+def test_deflated_disc_polish_takes_one_integrate_call(monkeypatch, delta):
+    # undeflated, the polish took 3 or 4 calls
+    [(_, _, calls)] = split_disc_polish(monkeypatch, delta)
+    assert calls == 1
 
 
 @pytest.mark.parametrize("fault", ["unconverged", "outside"])
