@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from math import comb, pi
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import zindex
 from .errors import (
@@ -53,6 +52,7 @@ from .errors import (
     WindingAmbiguousError,
 )
 from .model import DEFAULT_REFINE
+from .simpson import simpson
 from .spectral_data import SpectralDataSet, SpectralEntry
 
 NEWTON_TOL = 1e-12
@@ -79,20 +79,22 @@ def read_csv(path, header: list[str]) -> list[list[float]]:
     try:
         with open(path, newline="", encoding="utf-8") as f:
             r = _csv.reader(f.readlines())
+        got, lines = next(r, None), [(r.line_num, row) for row in r]
     except UnicodeDecodeError as err:       # unreadable, like a missing file
         raise OSError(f"cannot read {path} as UTF-8: {err}") from None
-    got = next(r, None)
+    except _csv.Error as err:               # a field over the csv module's size limit, say
+        raise ValidationError(f"bad CSV row {r.line_num}: {err}") from None
     if got != header:
         raise ValidationError(f"unexpected CSV header: {got}")
     rows = []
-    for row in r:
+    for line_num, row in lines:
         if len(row) != len(header):
-            raise ValidationError(f"bad CSV row {r.line_num}: {len(row)} fields, "
+            raise ValidationError(f"bad CSV row {line_num}: {len(row)} fields, "
                                   f"expected {len(header)}")
         try:
             rows.append([float(v) for v in row])
         except ValueError as err:
-            raise ValidationError(f"bad CSV row {r.line_num}: {err}") from None
+            raise ValidationError(f"bad CSV row {line_num}: {err}") from None
     return rows
 
 
@@ -150,7 +152,7 @@ class PotentialPair:
     def omega0(self) -> complex:
         """Mean of q1 over the interval: (1/pi) integral of q1."""
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = complex(simpson(self.q1, x=self.x) / pi)
+            mean = complex(simpson(self.q1, self.x) / pi)
         if not np.isfinite(mean):
             raise NonFiniteInputError(f"the mean of q1 is not finite ({mean}): q1 overflows")
         return mean
@@ -643,9 +645,9 @@ def weight_numbers(potentials: PotentialPair, eigenvalues: SpectralDataSet,
         S = res.trace[:, :, 0].transpose(1, 0, 2)      # (m, nodes+1, groups)
         lead = 2.0 * (lams - q1r) * S[m - 1] + (S[m - 2] if m >= 2 else 0.0)
         for nu in range(m):
-            val = simpson(lead * S[nu], x=xr, axis=0)
+            val = simpson(lead * S[nu], xr, axis=0)
             if nu >= 1:
-                val = val + simpson(S[m - 1] * S[nu - 1], x=xr, axis=0)
+                val = val + simpson(S[m - 1] * S[nu - 1], xr, axis=0)
             out.update((g.members[nu], complex(v)) for g, v in zip(groups, val))
     return out
 

@@ -31,8 +31,6 @@ from functools import cache, partial
 from math import pi
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
 from . import zindex
 from .errors import (
@@ -43,6 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .model import COALESCE_GAP, P_MAX, BackgroundProblem, d_table, same_background
+from .simpson import cumulative_simpson
 from .spectral_data import SpectralDataSet
 
 DEFAULT_N_GRID = 200
@@ -270,6 +269,8 @@ def _solve_nodes(system: MainEquationSystem):
     mv = partial(np.einsum, "nij,nj->ni")    # a product per node, through no BLAS
     v, vx = np.empty((2, nodes, dim), dtype=complex)
     cond, residual = np.empty((2, nodes))
+    if dim >= LU_MIN_DIM:    # here, not at import: loading scipy's LAPACK takes about 0.25 s
+        from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
     pooled = LU_MIN_DIM <= dim and dim * dim < POOL_MAX_ENTRIES
     workers = min(2, _cpus()) if pooled else 1   # more than two: no gain measured
     chunk = max(1, SOLVE_CHUNK_ENTRIES // (workers * dim * dim))
@@ -415,7 +416,7 @@ def recover_q0_antiderivative(eps: EpsilonFields, q1: np.ndarray,
                  + b * (eps.eps2 - 2.0 * q1t * eps.eps1 + eps.eps4)
                  + 0.25 * b * b)
     return (2.0 * jump(eps.eps2) + 2.0 * jump(eps.eps4) + 0.5 * jump(b)
-            - 2.0 * jump(q1t * eps.eps1) + cumulative_simpson(integrand, x=x, initial=0.0))
+            - 2.0 * jump(q1t * eps.eps1) + cumulative_simpson(integrand, x))
 
 
 @dataclass

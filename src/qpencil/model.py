@@ -31,10 +31,10 @@ from math import comb, factorial, pi
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import zindex
 from .errors import GridMismatchError, OrderTooHighError
+from .simpson import cumulative_simpson
 
 if TYPE_CHECKING:
     from .forward import PotentialPair
@@ -408,7 +408,7 @@ class NumericBackground(BackgroundProblem):
     def _coalescent_table(self, x, lam, mu, tmax, smax):
         # D(0, ., .) = 0, so D is the running integral of dD/dx on the refined grid
         xr = self._refined_x()
-        D = cumulative_simpson(dx_table(self, xr, lam, mu, tmax, smax), x=xr, initial=0.0)
+        D = cumulative_simpson(dx_table(self, xr, lam, mu, tmax, smax), xr)
         return D[..., self._node_index(x)]
 
     def spectral_entry(self, n):

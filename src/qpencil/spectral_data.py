@@ -219,11 +219,10 @@ def _json_pair(v, name: str) -> complex:
 # ordering / grouping
 
 def _check_contiguous(idx: list[int]) -> None:
-    neg = [n for n in idx if n < 0]
-    pos = [n for n in idx if n > 0]
-    if neg and (neg[-1] != -1 or neg != list(range(neg[0], 0))):
+    neg, pos = [n for n in idx if n < 0], [n for n in idx if n > 0]
+    if neg != list(range(-len(neg), 0)):    # idx is sorted and distinct
         raise IndexMismatchError("negative indices must form a contiguous run ending at -1")
-    if pos and (pos[0] != 1 or pos != list(range(1, pos[-1] + 1))):
+    if pos != list(range(1, len(pos) + 1)):
         raise IndexMismatchError("positive indices must form a contiguous run starting at 1")
 
 

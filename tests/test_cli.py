@@ -100,6 +100,12 @@ def _short_row_csv(tmp_path):
     return ["forward", "--potentials", str(path), "--out", str(tmp_path / "s.json")]
 
 
+def _oversized_csv_field(tmp_path):
+    path = tmp_path / "pot.csv"    # 200,000 digits: over the csv module's field limit
+    path.write_text(f"x,re_q1,im_q1,re_sigma,im_sigma\n0,0,0,0,0\n1.5,{'1' * 200_000},0,0,0\n")
+    return ["forward", "--potentials", str(path), "--out", str(tmp_path / "s.json")]
+
+
 def _bad_delta(tmp_path):
     return ["split-table", "--deltas", "0.01,abc", "--out-dir", str(tmp_path), "--no-verify"]
 
@@ -129,9 +135,20 @@ def _text_omega0(tmp_path):
     return _inverse_on_json(tmp_path, {"omega0": ["x", 0], "entries": [_ENTRY]})
 
 
+def _huge_json_index(tmp_path):    # no list of indices up to 10**30 is built
+    return _inverse_on_json(tmp_path, {"entries": [_ENTRY, dict(_ENTRY, n=10**30)]})
+
+
+def _huge_negative_json_index(tmp_path):
+    argv = _inverse_on_json(tmp_path, {"entries": [_ENTRY, dict(_ENTRY, n=-10**30)]})
+    return ["roundtrip", *argv[1:3]]
+
+
 @pytest.mark.parametrize("argv_for", [_entry_without_m, _non_numeric_csv, _extra_field_csv,
                                       _short_row_csv, _bad_delta, _top_level_list,
-                                      _scalar_omega0, _short_omega0, _text_omega0])
+                                      _scalar_omega0, _short_omega0, _text_omega0,
+                                      _oversized_csv_field, _huge_json_index,
+                                      _huge_negative_json_index])
 def test_malformed_input_is_validation_error(tmp_path, argv_for):
     assert main(argv_for(tmp_path)) == EXIT_VALIDATION
 

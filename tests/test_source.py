@@ -1,7 +1,11 @@
-"""Source hygiene: no definition in src/qpencil is reached only by the tests."""
+"""Source hygiene: no definition in src/qpencil is reached only by the tests,
+and importing the package loads numpy but nothing from scipy."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -49,3 +53,40 @@ def test_every_src_definition_is_reached_outside_tests():
                         and not tokens.get(name, set()) - {(path, line)}
                         and not re.search(rf"\b{name}\b", outside)})
     assert unreached == [], f"only tests reach {unreached}: move them into tests/ or delete them"
+
+
+def test_scipy_loads_only_for_an_lu_solve():
+    # importing scipy.linalg.lapack costs a fresh process about 0.25 s and
+    # scipy.integrate about 0.2 s; a dim-4 problem needs neither
+    script = """
+import sys
+import numpy as np
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import qpencil
+from qpencil import (PotentialPair, ZeroBackground, default_grid, find_eigenvalues,
+                     make_split_data, roundtrip_check, run_reconstruction, weight_numbers,
+                     weyl_residues)
+from qpencil.zindex import window
+assert loaded() == [], loaded()
+roundtrip_check(make_split_data(0.01), ZeroBackground(), 3)
+pot = PotentialPair.from_functions(lambda t: 1j, lambda t: 0.0)     # a double eigenvalue
+eigs = find_eigenvalues(pot, 3, pot.omega0())
+weyl_residues(pot, eigs)
+weight_numbers(pot, eigs)
+assert loaded() == [], loaded()
+rng = np.random.default_rng(16)
+z = rng.uniform(-1.0, 1.0, (2, 32, 2)) @ np.array([1.0, 1j])
+entries = [qpencil.SpectralEntry(n=n, lam=n + 0.05 * z[0, i] / abs(n),
+                                 M=-n / np.pi * (1.0 + 0.05 * z[1, i] / abs(n)))
+           for i, n in enumerate(window(16))]
+data = qpencil.SpectralDataSet.from_entries(entries, tail=ZeroBackground(), omega0=0.0)
+run_reconstruction(data, ZeroBackground(), default_grid(200))     # dim 64: LU by LAPACK
+assert "scipy.linalg.lapack" in loaded() and "scipy.integrate" not in loaded(), loaded()
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
