@@ -61,7 +61,6 @@ from .inverse import (
 )
 from .model import (
     BackgroundProblem,
-    NumericBackground,
     ZeroBackground,
 )
 from .spectral_data import (

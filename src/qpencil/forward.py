@@ -51,10 +51,10 @@ from .errors import (
     ValidationError,
     WindingAmbiguousError,
 )
-from .model import DEFAULT_REFINE
 from .simpson import simpson
 from .spectral_data import SpectralDataSet, SpectralEntry
 
+DEFAULT_REFINE = 10   # integrator steps per interval of the potentials' grid
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 CIRCLE_NODES = (16, 32, 64, 128, 256, 512, 1024)    # the levels of a circle sample

@@ -461,8 +461,8 @@ def run_reconstructions(datasets: list[SpectralDataSet], model: BackgroundProble
                         min_window: int = 0, cond_limit: float = COND_LIMIT) -> list:
     """Full pipeline on a stack of sets: assemble, solve, series, branch tracking, recovery.
 
-    Returns, per set, its ``RecoveredPotentials`` or the ``QPencilError`` it raises
-    (an error of a whole stack, such as a grid off a numeric background's, raises).
+    Returns, per set, its ``RecoveredPotentials`` or the ``QPencilError`` it raises;
+    an error that no single set causes raises.
     A set's mean eigenvalue shift must match the background's within 1e-6, and its
     tail must be that background.  Sets of one dim share one ``assemble_system`` and
     one solve; the guard, the branch tracking and the quadrature restart at each set,

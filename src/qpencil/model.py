@@ -11,14 +11,12 @@ needs from the background reduces to
   together with its normalized mixed (lam, mu)-derivatives, and
 * the x-derivative of D, which is ``(lam + mu - 2 q1(x)) S(x,lam) S(x,mu)``.
 
-A numeric background delegates the chains to the shooting integrator.  Both
-backgrounds share one kernel algebra (``d_table``, ``dx_table``) and differ
-only in their chains and in the coalescent branch used when |lam - mu| is
-below ``COALESCE_GAP``, where the quotient form would cancel.  For the zero
-background that branch is the closed form
+The kernel table ``d_table`` builds D from the background's chains by the
+quotient form, except where |lam - mu| is below ``COALESCE_GAP`` and the
+quotient would cancel; there it takes the background's coalescent branch.
+For the zero background that branch is the closed form
 ``D = (1/lam + 1/mu)/2 [s(x, lam-mu) - s(x, lam+mu)]`` with s(x, g) =
-sin(g x)/g (a power series when lam or mu is small); for a numeric one it is
-the running integral of dD/dx.
+sin(g x)/g (a power series when lam or mu is small).
 
 The chains take arrays of lam and the tables arrays of (lam, mu) pairs, and
 pick their branch per element by mask, so a caller needs one call per
@@ -33,17 +31,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import zindex
-from .errors import GridMismatchError, OrderTooHighError
-from .simpson import cumulative_simpson
+from .errors import OrderTooHighError
 
 if TYPE_CHECKING:
-    from .forward import PotentialPair
     from .spectral_data import SpectralDataSet
 
 # Highest supported derivative order (covers eigenvalue multiplicities up to 3).
 P_MAX = 4
-
-DEFAULT_REFINE = 10   # integrator steps per interval of the potentials' grid
 
 # Separation |lam - mu| below which the divided difference switches to the
 # background's coalescent branch.  The gap guards only the quotient form, which
@@ -178,26 +172,6 @@ def d_table(background: "BackgroundProblem", x, lam, mu,
         T[~near] = np.moveaxis(
             _quotient_table(f, la.reshape(col), mb.reshape(col), tmax, smax, sa.shape[1:]), 2, 0)
     return T.reshape(shape + T.shape[1:])
-
-
-def dx_table(background: "BackgroundProblem", x, lam, mu,
-             tmax: int, smax: int) -> np.ndarray:
-    """Mixed derivatives of dD/dx = (lam + mu - 2 q1(x)) S(x,lam) S(x,mu), as ``d_table``."""
-    x = np.asarray(x, dtype=float)
-    shape, lam, mu = _pairs(lam, mu)
-    sa = background.s_chain(x, lam, tmax)
-    sb = background.s_chain(x, mu, smax)
-    w = (lam + mu).reshape((-1,) + (1,) * x.ndim) - 2.0 * background.q1_values(x)
-    X = np.zeros(lam.shape + (tmax + 1, smax + 1) + x.shape, dtype=complex)
-    for t in range(tmax + 1):
-        for s in range(smax + 1):
-            acc = w * sa[t] * sb[s]
-            if s >= 1:
-                acc = acc + sa[t] * sb[s - 1]
-            if t >= 1:
-                acc = acc + sa[t - 1] * sb[s]
-            X[:, t, s] = acc
-    return X.reshape(shape + X.shape[1:])
 
 
 def _series_coalescent(x, lam, mu, tmax, smax):
@@ -336,96 +310,3 @@ def same_background(a: BackgroundProblem | None, b: BackgroundProblem | None) ->
     """Whether two backgrounds are one problem: the same object, or both zero."""
     return a is not None and (
         a is b or (isinstance(a, ZeroBackground) and isinstance(b, ZeroBackground)))
-
-
-class NumericBackground(BackgroundProblem):
-    """Background given by potential grids; chains come from the integrator.
-
-    The evaluation grid must coincide with (a subset of) the refined
-    integration grid so traces can be read off without interpolation.
-    """
-
-    def __init__(self, potentials: "PotentialPair", refine: int = DEFAULT_REFINE):
-        self.potentials = potentials
-        self.refine = refine
-        self._trace_cache: dict[complex, tuple[int, np.ndarray]] = {}
-        self._entry_cache: dict[int, tuple[complex, complex]] = {}
-        self.omega0 = potentials.omega0()
-
-    # -- trace plumbing ----------------------------------------------------
-
-    def _refined_x(self):
-        n = (len(self.potentials.x) - 1) * self.refine
-        return np.linspace(0.0, pi, n + 1)
-
-    def _traces(self, lam, order: int) -> np.ndarray:
-        """(order+1, 2) + lam.shape + (n_refined+1,): chains and quasi-derivatives.
-
-        All lam not yet cached at ``order`` are integrated in one batch.
-        """
-        lam = np.asarray(lam, dtype=complex)
-        keys = lam.reshape(-1).tolist()
-        todo = [z for z in dict.fromkeys(keys) if self._trace_cache.get(z, (-1,))[0] < order]
-        if todo:
-            from .forward import integrate
-
-            res = integrate(self.potentials, np.array(todo), n_derivs=order,
-                            refine=self.refine, with_trace=True)
-            tr = res.trace.transpose(1, 2, 3, 0)  # (order+1, 2, batch, nodes)
-            for i, z in enumerate(todo):
-                self._trace_cache[z] = (order, tr[:, :, i])
-        out = np.empty((order + 1, 2, len(keys), self._refined_x().size), dtype=complex)
-        for i, z in enumerate(keys):
-            out[:, :, i] = self._trace_cache[z][1][: order + 1]
-        return out.reshape(out.shape[:2] + lam.shape + out.shape[-1:])
-
-    def _node_index(self, x):
-        xr = self._refined_x()
-        idx = np.rint(np.asarray(x) / (xr[1] - xr[0])).astype(int)
-        if not np.allclose(xr[idx], x, atol=1e-10):
-            raise GridMismatchError("evaluation points must lie on the refined grid")
-        return idx
-
-    # -- interface ----------------------------------------------------------
-
-    def q1_values(self, x):
-        q = self.potentials.q1
-        xg = self.potentials.x
-        return np.interp(x, xg, q.real) + 1j * np.interp(x, xg, q.imag)
-
-    def sigma_values(self, x):
-        s = self.potentials.sigma
-        xg = self.potentials.x
-        return np.interp(x, xg, s.real) + 1j * np.interp(x, xg, s.imag)
-
-    def s_chain(self, x, lam, order):
-        return self._traces(lam, order)[:, 0][..., self._node_index(x)]
-
-    def sx_chain(self, x, lam, order):
-        tr = self._traces(lam, order)[..., self._node_index(x)]
-        return tr[:, 1] + self.sigma_values(np.asarray(x)) * tr[:, 0]
-
-    def _coalescent_table(self, x, lam, mu, tmax, smax):
-        # D(0, ., .) = 0, so D is the running integral of dD/dx on the refined grid
-        xr = self._refined_x()
-        D = cumulative_simpson(dx_table(self, xr, lam, mu, tmax, smax), xr)
-        return D[..., self._node_index(x)]
-
-    def spectral_entry(self, n):
-        if n == 0:
-            raise ValueError("index 0 is not in Z0")
-        if n not in self._entry_cache:
-            self._compute_entries(max(2, abs(n)))
-        return self._entry_cache[n]
-
-    def _compute_entries(self, n_max):
-        from .forward import find_eigenvalues, weyl_residues
-
-        eigs = find_eigenvalues(self.potentials, n_max, self.omega0, refine=self.refine)
-        full = weyl_residues(self.potentials, eigs, refine=self.refine)
-        for n in zindex.window(n_max):
-            e = full.entry(n)
-            self._entry_cache[n] = (e.lam, e.M)
-
-    def __repr__(self):
-        return f"NumericBackground(n_grid={len(self.potentials.x) - 1})"

@@ -212,7 +212,10 @@ def _json_pair(v, name: str) -> complex:
     """A complex number as JSON writes it: a list [re, im] of two numbers, never bools."""
     if not isinstance(v, list) or len(v) != 2 or any(isinstance(c, bool) for c in v):
         raise ValidationError(f"{name} must be a JSON pair [re, im], got {v!r}")
-    return complex(v[0], v[1])
+    try:
+        return complex(v[0], v[1])
+    except OverflowError:       # an integer beyond the float range
+        raise ValidationError(f"{name} has a part too large for a float") from None
 
 
 # ---------------------------------------------------------------------------

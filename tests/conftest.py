@@ -25,31 +25,23 @@ def circle_batches(monkeypatch):
 
 @pytest.fixture
 def table_calls(monkeypatch):
-    """Calls of the kernel tables ``model.d_table`` and ``model.dx_table``.
+    """Calls of the kernel table ``model.d_table``.
 
-    ``counts[name]`` is the number of calls and ``counts[name + " pairs"]`` the
-    number of (lam, mu) pairs they received.  Both names are patched wherever
-    a module imported them.
+    ``counts["d_table"]`` is the number of calls and ``counts["d_table pairs"]``
+    the number of (lam, mu) pairs they received.  The name is patched in the
+    module that defines it and in the one that imported it.
     """
     import qpencil.inverse as inv
     import qpencil.model as md
 
-    names = ("d_table", "dx_table")
-    counts = {key: 0 for name in names for key in (name, name + " pairs")}
+    counts = {"d_table": 0, "d_table pairs": 0}
+    inner = md.d_table
 
-    def counted(name):
-        inner = getattr(md, name)
+    def counting(background, x, lam, mu, *args, **kwargs):
+        counts["d_table"] += 1
+        counts["d_table pairs"] += np.broadcast(lam, mu).size
+        return inner(background, x, lam, mu, *args, **kwargs)
 
-        def counting(background, x, lam, mu, *args, **kwargs):
-            counts[name] += 1
-            counts[name + " pairs"] += np.broadcast(lam, mu).size
-            return inner(background, x, lam, mu, *args, **kwargs)
-
-        return counting
-
-    for name in names:
-        wrapper = counted(name)
-        for mod in (md, inv):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, wrapper)
+    for mod in (md, inv):
+        monkeypatch.setattr(mod, "d_table", counting)
     return counts

@@ -144,11 +144,28 @@ def _huge_negative_json_index(tmp_path):
     return ["roundtrip", *argv[1:3]]
 
 
+_HUGE = 10**400      # an integer that complex() cannot convert to a float
+
+
+def _huge_json_lambda(tmp_path):
+    return _inverse_on_json(tmp_path, {"entries": [dict(_ENTRY, **{"lambda": [_HUGE, 0]})]})
+
+
+def _huge_json_m(tmp_path):
+    return _inverse_on_json(tmp_path, {"entries": [dict(_ENTRY, M=[0, -_HUGE])]})
+
+
+def _huge_json_omega0(tmp_path):
+    argv = _inverse_on_json(tmp_path, {"omega0": [_HUGE, 0], "entries": [_ENTRY]})
+    return ["roundtrip", *argv[1:3]]
+
+
 @pytest.mark.parametrize("argv_for", [_entry_without_m, _non_numeric_csv, _extra_field_csv,
                                       _short_row_csv, _bad_delta, _top_level_list,
                                       _scalar_omega0, _short_omega0, _text_omega0,
                                       _oversized_csv_field, _huge_json_index,
-                                      _huge_negative_json_index])
+                                      _huge_negative_json_index, _huge_json_lambda,
+                                      _huge_json_m, _huge_json_omega0])
 def test_malformed_input_is_validation_error(tmp_path, argv_for):
     assert main(argv_for(tmp_path)) == EXIT_VALIDATION
 

@@ -16,15 +16,12 @@ from scipy.integrate import cumulative_simpson
 
 from qpencil import (
     DegenerateSeriesError,
-    NumericBackground,
-    PotentialPair,
     SingularSystemError,
     SpectralDataSet,
     SpectralEntry,
     ZeroBackground,
     assemble_system,
     compute_epsilons,
-    find_eigenvalues,
     make_split_data,
     recover_q0_antiderivative,
     recover_q1,
@@ -32,11 +29,9 @@ from qpencil import (
     run_reconstruction,
     run_reconstructions,
     solve_main,
-    weyl_residues,
 )
 import qpencil
 import qpencil.inverse as qinv
-import qpencil.model as qmodel
 from qpencil.experiments import REFERENCE_DELTAS
 from qpencil.inverse import (
     LU_MIN_DIM,
@@ -45,8 +40,9 @@ from qpencil.inverse import (
     active_layout,
     default_grid,
 )
-from qpencil.model import COALESCE_GAP, SMALL_LAMBDA, d_table, dx_table
+from qpencil.model import COALESCE_GAP, SMALL_LAMBDA, d_table
 from qpencil.zindex import window
+from test_model import dx_table
 
 
 @pytest.fixture(scope="module")
@@ -260,27 +256,6 @@ def test_layout_rejects_oversized_groups(zero_model):
         active_layout(data, zero_model)
 
 
-def test_numeric_background_reconstruction_roundtrip():
-    """Perturb one eigenvalue of a nonzero background and reconstruct against it."""
-    base = PotentialPair.from_functions(
-        lambda t: 0.12 * np.sin(2 * t) + 0.05j * np.cos(t),
-        lambda t: 0.08 * (1 - np.cos(t)),
-        n_grid=200)
-    bg = NumericBackground(base, refine=10)
-    data = bg.spectral_data(3)
-    shift = 0.04
-    perturbed = data.replace_entry(2, lam=data.entry(2).lam + shift)
-    rec = run_reconstruction(perturbed, bg, default_grid(200))
-    assert np.max(np.abs(rec.q1 - bg.q1_values(rec.x))) > 1e-3  # actually moved
-    pot = rec.as_potentials()
-    eigs = find_eigenvalues(pot, 3, pot.omega0())
-    full = weyl_residues(pot, eigs)
-    for n in (-2, -1, 1, 2, 3):
-        want = perturbed.entry(n).lam
-        assert abs(full.entry(n).lam - want) < 2e-3
-    assert abs(full.entry(2).M - perturbed.entry(2).M) / abs(perturbed.entry(2).M) < 2e-2
-
-
 def _wide_data(width, seed):
     """Data off the zero background at every |n| <= width, all eigenvalues simple."""
     rng = np.random.default_rng(seed)
@@ -323,29 +298,11 @@ def _column_sums(system):
     return B, Bx
 
 
-@pytest.fixture(scope="module")
-def numeric_case():
-    base = PotentialPair.from_functions(
-        lambda t: 0.12 * np.sin(2 * t) + 0.05j * np.cos(t),
-        lambda t: 0.08 * (1 - np.cos(t)),
-        n_grid=100)
-    bg = NumericBackground(base, refine=10)
-    data = bg.spectral_data(2)
-    # one coalescent and one far data/background pair
-    data = data.replace_entry(2, lam=data.entry(2).lam + 0.02)
-    data = data.replace_entry(-1, lam=data.entry(-1).lam - 0.3)
-    return data, bg
-
-
-@pytest.mark.parametrize("case", ["wide", "double-group", "small-lambda", "numeric"])
-def test_assembly_matches_per_entry_tables(case, zero_model, request):
-    if case == "numeric":
-        data, model = request.getfixturevalue("numeric_case")
-    else:
-        data = {"wide": _wide_data(6, 7), "double-group": make_split_data(0.0),
-                "small-lambda": make_split_data(0.01)}[case]
-        model = zero_model
-    system = assemble_system(data, model, default_grid(50))
+@pytest.mark.parametrize("case", ["wide", "double-group", "small-lambda"])
+def test_assembly_matches_per_entry_tables(case, zero_model):
+    data = {"wide": _wide_data(6, 7), "double-group": make_split_data(0.0),
+            "small-lambda": make_split_data(0.01)}[case]
+    system = assemble_system(data, zero_model, default_grid(50))
     rows = system.layout.rows()
     if case == "wide":
         assert any(0 < abs(er.lam - ec.lam) < COALESCE_GAP
@@ -371,8 +328,7 @@ def test_assembly_tables_only_coalescent_pairs(zero_model, table_calls):
     assert system.layout.dim == 64
     assert close < 2 * system.layout.dim     # the diagonal and same-index pairs
     # all simple: every pair has the order key (0, 0), so one call takes them all
-    assert table_calls == {"d_table": 1, "d_table pairs": close,
-                           "dx_table": 0, "dx_table pairs": 0}
+    assert table_calls == {"d_table": 1, "d_table pairs": close}
 
 
 def test_assembly_tables_group_pairs(zero_model, table_calls):
@@ -384,20 +340,15 @@ def test_assembly_tables_group_pairs(zero_model, table_calls):
     close = len(tabled) - grouped
     keys = {(er.nu, ec.m - 1 - ec.nu) for er, ec in tabled}
     assert (grouped, close, len(keys)) == (12, 2, 4)
-    assert table_calls == {"d_table": len(keys), "d_table pairs": grouped + close,
-                           "dx_table": 0, "dx_table pairs": 0}
+    assert table_calls == {"d_table": len(keys), "d_table pairs": grouped + close}
 
 
-@pytest.mark.parametrize("case", ["wide", "wide-128", "double-group", "numeric"])
-def test_solve_matches_per_node_oracle(case, zero_model, request):
-    if case == "numeric":
-        data, model = request.getfixturevalue("numeric_case")
-    else:
-        # dim 128 is large enough for getrf to use its threads
-        data = {"wide": _wide_data(16, 903), "wide-128": _wide_data(32, 905),
-                "double-group": make_split_data(0.0)}[case]
-        model = zero_model
-    system = assemble_system(data, model, default_grid(40))
+@pytest.mark.parametrize("case", ["wide", "wide-128", "double-group"])
+def test_solve_matches_per_node_oracle(case, zero_model):
+    # dim 128 is large enough for getrf to use its threads
+    data = {"wide": _wide_data(16, 903), "wide-128": _wide_data(32, 905),
+            "double-group": make_split_data(0.0)}[case]
+    system = assemble_system(data, zero_model, default_grid(40))
     v, v_x, cond, residual = solve_main(system)
     _, Px = _tabulated(system)
     eye, P = np.eye(system.layout.dim), system.form_P()
@@ -688,14 +639,10 @@ def test_forked_child_solves_after_a_parallel_solve(zero_model, monkeypatch):
     assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
-@pytest.mark.parametrize("case", ["split-0", "split-0.01", "split-0.0001", "numeric"])
-def test_complex_simpson_is_its_real_and_imaginary_parts(case, zero_model, request, monkeypatch):
-    if case == "numeric":
-        data, model = request.getfixturevalue("numeric_case")
-    else:
-        data, model = make_split_data(float(case[6:])), zero_model
-    x = default_grid(200)
-    got = run_reconstruction(data, model, x)
+@pytest.mark.parametrize("case", ["split-0", "split-0.01", "split-0.0001"])
+def test_complex_simpson_is_its_real_and_imaginary_parts(case, zero_model, monkeypatch):
+    data, x = make_split_data(float(case[6:])), default_grid(200)
+    got = run_reconstruction(data, zero_model, x)
     calls = []
 
     def by_parts(y, x):
@@ -704,9 +651,8 @@ def test_complex_simpson_is_its_real_and_imaginary_parts(case, zero_model, reque
             + 1j * cumulative_simpson(y.imag, x=x, initial=0.0)
 
     monkeypatch.setattr(qinv, "cumulative_simpson", by_parts)
-    monkeypatch.setattr(qmodel, "cumulative_simpson", by_parts)
-    want = run_reconstruction(data, model, x)
-    assert len(calls) >= (2 if case == "numeric" else 1)
+    want = run_reconstruction(data, zero_model, x)
+    assert len(calls) >= 1
     for name in ("q1", "q0_antideriv", "cond"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.residual == want.residual

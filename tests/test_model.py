@@ -9,13 +9,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpencil import (
-    NumericBackground,
     OrderTooHighError,
-    PotentialPair,
     ZeroBackground,
     compute_diagnostics,
 )
-from qpencil.model import P_MAX, _quotient_table, d_table, dx_table, s_chain, sx_chain
+from qpencil.model import (
+    P_MAX,
+    BackgroundProblem,
+    _pairs,
+    _quotient_table,
+    d_table,
+    s_chain,
+    sx_chain,
+)
 from test_forward import coefficients_from_weights
 
 finite_complex = st.complex_numbers(max_magnitude=8.0, allow_nan=False,
@@ -272,6 +278,29 @@ def test_s_chain_against_mpmath_oracle(lam):
         assert np.max(np.abs(got[nu] - ref[nu])) < 1e-10 * np.max(np.abs(ref[nu]))
 
 
+def dx_table(background: BackgroundProblem, x, lam, mu,
+             tmax: int, smax: int) -> np.ndarray:
+    """Mixed derivatives of dD/dx = (lam + mu - 2 q1(x)) S(x,lam) S(x,mu), as ``d_table``.
+
+    The reference for the factored dP/dx of the main equation.
+    """
+    x = np.asarray(x, dtype=float)
+    shape, lam, mu = _pairs(lam, mu)
+    sa = background.s_chain(x, lam, tmax)
+    sb = background.s_chain(x, mu, smax)
+    w = (lam + mu).reshape((-1,) + (1,) * x.ndim) - 2.0 * background.q1_values(x)
+    X = np.zeros(lam.shape + (tmax + 1, smax + 1) + x.shape, dtype=complex)
+    for t in range(tmax + 1):
+        for s in range(smax + 1):
+            acc = w * sa[t] * sb[s]
+            if s >= 1:
+                acc = acc + sa[t] * sb[s - 1]
+            if t >= 1:
+                acc = acc + sa[t - 1] * sb[s]
+            X[:, t, s] = acc
+    return X.reshape(shape + X.shape[1:])
+
+
 def test_d_model_x_deriv_values():
     assert dx_table(ZERO, 0.0, 1.3, 0.7, 0, 0)[0, 0] == pytest.approx(0.0, abs=1e-15)
     assert dx_table(ZERO, pi / 2, 1.0, 1.0, 0, 0)[0, 0] == pytest.approx(2.0, rel=1e-13)
@@ -315,65 +344,3 @@ def test_model_weight_numbers_via_duality():
     for n in (1, 2, -3):
         (alpha,) = coefficients_from_weights([pi / n])
         assert alpha == pytest.approx(-n / pi)
-
-
-def test_numeric_chains_integrate_uncached_lams_in_one_batch(monkeypatch):
-    import qpencil.forward as fw
-
-    batches = []
-    inner = fw.integrate
-
-    def counting(potentials, lams, *args, **kwargs):
-        batches.append((len(lams), kwargs["n_derivs"]))
-        return inner(potentials, lams, *args, **kwargs)
-
-    monkeypatch.setattr(fw, "integrate", counting)
-    bg = NumericBackground(PotentialPair.zeros(40), refine=2)
-    x = np.linspace(0.0, pi, 41)
-    lams = np.array([1.0, 2.5 + 0.3j, 1.0, 0.2])
-    first = bg.s_chain(x, lams, 1)
-    assert batches == [(3, 1)]                # one batch of the distinct lams
-    assert np.array_equal(bg.s_chain(x, lams[1], 0), first[:1, 1])
-    bg.sx_chain(x, np.array([0.2, 3.0]), 1)   # only 3.0 is new
-    bg.s_chain(x, np.array([1.0]), 2)         # a higher order than cached
-    assert batches == [(3, 1), (1, 1), (1, 2)]
-
-
-@pytest.fixture(scope="module")
-def numeric():
-    return NumericBackground(PotentialPair.zeros(200), refine=10)
-
-
-@pytest.fixture(scope="module")
-def grid():
-    return np.linspace(0.0, pi, 201)
-
-
-class TestNumericBackgroundMatchesClosedForms:
-    """A numeric background built on zero grids must agree with the closed forms."""
-
-    def test_chains(self, numeric, grid):
-        zero = ZeroBackground()
-        for lam in (1.0, 2.5 + 0.3j):
-            a = numeric.s_chain(grid, lam, 2)
-            b = zero.s_chain(grid, lam, 2)
-            assert np.max(np.abs(a - b)) < 1e-9
-            ax = numeric.sx_chain(grid, lam, 1)
-            bx = zero.sx_chain(grid, lam, 1)
-            assert np.max(np.abs(ax - bx)) < 1e-9
-
-    def test_kernel_tables(self, numeric, grid):
-        zero = ZeroBackground()
-        pairs = [(1.5, 0.5 + 0.1j), (2.0, 2.0), (0.5, 0.52)]
-        for lam, mu in pairs:
-            a = d_table(numeric, grid, lam, mu, 1, 1)
-            b = d_table(zero, grid, lam, mu, 1, 1)
-            assert np.max(np.abs(a - b)) < 1e-7
-            ax = dx_table(numeric, grid, lam, mu, 1, 1)
-            bx = dx_table(zero, grid, lam, mu, 1, 1)
-            assert np.max(np.abs(ax - bx)) < 1e-8
-
-    def test_spectral_entries(self, numeric):
-        lam, M = numeric.spectral_entry(2)
-        assert lam == pytest.approx(2.0, abs=1e-8)
-        assert M == pytest.approx(-2 / pi, abs=1e-7)
