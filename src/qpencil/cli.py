@@ -20,7 +20,7 @@ from .experiments import (
     run_table,
     write_recovered_csv,
 )
-from .forward import DEFAULT_REFINE, PotentialPair, find_eigenvalues, weyl_residues
+from .forward import PotentialPair, find_eigenvalues, weyl_residues
 from .inverse import COND_LIMIT, default_grid, run_reconstruction
 from .model import ZeroBackground
 from .spectral_data import SpectralDataSet, truncate_hybrid
@@ -31,9 +31,9 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 PROFILES = {
-    "default": {"refine": DEFAULT_REFINE, "cond_limit": COND_LIMIT},
+    "default": {"refine": None, "cond_limit": COND_LIMIT},    # refine: forward's rule
     "strict": {"refine": 20, "cond_limit": 1e8},
-    "loose": {"refine": 5, "cond_limit": 1e12},
+    "loose": {"refine": 3, "cond_limit": 1e12},
 }
 
 

@@ -28,7 +28,6 @@ from .errors import (
     ValidationError,
 )
 from .forward import (
-    DEFAULT_REFINE,
     circle_nodes,
     find_eigenvalues,
     sample_circle,
@@ -318,7 +317,7 @@ class RoundtripReport:
 
 
 def roundtrip_check(data: SpectralDataSet, model: BackgroundProblem,
-                    n_check: int, grid=None, refine: int = DEFAULT_REFINE,
+                    n_check: int, grid=None, refine: int | None = None,
                     cond_limit: float = COND_LIMIT) -> RoundtripReport:
     """Reconstruct, solve the direct problem on the result, compare the data.
 

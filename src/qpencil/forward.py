@@ -55,6 +55,7 @@ from .simpson import simpson
 from .spectral_data import SpectralDataSet, SpectralEntry
 
 DEFAULT_REFINE = 10   # integrator steps per interval of the potentials' grid
+REFINE_CUT = 9.0      # largest |lam| that refine 5 resolves on 200 intervals (``_refine``)
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 CIRCLE_NODES = (16, 32, 64, 128, 256, 512, 1024)    # the levels of a circle sample
@@ -102,12 +103,11 @@ def read_csv(path, header: list[str]) -> list[list[float]]:
 class PotentialPair:
     """Grid representation of (q1, sigma) on uniform nodes of [0, pi].
 
-    ``sigma`` is the antiderivative of the zeroth-order potential with
-    sigma(0) = 0; both arrays are interpreted as piecewise-linear functions
-    of x.  Genuinely singular potentials (delta functions) are out of scope:
-    sigma must be continuous, i.e. representable by its node values.  The
-    arrays are read-only copies, so the integrator tables and Newton's residue
-    record cached on them never go stale.
+    ``sigma`` is the antiderivative of the zeroth-order potential with sigma(0) = 0;
+    both are read as cubics between the nodes (``_cubic``).  Genuinely singular
+    potentials (delta functions) are out of scope: sigma must be continuous, i.e.
+    representable by its node values.  The arrays are read-only copies, so the
+    integrator tables and Newton's residue record cached on them never go stale.
     """
 
     x: np.ndarray
@@ -243,6 +243,20 @@ def _pair_steps(X):
     return P.reshape(2 * d - 1, 4, n)
 
 
+def _cubic(values, sub):
+    """The 4-point Lagrange interpolant of uniform node values, at ``sub`` points per interval
+    and the last node.  Interval i reads nodes i-1..i+2; ghost nodes -1 and n+1 on the cubic
+    through the four end nodes make the end intervals one-sided, and on 2 or 3 nodes the
+    interpolant is their line or parabola."""
+    p = min(4, len(values))
+    ext = np.array([(-1) ** k * comb(p, k + 1) for k in range(p)])   # the next node out
+    f = np.concatenate([[ext @ values[:p]], values, [ext @ values[:-p - 1:-1]]])
+    s = np.arange(sub) / sub
+    w = np.array([-s * (s - 1) * (s - 2) / 6, (s + 1) * (s - 1) * (s - 2) / 2,
+                  -(s + 1) * s * (s - 2) / 2, (s + 1) * s * (s - 1) / 6])
+    return np.append(np.lib.stride_tricks.sliding_window_view(f, 4) @ w, values[-1])
+
+
 def _coefficients(potentials, refine, per_step):
     """The table of T - I per step or per block, built once per (potentials, refine).
 
@@ -252,13 +266,13 @@ def _coefficients(potentials, refine, per_step):
     if key not in potentials._tables:
         if per_step:
             m_steps = potentials.n_grid * refine
-            half = np.linspace(0.0, pi, 2 * m_steps + 1)     # nodes and step midpoints
-            sig = np.interp(half, potentials.x, potentials.sigma)
-            q1 = np.interp(half, potentials.x, potentials.q1)
+            sig = _cubic(potentials.sigma, 2 * refine)      # nodes and step midpoints
+            q1 = _cubic(potentials.q1, 2 * refine)
             X = _step_polynomials(pi / m_steps, sig[::2], sig[1::2], q1[::2], q1[1::2])
         else:
             X = _coefficients(potentials, refine, True)
-            X = np.concatenate([X, np.zeros(X.shape[:2] + (-X.shape[2] % BLOCK_STEPS,))], axis=2)
+            if pad := -X.shape[2] % BLOCK_STEPS:
+                X = np.concatenate([X, np.zeros(X.shape[:2] + (pad,))], axis=2)
             for _ in range(BLOCK_STEPS.bit_length() - 1):
                 X = _pair_steps(X)
         potentials._tables[key] = X
@@ -297,6 +311,15 @@ def _prefix_products(T):
     return T
 
 
+def _refine(potentials, lam_max, refine=None):
+    """``refine`` if given, else the RK4 steps per grid interval for a task within |lam| <=
+    lam_max.  RK4's error grows as (H / refine)^4 |lam|^5 on intervals of width H; refine 5
+    keeps it under the O(H^2) error of a piecewise-linear reading at refine 10 up to
+    |lam| = REFINE_CUT on 200 intervals, a cut that scales as H^(-2/5) on coarser grids."""
+    cut = REFINE_CUT * min(potentials.n_grid / 200, 1.0) ** 0.4
+    return refine if refine is not None else 5 if lam_max <= cut else DEFAULT_REFINE
+
+
 def _chains(Y):
     """State (terms, 2, cols, m, L) -> chain values (m, chains, 2, L): S_k, then C."""
     cols = Y[:, :, 0] if Y.shape[2] == 1 else np.concatenate([Y[:, :, 0], Y[:1, :, 1]])
@@ -309,9 +332,9 @@ def integrate(potentials: PotentialPair, lams, n_derivs: int = 0,
               with_trace: bool = False) -> ShootingResult:
     """Fixed-step RK4 over the refined grid for a batch of spectral parameters.
 
-    The potentials are sampled at refined nodes and midpoints of their
-    piecewise-linear interpolants, so step halving (larger ``refine``)
-    converges at fourth order to the piecewise-linear problem.
+    The potentials are sampled at refined nodes and midpoints of their cubic
+    interpolants (``_cubic``), so the solution converges at fourth order both
+    in the grid of the potentials and in the step (larger ``refine``).
 
     The matrices T(lam + eps) of blocks of BLOCK_STEPS steps (module
     docstring), truncated after the eps^n_derivs term, are evaluated from the
@@ -322,8 +345,8 @@ def integrate(potentials: PotentialPair, lams, n_derivs: int = 0,
     S = 0, S^[1] = 1 (and C = 1, C^[1] = 0 for ``with_c``; C carries no
     chains) times all earlier blocks.  ``with_trace`` evaluates the per-step
     table instead and keeps every node, and its ``x_refined``, from the chunks'
-    prefix products.  The tables (1.2 MB at 200 intervals x refine 10) are kept
-    for later calls.
+    prefix products.  The tables (0.6 MB at 200 intervals x refine 5, 1.2 MB at
+    refine 10) are kept for later calls.
     """
     for name, val, low in (("refine", refine, 1), ("n_derivs", n_derivs, 0)):
         if not isinstance(val, (int, np.integer)) or val < low:
@@ -449,7 +472,7 @@ class CircleSample:
 
 
 def sample_circle(potentials: PotentialPair, center: complex, radius: float,
-                  sums: int = 0, laurent: int = 0, refine: int = DEFAULT_REFINE,
+                  sums: int = 0, laurent: int = 0, refine: int | None = None,
                   check_halving: bool = False) -> CircleSample:
     """Integrate Delta on |lam - center| = radius by nested doubling; count the roots inside.
 
@@ -458,8 +481,10 @@ def sample_circle(potentials: PotentialPair, center: complex, radius: float,
     when no arg Delta step exceeds ``PHASE_STEP_MAX``, its count is the level
     before's, and its requested ``moments(sums, laurent)`` moved by at most
     MOMENT_TOL times their integrand's largest node value.  ``check_halving``
-    also requires the count on half the radius.
+    also requires the count on half the radius.  ``refine`` defaults to ``_refine``'s
+    for |lam| <= |center| + radius.
     """
+    refine = _refine(potentials, abs(center) + radius, refine)
     vals = last = None
     for n_nodes in CIRCLE_NODES:
         zs = circle_nodes(center, radius, n_nodes)
@@ -488,7 +513,7 @@ def sample_circle(potentials: PotentialPair, center: complex, radius: float,
 
 
 def winding_number(potentials: PotentialPair, center: complex, radius: float,
-                   refine: int = DEFAULT_REFINE) -> int:
+                   refine: int | None = None) -> int:
     """Argument-principle winding of the characteristic function on a circle."""
     return sample_circle(potentials, center, radius, refine=refine).count
 
@@ -546,7 +571,7 @@ def _cluster_search(potentials, center, radius, refine, outer=()):
 
 
 def find_eigenvalues(potentials: PotentialPair, n_max: int, omega0: complex,
-                     refine: int = DEFAULT_REFINE) -> SpectralDataSet:
+                     refine: int | None = None) -> SpectralDataSet:
     """Locate eigenvalues for 1 <= |n| <= n_max, with multiplicities.
 
     Newton from n + omega0 keeps the root of index n only inside its slot
@@ -558,7 +583,9 @@ def find_eigenvalues(potentials: PotentialPair, n_max: int, omega0: complex,
     inside it and number 2 n_star with multiplicities; otherwise n_star grows, and
     beyond n_max RootNotConvergedError is raised.  Residue coefficients are left
     unset, but the Newton steps record them on the potentials for ``weyl_residues``.
+    The default refine is ``_refine``'s for |lam| <= n_max + |omega0| + 1/2, as there.
     """
+    refine = _refine(potentials, n_max + abs(omega0) + 0.5, refine)
     ns = np.array(zindex.window(n_max), dtype=int)
     lam, failed = _newton_batch(potentials, ns + omega0, refine, ns=ns)
     n_fail = int(np.abs(ns[failed]).max(initial=0))
@@ -584,7 +611,7 @@ def find_eigenvalues(potentials: PotentialPair, n_max: int, omega0: complex,
 # residues and weight numbers
 
 def weyl_residues(potentials: PotentialPair, eigenvalues: SpectralDataSet,
-                  refine: int = DEFAULT_REFINE) -> SpectralDataSet:
+                  refine: int | None = None) -> SpectralDataSet:
     """Laurent coefficients of the Weyl function at the located eigenvalues.
 
     The Weyl function is -C(pi, lam)/Delta(lam).  Simple eigenvalues use the
@@ -592,8 +619,10 @@ def weyl_residues(potentials: PotentialPair, eigenvalues: SpectralDataSet,
     on these potentials at this refine (``_newton_batch``), else integrated
     afresh; M values of the input set are ignored.  A multiplicity group uses
     trapezoid quadrature of (lam - lam_n)^nu M(lam) on a circle separating the
-    group, whose root count must equal the group size.
+    group, whose root count must equal the group size.  ``refine`` defaults as in
+    ``find_eigenvalues``.
     """
+    refine = _refine(potentials, eigenvalues.max_abs_index + abs(eigenvalues.omega0) + 0.5, refine)
     record = potentials._tables.get(("residues", refine), {})
     Ms = {g.start: complex(record[k]) for g in eigenvalues.groups
           if g.size == 1 and (k := np.complex128(g.lam).tobytes()) in record}
@@ -625,14 +654,16 @@ def weyl_residues(potentials: PotentialPair, eigenvalues: SpectralDataSet,
 
 
 def weight_numbers(potentials: PotentialPair, eigenvalues: SpectralDataSet,
-                   refine: int = DEFAULT_REFINE) -> dict[int, complex]:
+                   refine: int | None = None) -> dict[int, complex]:
     """Generalized weight numbers by grid quadrature.
 
     For a group of size m at lam with chains S_0..S_(m-1),
     alpha_(g+nu) = int (2(lam - q1) S_(m-1) + S_(m-2)) S_nu dx
                  + int S_(m-1) S_(nu-1) dx,  with S_(-1) = 0.
-    The groups of one size share one traced integration.
+    The groups of one size share one traced integration; ``refine`` defaults as
+    in ``find_eigenvalues``.
     """
+    refine = _refine(potentials, eigenvalues.max_abs_index + abs(eigenvalues.omega0) + 0.5, refine)
     by_size: dict[int, list] = {}
     for g in eigenvalues.groups:
         by_size.setdefault(g.size, []).append(g)
@@ -641,7 +672,7 @@ def weight_numbers(potentials: PotentialPair, eigenvalues: SpectralDataSet,
         lams = np.array([g.lam for g in groups])
         res = integrate(potentials, lams, n_derivs=m - 1, refine=refine, with_trace=True)
         xr = res.x_refined
-        q1r = np.interp(xr, potentials.x, potentials.q1)[:, None]
+        q1r = _cubic(potentials.q1, refine)[:, None]
         S = res.trace[:, :, 0].transpose(1, 0, 2)      # (m, nodes+1, groups)
         lead = 2.0 * (lams - q1r) * S[m - 1] + (S[m - 2] if m >= 2 else 0.0)
         for nu in range(m):

@@ -65,22 +65,19 @@ def reference_integrate(pot, lams, n_derivs, refine, dtype=complex):
 
     Each step evaluates the right-hand side four times on the stacked state
     (chains, 2, L); the chain S_k has the sources (2 q1 - 2 lam) S_(k-1) - S_(k-2).
-    Returns (s, c, trace) shaped like ShootingResult with with_c=True.  With
-    ``dtype=np.clongdouble`` the same steps run in extended precision on the
-    same double-precision inputs.
+    The potentials are read at nodes and midpoints through ``integrate``'s
+    cubic interpolant.  Returns (s, c, trace) shaped like ShootingResult with
+    with_c=True.  With ``dtype=np.clongdouble`` the same steps run in extended
+    precision on the same double-precision inputs.
     """
+    import qpencil.forward as fw
+
     lams = np.atleast_1d(np.asarray(lams, dtype=complex)).astype(dtype)
     n_s = n_derivs + 1
     m_steps = pot.n_grid * refine
     h = np.finfo(dtype).dtype.type(pi / m_steps)
-    xr = np.linspace(0.0, pi, m_steps + 1)
-    xm = xr[:-1] + 0.5 * (pi / m_steps)
-
-    def sample(vals, pts):
-        return (np.interp(pts, pot.x, vals.real) + 1j * np.interp(pts, pot.x, vals.imag)).astype(dtype)
-
-    sig_n, q1_n = sample(pot.sigma, xr), sample(pot.q1, xr)
-    sig_m, q1_m = sample(pot.sigma, xm), sample(pot.q1, xm)
+    sig, q1 = (fw._cubic(vals, 2 * refine).astype(dtype) for vals in (pot.sigma, pot.q1))
+    sig_n, q1_n, sig_m, q1_m = sig[::2], q1[::2], sig[1::2], q1[1::2]
 
     def rhs(Y, sig, q1v):
         g = 2.0 * lams * q1v - lams * lams - sig * sig
@@ -242,6 +239,58 @@ def test_block_table_matches_the_stride_two_pairing(n_grid, refine):
     assert np.array_equal(fw._coefficients(pot, refine, per_step=False), X)
 
 
+@pytest.mark.parametrize("n_nodes", [2, 3, 4, 5, 201])
+def test_cubic_reading_is_the_four_point_lagrange_interpolant(n_nodes):
+    # interval i reads nodes i-1..i+2, shifted inwards at the ends; 2 and 3 nodes
+    # give the line and the parabola through them
+    import qpencil.forward as fw
+
+    p, n, sub = min(4, n_nodes), n_nodes - 1, 7
+    x = np.linspace(0.0, pi, n_nodes)
+    values = np.exp(1j * x) + x ** 3
+    got = fw._cubic(values, sub)
+    j = np.arange(n * sub + 1)
+    start = np.clip(np.minimum(j // sub, n - 1) - 1, 0, n + 1 - p)
+    s = (j - start * sub) / sub
+    want = sum(np.prod([(s - m) / (k - m) for m in range(p) if m != k], axis=0) * values[start + k]
+               for k in range(p))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(values))
+    assert np.array_equal(got[::sub], values)
+    xs = np.linspace(0.0, pi, n * sub + 1)
+    assert np.max(np.abs(fw._cubic(x ** (p - 1) + 0j, sub) - xs ** (p - 1))) <= 1e-13
+
+
+def test_cubic_reading_converges_at_fourth_order():
+    # q1 and sigma read as cubics: at |n| <= 8 the eigenvalues and residues on 201
+    # nodes agree with those on 3,201 nodes to 1e-8 and 1e-7 (the piecewise-linear
+    # reading gave 3.5e-6 and 3.3e-5)
+    q1 = lambda t: 0.1 + 0.2 * np.cos(t) + 0.1j * np.sin(2 * t)
+    sig = lambda t: 0.3 * np.sin(t) ** 2 + 0.15j * t
+    sets = []
+    for n_grid in (200, 3200):
+        pot = PotentialPair.from_functions(q1, sig, n_grid)
+        eigs = find_eigenvalues(pot, 8, pot.omega0(), refine=10)
+        sets.append(weyl_residues(pot, eigs, refine=10))
+    got, want = ([e.entry(n) for n in window(8)] for e in sets)
+    assert max(abs(g.lam - w.lam) for g, w in zip(got, want)) <= 1e-8
+    assert max(abs(g.M / w.M - 1.0) for g, w in zip(got, want)) <= 1e-7
+
+
+@pytest.mark.parametrize("n_grid, n_max, refine", [(200, 8, 5), (200, 9, 10), (50, 4, 5),
+                                                   (50, 5, 10), (800, 8, 5), (800, 9, 10)])
+def test_default_refine_halves_the_steps_below_the_cut(n_grid, n_max, refine):
+    # |lam| <= n_max + |omega0| + 1/2 with omega0 ~ 0: refine 5 up to |lam| = 9 on 200
+    # intervals or more, up to 9 (n_grid / 200)^(2/5) on fewer, the fixed refine 10 above
+    import qpencil.forward as fw
+
+    pot = smooth_pair(amp=0.35, n_grid=n_grid)
+    eigs = find_eigenvalues(pot, n_max, pot.omega0())
+    assert [k[1] for k in pot._tables if k[0] == "residues"] == [refine]
+    weight_numbers(pot, eigs)
+    assert (refine, True) in pot._tables
+    assert fw._refine(pot, n_max + 0.5, refine=7) == 7
+
+
 def test_potentials_are_read_only_copies():
     q1 = np.linspace(0.0, 1.0, 11) + 0.5j
     pot = PotentialPair(x=np.linspace(0.0, pi, 11), q1=q1, sigma=np.zeros(11))
@@ -375,6 +424,8 @@ def counting_integrate(monkeypatch):
 
 
 def test_weyl_residues_take_simple_roots_from_newton(monkeypatch):
+    import qpencil.forward as fw
+
     pot = smooth_pair(amp=0.35)
     eigs = find_eigenvalues(pot, 5, pot.omega0())
     assert all(g.size == 1 for g in eigs.groups)
@@ -382,17 +433,23 @@ def test_weyl_residues_take_simple_roots_from_newton(monkeypatch):
     full = weyl_residues(pot, eigs)
     monkeypatch.undo()
     assert calls == []
+    # both took the rule's refine for |lam| <= 5 + |omega0| + 1/2
+    refine = fw._refine(pot, 5.5 + abs(pot.omega0()))
+    assert refine == 5 and list(pot._tables[("residues", refine)])
     lams = np.array([eigs.entry(n).lam for n in window(5)])
-    res = integrate(pot, lams, n_derivs=1, with_c=True)
+    res = integrate(pot, lams, n_derivs=1, with_c=True, refine=refine)
     got = np.array([full.entry(n).M for n in window(5)])
     assert np.max(np.abs(got / (-res.c / res.s[1]) - 1.0)) <= 1e-13
 
 
 @pytest.mark.parametrize("case", ["equal arrays", "one ulp off", "foreign M", "another refine"])
 def test_weyl_residues_integrate_what_newton_did_not_accept(monkeypatch, case):
+    import qpencil.forward as fw
+
     pot = smooth_pair(amp=0.35)
     eigs = find_eigenvalues(pot, 5, pot.omega0())
-    refine = 5 if case == "another refine" else DEFAULT_REFINE
+    # Newton took the rule's refine, 5 for this window
+    refine = DEFAULT_REFINE if case == "another refine" else fw._refine(pot, 5.5 + abs(pot.omega0()))
     data, fresh = eigs, window(5)
     if case == "equal arrays":          # another PotentialPair holds no record
         pot = PotentialPair(x=pot.x, q1=pot.q1, sigma=pot.sigma)
@@ -433,11 +490,12 @@ def double_eigenvalue_pair(case):
     gives a double one at i, where the Weyl function -k cot(k pi) has the
     Laurent pair (0, -2/pi).  "varying": non-constant q1 and complex sigma,
     with the constant c of q1 from a Newton solve of Delta = Delta' = 0 in
-    (lam, c); the double eigenvalue sits near -0.0227 + 0.9944i.
+    (lam, c) at refine 5, the rule's refine for |n| <= 3; the double eigenvalue
+    sits near -0.02271 + 0.99435i.
     """
     if case == "constant":
         return PotentialPair.from_functions(lambda t: 1j, lambda t: 0.0)
-    c = -0.0604507451126278 + 1.0134945056115443j
+    c = -0.060451775486695516 + 1.0134947651969257j
     return PotentialPair.from_functions(
         lambda t: c + 0.3 * np.cos(t) + 0.2j * np.sin(2 * t),
         lambda t: 0.25 * np.sin(t) ** 2 + 0.1j * t)
@@ -681,7 +739,9 @@ def test_power_sums_match_the_constant_potential_oracle():
     n = np.arange(1, 4)
     roots = np.concatenate([a + np.sqrt(a * a + n * n), a - np.sqrt(a * a + n * n)])
     inside = roots[np.abs(roots - 0.1) < 2.5]
-    s = sample_circle(pot, 0.1, 2.5, sums=4)
+    # the constant is read exactly, so the error is RK4's alone: 1.6e-12 in the roots
+    # at refine 10, 16 times that at the rule's refine 5 for this circle
+    s = sample_circle(pot, 0.1, 2.5, sums=4, refine=DEFAULT_REFINE)
     assert s.count == len(inside) == 4
     for p, ps in enumerate(s.moments(4), start=1):
         assert abs(ps - np.sum(inside ** p)) < 1e-9
