@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import csv as _csv
 from dataclasses import dataclass, field
-from math import comb, pi
+from math import ceil, comb, pi
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from .simpson import simpson
 from .spectral_data import SpectralDataSet, SpectralEntry
 
 DEFAULT_REFINE = 10   # integrator steps per interval of the potentials' grid
-REFINE_CUT = 9.0      # largest |lam| that refine 5 resolves on 200 intervals (``_refine``)
+STEP_TOL = 1e-8       # largest RK4 error in lam at which ``_refine`` halves the steps
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 CIRCLE_NODES = (16, 32, 64, 128, 256, 512, 1024)    # the levels of a circle sample
@@ -103,10 +103,9 @@ def read_csv(path, header: list[str]) -> list[list[float]]:
 class PotentialPair:
     """Grid representation of (q1, sigma) on uniform nodes of [0, pi].
 
-    ``sigma`` is the antiderivative of the zeroth-order potential with sigma(0) = 0;
-    both are read as cubics between the nodes (``_cubic``).  Genuinely singular
-    potentials (delta functions) are out of scope: sigma must be continuous, i.e.
-    representable by its node values.  The arrays are read-only copies, so the
+    ``sigma`` is the antiderivative of the zeroth-order potential with sigma(0) = 0; both
+    are read as cubics between the nodes (``_cubic``).  Singular potentials (delta functions)
+    are out of scope: sigma must be continuous.  The arrays are read-only copies, so the
     integrator tables and Newton's residue record cached on them never go stale.
     """
 
@@ -244,10 +243,8 @@ def _pair_steps(X):
 
 
 def _cubic(values, sub):
-    """The 4-point Lagrange interpolant of uniform node values, at ``sub`` points per interval
-    and the last node.  Interval i reads nodes i-1..i+2; ghost nodes -1 and n+1 on the cubic
-    through the four end nodes make the end intervals one-sided, and on 2 or 3 nodes the
-    interpolant is their line or parabola."""
+    """4-point Lagrange interpolant of uniform node values at ``sub`` points per interval and the
+    last node; ghost nodes on the cubic through the end nodes (2, 3 nodes: line, parabola)."""
     p = min(4, len(values))
     ext = np.array([(-1) ** k * comb(p, k + 1) for k in range(p)])   # the next node out
     f = np.concatenate([[ext @ values[:p]], values, [ext @ values[:-p - 1:-1]]])
@@ -266,8 +263,7 @@ def _coefficients(potentials, refine, per_step):
     if key not in potentials._tables:
         if per_step:
             m_steps = potentials.n_grid * refine
-            sig = _cubic(potentials.sigma, 2 * refine)      # nodes and step midpoints
-            q1 = _cubic(potentials.q1, 2 * refine)
+            sig, q1 = (_cubic(v, 2 * refine) for v in (potentials.sigma, potentials.q1))
             X = _step_polynomials(pi / m_steps, sig[::2], sig[1::2], q1[::2], q1[1::2])
         else:
             X = _coefficients(potentials, refine, True)
@@ -312,12 +308,22 @@ def _prefix_products(T):
 
 
 def _refine(potentials, lam_max, refine=None):
-    """``refine`` if given, else the RK4 steps per grid interval for a task within |lam| <=
-    lam_max.  RK4's error grows as (H / refine)^4 |lam|^5 on intervals of width H; refine 5
-    keeps it under the O(H^2) error of a piecewise-linear reading at refine 10 up to
-    |lam| = REFINE_CUT on 200 intervals, a cut that scales as H^(-2/5) on coarser grids."""
-    cut = REFINE_CUT * min(potentials.n_grid / 200, 1.0) ** 0.4
-    return refine if refine is not None else 5 if lam_max <= cut else DEFAULT_REFINE
+    """``refine`` if given, else RK4 steps per grid interval for |lam| <= lam_max: 5 while RK4's
+    error (h lam)^4 lam / 120 at that step h stays under STEP_TOL and D / (2 lam^2), else steps
+    of at most pi / 2000.  D = max |v[i-1] - 2 v[i] + v[i+1]| / 8 over q1 and sigma is how far a
+    line misreads them between nodes; on smooth potentials it moved eigenvalues by ~D / lam^2."""
+    if refine is not None:
+        return refine
+    with np.errstate(all="ignore"):
+        D = abs(np.diff([potentials.q1, potentials.sigma], 2)).max(initial=0.0) / 8
+        rk4 = np.power(pi * lam_max / (5 * potentials.n_grid), 4) * lam_max / 120
+    halve = rk4 <= STEP_TOL and 2 * rk4 * lam_max * lam_max <= D
+    return 5 if halve else max(DEFAULT_REFINE, ceil(2000 / potentials.n_grid))
+
+
+def _window_refine(potentials, n_max, omega0, refine=None):
+    """``_refine`` for the indices |n| <= n_max, within |lam| <= n_max + |omega0| + 1/2."""
+    return _refine(potentials, n_max + abs(omega0) + 0.5, refine)
 
 
 def _chains(Y):
@@ -332,9 +338,8 @@ def integrate(potentials: PotentialPair, lams, n_derivs: int = 0,
               with_trace: bool = False) -> ShootingResult:
     """Fixed-step RK4 over the refined grid for a batch of spectral parameters.
 
-    The potentials are sampled at refined nodes and midpoints of their cubic
-    interpolants (``_cubic``), so the solution converges at fourth order both
-    in the grid of the potentials and in the step (larger ``refine``).
+    The potentials are read at refined nodes and midpoints by ``_cubic``, so the
+    solution converges at fourth order in both their grid and the step (``refine``).
 
     The matrices T(lam + eps) of blocks of BLOCK_STEPS steps (module
     docstring), truncated after the eps^n_derivs term, are evaluated from the
@@ -481,8 +486,7 @@ def sample_circle(potentials: PotentialPair, center: complex, radius: float,
     when no arg Delta step exceeds ``PHASE_STEP_MAX``, its count is the level
     before's, and its requested ``moments(sums, laurent)`` moved by at most
     MOMENT_TOL times their integrand's largest node value.  ``check_halving``
-    also requires the count on half the radius.  ``refine`` defaults to ``_refine``'s
-    for |lam| <= |center| + radius.
+    also requires the count on half the radius.  The default refine is ``_refine``'s.
     """
     refine = _refine(potentials, abs(center) + radius, refine)
     vals = last = None
@@ -581,11 +585,10 @@ def find_eigenvalues(potentials: PotentialPair, n_max: int, omega0: complex,
     the disc, so no located root is counted twice, and their roots are deflated out
     of the disc's power sums.  The disc is accepted when its polished roots converge
     inside it and number 2 n_star with multiplicities; otherwise n_star grows, and
-    beyond n_max RootNotConvergedError is raised.  Residue coefficients are left
-    unset, but the Newton steps record them on the potentials for ``weyl_residues``.
-    The default refine is ``_refine``'s for |lam| <= n_max + |omega0| + 1/2, as there.
+    beyond n_max RootNotConvergedError is raised.  M is left unset, but the Newton steps
+    record it on the potentials for ``weyl_residues``.  Default refine: ``_window_refine``.
     """
-    refine = _refine(potentials, n_max + abs(omega0) + 0.5, refine)
+    refine = _window_refine(potentials, n_max, omega0, refine)
     ns = np.array(zindex.window(n_max), dtype=int)
     lam, failed = _newton_batch(potentials, ns + omega0, refine, ns=ns)
     n_fail = int(np.abs(ns[failed]).max(initial=0))
@@ -619,10 +622,9 @@ def weyl_residues(potentials: PotentialPair, eigenvalues: SpectralDataSet,
     on these potentials at this refine (``_newton_batch``), else integrated
     afresh; M values of the input set are ignored.  A multiplicity group uses
     trapezoid quadrature of (lam - lam_n)^nu M(lam) on a circle separating the
-    group, whose root count must equal the group size.  ``refine`` defaults as in
-    ``find_eigenvalues``.
+    group, whose root count must equal the group size.  Default refine: ``_window_refine``.
     """
-    refine = _refine(potentials, eigenvalues.max_abs_index + abs(eigenvalues.omega0) + 0.5, refine)
+    refine = _window_refine(potentials, eigenvalues.max_abs_index, eigenvalues.omega0, refine)
     record = potentials._tables.get(("residues", refine), {})
     Ms = {g.start: complex(record[k]) for g in eigenvalues.groups
           if g.size == 1 and (k := np.complex128(g.lam).tobytes()) in record}
@@ -660,10 +662,9 @@ def weight_numbers(potentials: PotentialPair, eigenvalues: SpectralDataSet,
     For a group of size m at lam with chains S_0..S_(m-1),
     alpha_(g+nu) = int (2(lam - q1) S_(m-1) + S_(m-2)) S_nu dx
                  + int S_(m-1) S_(nu-1) dx,  with S_(-1) = 0.
-    The groups of one size share one traced integration; ``refine`` defaults as
-    in ``find_eigenvalues``.
+    The groups of one size share one traced integration.  Default refine: ``_window_refine``.
     """
-    refine = _refine(potentials, eigenvalues.max_abs_index + abs(eigenvalues.omega0) + 0.5, refine)
+    refine = _window_refine(potentials, eigenvalues.max_abs_index, eigenvalues.omega0, refine)
     by_size: dict[int, list] = {}
     for g in eigenvalues.groups:
         by_size.setdefault(g.size, []).append(g)
@@ -671,14 +672,13 @@ def weight_numbers(potentials: PotentialPair, eigenvalues: SpectralDataSet,
     for m, groups in by_size.items():
         lams = np.array([g.lam for g in groups])
         res = integrate(potentials, lams, n_derivs=m - 1, refine=refine, with_trace=True)
-        xr = res.x_refined
         q1r = _cubic(potentials.q1, refine)[:, None]
         S = res.trace[:, :, 0].transpose(1, 0, 2)      # (m, nodes+1, groups)
         lead = 2.0 * (lams - q1r) * S[m - 1] + (S[m - 2] if m >= 2 else 0.0)
         for nu in range(m):
-            val = simpson(lead * S[nu], xr, axis=0)
+            val = simpson(lead * S[nu], res.x_refined, axis=0)
             if nu >= 1:
-                val = val + simpson(S[m - 1] * S[nu - 1], xr, axis=0)
+                val = val + simpson(S[m - 1] * S[nu - 1], res.x_refined, axis=0)
             out.update((g.members[nu], complex(v)) for g, v in zip(groups, val))
     return out
 

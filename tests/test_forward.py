@@ -276,11 +276,12 @@ def test_cubic_reading_converges_at_fourth_order():
     assert max(abs(g.M / w.M - 1.0) for g, w in zip(got, want)) <= 1e-7
 
 
-@pytest.mark.parametrize("n_grid, n_max, refine", [(200, 8, 5), (200, 9, 10), (50, 4, 5),
-                                                   (50, 5, 10), (800, 8, 5), (800, 9, 10)])
+@pytest.mark.parametrize("n_grid, n_max, refine", [(200, 6, 5), (200, 7, 10), (50, 1, 5),
+                                                   (50, 2, 40), (800, 16, 5), (800, 17, 10)])
 def test_default_refine_halves_the_steps_below_the_cut(n_grid, n_max, refine):
-    # |lam| <= n_max + |omega0| + 1/2 with omega0 ~ 0: refine 5 up to |lam| = 9 on 200
-    # intervals or more, up to 9 (n_grid / 200)^(2/5) on fewer, the fixed refine 10 above
+    # |lam| <= n_max + |omega0| + 1/2 with omega0 ~ 0.  Refine 5 while its RK4 error stays
+    # under STEP_TOL (|lam| <= 6.6 on 200 intervals, 2.2 on 50) and under D / (2 lam^2)
+    # (|lam| <= 17.1 on 800); above, steps of at most pi / 2000
     import qpencil.forward as fw
 
     pot = smooth_pair(amp=0.35, n_grid=n_grid)
@@ -288,7 +289,15 @@ def test_default_refine_halves_the_steps_below_the_cut(n_grid, n_max, refine):
     assert [k[1] for k in pot._tables if k[0] == "residues"] == [refine]
     weight_numbers(pot, eigs)
     assert (refine, True) in pot._tables
-    assert fw._refine(pot, n_max + 0.5, refine=7) == 7
+    assert fw._window_refine(pot, n_max, pot.omega0(), refine=7) == 7
+
+
+def test_potentials_that_a_line_reads_exactly_keep_refine_10():
+    # constant q1 and linear sigma: the cubic reading gains nothing, so halving the
+    # steps would only add RK4 error
+    pot = PotentialPair.from_functions(lambda t: 0.2 + 0.1j, lambda t: 0.3 * t)
+    find_eigenvalues(pot, 1, pot.omega0())
+    assert [k[1] for k in pot._tables if k[0] == "residues"] == [DEFAULT_REFINE]
 
 
 def test_potentials_are_read_only_copies():
@@ -433,8 +442,8 @@ def test_weyl_residues_take_simple_roots_from_newton(monkeypatch):
     full = weyl_residues(pot, eigs)
     monkeypatch.undo()
     assert calls == []
-    # both took the rule's refine for |lam| <= 5 + |omega0| + 1/2
-    refine = fw._refine(pot, 5.5 + abs(pot.omega0()))
+    # both took the rule's refine for the window |n| <= 5
+    refine = fw._window_refine(pot, 5, pot.omega0())
     assert refine == 5 and list(pot._tables[("residues", refine)])
     lams = np.array([eigs.entry(n).lam for n in window(5)])
     res = integrate(pot, lams, n_derivs=1, with_c=True, refine=refine)
@@ -449,7 +458,7 @@ def test_weyl_residues_integrate_what_newton_did_not_accept(monkeypatch, case):
     pot = smooth_pair(amp=0.35)
     eigs = find_eigenvalues(pot, 5, pot.omega0())
     # Newton took the rule's refine, 5 for this window
-    refine = DEFAULT_REFINE if case == "another refine" else fw._refine(pot, 5.5 + abs(pot.omega0()))
+    refine = DEFAULT_REFINE if case == "another refine" else fw._window_refine(pot, 5, pot.omega0())
     data, fresh = eigs, window(5)
     if case == "equal arrays":          # another PotentialPair holds no record
         pot = PotentialPair(x=pot.x, q1=pot.q1, sigma=pot.sigma)
@@ -739,9 +748,7 @@ def test_power_sums_match_the_constant_potential_oracle():
     n = np.arange(1, 4)
     roots = np.concatenate([a + np.sqrt(a * a + n * n), a - np.sqrt(a * a + n * n)])
     inside = roots[np.abs(roots - 0.1) < 2.5]
-    # the constant is read exactly, so the error is RK4's alone: 1.6e-12 in the roots
-    # at refine 10, 16 times that at the rule's refine 5 for this circle
-    s = sample_circle(pot, 0.1, 2.5, sums=4, refine=DEFAULT_REFINE)
+    s = sample_circle(pot, 0.1, 2.5, sums=4)
     assert s.count == len(inside) == 4
     for p, ps in enumerate(s.moments(4), start=1):
         assert abs(ps - np.sum(inside ** p)) < 1e-9
