@@ -34,7 +34,6 @@ from .experiments import (
     make_split_data,
     roundtrip_check,
     run_table,
-    write_recovered_csv,
 )
 from .forward import (
     PotentialPair,

@@ -18,7 +18,6 @@ from .experiments import (
     make_split_data,
     roundtrip_check,
     run_table,
-    write_recovered_csv,
 )
 from .forward import PotentialPair, find_eigenvalues, weyl_residues
 from .inverse import COND_LIMIT, default_grid, run_reconstruction
@@ -78,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     i = sub.add_parser("inverse", help="spectral JSON -> potentials CSV")
     i.add_argument("--data", required=True, help="input spectral JSON")
-    i.add_argument("--out", required=True, help="output CSV (x,re_q1,im_q1,re_q0ad,im_q0ad)")
+    i.add_argument("--out", required=True, help="output potentials CSV, as forward reads")
     i.add_argument("--trunc-n", type=_nonnegative_int, default=None,
                    help="replace data beyond |n| <= trunc-n by the background")
     i.add_argument("--min-window", type=_nonnegative_int, default=0)
@@ -130,7 +129,7 @@ def _cmd_inverse(args) -> int:
     rec = run_reconstruction(data, model, default_grid(args.grid_n),
                              min_window=args.min_window,
                              cond_limit=profile["cond_limit"])
-    write_recovered_csv(rec, args.out)
+    rec.as_potentials().to_csv(args.out)
     print(f"wrote potentials on {args.grid_n + 1} nodes to {args.out} "
           f"(max 1-norm condition {rec.cond.max():.3e}, residual {rec.residual:.3e})")
     return EXIT_OK

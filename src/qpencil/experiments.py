@@ -211,13 +211,6 @@ def write_table_csv(rows: list[ExperimentRow], path) -> None:
         for r in rows if not r.error))
 
 
-def write_recovered_csv(rec: RecoveredPotentials, path) -> None:
-    """Grid functions of the reconstruction: x,re_q1,im_q1,re_q0ad,im_q0ad."""
-    write_csv(path, ["x", "re_q1", "im_q1", "re_q0ad", "im_q0ad"],
-              zip(rec.x, rec.q1.real, rec.q1.imag,
-                  rec.q0_antideriv.real, rec.q0_antideriv.imag))
-
-
 def format_table(rows: list[ExperimentRow]) -> str:
     """Display table with 4-decimal metrics and 3-decimal spectral columns."""
     lines = [f"{'delta':<8} {'d1':<8} {'d0':<8} {'lambda_+':<16} "
@@ -269,7 +262,7 @@ def run_table(config: SplitExperimentConfig, out_dir=None,
                                 lambda_minus=lam_m, M_plus=m_p, M_minus=m_m,
                                 note=note)
             if out_dir is not None:
-                write_recovered_csv(rec, Path(out_dir) / f"potentials_delta={delta:g}.csv")
+                rec.as_potentials().to_csv(Path(out_dir) / f"potentials_delta={delta:g}.csv")
         except QPencilError as err:
             row = ExperimentRow(delta=delta, d1=float("nan"), d0=float("nan"),
                                 lambda_plus=lam_p, lambda_minus=lam_m,

@@ -136,12 +136,6 @@ class PotentialPair:
         return len(self.x) - 1
 
     @staticmethod
-    def zeros(n_grid: int = 200) -> "PotentialPair":
-        x = np.linspace(0.0, pi, n_grid + 1)
-        z = np.zeros(n_grid + 1, dtype=complex)
-        return PotentialPair(x=x, q1=z, sigma=z.copy())
-
-    @staticmethod
     def from_functions(q1_fun, sigma_fun, n_grid: int = 200) -> "PotentialPair":
         x = np.linspace(0.0, pi, n_grid + 1)
         q1 = np.asarray([q1_fun(t) for t in x], dtype=complex)

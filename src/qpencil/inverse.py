@@ -134,7 +134,6 @@ class MainEquationSystem:
 
     x: np.ndarray                 # (nx,), the grid of every set
     layouts: tuple[ActiveLayout, ...]
-    model: BackgroundProblem
     scale: np.ndarray             # (sets, dim, dim), zero at the tabled pairs
     table_rows: np.ndarray        # (pairs,), tabled by some set
     table_cols: np.ndarray        # (pairs,)
@@ -232,7 +231,7 @@ def assemble_system(data, model: BackgroundProblem, x, min_window: int = 0,
         np.stack((by_node(b), by_node(lams[:, None] * b + b_lo)), axis=1)
     b, b_x, b_lo = (f.reshape(n_sets, dim, nx).swapaxes(0, 1).reshape(dim, -1)
                     for f in (b, b_x, b_lo))
-    return MainEquationSystem(x=x, layouts=layouts, model=model, scale=scale, table_rows=r,
+    return MainEquationSystem(x=x, layouts=layouts, scale=scale, table_rows=r,
                               table_cols=c, tabled=tabled, table_vals=vals.reshape(-1, r.size),
                               px_u=px_u, px_w=px_w, rhs=by_node(a), rhs_x=by_node(a_x),
                               b=b, b_x=b_x, b_lo=b_lo)

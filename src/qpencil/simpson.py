@@ -39,7 +39,8 @@ def simpson(y, x, axis=-1):
 
 
 def cumulative_simpson(y, x, axis=-1):
-    """Running integral of y(x) along ``axis`` from 0 at x[0]: Simpson's rule per interval."""
+    """Running integral of y(x) along ``axis`` from 0 at x[0]: Simpson's rule per interval
+    (under 3 nodes, as in scipy, the trapezoid)."""
     y, dx = np.swapaxes(np.asarray(y), axis, -1), _widths(x)
 
     def h1_integrals(y, dx):    # each interval from the parabola through it and the next node
@@ -49,10 +50,13 @@ def cumulative_simpson(y, x, axis=-1):
         return x21 / 6 * ((3 - x21_x31) * y[..., :-2] + (3 + x21x21_x31x32 + x21_x31) * y[..., 1:-1]
                           + -x21x21_x31x32 * y[..., 2:])
 
-    backward = np.flip(h1_integrals(np.flip(y, axis=-1), np.flip(dx)), axis=-1)
-    parts = np.empty(y.shape[:-1] + (y.shape[-1] - 1,), dtype=np.result_type(y, dx))
-    parts[..., :-1:2] = h1_integrals(y, dx)[..., ::2]
-    parts[..., 1::2] = backward[..., ::2]
-    parts[..., -1] = backward[..., -1]
+    if y.shape[-1] < 3:     # scipy's cumulative_trapezoid
+        parts = dx * (y[..., 1:] + y[..., :-1]) / 2.0
+    else:
+        backward = np.flip(h1_integrals(np.flip(y, axis=-1), np.flip(dx)), axis=-1)
+        parts = np.empty(y.shape[:-1] + (y.shape[-1] - 1,), dtype=np.result_type(y, dx))
+        parts[..., :-1:2] = h1_integrals(y, dx)[..., ::2]
+        parts[..., 1::2] = backward[..., ::2]
+        parts[..., -1] = backward[..., -1]
     res = np.cumsum(parts, axis=-1) + 0.0     # scipy adds initial = 0.0: -0.0 becomes 0.0
     return np.swapaxes(np.concatenate((np.zeros(y.shape[:-1] + (1,)), res), axis=-1), -1, axis)

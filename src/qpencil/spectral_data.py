@@ -91,7 +91,7 @@ class SpectralDataSet:
         members differ is collapsed onto their mean, so a group carries one
         eigenvalue; equal eigenvalues left at opposite signs raise
         SignConflictError.  Input that already obeys the convention comes back
-        unchanged.
+        unchanged.  Without ``omega0`` the set takes its tail's, or 0 without a tail.
         """
         emap: dict[int, SpectralEntry] = {}
         for e in entries:
@@ -102,7 +102,9 @@ class SpectralDataSet:
         _check_contiguous(idx)
         emap, groups = _regroup(emap, idx)
         _check_assumption_o(groups)
-        omega0 = complex(_estimate_omega0(emap, idx) if omega0 is None else omega0)
+        if omega0 is None:
+            omega0 = 0.0 if tail is None else tail.omega0
+        omega0 = complex(omega0)
         if not np.isfinite(omega0):
             raise NonFiniteInputError(f"omega0={omega0} is not finite")
         return SpectralDataSet(entries=emap, groups=tuple(groups), tail=tail,
@@ -268,15 +270,6 @@ def _check_assumption_o(groups: list[Group]) -> None:
                 raise SignConflictError(
                     f"equal eigenvalues at indices of opposite sign "
                     f"({a.start} and {b.start}) do not form one group")
-
-
-def _estimate_omega0(emap, idx) -> complex:
-    # asymptotically lam_n = n + omega0 + l2-tail, so average the shift over
-    # the five largest |n| present
-    ranked = sorted(idx, key=abs, reverse=True)[:5]
-    if not ranked:
-        return 0.0
-    return complex(np.mean([emap[n].lam - n for n in ranked]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,14 @@
-"""Shared fixtures."""
+"""Shared fixtures and helpers."""
 
 import numpy as np
 import pytest
+
+from qpencil import PotentialPair
+
+
+def zero_pair(n_grid: int = 200) -> PotentialPair:
+    """q1 = sigma = 0 on n_grid intervals: the zero background's potentials."""
+    return PotentialPair.from_functions(lambda t: 0.0, lambda t: 0.0, n_grid)
 
 
 @pytest.fixture

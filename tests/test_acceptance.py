@@ -33,6 +33,7 @@ from qpencil.inverse import (
     solve_main,
 )
 from qpencil.zindex import window
+from conftest import zero_pair
 from test_forward import wronskian_defect
 
 # frozen sweep targets: delta -> (d1, d0)
@@ -97,7 +98,7 @@ def test_criterion_2_split_data_algebra():
 
 def test_criterion_3_forward_baseline():
     t0 = time.perf_counter()
-    pot = PotentialPair.zeros(200)
+    pot = zero_pair(200)
     eigs = find_eigenvalues(pot, 10, 0.0)
     full = weyl_residues(pot, eigs)
     lam_err = max(abs(full.entry(n).lam - n) for n in window(10))

@@ -7,18 +7,21 @@ import sys
 from math import pi
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qpencil
-from qpencil import PotentialPair, SpectralDataSet, ZeroBackground, make_split_data
+from qpencil import (PotentialPair, SpectralDataSet, ZeroBackground, default_grid,
+                     make_split_data, run_reconstruction)
 from qpencil import cli
 from qpencil.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from qpencil.forward import POTENTIALS_HEADER, write_csv
+from conftest import zero_pair
 
 
 def test_forward_zero_potentials(tmp_path, capsys):
     pot_path = tmp_path / "pot.csv"
-    PotentialPair.zeros(200).to_csv(pot_path)
+    zero_pair(200).to_csv(pot_path)
     out = tmp_path / "spec.json"
     code = main(["forward", "--potentials", str(pot_path), "--n-max", "3",
                  "--out", str(out)])
@@ -57,10 +60,55 @@ def test_inverse_on_split_data(tmp_path, capsys):
     assert code == EXIT_OK
     assert "max 1-norm condition" in capsys.readouterr().out
     rows = out.read_text().strip().splitlines()
-    assert rows[0] == "x,re_q1,im_q1,re_q0ad,im_q0ad"
+    assert rows[0] == "x,re_q1,im_q1,re_sigma,im_sigma"
     assert len(rows) == 202
     last = [float(v) for v in rows[-1].split(",")]
     assert last[0] == pytest.approx(pi, abs=1e-12)
+
+
+def test_inverse_writes_what_forward_reads(tmp_path):
+    data = make_split_data(0.01)
+    data_path, rec_path, spec_path = (tmp_path / f for f in ("split.json", "rec.csv", "s.json"))
+    data.save_json(data_path)
+    assert main(["inverse", "--data", str(data_path), "--out", str(rec_path)]) == EXIT_OK
+    got = PotentialPair.from_csv(rec_path)
+    want = run_reconstruction(data, ZeroBackground(), default_grid(200)).as_potentials()
+    for name in ("x", "q1", "sigma"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert main(["forward", "--potentials", str(rec_path), "--n-max", "3",
+                 "--out", str(spec_path)]) == EXIT_OK
+    lams = [e.lam for e in SpectralDataSet.load_json(spec_path).entries.values()]
+    assert len(lams) == 6
+    for lam in (0.6, 0.4 - 0.04j):      # the split pair, 1/2 + 1/10 and 1/2 - 1/10 + c delta
+        assert min(abs(lam - mu) for mu in lams) < 1e-6, lam
+
+
+def test_json_without_omega0_means_the_tails(tmp_path):
+    # lambda_1 = lambda_3 = 1.2: lambda_n - n over the largest |n| averages -0.36 here,
+    # yet the tail, like every JSON's, defines omega0 = 0
+    lams = {-3: -3.0, -2: -2.0, -1: -1.0, 1: 1.2, 2: 2.0, 3: 1.2}
+    entries = [{"n": n, "lambda": [lam, 0.0], "M": [-n / pi, 0.0]} for n, lam in lams.items()]
+    written = []
+    for name, head in (("without", {}), ("with", {"omega0": [0, 0]})):
+        data_path, rec_path = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        data_path.write_text(json.dumps({**head, "model": "dirichlet-zero", "entries": entries}))
+        assert SpectralDataSet.load_json(data_path).omega0 == 0
+        assert main(["inverse", "--data", str(data_path), "--out", str(rec_path)]) == EXIT_OK
+        written.append(rec_path.read_bytes())
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("grid_n", ["1", "2"])
+@pytest.mark.parametrize("command", ["inverse", "roundtrip", "split-table"])
+def test_coarsest_grids_keep_the_exit_contract(tmp_path, command, grid_n):
+    # on 2 nodes the running Simpson integral is the trapezoid, as in scipy
+    data_path = tmp_path / "split.json"
+    make_split_data(0.01).save_json(data_path)
+    inputs = {"inverse": ["--data", str(data_path), "--out", str(tmp_path / "rec.csv")],
+              "roundtrip": ["--data", str(data_path)],
+              "split-table": ["--deltas", "0,0.01", "--out-dir", str(tmp_path / "table")]}
+    code = main([command] + inputs[command] + ["--grid-n", grid_n])
+    assert code in {EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_IO}
 
 
 def test_inverse_missing_file_is_io_error(tmp_path):
@@ -383,7 +431,7 @@ def test_forward_names_the_overflowing_mean_of_q1(tmp_path, capsys):
 ], ids=lambda v: v if isinstance(v, str) else " ".join(v[:2]))  # the bad flag first
 def test_bad_numeric_flag_is_validation_error(tmp_path, command, flags):
     pot_path = tmp_path / "pot.csv"
-    PotentialPair.zeros(200).to_csv(pot_path)
+    zero_pair(200).to_csv(pot_path)
     data_path = tmp_path / "split.json"
     make_split_data(0.01).save_json(data_path)
     inputs = {

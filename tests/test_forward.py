@@ -22,6 +22,7 @@ from qpencil import (
 )
 from qpencil.forward import DEFAULT_REFINE, circle_nodes, sample_circle
 from qpencil.zindex import window
+from conftest import zero_pair
 
 RNG = np.random.default_rng(20240817)
 
@@ -327,11 +328,11 @@ def test_cached_tables_stay_small():
 @pytest.mark.parametrize("kwargs", [{"refine": 0}, {"n_derivs": -1}, {"refine": 2.5}])
 def test_integrate_rejects_bad_counts(kwargs):
     with pytest.raises(ValidationError):
-        integrate(PotentialPair.zeros(10), [1.0], **kwargs)
+        integrate(zero_pair(10), [1.0], **kwargs)
 
 
 def test_zero_potentials_explicit_solution():
-    pot = PotentialPair.zeros(200)
+    pot = zero_pair(200)
     res = integrate(pot, np.array([1.0, 0.5, 2.0]), with_c=True)
     assert abs(res.s[0, 0] - sin(pi)) < 1e-10
     assert abs(res.s[0, 1] - 2.0) < 1e-10          # sin(pi/2)/0.5
@@ -340,7 +341,7 @@ def test_zero_potentials_explicit_solution():
 
 
 def test_char_delta_zeros_at_integers():
-    pot = PotentialPair.zeros(200)
+    pot = zero_pair(200)
     for n in (1, 2, 3, -2):
         assert abs(integrate(pot, float(n)).s[0, 0]) < 1e-10
     assert complex(integrate(pot, 0.5).s[0, 0]) == pytest.approx(2.0, abs=1e-10)
@@ -363,7 +364,7 @@ def test_step_halving_fourth_order():
 
 
 def test_find_eigenvalues_zero_potentials():
-    pot = PotentialPair.zeros(200)
+    pot = zero_pair(200)
     eigs = find_eigenvalues(pot, 5, 0.0)
     for n in window(5):
         assert abs(eigs.entry(n).lam - n) < 1e-8
@@ -371,7 +372,7 @@ def test_find_eigenvalues_zero_potentials():
 
 
 def test_weyl_residues_zero_potentials():
-    pot = PotentialPair.zeros(200)
+    pot = zero_pair(200)
     eigs = find_eigenvalues(pot, 5, 0.0)
     full = weyl_residues(pot, eigs)
     for n in window(5):
@@ -379,7 +380,7 @@ def test_weyl_residues_zero_potentials():
 
 
 def test_weight_numbers_zero_potentials():
-    pot = PotentialPair.zeros(200)
+    pot = zero_pair(200)
     eigs = find_eigenvalues(pot, 4, 0.0)
     alphas = weight_numbers(pot, eigs)
     for n in window(4):
@@ -545,7 +546,7 @@ def test_eigenvalue_shift_decays_for_smooth_potentials():
 
 
 def test_winding_zero_potentials():
-    pot = PotentialPair.zeros(200)
+    pot = zero_pair(200)
     assert winding_number(pot, 1.0, 0.3) == 1
     assert winding_number(pot, 1.5, 0.2) == 0
     # sin(lam pi)/lam has zeros at +-1, +-2 inside |lam| < 2.5; lam = 0 is removable
@@ -575,7 +576,7 @@ def test_residue_contour_rejects_unseparable_group():
     eigs = SpectralDataSet.from_entries(entries, omega0=0.0)
     assert eigs.groups[0].size == 2
     with pytest.raises(PoleTooCloseError):
-        weyl_residues(PotentialPair.zeros(50), eigs)
+        weyl_residues(zero_pair(50), eigs)
 
 
 def test_cluster_count_mismatch_raises(monkeypatch):
@@ -701,13 +702,13 @@ def test_nonfinite_rejected():
         PotentialPair(x=np.linspace(0, pi, 3),
                       q1=np.array([0.0, np.nan, 0.0]),
                       sigma=np.zeros(3))
-    pot = PotentialPair.zeros(10)
+    pot = zero_pair(10)
     with pytest.raises(NonFiniteInputError):
         integrate(pot, np.array([np.inf]))
 
 
 def test_circle_sample_counts_and_moments():
-    pot = PotentialPair.zeros(200)
+    pot = zero_pair(200)
     # Delta = sin(lam pi)/lam: one root at 1, Weyl residue -1/pi
     s = sample_circle(pot, 1.0, 0.3, sums=1, laurent=1)
     assert s.count == 1
@@ -758,7 +759,7 @@ def test_winding_resamples_a_phase_step_near_pi(circle_batches):
     # Delta = sin(pi lam)/lam has the 60 roots +-1..+-30 inside |lam| < 30.5.  On
     # 16 nodes arg Delta steps by at most 1.53 rad but winds 0 times; on 256 it
     # steps by up to 2.3 rad and winds 60 times; 512 nodes resolve the phase
-    s = sample_circle(PotentialPair.zeros(200), 0.0, 30.5)
+    s = sample_circle(zero_pair(200), 0.0, 30.5)
     assert circle_batches == [(16, 0), (16, 0), (32, 0), (64, 0), (128, 0), (256, 0)]
     assert s.count == 60 and s.zs.size == 512
 
@@ -771,7 +772,7 @@ def test_a_root_near_the_circle_is_counted_right_or_refused(factor, radius, phi)
     center = 3.0 - factor * radius * np.exp(1j * phi)
     want = sum(abs(k - center) < radius for k in range(-10, 11) if k)
     try:
-        count = sample_circle(PotentialPair.zeros(200), center, radius).count
+        count = sample_circle(zero_pair(200), center, radius).count
     except WindingAmbiguousError:
         assert factor == 1.001      # 5% off the circle, the phase resolves
         return
@@ -836,4 +837,4 @@ def test_weyl_residues_certifies_group_count():
                SpectralEntry(n=2, lam=2.0)]
     eigs = SpectralDataSet.from_entries(entries, omega0=0.0)
     with pytest.raises(RootNotConvergedError, match="holds 0 roots"):
-        weyl_residues(PotentialPair.zeros(200), eigs)
+        weyl_residues(zero_pair(200), eigs)

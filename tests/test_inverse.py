@@ -227,7 +227,7 @@ def test_pipeline_rejects_mismatched_mean_shift(zero_model):
     data = ZeroBackground().spectral_data(3)
     shifted = [SpectralEntry(n, data.entry(n).lam + 0.4, data.entry(n).M)
                for n in data.window_indices()]
-    bad = SpectralDataSet.from_entries(shifted, tail=ZeroBackground())
+    bad = SpectralDataSet.from_entries(shifted, tail=ZeroBackground(), omega0=0.4)
     with pytest.raises(Exception):
         run_reconstruction(bad, zero_model)
 
@@ -266,9 +266,9 @@ def _wide_data(width, seed):
     return SpectralDataSet.from_entries(entries, tail=ZeroBackground(), omega0=0.0)
 
 
-def _tabulated(system):
+def _tabulated(system, model):
     """P and dP/dx built entry by entry from the kernel tables (reference loop)."""
-    x, model, rows = system.x, system.model, system.layout.rows()
+    x, rows = system.x, system.layout.rows()
     P = np.zeros((x.size, len(rows), len(rows)), dtype=complex)
     Px = np.zeros_like(P)
     for ridx, (er, _) in enumerate(rows):
@@ -283,9 +283,9 @@ def _tabulated(system):
     return P, Px
 
 
-def _column_sums(system):
+def _column_sums(system, model):
     """b and b' written out as (-1)^j sum_p M_p S_(p-nu) and the same over S'."""
-    x, model, rows = system.x, system.model, system.layout.rows()
+    x, rows = system.x, system.layout.rows()
     B = np.zeros_like(system.b)
     Bx = np.zeros_like(system.b_x)
     for cidx, (ec, j) in enumerate(rows):
@@ -311,8 +311,8 @@ def test_assembly_matches_per_entry_tables(case, zero_model):
         assert any(e.m > 1 for e, _ in rows)
     if case == "small-lambda":
         assert any(abs(e.lam) < SMALL_LAMBDA for e, _ in rows)
-    P, Px = _tabulated(system)
-    B, Bx = _column_sums(system)
+    P, Px = _tabulated(system, zero_model)
+    B, Bx = _column_sums(system, zero_model)
     for got, want in ((system.form_P(), P), (system.b, B), (system.b_x, Bx)):
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
     # the factored dP/dx adds lam_r a b and lam_c a b apart, so entries where
@@ -350,7 +350,7 @@ def test_solve_matches_per_node_oracle(case, zero_model):
             "double-group": make_split_data(0.0)}[case]
     system = assemble_system(data, zero_model, default_grid(40))
     v, v_x, cond, residual = solve_main(system)
-    _, Px = _tabulated(system)
+    _, Px = _tabulated(system, zero_model)
     eye, P = np.eye(system.layout.dim), system.form_P()
     for k in range(system.x.size):
         A = eye - P[k]

@@ -38,7 +38,7 @@ def test_simpson_is_scipys(n, kind, shape, axis):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 8, 201, 2002])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 201, 2002])    # under 3 nodes scipy's trapezoid
 @pytest.mark.parametrize("kind", ["linspace", "random"])
 @pytest.mark.parametrize("shape, axis", SHAPES)
 def test_cumulative_simpson_is_scipys(n, kind, shape, axis):
@@ -52,11 +52,9 @@ def test_cumulative_simpson_is_scipys(n, kind, shape, axis):
 
 
 def _both_rules(y, x):
-    """(ours, scipy's) for each rule that takes len(x) samples."""
-    pairs = [(simpson(y, x), integrate.simpson(y, x=x))]
-    if len(x) > 2:
-        pairs.append((cumulative_simpson(y, x), integrate.cumulative_simpson(y, x=x, initial=0.0)))
-    return pairs
+    """(ours, scipy's) for both rules."""
+    return [(simpson(y, x), integrate.simpson(y, x=x)),
+            (cumulative_simpson(y, x), integrate.cumulative_simpson(y, x=x, initial=0.0))]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -245,11 +245,17 @@ def test_json_defaults_outside_entries_to_model():
     assert data.entry(-4).M == pytest.approx(4 / pi)
 
 
-def test_omega0_estimate_from_largest_indices():
-    shiftv = 0.3 + 0.1j
-    raw = [SpectralEntry(n, n + shiftv, -n / pi) for n in window(6)]
-    ds = SpectralDataSet.from_entries(raw)
-    assert ds.omega0 == pytest.approx(shiftv)
+def test_omega0_is_given_or_the_tails():
+    # the entries' own shift lam_n - n = 0.3 + 0.1i does not set omega0
+    raw = [SpectralEntry(n, n + 0.3 + 0.1j, -n / pi) for n in window(6)]
+
+    class Shifted(ZeroBackground):
+        omega0 = 0.5 + 0.0j
+
+    assert SpectralDataSet.from_entries(raw).omega0 == 0
+    assert SpectralDataSet.from_entries(raw, tail=ZeroBackground()).omega0 == 0
+    assert SpectralDataSet.from_entries(raw, tail=Shifted()).omega0 == 0.5
+    assert SpectralDataSet.from_entries(raw, tail=Shifted(), omega0=0.3 + 0.1j).omega0 == 0.3 + 0.1j
 
 
 def test_entries_immutable():
