@@ -279,11 +279,7 @@ def run_table(config: SplitExperimentConfig, out_dir=None,
 @dataclass
 class RoundtripRow:
     n: int
-    lam_in: complex
-    lam_out: complex
     lam_err: float
-    M_in: complex
-    M_out: complex
     M_rel_err: float
 
 
@@ -344,9 +340,7 @@ def roundtrip_check(data: SpectralDataSet, model: BackgroundProblem,
             grouped.add(member)
             m_in = data.entry(member).M
             report.rows.append(RoundtripRow(
-                n=member, lam_in=g.lam, lam_out=center_out,
-                lam_err=abs(center_out - g.lam),
-                M_in=m_in, M_out=m_out,
+                n=member, lam_err=abs(center_out - g.lam),
                 M_rel_err=abs(m_out - m_in) / max(abs(m_in), 1e-300)))
 
     eigs = find_eigenvalues(pot, n_check, omega0, refine=refine)
@@ -362,9 +356,7 @@ def roundtrip_check(data: SpectralDataSet, model: BackgroundProblem,
         used.add(best)
         e_out = outs[best]
         report.rows.append(RoundtripRow(
-            n=n, lam_in=e_in.lam, lam_out=e_out.lam,
-            lam_err=abs(e_out.lam - e_in.lam),
-            M_in=e_in.M, M_out=e_out.M,
+            n=n, lam_err=abs(e_out.lam - e_in.lam),
             M_rel_err=abs(e_out.M - e_in.M) / max(abs(e_in.M), 1e-300)))
     report.rows.sort(key=lambda r: r.n)
     return report

@@ -301,18 +301,22 @@ def _prefix_products(T):
     return T
 
 
-def _refine(potentials, lam_max, refine=None):
+def _refine(potentials, lam_max, refine=None, count=False):
     """``refine`` if given, else RK4 steps per grid interval for |lam| <= lam_max: 5 while RK4's
     error (h lam)^4 lam / 120 at that step h stays under STEP_TOL and D / (2 lam^2), else steps
     of at most pi / 2000.  D = max |v[i-1] - 2 v[i] + v[i+1]| / 8 over q1 and sigma is how far a
-    line misreads them between nodes; on smooth potentials it moved eigenvalues by ~D / lam^2."""
+    line misreads them between nodes; on smooth potentials it moved eigenvalues by ~D / lam^2.
+    A ``count`` has no value for D to move: it takes the fewest steps, at least 1 and at most
+    the above, whose error stays under STEP_TOL."""
     if refine is not None:
         return refine
     with np.errstate(all="ignore"):
         D = abs(np.diff([potentials.q1, potentials.sigma], 2)).max(initial=0.0) / 8
         rk4 = np.power(pi * lam_max / (5 * potentials.n_grid), 4) * lam_max / 120
+        fewest = 5 * np.power(rk4 / STEP_TOL, 0.25)     # the error scales as refine^-4
     halve = rk4 <= STEP_TOL and 2 * rk4 * lam_max * lam_max <= D
-    return 5 if halve else max(DEFAULT_REFINE, ceil(2000 / potentials.n_grid))
+    steps = 5 if halve else max(DEFAULT_REFINE, ceil(2000 / potentials.n_grid))
+    return max(1, ceil(min(steps, fewest))) if count else steps
 
 
 def _window_refine(potentials, n_max, omega0, refine=None):
@@ -470,30 +474,39 @@ class CircleSample:
         return self.integrands(sums, laurent, outer).mean(axis=1)
 
 
+def _winding(delta):
+    """arg Delta unwrapped node to node around the loop (N + 1 values), and its winding count."""
+    phase = np.unwrap(np.angle(np.append(delta, delta[0])))
+    return phase, int(round((phase[-1] - phase[0]) / (2 * pi)))
+
+
 def sample_circle(potentials: PotentialPair, center: complex, radius: float,
                   sums: int = 0, laurent: int = 0, refine: int | None = None,
                   check_halving: bool = False) -> CircleSample:
     """Integrate Delta on |lam - center| = radius by nested doubling; count the roots inside.
 
     The count is the phase change of Delta around the loop, unwrapped node to node.
-    Each level integrates only the odd nodes of the doubled circle.  It is accepted
-    when no arg Delta step exceeds ``PHASE_STEP_MAX``, its count is the level
-    before's, and its requested ``moments(sums, laurent)`` moved by at most
-    MOMENT_TOL times their integrand's largest node value.  ``check_halving``
-    also requires the count on half the radius.  The default refine is ``_refine``'s.
+    A level is accepted when no arg Delta step exceeds ``PHASE_STEP_MAX``, its count
+    is the level before's, and its requested ``moments(sums, laurent)`` moved by at
+    most MOMENT_TOL times their integrand's largest node value.  The first level has
+    no level before, so one call integrates the second's nodes, the first's the even
+    ones; each later level integrates only its odd nodes.  ``check_halving`` also
+    requires the count on half the radius.  The default refine is ``_refine``'s.
     """
     refine = _refine(potentials, abs(center) + radius, refine)
     vals = last = None
-    for n_nodes in CIRCLE_NODES:
+    for n_nodes in CIRCLE_NODES[1:]:
         zs = circle_nodes(center, radius, n_nodes)
         shot = integrate(potentials, zs if vals is None else zs[1::2],
                          with_c=laurent > 0, refine=refine)
         if not np.all(np.isfinite(shot.s[0])):
             raise WindingAmbiguousError(f"Delta is not finite on |lam-{center}|={radius}")
-        new = np.vstack([shot.s[0], shot.c]) if laurent else shot.s[:1]    # odd nodes
-        vals = new if vals is None else np.stack([vals, new], axis=2).reshape(len(new), -1)
-        phase = np.unwrap(np.angle(np.append(vals[0], vals[0, 0])))
-        count = int(round((phase[-1] - phase[0]) / (2 * pi)))
+        new = np.vstack([shot.s[0], shot.c]) if laurent else shot.s[:1]
+        if vals is None:
+            vals, last = new, _winding(new[0, ::2])[1]
+        else:
+            vals = np.stack([vals, new], axis=2).reshape(len(new), -1)
+        phase, count = _winding(vals[0])
         sample = CircleSample(zs=zs, dz=zs - center, delta=vals[0], c=vals[-1] if laurent else None,
                               count=count, phase=phase[:-1])
         f = sample.integrands(sums, laurent)
@@ -512,7 +525,9 @@ def sample_circle(potentials: PotentialPair, center: complex, radius: float,
 
 def winding_number(potentials: PotentialPair, center: complex, radius: float,
                    refine: int | None = None) -> int:
-    """Argument-principle winding of the characteristic function on a circle."""
+    """Argument-principle winding of the characteristic function on a circle.  The default
+    refine is ``_refine``'s for a count: the fewest steps that keep RK4 under STEP_TOL."""
+    refine = _refine(potentials, abs(center) + radius, refine, count=True)
     return sample_circle(potentials, center, radius, refine=refine).count
 
 

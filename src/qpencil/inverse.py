@@ -329,7 +329,7 @@ def _executor(pid: int, workers: int) -> ThreadPoolExecutor:
 
 @dataclass
 class EpsilonFields:
-    """Auxiliary series on the grid and the derived branch-tracked factors."""
+    """The auxiliary series on the grid, from which the ``recover_*`` steps read the potentials."""
 
     x: np.ndarray
     eps1: np.ndarray
@@ -337,8 +337,6 @@ class EpsilonFields:
     eps2: np.ndarray
     eps3: np.ndarray
     eps4: np.ndarray
-    theta: np.ndarray | None = None
-    lambda_: np.ndarray | None = None
 
 
 def compute_epsilons(system: MainEquationSystem, v: np.ndarray,
@@ -385,8 +383,7 @@ def recover_theta(eps: EpsilonFields) -> tuple[np.ndarray, np.ndarray]:
     flips = np.cumsum(np.abs(w[..., 1:] - w[..., :-1]) > np.abs(w[..., 1:] + w[..., :-1]), axis=-1)
     start = np.ones(w.shape[:-1] + (1,))
     theta = w * np.concatenate((start, np.where(flips % 2, -1.0, 1.0)), axis=-1)
-    eps.theta, eps.lambda_ = theta, eps.eps1 * theta
-    return eps.theta, eps.lambda_
+    return theta, eps.eps1 * theta
 
 
 def recover_q1(eps: EpsilonFields, model: BackgroundProblem) -> np.ndarray:
@@ -430,7 +427,6 @@ class RecoveredPotentials:
     q1: np.ndarray
     q0_antideriv: np.ndarray     # integral from 0 to x of (q0 - q0_background)
     background: BackgroundProblem
-    eps: EpsilonFields | None = None
     cond: np.ndarray | None = None
     residual: float = 0.0
 
@@ -494,11 +490,10 @@ def run_reconstructions(datasets: list[SpectralDataSet], model: BackgroundProble
             out[i] = _guard(x, c, cond_limit) or _degenerate(x, e1)
         ok = [s for s, i in enumerate(stack) if out[i] is None]
         eps = EpsilonFields(x, *series[:, ok])
-        theta, lambda_ = recover_theta(eps)
+        recover_theta(eps)
         q1 = recover_q1(eps, model)
         q0ad = recover_q0_antiderivative(eps, q1, model)
         for j, s in enumerate(ok):
-            eps = EpsilonFields(x, *series[:, s], theta=theta[j], lambda_=lambda_[j])
-            out[stack[s]] = RecoveredPotentials(x, q1[j], q0ad[j], model, eps, cond[s],
+            out[stack[s]] = RecoveredPotentials(x, q1[j], q0ad[j], model, cond[s],
                                                 float(residual[s]))
     return out

@@ -195,6 +195,6 @@ def test_roundtrip_double_eigenvalue_uses_stable_quantities():
 
 def test_roundtrip_group_takes_one_circle_sample(circle_batches):
     roundtrip_check(make_split_data(0.0), ZeroBackground(), 2)
-    # group circle, its half-radius check, and the cluster disc, each on
-    # 16 + 16 nodes, none with chains
-    assert circle_batches == [(16, 0), (16, 0)] * 3
+    # group circle, its half-radius check, and the cluster disc, each one call
+    # of 32 nodes, none with chains
+    assert circle_batches == [(32, 0)] * 3

@@ -301,6 +301,27 @@ def test_potentials_that_a_line_reads_exactly_keep_refine_10():
     assert [k[1] for k in pot._tables if k[0] == "residues"] == [DEFAULT_REFINE]
 
 
+def test_the_sweep_count_takes_one_call_at_refine_1(circle_batches):
+    # |lam| <= 0.55 on 200 intervals: RK4's error (h lam)^4 lam / 120 is 2.6e-11 at
+    # refine 1, under STEP_TOL, where the moment rule takes refine 5
+    pot = run_reconstruction(make_split_data(0.0), ZeroBackground()).as_potentials()
+    assert winding_number(pot, 0.5, 0.05) == 2
+    assert circle_batches == [(32, 0)]
+    assert pot.n_grid == 200 and {k[0] for k in pot._tables} == {1}
+
+
+@pytest.mark.parametrize("center, refine", [(3.0, 3), (20.0, DEFAULT_REFINE)])
+def test_a_count_takes_the_fewest_steps_under_step_tol(center, refine):
+    # Delta = sin(pi lam)/lam, one root inside.  A line reads the zero potentials exactly,
+    # so the moment rule takes refine 10 (the D term) where a count takes 3 at |lam| = 3.3;
+    # at 20.3 STEP_TOL would ask for 21, and the count keeps the rule's 10
+    pot = zero_pair(200)
+    assert winding_number(pot, center, 0.3) == 1
+    assert {k[0] for k in pot._tables} == {refine}
+    assert sample_circle(pot, center, 0.3, sums=1).count == 1
+    assert {k[0] for k in pot._tables} == {refine, DEFAULT_REFINE}
+
+
 def test_potentials_are_read_only_copies():
     q1 = np.linspace(0.0, 1.0, 11) + 0.5j
     pot = PotentialPair(x=np.linspace(0.0, pi, 11), q1=q1, sigma=np.zeros(11))
@@ -618,8 +639,7 @@ def test_rejected_disc_grows(monkeypatch, circle_batches):
     got = find_eigenvalues(pot, 6, omega0)
     assert calls == [calls[0], calls[0] + 1]
     # each disc is sampled once, doubling from 16 nodes to 128 and to 64
-    assert circle_batches[first:] == [(16, 0), (16, 0), (32, 0), (64, 0),
-                                      (16, 0), (16, 0), (32, 0)]
+    assert circle_batches[first:] == [(32, 0), (32, 0), (64, 0), (32, 0), (32, 0)]
     for n in window(6):
         assert abs(got.entry(n).lam - want.entry(n).lam) < 1e-8
 
@@ -730,7 +750,7 @@ def test_cluster_search_samples_the_disc_once(circle_batches):
     pot = _random_pair(0)
     find_eigenvalues(pot, 6, pot.omega0())
     # one accepted disc, sampled once by doubling to 128 nodes, no chains
-    assert circle_batches == [(16, 0), (16, 0), (32, 0), (64, 0)]
+    assert circle_batches == [(32, 0), (32, 0), (64, 0)]
 
 
 def test_multiple_root_circles_take_no_chains(circle_batches):
@@ -738,8 +758,8 @@ def test_multiple_root_circles_take_no_chains(circle_batches):
     pot = PotentialPair.from_functions(lambda t: 1j, lambda t: 0.0)
     eigs = find_eigenvalues(pot, 2, pot.omega0())
     assert abs(eigs.entry(1).lam - 1j) < 1e-9 and eigs.entry(-1).lam == eigs.entry(1).lam
-    # the disc, the cluster's local circle and its half-radius check, each on 16 + 16 nodes
-    assert circle_batches == [(16, 0), (16, 0)] * 3
+    # the disc, the cluster's local circle and its half-radius check, each one call of 32 nodes
+    assert circle_batches == [(32, 0)] * 3
 
 
 def test_power_sums_match_the_constant_potential_oracle():
@@ -760,7 +780,7 @@ def test_winding_resamples_a_phase_step_near_pi(circle_batches):
     # 16 nodes arg Delta steps by at most 1.53 rad but winds 0 times; on 256 it
     # steps by up to 2.3 rad and winds 60 times; 512 nodes resolve the phase
     s = sample_circle(zero_pair(200), 0.0, 30.5)
-    assert circle_batches == [(16, 0), (16, 0), (32, 0), (64, 0), (128, 0), (256, 0)]
+    assert circle_batches == [(32, 0), (32, 0), (64, 0), (128, 0), (256, 0)]
     assert s.count == 60 and s.zs.size == 512
 
 

@@ -244,7 +244,6 @@ def test_pipeline_reports_condition_and_residual(zero_model):
     rec = run_reconstruction(make_split_data(0.05), zero_model, default_grid(100))
     assert rec.cond is not None and np.all(np.isfinite(rec.cond))
     assert rec.residual < 1e-11
-    assert rec.eps.theta is not None
 
 
 def test_layout_rejects_oversized_groups(zero_model):

@@ -1,5 +1,5 @@
-"""Source hygiene: no definition in src/qpencil is reached only by the tests,
-and importing the package loads numpy but nothing from scipy."""
+"""Source hygiene: no definition or dataclass field in src/qpencil is reached only by
+the tests, and importing the package loads numpy but nothing from scipy."""
 
 import ast
 import os
@@ -45,6 +45,23 @@ def _name_tokens():
     return out
 
 
+def _dataclass_fields():
+    """(class, field) of every annotated field of a dataclass in src/qpencil."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d)
+                                                      for d in node.decorator_list):
+                yield from ((node.name, stmt.target.id) for stmt in node.body
+                            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name))
+
+
+def _attribute_reads():
+    """The attribute names that src/qpencil reads, as in ``obj.name`` (not ``obj.name = ...``)."""
+    return {node.attr for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def _outside_text():
     """The benchmark, script and CI sources without their # comments."""
     return "\n".join(re.sub(r"#.*", "", line) for pattern in OUTSIDE
@@ -65,6 +82,14 @@ def test_every_src_definition_is_reached_outside_tests():
                         and not tokens.get(name, set()) - lines
                         and not re.search(rf"(?<!np\.)(?<!numpy\.)\b{name}\b", outside)})
     assert unreached == [], f"only tests reach {unreached}: move them into tests/ or delete them"
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    reads = _attribute_reads()
+    outside = _outside_text()
+    unread = sorted(f"{cls}.{name}" for cls, name in _dataclass_fields()
+                    if name not in reads and not re.search(rf"\.{name}\b", outside))
+    assert unread == [], f"no src, benchmark, script or CI line reads {unread}: delete them"
 
 
 def test_scipy_loads_only_for_an_lu_solve():
