@@ -53,7 +53,6 @@ from .inverse import (
     default_grid,
     recover_q0_antiderivative,
     recover_q1,
-    recover_theta,
     run_reconstruction,
     run_reconstructions,
     solve_main,

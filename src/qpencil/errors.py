@@ -79,4 +79,4 @@ class SingularSystemError(NumericalError):
 
 
 class DegenerateSeriesError(NumericalError):
-    """1 + (leading series)^2 vanishes; the square-root recovery degenerates."""
+    """1 + (leading series)^2 vanishes, and the q1 recovery divides by it."""

@@ -88,14 +88,13 @@ def _side_entry(dataset: SpectralDataSet, n: int) -> SideEntry:
                      m=g.size, group_start=g.start)
 
 
-def active_layout(data: SpectralDataSet, model: BackgroundProblem,
+def active_layout(data: SpectralDataSet, model_set: SpectralDataSet,
                   min_window: int = 0) -> ActiveLayout:
-    """Indices where the data differ from the background, closed under groups."""
-    return _layout(data, model.spectral_data(max(data.max_abs_index, min_window, 1)), min_window)
+    """Indices where the data differ from the background's ``model_set``, closed under groups.
 
-
-def _layout(data: SpectralDataSet, model_set: SpectralDataSet, min_window: int) -> ActiveLayout:
-    """``active_layout`` against the background's data, at least as wide as the set's."""
+    ``model_set`` is the background's own spectral data, at least as wide as the set
+    and ``min_window``; every index |n| <= ``min_window`` is active.
+    """
     width = max(data.max_abs_index, min_window)
     active: set[int] = set(zindex.window(min_window))
     for n in zindex.window(width):
@@ -164,14 +163,13 @@ class MainEquationSystem:
         return P.reshape(-1, dim, dim)
 
 
-def assemble_system(data, model: BackgroundProblem, x, min_window: int = 0,
-                    layout=None) -> MainEquationSystem:
+def assemble_system(layouts, model: BackgroundProblem, x) -> MainEquationSystem:
     """Build the factors of the per-node matrices from per-entry chain combinations.
 
-    ``layout`` is the set's layout if known, or a sequence of layouts of one dim
-    to stack (``data`` unused).  Every unknown (entry, side j) contributes its row
-    chains a = S_nu, a' = S'_nu, a_ = S_(nu-1) and its column combinations b, b'
-    and b_ = (-1)^j sum_(p>nu) M_p S_(p-nu-1).  Leibniz on dD/dx = (lam + mu - 2 q1)
+    ``layouts`` holds one ``active_layout`` per set, all of one dim, to stack.  Every
+    unknown (entry, side j) contributes its row chains a = S_nu, a' = S'_nu,
+    a_ = S_(nu-1) and its column combinations b, b' and
+    b_ = (-1)^j sum_(p>nu) M_p S_(p-nu-1).  Leibniz on dD/dx = (lam + mu - 2 q1)
     S(lam) S(mu) gives dP/dx = u_r b_c + a_r w_c with u = (lam - 2 q1) a + a_ and
     w = lam b + b_.  P takes the quotient form for simple pairs at least
     ``COALESCE_GAP`` apart, kept as a, a' and ``scale``, and the kernel tables
@@ -179,9 +177,7 @@ def assemble_system(data, model: BackgroundProblem, x, min_window: int = 0,
     call per derivative-order key (row nu, column m - 1 - nu) for all their pairs.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if layout is None:
-        layout = active_layout(data, model, min_window=min_window)
-    layouts = (layout,) if isinstance(layout, ActiveLayout) else tuple(layout)
+    layouts = tuple(layouts)
     rows = [row for lay in layouts for row in lay.rows()]
     n_sets, dim, nx = len(layouts), layouts[0].dim, x.size
     lams = np.array([e.lam for e, _ in rows], dtype=complex)
@@ -237,13 +233,12 @@ def assemble_system(data, model: BackgroundProblem, x, min_window: int = 0,
                               b=b, b_x=b_x, b_lo=b_lo)
 
 
-def solve_main(system: MainEquationSystem, cond_limit: float = COND_LIMIT
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def solve_main(system: MainEquationSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve (I - P) v = s and (I - P) v_x = s_x + (dP/dx) v at every node.
 
     Returns ``(v, v_x, cond, residual)``: v and v_x of shape (dim, nodes), the
-    per-node 1-norm condition ||A||_1 ||A^-1||_1 of A = I - P, and the max-norm
-    residual of A v - s.  A is formed in place in chunks of ``SOLVE_CHUNK_ENTRIES``
+    per-node 1-norm condition ||A||_1 ||A^-1||_1 of A = I - P, and the per-node
+    max-norm residual of A v - s.  A is formed in place in chunks of ``SOLVE_CHUNK_ENTRIES``
     matrix entries, in one set or of whole sets.  Below ``LU_MIN_DIM`` a batched
     ``np.linalg.inv`` serves both solves and gives the exact condition; from it on
     one LAPACK getrf per node serves two getrs solves and gecon's Hager-Higham
@@ -251,19 +246,8 @@ def solve_main(system: MainEquationSystem, cond_limit: float = COND_LIMIT
     larger getrf calls), several chunks go to two threads (one on one CPU) that
     share the budget.  The products are einsums, off numpy's BLAS pool.  A failed node
     (non-finite or exactly singular A, overflowing inverse) gets cond = inf and NaN
-    solutions, and the loop goes on; then, per set, the lowest failed node or else
-    the worst node above ``cond_limit`` (1e10; the CLI profiles use 1e8 strict,
-    1e12 loose) raises ``SingularSystemError``.
+    solutions, and the loop goes on.
     """
-    v, v_x, cond, residual = _solve_nodes(system)
-    for set_cond in cond.reshape(-1, system.x.size):
-        if (error := _guard(system.x, set_cond, cond_limit)) is not None:
-            raise error
-    return v, v_x, cond, float(residual.max())
-
-
-def _solve_nodes(system: MainEquationSystem):
-    """``solve_main`` without the guard; the residual is per node."""
     nx, (nodes, dim) = system.x.size, system.rhs.shape
     mv = partial(np.einsum, "nij,nj->ni")    # a product per node, through no BLAS
     v, vx = np.empty((2, nodes, dim), dtype=complex)
@@ -363,27 +347,8 @@ def compute_epsilons(system: MainEquationSystem, v: np.ndarray,
 def _degenerate(x: np.ndarray, eps1: np.ndarray) -> DegenerateSeriesError | None:
     """The failure at the first node, of the first row, where |1 + eps1^2| < 1e-8."""
     bad = np.flatnonzero(np.abs(1.0 + eps1 ** 2) < 1e-8)
-    return DegenerateSeriesError(f"1 + eps1^2 vanishes at x={x[bad[0] % x.size]:.6f}; the "
-                                 "square-root recovery degenerates there") if bad.size else None
-
-
-def recover_theta(eps: EpsilonFields) -> tuple[np.ndarray, np.ndarray]:
-    """Branch-tracked square root: theta = +-(1 + eps1^2)^(-1/2), theta(0) = 1.
-
-    The companion factor is lambda_ = eps1 * theta; together they satisfy
-    theta^2 (1 + eps1^2) = 1 and theta^2 + lambda_^2 = 1 exactly as built.
-    Where |1 + eps1^2| < 1e-8 the recovery degenerates and raises
-    ``DegenerateSeriesError``.  Each row of stacked series is tracked apart.
-    """
-    if (error := _degenerate(eps.x, eps.eps1)) is not None:
-        raise error
-    w = 1.0 / np.sqrt(1.0 + eps.eps1 ** 2)
-    # theta_(k-1) = s w_(k-1) with s = +-1, so the flip test
-    # |s w_k - theta_(k-1)| > |-s w_k - theta_(k-1)| does not depend on s
-    flips = np.cumsum(np.abs(w[..., 1:] - w[..., :-1]) > np.abs(w[..., 1:] + w[..., :-1]), axis=-1)
-    start = np.ones(w.shape[:-1] + (1,))
-    theta = w * np.concatenate((start, np.where(flips % 2, -1.0, 1.0)), axis=-1)
-    return theta, eps.eps1 * theta
+    return DegenerateSeriesError(f"1 + eps1^2 vanishes at x={x[bad[0] % x.size]:.6f}, where "
+                                 "the q1 recovery divides by it") if bad.size else None
 
 
 def recover_q1(eps: EpsilonFields, model: BackgroundProblem) -> np.ndarray:
@@ -427,8 +392,8 @@ class RecoveredPotentials:
     q1: np.ndarray
     q0_antideriv: np.ndarray     # integral from 0 to x of (q0 - q0_background)
     background: BackgroundProblem
-    cond: np.ndarray | None = None
-    residual: float = 0.0
+    cond: np.ndarray
+    residual: float
 
     def as_potentials(self):
         """Full (q1, sigma) pair, absorbing the background antiderivative."""
@@ -454,14 +419,17 @@ def run_reconstruction(data: SpectralDataSet, model: BackgroundProblem, grid=Non
 
 def run_reconstructions(datasets: list[SpectralDataSet], model: BackgroundProblem, grid=None,
                         min_window: int = 0, cond_limit: float = COND_LIMIT) -> list:
-    """Full pipeline on a stack of sets: assemble, solve, series, branch tracking, recovery.
+    """Full pipeline on a stack of sets: ``active_layout`` per set, then per dim
+    ``assemble_system``, ``solve_main``, ``compute_epsilons`` and the ``recover_*`` steps.
 
     Returns, per set, its ``RecoveredPotentials`` or the ``QPencilError`` it raises;
     an error that no single set causes raises.
     A set's mean eigenvalue shift must match the background's within 1e-6, and its
     tail must be that background.  Sets of one dim share one ``assemble_system`` and
-    one solve; the guard, the branch tracking and the quadrature restart at each set,
-    so a set's outputs are bitwise those of its reconstruction alone.
+    one solve.  The guards and the quadrature restart at each set, so a set's outputs
+    are bitwise those of its reconstruction alone.  A set fails at its lowest failed
+    node (cond = inf) or else its worst above ``cond_limit`` (1e10; the CLI profiles
+    use 1e8 strict, 1e12 loose), then where |1 + eps1^2| < 1e-8.
     """
     x = default_grid() if grid is None else np.atleast_1d(np.asarray(grid, dtype=float))
     model_set = model.spectral_data(max([min_window, 1] + [d.max_abs_index for d in datasets]))
@@ -473,7 +441,7 @@ def run_reconstructions(datasets: list[SpectralDataSet], model: BackgroundProble
                                       f"omega0={model.omega0}")
             if data.tail is not None and not same_background(data.tail, model):
                 raise ValidationError("data tail must coincide with the reconstruction background")
-            out.append(_layout(data, model_set, min_window))
+            out.append(active_layout(data, model_set, min_window))
         except QPencilError as err:
             out.append(err)
     for dim in {lay.dim for lay in out if isinstance(lay, ActiveLayout)}:
@@ -481,8 +449,8 @@ def run_reconstructions(datasets: list[SpectralDataSet], model: BackgroundProble
         series = np.zeros((5, len(stack), x.size), dtype=complex)   # the background's own data
         cond, residual = np.ones(series.shape[1:]), [0.0] * len(stack)
         if dim:
-            system = assemble_system(None, model, x, layout=[out[i] for i in stack])
-            v, v_x, cond, residual = _solve_nodes(system)
+            system = assemble_system([out[i] for i in stack], model, x)
+            v, v_x, cond, residual = solve_main(system)
             eps = compute_epsilons(system, v, v_x)
             series.reshape(5, -1)[:] = [eps.eps1, eps.eps1_prime, eps.eps2, eps.eps3, eps.eps4]
             cond, residual = cond.reshape(len(stack), -1), residual.reshape(len(stack), -1).max(1)
@@ -490,7 +458,6 @@ def run_reconstructions(datasets: list[SpectralDataSet], model: BackgroundProble
             out[i] = _guard(x, c, cond_limit) or _degenerate(x, e1)
         ok = [s for s, i in enumerate(stack) if out[i] is None]
         eps = EpsilonFields(x, *series[:, ok])
-        recover_theta(eps)
         q1 = recover_q1(eps, model)
         q0ad = recover_q0_antiderivative(eps, q1, model)
         for j, s in enumerate(ok):

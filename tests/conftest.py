@@ -3,7 +3,19 @@
 import numpy as np
 import pytest
 
-from qpencil import PotentialPair
+from qpencil import PotentialPair, assemble_system
+from qpencil.inverse import active_layout
+
+
+def layout_of(data, model, min_window: int = 0):
+    """One set's ``active_layout`` against the background's data at its width."""
+    return active_layout(data, model.spectral_data(max(data.max_abs_index, min_window, 1)),
+                         min_window)
+
+
+def system_of(data, model, x, min_window: int = 0):
+    """The main-equation system of one set."""
+    return assemble_system([layout_of(data, model, min_window)], model, x)
 
 
 def zero_pair(n_grid: int = 200) -> PotentialPair:

@@ -24,16 +24,9 @@ from qpencil import (
 )
 from qpencil.experiments import SplitExperimentConfig, _separated_pole_parts
 from qpencil.forward import circle_nodes, sample_circle
-from qpencil.inverse import (
-    active_layout,
-    assemble_system,
-    compute_epsilons,
-    default_grid,
-    recover_theta,
-    solve_main,
-)
+from qpencil.inverse import default_grid, solve_main
 from qpencil.zindex import window
-from conftest import zero_pair
+from conftest import layout_of, system_of, zero_pair
 from test_forward import wronskian_defect
 
 # frozen sweep targets: delta -> (d1, d0)
@@ -185,7 +178,7 @@ def solve_contour_equation(data, model, x, contour_radius, n_star):
     s0, c0 = model.s_chain(x, zs, 1), model.sx_chain(x, zs, 1)   # (2, N, nx)
 
     out = {}
-    layout = active_layout(data, model)
+    layout = layout_of(data, model)
     # evaluation points: active eigenvalues on both sides (simple only)
     targets = [(e.n, 0, e.lam) for e in layout.side0] + \
               [(e.n, 1, e.lam) for e in layout.side1]
@@ -213,7 +206,7 @@ def test_criterion_8_formulation_equivalence():
     data = make_split_data(0.01)
     model = ZeroBackground()
     xs = np.array([0.3, 0.9, pi / 2, 2.2, 2.9])
-    system = assemble_system(data, model, xs)
+    system = system_of(data, model, xs)
     v = solve_main(system)[0]
     v_seq = {(e.n, i): v[r] for r, (e, i) in enumerate(system.layout.rows())}
     v_cont = solve_contour_equation(data, model, xs, contour_radius=1.5, n_star=1)
@@ -241,23 +234,16 @@ def test_criterion_9_numerical_properties():
 
     def fd_err(n):
         x = default_grid(n)
-        system = assemble_system(data, model, x)
+        system = system_of(data, model, x)
         v, v_x, _, _ = solve_main(system)
         fd = (v[:, 2:] - v[:, :-2]) / (2 * (x[1] - x[0]))
         return np.max(np.abs(v_x[:, 1:-1] - fd))
 
     e100, e200 = fd_err(100), fd_err(200)
     fd_order = e100 / e200
-
-    system = assemble_system(data, model, default_grid(200))
-    eps = compute_epsilons(system, *solve_main(system)[:2])
-    theta, _ = recover_theta(eps)
-    branch_defect = float(np.max(np.abs(theta ** 2 * (1 + eps.eps1 ** 2) - 1.0)))
     elapsed = time.perf_counter() - t0
 
-    ok = (wdef < 1e-9 and 11.0 < ratio < 21.0 and 2.5 < fd_order < 6.5
-          and branch_defect < 1e-12 and elapsed < 60.0)
+    ok = wdef < 1e-9 and 11.0 < ratio < 21.0 and 2.5 < fd_order < 6.5 and elapsed < 60.0
     _report("criterion 9 (numerical properties)", ok,
             f"wronskian {wdef:.1e} (<1e-9), step-halving ratio {ratio:.1f} (~16), "
-            f"v_x FD order {fd_order:.1f} (~4), branch identity defect "
-            f"{branch_defect:.1e}, runtime {elapsed:.1f}s (< 60s)")
+            f"v_x FD order {fd_order:.1f} (~4), runtime {elapsed:.1f}s (< 60s)")

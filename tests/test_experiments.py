@@ -12,6 +12,7 @@ from qpencil import (
     GridMismatchError,
     NegativeDeltaError,
     SplitExperimentConfig,
+    ValidationError,
     ZeroBackground,
     compute_d_metrics,
     compute_split_delta_metric,
@@ -117,7 +118,7 @@ def test_contour_touching_pole_rejected():
 
 
 def test_config_validates_contour():
-    with pytest.raises(Exception):
+    with pytest.raises(ValidationError, match="contour radius"):
         SplitExperimentConfig(delta_list=(0.05,), contour_radius=0.6)
     with pytest.raises(NegativeDeltaError):
         SplitExperimentConfig(delta_list=(-0.1,))

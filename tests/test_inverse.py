@@ -19,13 +19,12 @@ from qpencil import (
     SingularSystemError,
     SpectralDataSet,
     SpectralEntry,
+    ValidationError,
     ZeroBackground,
-    assemble_system,
     compute_epsilons,
     make_split_data,
     recover_q0_antiderivative,
     recover_q1,
-    recover_theta,
     run_reconstruction,
     run_reconstructions,
     solve_main,
@@ -37,11 +36,11 @@ from qpencil.inverse import (
     LU_MIN_DIM,
     SOLVE_CHUNK_ENTRIES,
     EpsilonFields,
-    active_layout,
     default_grid,
 )
 from qpencil.model import COALESCE_GAP, SMALL_LAMBDA, d_table
 from qpencil.zindex import window
+from conftest import layout_of, system_of
 from test_model import dx_table
 
 
@@ -55,7 +54,7 @@ def test_identity_data_recovers_model_solution(zero_model):
     # background solution values at every active index
     data = ZeroBackground().spectral_data(2)
     x = default_grid(60)
-    system = assemble_system(data, zero_model, x, min_window=2)
+    system = system_of(data, zero_model, x, min_window=2)
     v, v_x, _, _ = solve_main(system)
     for ridx, (e, i) in enumerate(system.layout.rows()):
         expected = zero_model.s_chain(x, e.lam, e.nu)[e.nu]
@@ -66,21 +65,22 @@ def test_identity_data_recovers_model_solution(zero_model):
 
 def test_solver_residual_small(zero_model):
     data = make_split_data(0.01)
-    system = assemble_system(data, zero_model, default_grid(200))
+    system = system_of(data, zero_model, default_grid(200))
     v, _, _, residual = solve_main(system)
     A = np.eye(system.layout.dim) - system.form_P()
     direct = np.max(np.abs(np.einsum("nij,jn->ni", A, v) - system.rhs))
-    assert residual == pytest.approx(direct, rel=1e-6)
-    assert residual < 1e-12
+    assert residual.shape == (system.x.size,)
+    assert residual.max() == pytest.approx(direct, rel=1e-6)
+    assert residual.max() < 1e-12
 
 
 def test_active_layout_is_four_by_four_for_split_data(zero_model):
     data = make_split_data(0.02)
-    layout = active_layout(data, zero_model)
+    layout = layout_of(data, zero_model)
     assert layout.indices == (-1, 1)
     assert layout.dim == 4
     data0 = make_split_data(0.0)
-    layout0 = active_layout(data0, zero_model)
+    layout0 = layout_of(data0, zero_model)
     assert layout0.dim == 4
     assert [e.m for e in layout0.side0] == [2, 2]
     assert [e.m for e in layout0.side1] == [1, 1]
@@ -92,7 +92,7 @@ def test_active_layout_closes_over_a_data_group(zero_model):
     data = SpectralDataSet.from_entries(
         [SpectralEntry(n=1, lam=1.0, M=-1 / pi), SpectralEntry(n=2, lam=1.0, M=-0.1)],
         tail=zero_model, omega0=0.0)
-    assert active_layout(data, zero_model).indices == (1, 2)
+    assert layout_of(data, zero_model).indices == (1, 2)
     rec = run_reconstruction(data, zero_model, default_grid(100))
     assert np.all(np.isfinite(rec.q1)) and np.all(np.isfinite(rec.q0_antideriv))
 
@@ -101,7 +101,7 @@ def test_submatrix_invertible_at_right_end(zero_model):
     # the model-row/data-column block at x = pi must be invertible
     data = make_split_data(0.01)
     x = np.array([pi])
-    system = assemble_system(data, zero_model, x)
+    system = system_of(data, zero_model, x)
     P = system.form_P()[0]
     dim_half = system.layout.dim // 2
     block = P[dim_half:, :dim_half]
@@ -113,7 +113,7 @@ def test_vx_matches_finite_difference_at_second_order(zero_model):
 
     def fd_error(n_grid):
         x = default_grid(n_grid)
-        system = assemble_system(data, zero_model, x)
+        system = system_of(data, zero_model, x)
         v, v_x, _, _ = solve_main(system)
         fd = (v[:, 2:] - v[:, :-2]) / (2 * (x[1] - x[0]))
         return np.max(np.abs(v_x[:, 1:-1] - fd))
@@ -126,7 +126,7 @@ def test_vx_matches_finite_difference_at_second_order(zero_model):
 
 def test_epsilons_vanish_for_identity(zero_model):
     data = ZeroBackground().spectral_data(2)
-    system = assemble_system(data, zero_model, default_grid(50), min_window=2)
+    system = system_of(data, zero_model, default_grid(50), min_window=2)
     v, v_x, _, _ = solve_main(system)
     eps = compute_epsilons(system, v, v_x)
     for arr in (eps.eps1, eps.eps1_prime, eps.eps2, eps.eps3, eps.eps4):
@@ -135,72 +135,14 @@ def test_epsilons_vanish_for_identity(zero_model):
 
 def test_epsilons_structure_for_split_data(zero_model):
     x = default_grid(80)
-    sys_pos = assemble_system(make_split_data(0.01), zero_model, x)
+    sys_pos = system_of(make_split_data(0.01), zero_model, x)
     eps_pos = compute_epsilons(sys_pos, *solve_main(sys_pos)[:2])
     assert abs(eps_pos.eps1[0]) < 1e-14            # every term carries S(0, .) = 0
     assert np.max(np.abs(eps_pos.eps4)) == 0.0     # all simple for delta > 0
 
-    sys_dbl = assemble_system(make_split_data(0.0), zero_model, x)
+    sys_dbl = system_of(make_split_data(0.0), zero_model, x)
     eps_dbl = compute_epsilons(sys_dbl, *solve_main(sys_dbl)[:2])
     assert np.max(np.abs(eps_dbl.eps4)) > 1e-3     # multiplicity term switches on
-
-
-def test_recover_theta_identities(zero_model):
-    data = make_split_data(0.01)
-    system = assemble_system(data, zero_model, default_grid(200))
-    eps = compute_epsilons(system, *solve_main(system)[:2])
-    theta, lam = recover_theta(eps)
-    assert theta[0] == pytest.approx(1.0, abs=1e-14)
-    assert np.max(np.abs(theta**2 * (1 + eps.eps1**2) - 1.0)) < 1e-12
-    assert np.max(np.abs(theta**2 + lam**2 - 1.0)) < 1e-12
-
-
-def test_recover_theta_trivial_and_degenerate():
-    x = default_grid(10)
-    zero = np.zeros(x.size, dtype=complex)
-    eps = EpsilonFields(x=x, eps1=zero, eps1_prime=zero, eps2=zero,
-                        eps3=zero, eps4=zero)
-    theta, lam = recover_theta(eps)
-    assert np.all(theta == 1.0)
-    assert np.all(lam == 0.0)
-
-    bad = EpsilonFields(x=x, eps1=np.full(x.size, 1j), eps1_prime=zero,
-                        eps2=zero, eps3=zero, eps4=zero)
-    with pytest.raises(DegenerateSeriesError):
-        recover_theta(bad)
-
-
-def _theta_loop(eps1):
-    """Branch tracking node by node: flip the sign when -theta is the nearer root."""
-    w = 1.0 / np.sqrt(1.0 + eps1**2)
-    theta = np.empty_like(w)
-    s = 1.0
-    theta[0] = s * w[0]
-    for k in range(1, w.size):
-        if abs(s * w[k] - theta[k - 1]) > abs(-s * w[k] - theta[k - 1]):
-            s = -s
-        theta[k] = s * w[k]
-    return theta
-
-
-@pytest.mark.parametrize("case", ["winding", "split-0", "split-0.01", "split-0.0001"])
-def test_recover_theta_matches_the_node_loop(case, zero_model):
-    x = default_grid(200)
-    if case == "winding":
-        # 1 + eps1^2 winds six times around 0, so the principal root flips six times
-        eps1 = 2.0 * np.exp(6j * x)
-    else:
-        system = assemble_system(make_split_data(float(case[6:])), zero_model, x)
-        eps1 = compute_epsilons(system, *solve_main(system)[:2]).eps1
-    zero = np.zeros_like(eps1)
-    eps = EpsilonFields(x=x, eps1=eps1, eps1_prime=zero, eps2=zero, eps3=zero, eps4=zero)
-    want = _theta_loop(eps1)
-    theta, lam = recover_theta(eps)
-    if case == "winding":
-        w = 1.0 / np.sqrt(1.0 + eps1**2)
-        assert np.count_nonzero(np.diff(np.sign((want / w).real))) == 6
-    assert np.array_equal(theta, want)
-    assert np.array_equal(lam, eps1 * want)
 
 
 def test_recovery_zero_for_zero_series(zero_model):
@@ -208,7 +150,6 @@ def test_recovery_zero_for_zero_series(zero_model):
     zero = np.zeros(x.size, dtype=complex)
     eps = EpsilonFields(x=x, eps1=zero, eps1_prime=zero, eps2=zero,
                         eps3=zero, eps4=zero)
-    recover_theta(eps)
     q1 = recover_q1(eps, zero_model)
     q0ad = recover_q0_antiderivative(eps, q1, zero_model)
     assert np.max(np.abs(q1)) == 0.0
@@ -228,16 +169,16 @@ def test_pipeline_rejects_mismatched_mean_shift(zero_model):
     shifted = [SpectralEntry(n, data.entry(n).lam + 0.4, data.entry(n).M)
                for n in data.window_indices()]
     bad = SpectralDataSet.from_entries(shifted, tail=ZeroBackground(), omega0=0.4)
-    with pytest.raises(Exception):
+    with pytest.raises(ValidationError, match="incompatible"):
         run_reconstruction(bad, zero_model)
 
 
 def test_condition_guard_raises(zero_model):
-    data = make_split_data(0.01)
-    system = assemble_system(data, zero_model, default_grid(30))
+    data, x = make_split_data(0.01), default_grid(30)
+    cond = solve_main(system_of(data, zero_model, x))[2]
     with pytest.raises(SingularSystemError) as exc:
-        solve_main(system, cond_limit=1.0)
-    assert exc.value.cond is not None
+        run_reconstruction(data, zero_model, x, cond_limit=1.0)
+    assert exc.value.cond == cond.max() and exc.value.x == x[np.argmax(cond)]
 
 
 def test_pipeline_reports_condition_and_residual(zero_model):
@@ -252,7 +193,7 @@ def test_layout_rejects_oversized_groups(zero_model):
     raw = [SpectralEntry(n, 0.4, 1.0) for n in (-3, -2, -1, 1, 2, 3)]   # one group of six
     data = SpectralDataSet.from_entries(raw, tail=ZeroBackground(), omega0=0.0)
     with pytest.raises(OrderTooHighError):
-        active_layout(data, zero_model)
+        layout_of(data, zero_model)
 
 
 def _wide_data(width, seed):
@@ -301,7 +242,7 @@ def _column_sums(system, model):
 def test_assembly_matches_per_entry_tables(case, zero_model):
     data = {"wide": _wide_data(6, 7), "double-group": make_split_data(0.0),
             "small-lambda": make_split_data(0.01)}[case]
-    system = assemble_system(data, zero_model, default_grid(50))
+    system = system_of(data, zero_model, default_grid(50))
     rows = system.layout.rows()
     if case == "wide":
         assert any(0 < abs(er.lam - ec.lam) < COALESCE_GAP
@@ -321,7 +262,7 @@ def test_assembly_matches_per_entry_tables(case, zero_model):
 
 
 def test_assembly_tables_only_coalescent_pairs(zero_model, table_calls):
-    system = assemble_system(_wide_data(16, 101), zero_model, default_grid(20))
+    system = system_of(_wide_data(16, 101), zero_model, default_grid(20))
     rows = system.layout.rows()
     close = sum(abs(er.lam - ec.lam) < COALESCE_GAP for er, _ in rows for ec, _ in rows)
     assert system.layout.dim == 64
@@ -331,7 +272,7 @@ def test_assembly_tables_only_coalescent_pairs(zero_model, table_calls):
 
 
 def test_assembly_tables_group_pairs(zero_model, table_calls):
-    system = assemble_system(make_split_data(0.0), zero_model, default_grid(20))
+    system = system_of(make_split_data(0.0), zero_model, default_grid(20))
     rows = system.layout.rows()
     tabled = [(er, ec) for er, _ in rows for ec, _ in rows
               if er.m > 1 or ec.m > 1 or abs(er.lam - ec.lam) < COALESCE_GAP]
@@ -347,7 +288,7 @@ def test_solve_matches_per_node_oracle(case, zero_model):
     # dim 128 is large enough for getrf to use its threads
     data = {"wide": _wide_data(16, 903), "wide-128": _wide_data(32, 905),
             "double-group": make_split_data(0.0)}[case]
-    system = assemble_system(data, zero_model, default_grid(40))
+    system = system_of(data, zero_model, default_grid(40))
     v, v_x, cond, residual = solve_main(system)
     _, Px = _tabulated(system, zero_model)
     eye, P = np.eye(system.layout.dim), system.form_P()
@@ -362,7 +303,7 @@ def test_solve_matches_per_node_oracle(case, zero_model):
             assert exact / 3 <= cond[k] <= exact * (1 + 1e-12)
         assert np.max(np.abs(v[:, k] - want_v)) <= 1e-12 * np.max(np.abs(want_v))
         assert np.max(np.abs(v_x[:, k] - want_vx)) <= 1e-12 * np.max(np.abs(want_vx))
-    assert residual < 1e-12
+    assert residual.max() < 1e-12
 
 
 def _triple_group_data():
@@ -375,7 +316,7 @@ def _triple_group_data():
 @pytest.mark.parametrize("case", ["double-group", "triple-group"])
 def test_eps4_matches_the_group_sum(case, zero_model):
     data = make_split_data(0.0) if case == "double-group" else _triple_group_data()
-    system = assemble_system(data, zero_model, default_grid(30))
+    system = system_of(data, zero_model, default_grid(30))
     rows = system.layout.rows()
     assert max(e.m for e, _ in rows) == (2 if case == "double-group" else 3)
     rng = np.random.default_rng(11)
@@ -395,7 +336,7 @@ def test_assembly_keeps_no_dense_matrix(zero_model):
     data = _wide_data(16, 903)
     tracemalloc.start()
     try:
-        system = assemble_system(data, zero_model, default_grid(200))
+        system = system_of(data, zero_model, default_grid(200))
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -406,6 +347,20 @@ def test_assembly_keeps_no_dense_matrix(zero_model):
     assert retained < 3e6
 
 
+def _replace_nodes(monkeypatch, values):
+    """Make ``form_P`` of every system return ``values[k]`` at its node k."""
+    inner = qinv.MainEquationSystem.form_P
+
+    def form_P(self, nodes=slice(None)):
+        P, lo = inner(self, nodes), nodes.indices(len(self.rhs))[0]
+        for k, value in values.items():
+            if 0 <= k - lo < len(P):
+                P[k - lo] = value
+        return P
+
+    monkeypatch.setattr(qinv.MainEquationSystem, "form_P", form_P)
+
+
 @pytest.mark.parametrize("fill, width", [
     pytest.param("identity", 4, id="identity"),       # dim 16: LU node by node
     pytest.param("nan", 4, id="nan"),
@@ -413,15 +368,17 @@ def test_assembly_keeps_no_dense_matrix(zero_model):
     pytest.param("nan", 1, id="nan-dim4"),
 ])
 def test_singular_or_non_finite_node_raises(fill, width, zero_model, monkeypatch):
-    system = assemble_system(_wide_data(width, 5), zero_model, default_grid(40))
-    assert (system.layout.dim >= LU_MIN_DIM) == (width == 4)
+    data, x = _wide_data(width, 5), default_grid(40)
+    dim = layout_of(data, zero_model).dim
+    assert (dim >= LU_MIN_DIM) == (width == 4)
     k = 23                                   # not the first node of its chunk
-    P = system.form_P()
-    P[k] = np.eye(system.layout.dim) if fill == "identity" else np.nan
-    monkeypatch.setattr(system, "form_P", lambda nodes: P[nodes].copy())
+    _replace_nodes(monkeypatch, {k: np.eye(dim) if fill == "identity" else np.nan})
+    v, v_x, cond, _ = solve_main(system_of(data, zero_model, x))
+    assert np.flatnonzero(np.isinf(cond)).tolist() == [k]
+    assert np.isnan(v[:, k]).all() and np.isnan(v_x[:, k]).all()
     with pytest.raises(SingularSystemError) as exc:
-        solve_main(system)
-    assert exc.value.x == system.x[k]
+        run_reconstruction(data, zero_model, x)
+    assert exc.value.x == x[k]
     assert exc.value.cond == np.inf
 
 
@@ -431,18 +388,19 @@ def test_singular_or_non_finite_node_raises(fill, width, zero_model, monkeypatch
     pytest.param(1, id="dim4"),        # batched inverse: the exact condition
 ])
 def test_near_singular_node_trips_the_guard(width, zero_model, monkeypatch):
-    system = assemble_system(_wide_data(width, 5), zero_model, default_grid(40))
+    data, x = _wide_data(width, 5), default_grid(40)
+    system = system_of(data, zero_model, x)
     k, eye = 23, np.eye(system.layout.dim)
-    P = system.form_P()
-    U, sv, Vh = np.linalg.svd(eye - P[k])
+    U, sv, Vh = np.linalg.svd(eye - system.form_P()[k])
     A = (U * np.append(sv[:-1], 1e-12 * sv[0])) @ Vh     # kappa_2 = 1e12
     exact = np.linalg.cond(A, 1)
     assert 1e11 < exact < 1e13
-    P[k] = eye - A
-    monkeypatch.setattr(system, "form_P", lambda nodes: P[nodes].copy())
+    _replace_nodes(monkeypatch, {k: eye - A})
+    cond = solve_main(system)[2]
+    assert np.argmax(cond) == k and np.isfinite(cond[k])
     with pytest.raises(SingularSystemError) as exc:
-        solve_main(system)
-    assert exc.value.x == system.x[k]
+        run_reconstruction(data, zero_model, x)
+    assert exc.value.x == x[k] and exc.value.cond == cond[k]
     # at kappa 1e12 any computed inverse, the exact one too, keeps about 4 digits
     assert exact / 3 <= exc.value.cond <= exact * (1 + 1e-3)
 
@@ -487,7 +445,7 @@ def test_solve_factors_each_node_once(width, zero_model, monkeypatch):
 
 
 def test_solve_memory_is_bounded_by_the_chunk(zero_model):
-    system = assemble_system(_wide_data(16, 903), zero_model, default_grid(200))
+    system = system_of(_wide_data(16, 903), zero_model, default_grid(200))
     assert system.layout.dim == 64
     tracemalloc.start()
     try:
@@ -513,7 +471,7 @@ def _solve_threads(monkeypatch):
 
 
 def test_pool_shares_the_chunk_budget(zero_model, monkeypatch):
-    system = assemble_system(_wide_data(16, 903), zero_model, default_grid(200))
+    system = system_of(_wide_data(16, 903), zero_model, default_grid(200))
     threads = _solve_threads(monkeypatch)
     peaks = {}
     for cpus in (1, 2, 64):
@@ -533,7 +491,7 @@ def test_pool_shares_the_chunk_budget(zero_model, monkeypatch):
 
 @pytest.mark.parametrize("width", [pytest.param(16, id="dim64"), pytest.param(24, id="dim96")])
 def test_pool_changes_no_bit_of_the_solve(width, zero_model, monkeypatch):
-    system = assemble_system(_wide_data(width, 906), zero_model, default_grid(200))
+    system = system_of(_wide_data(width, 906), zero_model, default_grid(200))
     assert system.layout.dim ** 2 < qinv.POOL_MAX_ENTRIES
     threads = _solve_threads(monkeypatch)
     runs = {}
@@ -550,7 +508,7 @@ def test_pool_changes_no_bit_of_the_solve(width, zero_model, monkeypatch):
         sys.setswitchinterval(interval)
     (v, v_x, cond, residual), pooled = runs[1], runs[2]
     assert np.array_equal(pooled[0], v) and np.array_equal(pooled[1], v_x)
-    assert np.array_equal(pooled[2], cond) and pooled[3] == residual
+    assert np.array_equal(pooled[2], cond) and np.array_equal(pooled[3], residual)
 
 
 @pytest.mark.parametrize("width, n_grid", [
@@ -559,7 +517,7 @@ def test_pool_changes_no_bit_of_the_solve(width, zero_model, monkeypatch):
     pytest.param(16, 7, id="dim64-one-chunk"),     # 8 nodes, 8 to a two-worker chunk
 ])
 def test_pool_is_left_out(width, n_grid, zero_model, monkeypatch):
-    system = assemble_system(_wide_data(width, 907), zero_model, default_grid(n_grid))
+    system = system_of(_wide_data(width, 907), zero_model, default_grid(n_grid))
     assert system.layout.dim == 4 * width
     monkeypatch.setattr(qinv, "_cpus", lambda: 2)
     threads = _solve_threads(monkeypatch)
@@ -571,20 +529,18 @@ def test_pool_is_left_out(width, n_grid, zero_model, monkeypatch):
                          ids="-".join)
 def test_parallel_solve_reports_the_lowest_failing_node(fills, zero_model, monkeypatch):
     monkeypatch.setattr(qinv, "_cpus", lambda: 2)
-    system = assemble_system(_wide_data(16, 5), zero_model, default_grid(200))
-    dim = system.layout.dim
+    data, x = _wide_data(16, 5), default_grid(200)
+    dim = layout_of(data, zero_model).dim
     chunk = SOLVE_CHUNK_ENTRIES // (2 * dim * dim)
     # the last node of one chunk and the first of the next: the later chunk
     # meets its failure first, on the other worker
     nodes = (4 * chunk - 1, 4 * chunk)
-    P = system.form_P()
-    for k, fill in zip(nodes, fills):
-        P[k] = np.eye(dim) if fill == "identity" else np.nan
-    monkeypatch.setattr(system, "form_P", lambda nodes: P[nodes].copy())
+    _replace_nodes(monkeypatch, {k: np.eye(dim) if fill == "identity" else np.nan
+                                 for k, fill in zip(nodes, fills)})
     threads = _solve_threads(monkeypatch)
     with pytest.raises(SingularSystemError) as exc:
-        solve_main(system)
-    assert exc.value.x == system.x[nodes[0]]
+        run_reconstruction(data, zero_model, x)
+    assert exc.value.x == x[nodes[0]]
     assert exc.value.cond == np.inf
     assert all(name.startswith("qpencil-solve") for name in threads)
 
@@ -599,8 +555,9 @@ from qpencil import ZeroBackground, assemble_system, default_grid, make_split_da
 run_reconstruction(make_split_data(0.01), ZeroBackground(), default_grid(200))
 assert threading.active_count() == before, (before, threading.active_count())
 qinv._cpus = lambda: 64
-data = make_split_data(0.0).replace_entry(1, lam=1.5)
-system = assemble_system(data, ZeroBackground(), default_grid(200), min_window=16)
+data, model = make_split_data(0.0).replace_entry(1, lam=1.5), ZeroBackground()
+layout = qinv.active_layout(data, model.spectral_data(16), min_window=16)
+system = assemble_system([layout], model, default_grid(200))
 assert system.layout.dim == 64
 qinv.solve_main(system)
 pooled = threading.active_count()
@@ -618,7 +575,7 @@ assert threading.active_count() == pooled
 @pytest.mark.filterwarnings("ignore:.*use of fork\\(\\) may lead to deadlocks:DeprecationWarning")
 def test_forked_child_solves_after_a_parallel_solve(zero_model, monkeypatch):
     monkeypatch.setattr(qinv, "_cpus", lambda: 2)
-    system = assemble_system(_wide_data(16, 903), zero_model, default_grid(40))
+    system = system_of(_wide_data(16, 903), zero_model, default_grid(40))
     want = solve_main(system)
     pid = os.fork()
     if pid == 0:        # the child inherits the pool object, not its threads
@@ -701,17 +658,7 @@ def test_an_exactly_singular_node_fails_only_its_set(width, zero_model, monkeypa
     x = default_grid(40)
     sets = [_wide_data(width, seed) for seed in (41, 42, 43)]
     want = [run_reconstruction(data, zero_model, x) for data in sets]
-    node = x.size + 23           # grid node 23 of the second set
-    inner = qinv.MainEquationSystem.form_P
-
-    def singular_at_node(self, nodes=slice(None)):
-        P = inner(self, nodes)
-        k = node - nodes.indices(len(self.rhs))[0]
-        if 0 <= k < len(P):
-            P[k] = np.eye(self.layout.dim)
-        return P
-
-    monkeypatch.setattr(qinv.MainEquationSystem, "form_P", singular_at_node)
+    _replace_nodes(monkeypatch, {x.size + 23: np.eye(4 * width)})    # node 23 of the second set
     got = run_reconstructions(sets, zero_model, x)
     assert isinstance(got[1], SingularSystemError)
     assert got[1].x == x[23] and got[1].cond == np.inf
@@ -730,3 +677,42 @@ def test_stack_groups_sets_by_dim_and_keeps_their_order(zero_model):
     assert isinstance(got[2], qpencil.ValidationError)
     for k in (0, 1, 3, 4):
         _same_reconstruction(got[k], run_reconstruction(sets[k], zero_model, x))
+
+
+def test_a_degenerate_set_leaves_the_stack_alone(zero_model, monkeypatch):
+    x, k = default_grid(200), 57
+    sets = [make_split_data(d) for d in (0.0, 0.01, 1e-4)]
+    want = [run_reconstruction(data, zero_model, x) for data in sets]
+    inner = qinv.compute_epsilons
+
+    def degenerate(system, v, v_x):      # eps1 = 1j at node k of the second set: 1 + eps1^2 = 0
+        eps = inner(system, v, v_x)
+        eps.eps1[x.size + k] = 1j
+        return eps
+
+    monkeypatch.setattr(qinv, "compute_epsilons", degenerate)
+    got = run_reconstructions(sets, zero_model, x)
+    assert isinstance(got[1], DegenerateSeriesError)
+    assert str(got[1]) == f"1 + eps1^2 vanishes at x={x[k]:.6f}, where the q1 recovery divides by it"
+    _same_reconstruction(got[0], want[0])
+    _same_reconstruction(got[2], want[2])
+
+
+def test_the_pipeline_calls_each_public_stage(zero_model, monkeypatch):
+    stages = ("active_layout", "assemble_system", "solve_main", "compute_epsilons",
+              "recover_q1", "recover_q0_antiderivative")
+    calls = []
+
+    def counted(name, inner):
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        return counting
+
+    for name in stages:
+        monkeypatch.setattr(qinv, name, counted(name, getattr(qinv, name)))
+    sets = [make_split_data(d) for d in (0.0, 0.01, 1e-4)]
+    got = run_reconstructions(sets, zero_model, default_grid(100))
+    assert all(isinstance(rec, qpencil.RecoveredPotentials) for rec in got)
+    # the layout once per set, every other stage once for the stack
+    assert calls == ["active_layout"] * len(sets) + list(stages[1:])

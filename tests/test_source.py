@@ -13,13 +13,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qpencil"
 OUTSIDE = ["benchmarks/*.py", "scripts/*.py", ".github/workflows/*.yml"]
 
-ALLOWED = {
-    # the public single-set solve, which the benchmark names only as a span;
-    # run_reconstructions calls _solve_nodes directly
-    "solve_main",
-}
-
-
 def _definitions():
     """(name, path, line) of every function, class and method but dunders."""
     for path in sorted(SRC.glob("*.py")):
@@ -78,8 +71,7 @@ def test_every_src_definition_is_reached_outside_tests():
     for name, path, line in _definitions():
         defined.setdefault(name, set()).add((path, line))
     unreached = sorted({name for name, lines in defined.items()
-                        if name not in ALLOWED
-                        and not tokens.get(name, set()) - lines
+                        if not tokens.get(name, set()) - lines
                         and not re.search(rf"(?<!np\.)(?<!numpy\.)\b{name}\b", outside)})
     assert unreached == [], f"only tests reach {unreached}: move them into tests/ or delete them"
 
