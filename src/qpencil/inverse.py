@@ -125,7 +125,7 @@ class MainEquationSystem:
 
     P = (a_r a'_c - a'_r a_c) ``scale``_rc with the row chains a = ``rhs``,
     a' = ``rhs_x``, except at the pairs (``table_rows``, ``table_cols``) a set
-    tables, with per-node values ``table_vals``; ``form_P`` forms it per slice.
+    tables, with per-node values ``table_vals``; ``form_A`` forms A = I - P per slice.
     ``b`` and ``b_x`` are the signed column combinations (-1)^j sum_p M_p S_(p-nu)
     and the same over S', ``b_lo`` the same with S_(p-nu-1) over p > nu.
     dP/dx = ``px_u @ px_w`` at every node.
@@ -150,17 +150,18 @@ class MainEquationSystem:
     def layout(self) -> ActiveLayout:     # the first set's; the sets share its dim
         return self.layouts[0]
 
-    def form_P(self, nodes: slice = slice(None)) -> np.ndarray:
-        """P at a slice of nodes in one set or of whole sets, a new array the caller
-        may overwrite.  Complex products do not commute bitwise: a' a^T is its own."""
+    def form_A(self, nodes: slice = slice(None)) -> np.ndarray:
+        """A = I - P at a slice of nodes in one set or of whole sets, a new array."""
         (lo, hi, _), nx, dim = nodes.indices(len(self.rhs)), self.x.size, self.rhs.shape[1]
         first, k = lo // nx, max(1, (hi - lo) // nx)     # the first set, the number of sets
-        a, a_x, r, c = self.rhs[nodes], self.rhs_x[nodes], self.table_rows, self.table_cols
-        P = (a[:, :, None] * a_x[:, None, :] - a_x[:, :, None] * a[:, None, :]).reshape(
-            k, -1, dim, dim) * self.scale[first:first + k, None]
-        for p, tv, t in zip(P, self.table_vals[nodes].reshape(k, -1, r.size), self.tabled[first:]):
-            p[:, r[t], c[t]] = tv[:, t]
-        return P.reshape(-1, dim, dim)
+        a, a_x = (f[nodes].reshape(k, -1, dim) for f in (self.rhs, self.rhs_x))
+        A = a_x[..., None] * a[..., None, :]
+        A -= a[..., None] * a_x[..., None, :]
+        A *= self.scale[first:first + k, None]
+        for p, tv, t in zip(A, np.split(self.table_vals[nodes], k), self.tabled[first:]):
+            p[:, self.table_rows[t], self.table_cols[t]] = 0.0 - tv[:, t]
+        A[..., range(dim), range(dim)] += 1.0
+        return A.reshape(-1, dim, dim)
 
 
 def assemble_system(layouts, model: BackgroundProblem, x) -> MainEquationSystem:
@@ -238,12 +239,12 @@ def solve_main(system: MainEquationSystem) -> tuple[np.ndarray, np.ndarray, np.n
 
     Returns ``(v, v_x, cond, residual)``: v and v_x of shape (dim, nodes), the
     per-node 1-norm condition ||A||_1 ||A^-1||_1 of A = I - P, and the per-node
-    max-norm residual of A v - s.  A is formed in place in chunks of ``SOLVE_CHUNK_ENTRIES``
-    matrix entries, in one set or of whole sets.  Below ``LU_MIN_DIM`` a batched
-    ``np.linalg.inv`` serves both solves and gives the exact condition; from it on
-    one LAPACK getrf per node serves two getrs solves and gecon's Hager-Higham
-    estimate (a lower bound).  While dim^2 < ``POOL_MAX_ENTRIES`` (OpenBLAS threads
-    larger getrf calls), several chunks go to two threads (one on one CPU) that
+    max-norm residual of A v - s.  The solve factors A as ``form_A`` returns it, in chunks
+    of ``SOLVE_CHUNK_ENTRIES`` matrix entries, in one set or of whole sets.  Below
+    ``LU_MIN_DIM`` a batched ``np.linalg.inv`` serves both solves and gives the exact
+    condition; from it on one LAPACK getrf per node serves two getrs solves and gecon's
+    Hager-Higham estimate (a lower bound).  While dim^2 < ``POOL_MAX_ENTRIES`` (OpenBLAS
+    threads larger getrf calls), several chunks go to two threads (one on one CPU) that
     share the budget.  The products are einsums, off numpy's BLAS pool.  A failed node
     (non-finite or exactly singular A, overflowing inverse) gets cond = inf and NaN
     solutions, and the loop goes on.
@@ -262,9 +263,7 @@ def solve_main(system: MainEquationSystem) -> tuple[np.ndarray, np.ndarray, np.n
               for k in range(0, nx, chunk)]
 
     def solve_chunk(sl: slice) -> None:
-        A = system.form_P(sl)
-        np.subtract(0.0, A, out=A)       # bitwise eye - P, without its temporary
-        A[:, range(dim), range(dim)] += 1.0
+        A = system.form_A(sl)
         norm = np.abs(A).sum(axis=1).max(axis=1)
         if dim < LU_MIN_DIM:
             try:

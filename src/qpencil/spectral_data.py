@@ -88,8 +88,12 @@ class SpectralDataSet:
         cluster, and the clusters fill the sign's index slots in order of
         first appearance: values move with their coefficients, the slots stay.
         The clusters next to the gap bridge -1 and 1 when equal.  A run whose
-        members differ is collapsed onto their mean, so a group carries one
-        eigenvalue; equal eigenvalues left at opposite signs raise
+        members differ is collapsed onto their mean c, so a group carries one
+        eigenvalue.  Their coefficients, residues R_k of simple poles, become the
+        group's Laurent coefficients, the moments m_nu = sum_k R_k (lam_k - c)^nu
+        for nu < size; a run of some equal and some distinct eigenvalues raises
+        ValidationError, and one without coefficients collapses only its
+        eigenvalues.  Equal eigenvalues left at opposite signs raise
         SignConflictError.  Input that already obeys the convention comes back
         unchanged.  Without ``omega0`` the set takes its tail's, or 0 without a tail.
         """
@@ -252,12 +256,18 @@ def _regroup(emap: dict[int, SpectralEntry],
     groups: list[Group] = []
     slots = iter(idx)   # a window of Z0, so neighbouring slots are consecutive indices
     for run in runs:
-        lam = run[0].lam
+        lam, Ms = run[0].lam, [e.M for e in run]
         if any(e.lam != lam for e in run):   # averaging is not a fixed point
             lam = complex(np.mean([e.lam for e in run]))
+            if None not in Ms:
+                if len({e.lam for e in run}) < len(run):
+                    raise ValidationError(f"eigenvalues within {GROUPING_TOL} of {lam:.6g} "
+                                          "mix equal and distinct values")
+                # residues of simple poles: the pole part's Laurent coefficients about lam
+                Ms = [sum(e.M * (e.lam - lam) ** nu for e in run) for nu in range(len(run))]
         members = [next(slots) for _ in run]
-        for n, e in zip(members, run):
-            out[n] = e if (n, lam) == (e.n, e.lam) else SpectralEntry(n=n, lam=lam, M=e.M)
+        for n, e, M in zip(members, run, Ms):
+            out[n] = e if (n, lam, M) == (e.n, e.lam, e.M) else SpectralEntry(n=n, lam=lam, M=M)
         groups.append(Group(start=members[0], size=len(run), lam=lam))
     return out, groups
 

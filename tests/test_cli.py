@@ -335,6 +335,19 @@ def test_inverse_on_json_matches_split_table(tmp_path):
         assert rec[delta].read_bytes() == stacked.read_bytes(), delta
 
 
+def test_inverse_on_split_below_the_grouping_tolerance(tmp_path):
+    # read as the double eigenvalue's data, not as residues relabelled Laurent
+    # coefficients, which reconstruct 228 away in q1
+    data_path, rec_path = tmp_path / "split1e-19.json", tmp_path / "rec.csv"
+    make_split_data(1e-19).save_json(data_path)
+    assert main(["inverse", "--data", str(data_path), "--out", str(rec_path)]) == EXIT_OK
+    got = PotentialPair.from_csv(rec_path)
+    want = run_reconstruction(make_split_data(0.0), ZeroBackground(), default_grid(200))
+    want = want.as_potentials()
+    assert np.max(np.abs(got.q1 - want.q1)) <= 1e-6
+    assert np.max(np.abs(got.sigma - want.sigma)) <= 1e-6
+
+
 def test_split_table_bad_contour_is_validation_error(tmp_path):
     code = main(["split-table", "--deltas", "0.05", "--contour-r", "1.5",
                  "--out-dir", str(tmp_path)])

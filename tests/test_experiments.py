@@ -59,6 +59,15 @@ def test_split_data_double_limit():
     assert data.entry(1).M == pytest.approx(-1j / (2 * pi))
 
 
+def test_split_below_the_grouping_tolerance_carries_the_double_moments():
+    # roots 6.3e-10 apart with residues +-2.5e8 i merge into one group, whose
+    # Laurent coefficients are their moments: those of the double eigenvalue
+    data = make_split_data(1e-19)
+    assert [(g.start, g.size) for g in data.groups] == [(-1, 2)]
+    assert data.entry(-1).M == pytest.approx(SPLIT_M0, abs=1e-7)
+    assert data.entry(1).M == pytest.approx(SPLIT_M1, abs=1e-7)
+
+
 def test_split_data_negative_rejected():
     with pytest.raises(NegativeDeltaError):
         make_split_data(-0.01)

@@ -21,6 +21,7 @@ from qpencil import (
     SpectralEntry,
     ValidationError,
     ZeroBackground,
+    assemble_system,
     compute_epsilons,
     make_split_data,
     recover_q0_antiderivative,
@@ -67,8 +68,7 @@ def test_solver_residual_small(zero_model):
     data = make_split_data(0.01)
     system = system_of(data, zero_model, default_grid(200))
     v, _, _, residual = solve_main(system)
-    A = np.eye(system.layout.dim) - system.form_P()
-    direct = np.max(np.abs(np.einsum("nij,jn->ni", A, v) - system.rhs))
+    direct = np.max(np.abs(np.einsum("nij,jn->ni", system.form_A(), v) - system.rhs))
     assert residual.shape == (system.x.size,)
     assert residual.max() == pytest.approx(direct, rel=1e-6)
     assert residual.max() < 1e-12
@@ -102,9 +102,9 @@ def test_submatrix_invertible_at_right_end(zero_model):
     data = make_split_data(0.01)
     x = np.array([pi])
     system = system_of(data, zero_model, x)
-    P = system.form_P()[0]
+    A = system.form_A()[0]
     dim_half = system.layout.dim // 2
-    block = P[dim_half:, :dim_half]
+    block = A[dim_half:, :dim_half]     # -P there: I has no entry off its diagonal
     assert abs(np.linalg.det(block)) > 1e-6
 
 
@@ -253,12 +253,51 @@ def test_assembly_matches_per_entry_tables(case, zero_model):
         assert any(abs(e.lam) < SMALL_LAMBDA for e, _ in rows)
     P, Px = _tabulated(system, zero_model)
     B, Bx = _column_sums(system, zero_model)
-    for got, want in ((system.form_P(), P), (system.b, B), (system.b_x, Bx)):
+    for got, want in ((system.form_A(), np.eye(len(rows)) - P), (system.b, B), (system.b_x, Bx)):
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
     # the factored dP/dx adds lam_r a b and lam_c a b apart, so entries where
     # lam_r + lam_c - 2 q1 nearly cancels keep their absolute digits only
     err = np.abs(system.px_u @ system.px_w - Px).max(axis=(1, 2))
     assert np.all(err <= 1e-13 * np.abs(Px).max(axis=(1, 2)))
+
+
+def _reference_P(system, nodes):
+    """P at a slice of nodes by its own formula: the reference ``form_A`` negates and shifts."""
+    (lo, hi, _), nx, dim = nodes.indices(len(system.rhs)), system.x.size, system.rhs.shape[1]
+    first, k = lo // nx, max(1, (hi - lo) // nx)     # the first set, the number of sets
+    a, a_x, r, c = system.rhs[nodes], system.rhs_x[nodes], system.table_rows, system.table_cols
+    P = (a[:, :, None] * a_x[:, None, :] - a_x[:, :, None] * a[:, None, :]).reshape(
+        k, -1, dim, dim) * system.scale[first:first + k, None]
+    for p, tv, t in zip(P, system.table_vals[nodes].reshape(k, -1, r.size), system.tabled[first:]):
+        p[:, r[t], c[t]] = tv[:, t]
+    return P.reshape(-1, dim, dim)
+
+
+@pytest.mark.parametrize("case", ["wide-dim64", "sweep", "double-group"])
+def test_form_A_is_identity_minus_P_at_every_slicing(case, zero_model, monkeypatch):
+    sets = {"wide-dim64": [_wide_data(16, 903)],
+            "sweep": [make_split_data(d) for d in (0.0,) + REFERENCE_DELTAS],
+            "double-group": [make_split_data(0.0)]}[case]
+    system = assemble_system([layout_of(data, zero_model) for data in sets], zero_model,
+                             default_grid(200))
+    nx, (nodes, dim) = system.x.size, system.rhs.shape
+    inner, seen = qinv.MainEquationSystem.form_A, []
+
+    def checked(self, sl=slice(None)):
+        A = inner(self, sl)
+        assert np.array_equal(A, 0.0 - _reference_P(self, sl) + np.eye(dim)), sl
+        seen.append(sl)
+        return A
+
+    monkeypatch.setattr(qinv.MainEquationSystem, "form_A", checked)
+    monkeypatch.setattr(qinv, "_cpus", lambda: 1)
+    # the slices solve_main forms: within one set, one set, and whole sets
+    for chunk in (1, 7, nx - 1, nx, 2 * nx + 3, nodes):
+        monkeypatch.setattr(qinv, "SOLVE_CHUNK_ENTRIES", chunk * dim * dim)
+        seen.clear()
+        solve_main(system)
+        assert sorted(k for sl in seen for k in range(*sl.indices(nodes))) == list(range(nodes))
+    checked(system)
 
 
 def test_assembly_tables_only_coalescent_pairs(zero_model, table_calls):
@@ -291,9 +330,7 @@ def test_solve_matches_per_node_oracle(case, zero_model):
     system = system_of(data, zero_model, default_grid(40))
     v, v_x, cond, residual = solve_main(system)
     _, Px = _tabulated(system, zero_model)
-    eye, P = np.eye(system.layout.dim), system.form_P()
-    for k in range(system.x.size):
-        A = eye - P[k]
+    for k, A in enumerate(system.form_A()):
         want_v = np.linalg.solve(A, system.rhs[k])
         want_vx = np.linalg.solve(A, system.rhs_x[k] + Px[k] @ want_v)
         exact = np.linalg.cond(A, 1)
@@ -348,17 +385,17 @@ def test_assembly_keeps_no_dense_matrix(zero_model):
 
 
 def _replace_nodes(monkeypatch, values):
-    """Make ``form_P`` of every system return ``values[k]`` at its node k."""
-    inner = qinv.MainEquationSystem.form_P
+    """Make ``form_A`` of every system return ``values[k]`` at its node k."""
+    inner = qinv.MainEquationSystem.form_A
 
-    def form_P(self, nodes=slice(None)):
-        P, lo = inner(self, nodes), nodes.indices(len(self.rhs))[0]
+    def form_A(self, nodes=slice(None)):
+        A, lo = inner(self, nodes), nodes.indices(len(self.rhs))[0]
         for k, value in values.items():
-            if 0 <= k - lo < len(P):
-                P[k - lo] = value
-        return P
+            if 0 <= k - lo < len(A):
+                A[k - lo] = value
+        return A
 
-    monkeypatch.setattr(qinv.MainEquationSystem, "form_P", form_P)
+    monkeypatch.setattr(qinv.MainEquationSystem, "form_A", form_A)
 
 
 @pytest.mark.parametrize("fill, width", [
@@ -372,7 +409,8 @@ def test_singular_or_non_finite_node_raises(fill, width, zero_model, monkeypatch
     dim = layout_of(data, zero_model).dim
     assert (dim >= LU_MIN_DIM) == (width == 4)
     k = 23                                   # not the first node of its chunk
-    _replace_nodes(monkeypatch, {k: np.eye(dim) if fill == "identity" else np.nan})
+    # P = I: A = I - P is exactly singular
+    _replace_nodes(monkeypatch, {k: np.zeros((dim, dim)) if fill == "identity" else np.nan})
     v, v_x, cond, _ = solve_main(system_of(data, zero_model, x))
     assert np.flatnonzero(np.isinf(cond)).tolist() == [k]
     assert np.isnan(v[:, k]).all() and np.isnan(v_x[:, k]).all()
@@ -390,12 +428,12 @@ def test_singular_or_non_finite_node_raises(fill, width, zero_model, monkeypatch
 def test_near_singular_node_trips_the_guard(width, zero_model, monkeypatch):
     data, x = _wide_data(width, 5), default_grid(40)
     system = system_of(data, zero_model, x)
-    k, eye = 23, np.eye(system.layout.dim)
-    U, sv, Vh = np.linalg.svd(eye - system.form_P()[k])
+    k = 23
+    U, sv, Vh = np.linalg.svd(system.form_A()[k])
     A = (U * np.append(sv[:-1], 1e-12 * sv[0])) @ Vh     # kappa_2 = 1e12
     exact = np.linalg.cond(A, 1)
     assert 1e11 < exact < 1e13
-    _replace_nodes(monkeypatch, {k: eye - A})
+    _replace_nodes(monkeypatch, {k: A})
     cond = solve_main(system)[2]
     assert np.argmax(cond) == k and np.isfinite(cond[k])
     with pytest.raises(SingularSystemError) as exc:
@@ -535,8 +573,8 @@ def test_parallel_solve_reports_the_lowest_failing_node(fills, zero_model, monke
     # the last node of one chunk and the first of the next: the later chunk
     # meets its failure first, on the other worker
     nodes = (4 * chunk - 1, 4 * chunk)
-    _replace_nodes(monkeypatch, {k: np.eye(dim) if fill == "identity" else np.nan
-                                 for k, fill in zip(nodes, fills)})
+    _replace_nodes(monkeypatch, {k: np.zeros((dim, dim)) if fill == "identity" else np.nan
+                                 for k, fill in zip(nodes, fills)})    # P = I: A = 0
     threads = _solve_threads(monkeypatch)
     with pytest.raises(SingularSystemError) as exc:
         run_reconstruction(data, zero_model, x)
@@ -658,7 +696,7 @@ def test_an_exactly_singular_node_fails_only_its_set(width, zero_model, monkeypa
     x = default_grid(40)
     sets = [_wide_data(width, seed) for seed in (41, 42, 43)]
     want = [run_reconstruction(data, zero_model, x) for data in sets]
-    _replace_nodes(monkeypatch, {x.size + 23: np.eye(4 * width)})    # node 23 of the second set
+    _replace_nodes(monkeypatch, {x.size + 23: np.zeros((4 * width,) * 2)})   # node 23 of set 2
     got = run_reconstructions(sets, zero_model, x)
     assert isinstance(got[1], SingularSystemError)
     assert got[1].x == x[23] and got[1].cond == np.inf

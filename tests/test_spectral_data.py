@@ -1,5 +1,6 @@
 """Ordering, grouping, diagnostics and truncation."""
 
+import re
 from math import pi, sqrt
 
 import numpy as np
@@ -81,6 +82,20 @@ def test_grouping_tolerance_collapses_close_eigenvalues():
     assert ds.entries[1].lam == ds.entries[2].lam
 
 
+def test_close_eigenvalues_keep_their_meaning_or_raise():
+    # equal bits: the coefficients already are the group's Laurent coefficients
+    equal = SpectralDataSet.from_entries([SpectralEntry(1, 1.0, 1.0), SpectralEntry(2, 1.0, 2.0)])
+    assert [equal.entries[n].M for n in (1, 2)] == [1.0, 2.0]
+    # without coefficients only the eigenvalues collapse
+    bare = SpectralDataSet.from_entries([SpectralEntry(1, 1.0), SpectralEntry(2, 1 + 1e-12)])
+    assert bare.entries[1].lam == bare.entries[2].lam and bare.groups[0].size == 2
+    assert [bare.entries[n].M for n in (1, 2)] == [None, None]
+    # two equal and one distinct: neither Laurent coefficients nor residues
+    raw = [SpectralEntry(n, lam, 1.0) for n, lam in ((1, 1.0), (2, 1.0), (3, 1 + 1e-12))]
+    with pytest.raises(ValidationError, match="mix equal and distinct"):
+        SpectralDataSet.from_entries(raw)
+
+
 def test_equal_eigenvalues_are_regrouped_by_every_constructor():
     # lambda_1 = lambda_3 = 1.2 with lambda_2 = 2 between them
     lams = {-3: -3.0, -2: -2.0, -1: -1.0, 1: 1.2, 2: 2.0, 3: 1.2}
@@ -100,14 +115,18 @@ def test_equal_eigenvalues_are_regrouped_by_every_constructor():
     assert np.array_equal(recs[0].q0_antideriv, recs[1].q0_antideriv)
     assert np.all(np.isfinite(recs[0].q1))
 
-    # eigenvalues within GROUPING_TOL come out as one value, in the group too
+    # eigenvalues within GROUPING_TOL come out as one value, in the group too, and
+    # their residues as the moments sum_k R_k (lam_k - c)^nu about the mean c
     close = SpectralDataSet.from_entries([SpectralEntry(1, 1 + 1e-12, 1.0),
                                           SpectralEntry(2, 1.0, 2.0)])
     close_replaced = SpectralDataSet.from_entries(
         [SpectralEntry(1, 1.0, 1.0), SpectralEntry(2, 3.0, 2.0)]).replace_entry(2, lam=1 + 1e-12)
-    for ds in (close, close_replaced):
+    # lam_k - c = +-5e-13, so m_1 = 1.0 (+-5e-13) + 2.0 (-+5e-13)
+    for ds, m1 in ((close, -5e-13), (close_replaced, 5e-13)):
         assert ds.entries[1].lam == ds.entries[2].lam == ds.groups[0].lam
         assert [(g.start, g.size) for g in ds.groups] == [(1, 2)]
+        assert ds.entries[1].M == 3.0
+        assert ds.entries[2].M == pytest.approx(m1, rel=1e-3)
 
 
 def test_duplicate_index_rejected():
@@ -148,8 +167,9 @@ def test_normalize_is_idempotent(lams, n_neg):
                              "M": [e.M.real, e.M.imag]} for e in raw]}
     try:
         ds = SpectralDataSet.from_entries(raw, tail=ZeroBackground())
-    except SignConflictError:
-        with pytest.raises(SignConflictError):
+    except ValidationError as err:
+        assert isinstance(err, SignConflictError) or "mix equal and distinct" in str(err)
+        with pytest.raises(type(err), match=re.escape(str(err))):
             SpectralDataSet.from_json_dict(raw_json)
         return
     again = SpectralDataSet.from_entries(
