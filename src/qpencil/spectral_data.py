@@ -93,8 +93,9 @@ class SpectralDataSet:
         group's Laurent coefficients, the moments m_nu = sum_k R_k (lam_k - c)^nu
         for nu < size; a run of some equal and some distinct eigenvalues raises
         ValidationError, and one without coefficients collapses only its
-        eigenvalues.  Equal eigenvalues left at opposite signs raise
-        SignConflictError.  Input that already obeys the convention comes back
+        eigenvalues.  Equal eigenvalues left in two groups raise
+        SignConflictError at opposite signs and ValidationError otherwise, as
+        when a cluster's mean lands within GROUPING_TOL of the next cluster.  Input that already obeys the convention comes back
         unchanged.  Without ``omega0`` the set takes its tail's, or 0 without a tail.
         """
         emap: dict[int, SpectralEntry] = {}
@@ -273,13 +274,17 @@ def _regroup(emap: dict[int, SpectralEntry],
 
 
 def _check_assumption_o(groups: list[Group]) -> None:
-    # equal eigenvalues in two different groups across the sign boundary
+    # equal eigenvalues in two different groups: across the sign boundary, or on
+    # one side when a collapsed cluster's mean moved within reach of another
     for i, a in enumerate(groups):
         for b in groups[i + 1:]:
-            if abs(a.lam - b.lam) <= GROUPING_TOL and a.start * b.start < 0:
-                raise SignConflictError(
-                    f"equal eigenvalues at indices of opposite sign "
-                    f"({a.start} and {b.start}) do not form one group")
+            if abs(a.lam - b.lam) <= GROUPING_TOL:
+                if a.start * b.start < 0:
+                    raise SignConflictError(
+                        f"equal eigenvalues at indices of opposite sign "
+                        f"({a.start} and {b.start}) do not form one group")
+                raise ValidationError(f"eigenvalues within {GROUPING_TOL} of {a.lam:.6g} "
+                                      "chain across two clusters")
 
 
 # ---------------------------------------------------------------------------

@@ -52,20 +52,14 @@ def test_split_data_matches_printed_columns(delta):
 
 
 def test_split_data_double_limit():
-    data = make_split_data(0.0)
-    g = data.groups[0]
-    assert g.size == 2 and g.lam == 0.5
-    assert data.entry(-1).M == pytest.approx(-1 / pi)
-    assert data.entry(1).M == pytest.approx(-1j / (2 * pi))
-
-
-def test_split_below_the_grouping_tolerance_carries_the_double_moments():
-    # roots 6.3e-10 apart with residues +-2.5e8 i merge into one group, whose
-    # Laurent coefficients are their moments: those of the double eigenvalue
-    data = make_split_data(1e-19)
-    assert [(g.start, g.size) for g in data.groups] == [(-1, 2)]
-    assert data.entry(-1).M == pytest.approx(SPLIT_M0, abs=1e-7)
-    assert data.entry(1).M == pytest.approx(SPLIT_M1, abs=1e-7)
+    # at 1e-19 the roots lie 6.3e-10 apart with residues +-2.5e8 i; they merge into
+    # one group whose Laurent coefficients are their moments, the double eigenvalue's
+    for delta, lam_tol in ((0.0, 0.0), (1e-19, 1e-7)):
+        data = make_split_data(delta)
+        g = data.groups[0]
+        assert (g.start, g.size) == (-1, 2) and abs(g.lam - 0.5) <= lam_tol
+        assert data.entry(-1).M == pytest.approx(-1 / pi)
+        assert data.entry(1).M == pytest.approx(-1j / (2 * pi))
 
 
 def test_split_data_negative_rejected():

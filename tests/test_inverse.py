@@ -253,7 +253,8 @@ def test_assembly_matches_per_entry_tables(case, zero_model):
         assert any(abs(e.lam) < SMALL_LAMBDA for e, _ in rows)
     P, Px = _tabulated(system, zero_model)
     B, Bx = _column_sums(system, zero_model)
-    for got, want in ((system.form_A(), np.eye(len(rows)) - P), (system.b, B), (system.b_x, Bx)):
+    # _reference_P is tied to form_A bit for bit by the slicing test below
+    for got, want in ((_reference_P(system, slice(None)), P), (system.b, B), (system.b_x, Bx)):
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
     # the factored dP/dx adds lam_r a b and lam_c a b apart, so entries where
     # lam_r + lam_c - 2 q1 nearly cancels keep their absolute digits only

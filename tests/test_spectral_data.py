@@ -94,6 +94,15 @@ def test_close_eigenvalues_keep_their_meaning_or_raise():
     raw = [SpectralEntry(n, lam, 1.0) for n, lam in ((1, 1.0), (2, 1.0), (3, 1 + 1e-12))]
     with pytest.raises(ValidationError, match="mix equal and distinct"):
         SpectralDataSet.from_entries(raw)
+    # the first two merge onto 1 + 0.45e-9, within reach of the third: a set that
+    # a rebuild or a JSON round trip would read as one mixed run
+    chain = [SpectralEntry(n, lam, 1.0) for n, lam in ((1, 1.0), (2, 1 + 0.9e-9), (3, 1 + 1.2e-9))]
+    chain_json = {"entries": [{"n": e.n, "lambda": [e.lam.real, e.lam.imag], "M": [1.0, 0.0]}
+                              for e in chain]}
+    for build in (lambda: SpectralDataSet.from_entries(chain),
+                  lambda: SpectralDataSet.from_json_dict(chain_json)):
+        with pytest.raises(ValidationError, match="chain across two clusters"):
+            build()
 
 
 def test_equal_eigenvalues_are_regrouped_by_every_constructor():
@@ -153,7 +162,7 @@ def test_same_sign_regrouping_moves_values():
 
 
 # values that recur, so draws put equal eigenvalues on both signs of n
-_LAMS = st.one_of(st.sampled_from([0.5, 1.0, 1.0 + 1e-12, 2j]),
+_LAMS = st.one_of(st.sampled_from([0.5, 1.0, 1.0 + 1e-12, 1.0 + 0.9e-9, 1.0 + 1.2e-9, 2j]),
                   st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False))
 
 
@@ -168,7 +177,8 @@ def test_normalize_is_idempotent(lams, n_neg):
     try:
         ds = SpectralDataSet.from_entries(raw, tail=ZeroBackground())
     except ValidationError as err:
-        assert isinstance(err, SignConflictError) or "mix equal and distinct" in str(err)
+        assert isinstance(err, SignConflictError) or "mix equal and distinct" in str(err) \
+            or "chain across two clusters" in str(err)
         with pytest.raises(type(err), match=re.escape(str(err))):
             SpectralDataSet.from_json_dict(raw_json)
         return
