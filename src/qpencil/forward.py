@@ -55,7 +55,7 @@ from .simpson import simpson
 from .spectral_data import SpectralDataSet, SpectralEntry
 
 DEFAULT_REFINE = 10   # integrator steps per interval of the potentials' grid
-STEP_TOL = 1e-8       # largest RK4 error in lam at which ``_refine`` halves the steps
+STEP_TOL = 1e-8       # largest RK4 error in lam that ``_refine``'s step count allows
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 CIRCLE_NODES = (16, 32, 64, 128, 256, 512, 1024)    # the levels of a circle sample
@@ -302,21 +302,20 @@ def _prefix_products(T):
 
 
 def _refine(potentials, lam_max, refine=None, count=False):
-    """``refine`` if given, else RK4 steps per grid interval for |lam| <= lam_max: 5 while RK4's
-    error (h lam)^4 lam / 120 at that step h stays under STEP_TOL and D / (2 lam^2), else steps
-    of at most pi / 2000.  D = max |v[i-1] - 2 v[i] + v[i+1]| / 8 over q1 and sigma is how far a
-    line misreads them between nodes; on smooth potentials it moved eigenvalues by ~D / lam^2.
-    A ``count`` has no value for D to move: it takes the fewest steps, at least 1 and at most
-    the above, whose error stays under STEP_TOL."""
+    """``refine`` if given, else the fewest RK4 steps per grid interval, at least 1 and at most
+    ``max(DEFAULT_REFINE, ceil(2000 / n_grid))``, whose error (h lam)^4 lam / 120 at |lam| =
+    lam_max stays under the tolerance: STEP_TOL for a ``count``, and for values also D / (2 lam^2).
+    D = max |v[i-1] - 2 v[i] + v[i+1]| / 8 over q1 and sigma is how far a line misreads them
+    between nodes; on smooth potentials it moved eigenvalues by ~D / lam^2, so potentials that
+    a line reads exactly (D = 0) keep the cap."""
     if refine is not None:
         return refine
     with np.errstate(all="ignore"):
         D = abs(np.diff([potentials.q1, potentials.sigma], 2)).max(initial=0.0) / 8
-        rk4 = np.power(pi * lam_max / (5 * potentials.n_grid), 4) * lam_max / 120
-        fewest = 5 * np.power(rk4 / STEP_TOL, 0.25)     # the error scales as refine^-4
-    halve = rk4 <= STEP_TOL and 2 * rk4 * lam_max * lam_max <= D
-    steps = 5 if halve else max(DEFAULT_REFINE, ceil(2000 / potentials.n_grid))
-    return max(1, ceil(min(steps, fewest))) if count else steps
+        tol = STEP_TOL if count else min(STEP_TOL, D / (2 * lam_max * lam_max))
+        rk4 = np.power(pi * lam_max / (5 * potentials.n_grid), 4) * lam_max / 120   # at refine 5
+        fewest = 5 * np.power(rk4 / tol, 0.25)      # the error scales as refine^-4
+    return max(1, ceil(min(max(DEFAULT_REFINE, ceil(2000 / potentials.n_grid)), fewest)))
 
 
 def _window_refine(potentials, n_max, omega0, refine=None):

@@ -36,7 +36,8 @@ from .errors import OrderTooHighError
 if TYPE_CHECKING:
     from .spectral_data import SpectralDataSet
 
-# Highest supported derivative order (covers eigenvalue multiplicities up to 3).
+# Highest supported derivative order: groups of up to P_MAX + 1 = 5 equal eigenvalues
+# assemble, larger ones raise OrderTooHighError.  Reconstruction is checked up to size 3.
 P_MAX = 4
 
 # Separation |lam - mu| below which the divided difference switches to the

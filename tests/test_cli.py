@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import qpencil
-from qpencil import (PotentialPair, SpectralDataSet, ZeroBackground, default_grid,
+from qpencil import (PotentialPair, SpectralDataSet, SpectralEntry, ZeroBackground, default_grid,
                      make_split_data, run_reconstruction)
 from qpencil import cli
 from qpencil.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from qpencil.forward import POTENTIALS_HEADER, write_csv
-from conftest import zero_pair
+from qpencil.model import P_MAX
+from conftest import system_of, zero_pair
 
 
 def test_forward_zero_potentials(tmp_path, capsys):
@@ -346,6 +347,23 @@ def test_inverse_on_split_below_the_grouping_tolerance(tmp_path):
     want = want.as_potentials()
     assert np.max(np.abs(got.q1 - want.q1)) <= 1e-6
     assert np.max(np.abs(got.sigma - want.sigma)) <= 1e-6
+
+
+def test_groups_of_up_to_p_max_plus_one_assemble(tmp_path, capsys):
+    # a group of size m needs derivative order m - 1: size 5 = P_MAX + 1 assembles, size 6
+    # is a validation error.  Reconstruction is checked only for sizes up to 3.
+    def group(m):
+        Ms = [-1 / pi, 0.3 + 0.1j, -0.2, 0.05j, 0.01, -0.01j][:m]
+        entries = [SpectralEntry(n=n, lam=1.3, M=M) for n, M in enumerate(Ms, start=1)]
+        return SpectralDataSet.from_entries(entries, tail=ZeroBackground(), omega0=0.0)
+
+    system = system_of(group(P_MAX + 1), ZeroBackground(), default_grid(30))
+    assert max(e.m for e, _ in system.layout.rows()) == P_MAX + 1
+    data_path = tmp_path / "six.json"
+    group(P_MAX + 2).save_json(data_path)
+    code = main(["inverse", "--data", str(data_path), "--out", str(tmp_path / "rec.csv")])
+    assert code == EXIT_VALIDATION
+    assert "group size 6" in capsys.readouterr().err
 
 
 def test_split_table_bad_contour_is_validation_error(tmp_path):

@@ -1,10 +1,13 @@
 """Shooting integrator, root search, residues, weight numbers."""
 
 import tracemalloc
-from math import cos, pi, sin
+from functools import lru_cache
+from math import ceil, cos, pi, sin
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpencil import (
     NonFiniteInputError,
@@ -20,7 +23,7 @@ from qpencil import (
     weyl_residues,
     winding_number,
 )
-from qpencil.forward import DEFAULT_REFINE, circle_nodes, sample_circle
+from qpencil.forward import DEFAULT_REFINE, STEP_TOL, circle_nodes, sample_circle
 from qpencil.zindex import window
 from conftest import zero_pair
 
@@ -261,28 +264,75 @@ def test_cubic_reading_is_the_four_point_lagrange_interpolant(n_nodes):
     assert np.max(np.abs(fw._cubic(x ** (p - 1) + 0j, sub) - xs ** (p - 1))) <= 1e-13
 
 
+@lru_cache(maxsize=None)
+def cubic_reading_spectrum(n_grid, refine):
+    """|n| <= 8 entries of smooth potentials on n_grid intervals (refine None: the rule's)."""
+    q1 = lambda t: 0.1 + 0.2 * np.cos(t) + 0.1j * np.sin(2 * t)
+    sig = lambda t: 0.3 * np.sin(t) ** 2 + 0.15j * t
+    pot = PotentialPair.from_functions(q1, sig, n_grid)
+    eigs = find_eigenvalues(pot, 8, pot.omega0(), refine=refine)
+    data = weyl_residues(pot, eigs, refine=refine)
+    return [data.entry(n) for n in window(8)]
+
+
 def test_cubic_reading_converges_at_fourth_order():
     # q1 and sigma read as cubics: at |n| <= 8 the eigenvalues and residues on 201
     # nodes agree with those on 3,201 nodes to 1e-8 and 1e-7 (the piecewise-linear
     # reading gave 3.5e-6 and 3.3e-5)
-    q1 = lambda t: 0.1 + 0.2 * np.cos(t) + 0.1j * np.sin(2 * t)
-    sig = lambda t: 0.3 * np.sin(t) ** 2 + 0.15j * t
-    sets = []
-    for n_grid in (200, 3200):
-        pot = PotentialPair.from_functions(q1, sig, n_grid)
-        eigs = find_eigenvalues(pot, 8, pot.omega0(), refine=10)
-        sets.append(weyl_residues(pot, eigs, refine=10))
-    got, want = ([e.entry(n) for n in window(8)] for e in sets)
+    got, want = cubic_reading_spectrum(200, 10), cubic_reading_spectrum(3200, 10)
     assert max(abs(g.lam - w.lam) for g, w in zip(got, want)) <= 1e-8
     assert max(abs(g.M / w.M - 1.0) for g, w in zip(got, want)) <= 1e-7
 
 
-@pytest.mark.parametrize("n_grid, n_max, refine", [(200, 6, 5), (200, 7, 10), (50, 1, 5),
-                                                   (50, 2, 40), (800, 16, 5), (800, 17, 10)])
-def test_default_refine_halves_the_steps_below_the_cut(n_grid, n_max, refine):
-    # |lam| <= n_max + |omega0| + 1/2 with omega0 ~ 0.  Refine 5 while its RK4 error stays
-    # under STEP_TOL (|lam| <= 6.6 on 200 intervals, 2.2 on 50) and under D / (2 lam^2)
-    # (|lam| <= 17.1 on 800); above, steps of at most pi / 2000
+def test_default_refine_keeps_the_cubic_reading_accuracy():
+    # the rule's refine (7 for |lam| <= 8.6 on 200 intervals) against the 3,200-interval
+    # refine-10 solve: 7.0e-9 in lam and 5.1e-9 in M, where refine 10 reads 1.7e-9 and 5.0e-9
+    got, want = cubic_reading_spectrum(200, None), cubic_reading_spectrum(3200, 10)
+    assert max(abs(g.lam - w.lam) for g, w in zip(got, want)) <= 1e-8
+    assert max(abs(g.M / w.M - 1.0) for g, w in zip(got, want)) <= 1e-7
+
+
+def old_refine(potentials, lam_max, count):
+    """The rule this one replaced: refine 5 under both tolerances, else the cap."""
+    D = abs(np.diff([potentials.q1, potentials.sigma], 2)).max(initial=0.0) / 8
+    rk4 = (pi * lam_max / (5 * potentials.n_grid)) ** 4 * lam_max / 120
+    halve = rk4 <= STEP_TOL and 2 * rk4 * lam_max * lam_max <= D
+    steps = 5 if halve else max(DEFAULT_REFINE, ceil(2000 / potentials.n_grid))
+    return max(1, ceil(min(steps, 5 * (rk4 / STEP_TOL) ** 0.25))) if count else steps
+
+
+_amp = st.floats(min_value=0.0, max_value=2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(_amp, _amp, _amp, _amp), st.integers(1, 4), st.sampled_from([50, 200, 800]),
+       st.floats(min_value=0.1, max_value=30.0))
+def test_refine_is_the_fewest_steps_under_its_tolerance(amps, k, n_grid, lam_max):
+    import qpencil.forward as fw
+
+    a, b, c, d = amps
+    pot = PotentialPair.from_functions(lambda t: a * np.cos(k * t) + 1j * b * np.sin(t),
+                                       lambda t: c * np.sin(t) ** 2 + 1j * d * np.sin(k * t),
+                                       n_grid)
+    D = abs(np.diff([pot.q1, pot.sigma], 2)).max(initial=0.0) / 8
+    cap = max(DEFAULT_REFINE, ceil(2000 / n_grid))
+    rk4 = lambda r: (pi * lam_max / (r * n_grid)) ** 4 * lam_max / 120
+    refines = {}
+    for count, tol in ((True, STEP_TOL), (False, min(STEP_TOL, D / (2 * lam_max ** 2)))):
+        r = refines[count] = fw._refine(pot, lam_max, count=count)
+        assert 1 <= r <= cap
+        assert r == cap or rk4(r) <= tol * (1 + 1e-12)
+        assert r == 1 or rk4(r - 1) > tol * (1 - 1e-12)     # no fewer steps would do
+        assert r <= old_refine(pot, lam_max, count)
+    assert refines[True] <= refines[False]
+
+
+@pytest.mark.parametrize("n_grid, n_max, refine", [(200, 6, 5), (200, 7, 6), (50, 1, 4),
+                                                   (50, 2, 6), (800, 16, 5), (800, 17, 6)])
+def test_default_refine_is_the_fewest_steps_under_the_tolerance(n_grid, n_max, refine):
+    # |lam| <= n_max + |omega0| + 1/2 with omega0 ~ 0.  The fewest steps whose RK4 error
+    # stays under STEP_TOL (refine 5 up to |lam| = 6.57 on 200 intervals, 2.17 on 50) and
+    # under D / (2 lam^2) (refine 5 up to 17.1 on 800); just past each cut, 6
     import qpencil.forward as fw
 
     pot = smooth_pair(amp=0.35, n_grid=n_grid)
@@ -303,7 +353,7 @@ def test_potentials_that_a_line_reads_exactly_keep_refine_10():
 
 def test_the_sweep_count_takes_one_call_at_refine_1(circle_batches):
     # |lam| <= 0.55 on 200 intervals: RK4's error (h lam)^4 lam / 120 is 2.6e-11 at
-    # refine 1, under STEP_TOL, where the moment rule takes refine 5
+    # refine 1, under STEP_TOL (and under D / (2 lam^2), so the moment rule takes 1 too)
     pot = run_reconstruction(make_split_data(0.0), ZeroBackground()).as_potentials()
     assert winding_number(pot, 0.5, 0.05) == 2
     assert circle_batches == [(32, 0)]
@@ -466,7 +516,7 @@ def test_weyl_residues_take_simple_roots_from_newton(monkeypatch):
     assert calls == []
     # both took the rule's refine for the window |n| <= 5
     refine = fw._window_refine(pot, 5, pot.omega0())
-    assert refine == 5 and list(pot._tables[("residues", refine)])
+    assert refine == 4 and list(pot._tables[("residues", refine)])
     lams = np.array([eigs.entry(n).lam for n in window(5)])
     res = integrate(pot, lams, n_derivs=1, with_c=True, refine=refine)
     got = np.array([full.entry(n).M for n in window(5)])
@@ -479,7 +529,7 @@ def test_weyl_residues_integrate_what_newton_did_not_accept(monkeypatch, case):
 
     pot = smooth_pair(amp=0.35)
     eigs = find_eigenvalues(pot, 5, pot.omega0())
-    # Newton took the rule's refine, 5 for this window
+    # Newton took the rule's refine, 4 for this window
     refine = DEFAULT_REFINE if case == "another refine" else fw._window_refine(pot, 5, pot.omega0())
     data, fresh = eigs, window(5)
     if case == "equal arrays":          # another PotentialPair holds no record
@@ -521,7 +571,7 @@ def double_eigenvalue_pair(case):
     gives a double one at i, where the Weyl function -k cot(k pi) has the
     Laurent pair (0, -2/pi).  "varying": non-constant q1 and complex sigma,
     with the constant c of q1 from a Newton solve of Delta = Delta' = 0 in
-    (lam, c) at refine 5, the rule's refine for |n| <= 3; the double eigenvalue
+    (lam, c) at refine 5 (the rule takes 4 for |n| <= 3); the double eigenvalue
     sits near -0.02271 + 0.99435i.
     """
     if case == "constant":
