@@ -62,10 +62,8 @@ from .model import (
     ZeroBackground,
 )
 from .spectral_data import (
-    Diagnostics,
     SpectralDataSet,
     SpectralEntry,
-    compute_diagnostics,
     truncate_hybrid,
 )
 

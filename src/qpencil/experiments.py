@@ -30,6 +30,7 @@ from .errors import (
 from .forward import (
     circle_nodes,
     find_eigenvalues,
+    group_radius,
     sample_circle,
     weyl_residues,
     winding_number,
@@ -43,7 +44,7 @@ from .inverse import (
     run_reconstructions,
 )
 from .model import BackgroundProblem, ZeroBackground, same_background
-from .spectral_data import SpectralDataSet, SpectralEntry, compute_diagnostics
+from .spectral_data import SpectralDataSet, SpectralEntry
 
 # Double-eigenvalue reference data: eigenvalue 1/2 with Laurent pair
 # (-1/pi, -i/(2 pi)); all other indices carry the zero-background values.
@@ -150,7 +151,7 @@ def _separated_pole_parts(sets, n_star: int, contour_radius: float, width: int) 
 
 def compute_split_delta_metric(data: SpectralDataSet, reference: SpectralDataSet,
                                n_star: int, contour_radius: float) -> float:
-    """max(contour max of |pole-part difference|, tail l2 of index-weighted xi).
+    """Contour max of |pole-part difference| between the data and the reference.
 
     The contour is the circle |lam| = contour_radius, sampled at 512 nodes; it
     must separate the low-index cluster (inside) from everything else (outside).
@@ -159,9 +160,7 @@ def compute_split_delta_metric(data: SpectralDataSet, reference: SpectralDataSet
         (data, reference), n_star, contour_radius,
         max(data.max_abs_index, reference.max_abs_index))
     zs = circle_nodes(0.0, contour_radius, 512)
-    contour_part = float(np.max(np.abs(f_data(zs) - f_ref(zs))))
-    diag = compute_diagnostics(data, reference, n_star)
-    return max(contour_part, diag.tail_norm(n_star))
+    return float(np.max(np.abs(f_data(zs) - f_ref(zs))))
 
 
 def expected_weyl(data: SpectralDataSet, lam) -> np.ndarray:
@@ -256,7 +255,8 @@ def run_table(config: SplitExperimentConfig, out_dir=None,
             if delta == 0:
                 note = "multiplicity extension (double eigenvalue)"
                 if verify_multiplicity:
-                    w = winding_number(rec.as_potentials(), SPLIT_CENTER, 0.05)
+                    w = winding_number(rec.as_potentials(), SPLIT_CENTER,
+                                       group_radius(data[0.0], data[0.0].groups[0]))
                     note += f"; forward winding at 1/2: {w}"
             row = ExperimentRow(delta=delta, d1=d1, d0=d0, lambda_plus=lam_p,
                                 lambda_minus=lam_m, M_plus=m_p, M_minus=m_m,
@@ -312,8 +312,8 @@ def roundtrip_check(data: SpectralDataSet, model: BackgroundProblem,
 
     Eigenvalues are matched greedily by proximity inside the comparison
     window, so the report does not depend on index-assignment conventions of
-    the root search.  Multiplicity groups additionally get an
-    argument-principle winding verification.
+    the root search.  Multiplicity groups are compared, and their winding checked,
+    on the circle that ``group_radius`` gives them in the data.
     """
     rec = run_reconstruction(data, model, grid, cond_limit=cond_limit)
     pot = rec.as_potentials()
@@ -330,9 +330,9 @@ def roundtrip_check(data: SpectralDataSet, model: BackgroundProblem,
         # Discretization splits a multiple root at the sqrt scale of the grid
         # error, so per-root residues are meaningless there; compare the
         # contour-stable quantities instead: the winding count, the mean root
-        # location, and the Laurent coefficients on a fixed circle.
-        sample = sample_circle(pot, g.lam, 0.05, sums=1, laurent=g.size, refine=refine,
-                               check_halving=True)
+        # location, and the Laurent coefficients on the circle separating the group.
+        sample = sample_circle(pot, g.lam, group_radius(data, g), sums=1, laurent=g.size,
+                               refine=refine, check_halving=True)
         report.windings[g.start] = (g.size, sample.count)
         ps, *ms = map(complex, sample.moments(1, g.size))
         center_out = ps / g.size

@@ -52,7 +52,7 @@ from .errors import (
     WindingAmbiguousError,
 )
 from .simpson import simpson
-from .spectral_data import SpectralDataSet, SpectralEntry
+from .spectral_data import Group, SpectralDataSet, SpectralEntry, clusters
 
 DEFAULT_REFINE = 10   # integrator steps per interval of the potentials' grid
 STEP_TOL = 1e-8       # largest RK4 error in lam that ``_refine``'s step count allows
@@ -560,21 +560,14 @@ def _cluster_search(potentials, center, radius, refine, outer=()):
             f"polished roots of |lam-{center:.6g}|={radius:.6g} did not converge inside it")
 
     scale = max(1.0, abs(center))
-    clusters: list[list[complex]] = []
-    for z in polished:
-        for cl in clusters:
-            if abs(z - np.mean(cl)) < 1e-4 * scale:
-                cl.append(z)
-                break
-        else:
-            clusters.append([complex(z)])
     roots: list[complex] = []
-    for cl in clusters:
+    for members in clusters(polished, 1e-4 * scale):
+        cl = polished[members]
         if len(cl) == 1:
             roots.append(complex(cl[0]))
             continue
         cen = complex(np.mean(cl))
-        spread = max(abs(z - cen) for z in cl)
+        spread = float(np.abs(cl - cen).max())
         r_loc = max(3.0 * spread, 1e-3 * scale)
         loc = sample_circle(potentials, cen, r_loc, sums=1, refine=refine, check_halving=True)
         roots.extend([complex(loc.moments(1)[0]) / loc.count] * loc.count)
@@ -621,6 +614,16 @@ def find_eigenvalues(potentials: PotentialPair, n_max: int, omega0: complex,
 # ---------------------------------------------------------------------------
 # residues and weight numbers
 
+def group_radius(data: SpectralDataSet, g: Group) -> float:
+    """min(CONTOUR_RADIUS_CAP, gap/2), the gap running from the group to the nearest eigenvalue
+    the set resolves outside it: in its window and, with a tail, at |n| <= max_abs_index + 1."""
+    ns = zindex.window(data.max_abs_index + 1) if data.tail is not None else data.entries
+    gap = min((abs(g.lam - data.entry(n).lam) for n in ns if n not in g.members), default=np.inf)
+    if gap < 2e-8:
+        raise PoleTooCloseError(f"cannot separate the group at {g.start} (gap {gap:.2e})")
+    return min(CONTOUR_RADIUS_CAP, 0.5 * gap)
+
+
 def weyl_residues(potentials: PotentialPair, eigenvalues: SpectralDataSet,
                   refine: int | None = None) -> SpectralDataSet:
     """Laurent coefficients of the Weyl function at the located eigenvalues.
@@ -644,12 +647,7 @@ def weyl_residues(potentials: PotentialPair, eigenvalues: SpectralDataSet,
     for g in eigenvalues.groups:
         if g.size == 1:
             continue
-        dists = [abs(g.lam - og.lam) for og in eigenvalues.groups if og is not g]
-        gap = min(dists) if dists else 2 * CONTOUR_RADIUS_CAP
-        radius = min(CONTOUR_RADIUS_CAP, 0.5 * gap)
-        if radius < 1e-8:
-            raise PoleTooCloseError(
-                f"cannot separate the group at {g.start} (gap {gap:.2e})")
+        radius = group_radius(eigenvalues, g)
         sample = sample_circle(potentials, g.lam, radius, laurent=g.size, refine=refine)
         if sample.count != g.size:
             raise RootNotConvergedError(

@@ -1,4 +1,4 @@
-"""Spectral data sets: ordering, multiplicity grouping, and scalar diagnostics.
+"""Spectral data sets: ordering, multiplicity grouping, and truncation.
 
 A data set stores finitely many indexed pairs (eigenvalue, residue
 coefficient) plus a background problem supplying every index outside the
@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from math import sqrt
 
 import numpy as np
 
@@ -84,19 +83,19 @@ class SpectralDataSet:
         """Build a set, regrouping equal eigenvalues onto consecutive indices.
 
         The indices must form a window of Z0 without repeats.  Per sign of n,
-        eigenvalues within GROUPING_TOL of a cluster's first value join that
-        cluster, and the clusters fill the sign's index slots in order of
-        first appearance: values move with their coefficients, the slots stay.
-        The clusters next to the gap bridge -1 and 1 when equal.  A run whose
-        members differ is collapsed onto their mean c, so a group carries one
-        eigenvalue.  Their coefficients, residues R_k of simple poles, become the
-        group's Laurent coefficients, the moments m_nu = sum_k R_k (lam_k - c)^nu
-        for nu < size; a run of some equal and some distinct eigenvalues raises
-        ValidationError, and one without coefficients collapses only its
-        eigenvalues.  Equal eigenvalues left in two groups raise
-        SignConflictError at opposite signs and ValidationError otherwise, as
-        when a cluster's mean lands within GROUPING_TOL of the next cluster.  Input that already obeys the convention comes back
-        unchanged.  Without ``omega0`` the set takes its tail's, or 0 without a tail.
+        eigenvalues linked by steps of at most GROUPING_TOL (``clusters``) are one
+        cluster; the clusters fill the sign's index slots in order of first
+        appearance (values move with their coefficients, the slots stay), and the
+        two next to the gap bridge -1 and 1 when linked.  A cluster whose members
+        differ is collapsed onto their mean c, and their coefficients, residues R_k
+        of simple poles, become the group's Laurent coefficients, the moments
+        m_nu = sum_k R_k (lam_k - c)^nu for nu < size; a run of some equal and some
+        distinct eigenvalues raises ValidationError, and one without coefficients
+        collapses only its eigenvalues.  Equal eigenvalues left in two groups raise
+        SignConflictError at opposite signs and ValidationError otherwise, as when a
+        collapsed mean lands within GROUPING_TOL of another cluster.  Input that
+        already obeys the convention comes back unchanged.  Without ``omega0`` the
+        set takes its tail's, or 0 without a tail.
         """
         emap: dict[int, SpectralEntry] = {}
         for e in entries:
@@ -236,23 +235,33 @@ def _check_contiguous(idx: list[int]) -> None:
         raise IndexMismatchError("positive indices must form a contiguous run starting at 1")
 
 
+def clusters(values, tol: float) -> list[list[int]]:
+    """Single linkage: the positions of ``values`` joined by steps |a - b| <= tol,
+    clusters in order of their first member and members in input order."""
+    v = np.asarray(values, dtype=complex)
+    near = np.abs(v[:, None] - v[None, :]) <= tol
+    if np.count_nonzero(near) == v.size:        # no two values linked: skip the passes
+        return [[i] for i in range(v.size)]
+    label, last = np.arange(v.size), None
+    while not np.array_equal(label, last):      # each pass spreads the lowest position a step
+        label, last = np.where(near, label, v.size).min(axis=1, initial=v.size), label
+    out: dict[int, list[int]] = {}
+    for i, k in enumerate(label.tolist()):
+        out.setdefault(k, []).append(i)
+    return list(out.values())
+
+
 def _regroup(emap: dict[int, SpectralEntry],
              idx: list[int]) -> tuple[dict[int, SpectralEntry], list[Group]]:
     """Entries moved onto the grouping convention, and their groups."""
     runs: list[list[SpectralEntry]] = []
-    for side in ([n for n in idx if n < 0], [n for n in idx if n > 0]):
-        clusters: list[list[SpectralEntry]] = []
-        for n in side:
-            for cl in clusters:
-                if abs(emap[n].lam - cl[0].lam) <= GROUPING_TOL:
-                    cl.append(emap[n])
-                    break
-            else:
-                clusters.append([emap[n]])
-        # the clusters next to the gap bridge -1 and 1 when equal
-        if runs and clusters and abs(clusters[0][0].lam - runs[-1][0].lam) <= GROUPING_TOL:
-            runs[-1] += clusters.pop(0)
-        runs += clusters
+    for side in ([emap[n] for n in idx if n < 0], [emap[n] for n in idx if n > 0]):
+        found = [[side[k] for k in cl] for cl in clusters([e.lam for e in side], GROUPING_TOL)]
+        # the clusters next to the gap bridge -1 and 1 when linked
+        if runs and found and min(abs(a.lam - b.lam) for a in runs[-1]
+                                  for b in found[0]) <= GROUPING_TOL:
+            runs[-1] += found.pop(0)
+        runs += found
     out: dict[int, SpectralEntry] = {}
     groups: list[Group] = []
     slots = iter(idx)   # a window of Z0, so neighbouring slots are consecutive indices
@@ -285,61 +294,6 @@ def _check_assumption_o(groups: list[Group]) -> None:
                         f"({a.start} and {b.start}) do not form one group")
                 raise ValidationError(f"eigenvalues within {GROUPING_TOL} of {a.lam:.6g} "
                                       "chain across two clusters")
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-@dataclass(frozen=True)
-class Diagnostics:
-    """Per-index deviations xi_k and their index-weighted l2 tails."""
-
-    xi: dict[int, float]
-
-    def tail_norm(self, n_level: int) -> float:
-        """sqrt(sum over |k| > n_level of (k xi_k)^2); nonincreasing in n_level."""
-        return sqrt(sum((k * x) ** 2 for k, x in self.xi.items() if abs(k) > n_level))
-
-
-def compute_diagnostics(data: SpectralDataSet, model: SpectralDataSet,
-                        n_trunc: int) -> Diagnostics:
-    """Per-index xi over the union window, read through ``Diagnostics.tail_norm``.
-
-    Member nu of a group at n gets xi = |lam - lam~| + sum_(p >= nu) |M_p - M~_p| / |n|,
-    and 1 where the two group structures disagree.  Requires both sets to
-    resolve every index of the union window (n_trunc wide if both are empty);
-    beyond it the two tails must coincide (then all tail terms vanish
-    identically).
-    """
-    width = max(data.max_abs_index, model.max_abs_index)
-    if width == 0:
-        width = n_trunc
-    if data.max_abs_index < width or model.max_abs_index < width:
-        if not same_background(data.tail, model.tail):
-            need = [s for s in (data, model) if s.max_abs_index < width and s.tail is None]
-            if need:
-                raise IndexMismatchError("windows differ and no common tail to fill from")
-
-    xi: dict[int, float] = {}
-    done: set[int] = set()
-    for n in zindex.window(width):
-        if n in done:
-            continue
-        g = data.group_for(n)
-        mg = model.group_for(n)
-        if g.start == mg.start == n and g.size == mg.size:
-            Ms = data.group_coefficients(g)
-            Mts = model.group_coefficients(mg)
-            th = abs(g.lam - mg.lam)
-            for nu in range(g.size):
-                member = zindex.shift(n, nu)
-                xi[member] = th + sum(abs(Ms[p] - Mts[p]) for p in range(nu, g.size)) / abs(n)
-                done.add(member)
-        else:
-            # group structures disagree at this index
-            xi[n] = 1.0
-            done.add(n)
-    return Diagnostics(xi=xi)
 
 
 def truncate_hybrid(data: SpectralDataSet, model: SpectralDataSet,

@@ -349,18 +349,20 @@ def test_inverse_on_split_below_the_grouping_tolerance(tmp_path):
     assert np.max(np.abs(got.sigma - want.sigma)) <= 1e-6
 
 
+def _group_at_1_3(m):
+    """lam = 1.3 at n = 1 .. m against the zero background."""
+    Ms = [-1 / pi, 0.3 + 0.1j, -0.2, 0.05j, 0.01, -0.01j][:m]
+    entries = [SpectralEntry(n=n, lam=1.3, M=M) for n, M in enumerate(Ms, start=1)]
+    return SpectralDataSet.from_entries(entries, tail=ZeroBackground(), omega0=0.0)
+
+
 def test_groups_of_up_to_p_max_plus_one_assemble(tmp_path, capsys):
     # a group of size m needs derivative order m - 1: size 5 = P_MAX + 1 assembles, size 6
     # is a validation error.  Reconstruction is checked only for sizes up to 3.
-    def group(m):
-        Ms = [-1 / pi, 0.3 + 0.1j, -0.2, 0.05j, 0.01, -0.01j][:m]
-        entries = [SpectralEntry(n=n, lam=1.3, M=M) for n, M in enumerate(Ms, start=1)]
-        return SpectralDataSet.from_entries(entries, tail=ZeroBackground(), omega0=0.0)
-
-    system = system_of(group(P_MAX + 1), ZeroBackground(), default_grid(30))
+    system = system_of(_group_at_1_3(P_MAX + 1), ZeroBackground(), default_grid(30))
     assert max(e.m for e, _ in system.layout.rows()) == P_MAX + 1
     data_path = tmp_path / "six.json"
-    group(P_MAX + 2).save_json(data_path)
+    _group_at_1_3(P_MAX + 2).save_json(data_path)
     code = main(["inverse", "--data", str(data_path), "--out", str(tmp_path / "rec.csv")])
     assert code == EXIT_VALIDATION
     assert "group size 6" in capsys.readouterr().err
@@ -378,6 +380,23 @@ def test_roundtrip_on_model_data(tmp_path, capsys):
     code = main(["roundtrip", "--data", str(data_path), "--n-check", "2"])
     assert code == EXIT_OK
     assert "lam_in" in capsys.readouterr().out
+
+
+def test_roundtrip_separates_a_triple_group_on_a_coarse_grid(tmp_path, capsys):
+    # on 100 intervals the grid splits the triple root at 1.3 by 0.06-0.09; the group's
+    # circle is group_radius's 0.2 (the nearest other eigenvalue, the tail's -1, lies 2.3
+    # away), which holds all three, where a circle of 0.05 held none
+    data_path = tmp_path / "triple.json"
+    _group_at_1_3(3).save_json(data_path)
+    code = main(["roundtrip", "--data", str(data_path), "--n-check", "3", "--grid-n", "100"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "group at 1: winding expected 3, measured 3" in out
+    rows = {int(n): (float(lam), float(M)) for n, lam, M in
+            (line.split() for line in out.splitlines()[1:7])}
+    assert sorted(rows) == [-3, -2, -1, 1, 2, 3]
+    assert max(lam for lam, _ in rows.values()) <= 1e-3
+    assert max(M for _, M in rows.values()) <= 1e-3
 
 
 def test_roundtrip_winding_mismatch_is_numerical_error(tmp_path, monkeypatch, capsys):

@@ -352,10 +352,11 @@ def test_potentials_that_a_line_reads_exactly_keep_refine_10():
 
 
 def test_the_sweep_count_takes_one_call_at_refine_1(circle_batches):
-    # |lam| <= 0.55 on 200 intervals: RK4's error (h lam)^4 lam / 120 is 2.6e-11 at
-    # refine 1, under STEP_TOL (and under D / (2 lam^2), so the moment rule takes 1 too)
+    # the sweep's circle |lam - 0.5| = 0.2 (``group_radius``): |lam| <= 0.7 on 200 intervals,
+    # where RK4's error (h lam)^4 lam / 120 is 8.5e-11 at refine 1, under STEP_TOL (and
+    # under D / (2 lam^2), so the moment rule takes 1 too)
     pot = run_reconstruction(make_split_data(0.0), ZeroBackground()).as_potentials()
-    assert winding_number(pot, 0.5, 0.05) == 2
+    assert winding_number(pot, 0.5, 0.2) == 2
     assert circle_batches == [(32, 0)]
     assert pot.n_grid == 200 and {k[0] for k in pot._tables} == {1}
 
@@ -648,6 +649,30 @@ def test_residue_contour_rejects_unseparable_group():
     assert eigs.groups[0].size == 2
     with pytest.raises(PoleTooCloseError):
         weyl_residues(zero_pair(50), eigs)
+
+
+def test_group_radius_sees_the_tail():
+    from qpencil import PoleTooCloseError
+    from qpencil.forward import group_radius
+    from qpencil.spectral_data import SpectralDataSet, SpectralEntry
+
+    def double(lam, tail, *more):
+        return SpectralDataSet.from_entries([SpectralEntry(n=-1, lam=lam, M=1.0),
+                                             SpectralEntry(n=1, lam=lam, M=2.0), *more],
+                                            tail=tail, omega0=0.0)
+
+    # a double group at 1.85 in the window +-1: the zero tail's lam = 2 at n = 2 lies
+    # 0.15 away, so the circle is 0.075; the window alone leaves the cap 0.2
+    for tail, radius in ((ZeroBackground(), 0.075), (None, 0.2)):
+        ds = double(1.85, tail)
+        assert group_radius(ds, ds.groups[0]) == pytest.approx(radius, rel=1e-12)
+    # a gap under 2e-8, to the tail or to another window entry, cannot be separated
+    for ds in (double(2 - 1.5e-8, ZeroBackground()),
+               double(1.85, None, SpectralEntry(n=2, lam=1.85 + 1.5e-8, M=1.0))):
+        with pytest.raises(PoleTooCloseError, match="cannot separate the group at -1"):
+            group_radius(ds, ds.groups[0])
+    ds = double(1.85, None, SpectralEntry(n=2, lam=1.85 + 3e-8, M=1.0))
+    assert group_radius(ds, ds.groups[0]) == pytest.approx(1.5e-8, rel=1e-6)
 
 
 def test_cluster_count_mismatch_raises(monkeypatch):

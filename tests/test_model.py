@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from qpencil import (
     OrderTooHighError,
     ZeroBackground,
-    compute_diagnostics,
 )
 from qpencil.model import (
     P_MAX,
@@ -336,7 +335,6 @@ def test_model_spectral_data_small():
     assert ds.entry(-1).lam == -1.0 and ds.entry(-1).M == pytest.approx(1 / pi)
     ds3 = ZERO.spectral_data(3)
     assert len(ds3.entries) == 6
-    assert compute_diagnostics(ds3, ds3, 2).tail_norm(0) == 0.0
 
 
 def test_model_weight_numbers_via_duality():

@@ -1,7 +1,9 @@
-"""Ordering, grouping, diagnostics and truncation."""
+"""Ordering, grouping and truncation."""
 
+import itertools
+import json
 import re
-from math import pi, sqrt
+from math import pi
 
 import numpy as np
 import pytest
@@ -15,13 +17,12 @@ from qpencil import (
     SpectralEntry,
     ValidationError,
     ZeroBackground,
-    compute_diagnostics,
     default_grid,
     make_split_data,
     run_reconstruction,
     truncate_hybrid,
 )
-from qpencil.spectral_data import Group
+from qpencil.spectral_data import GROUPING_TOL, Group, clusters
 from qpencil.zindex import offset, shift, window
 
 
@@ -94,15 +95,24 @@ def test_close_eigenvalues_keep_their_meaning_or_raise():
     raw = [SpectralEntry(n, lam, 1.0) for n, lam in ((1, 1.0), (2, 1.0), (3, 1 + 1e-12))]
     with pytest.raises(ValidationError, match="mix equal and distinct"):
         SpectralDataSet.from_entries(raw)
-    # the first two merge onto 1 + 0.45e-9, within reach of the third: a set that
-    # a rebuild or a JSON round trip would read as one mixed run
-    chain = [SpectralEntry(n, lam, 1.0) for n, lam in ((1, 1.0), (2, 1 + 0.9e-9), (3, 1 + 1.2e-9))]
-    chain_json = {"entries": [{"n": e.n, "lambda": [e.lam.real, e.lam.imag], "M": [1.0, 0.0]}
-                              for e in chain]}
-    for build in (lambda: SpectralDataSet.from_entries(chain),
-                  lambda: SpectralDataSet.from_json_dict(chain_json)):
-        with pytest.raises(ValidationError, match="chain across two clusters"):
-            build()
+    # a chain merges as a whole: 1 + 0.9e-9 links 1 and 1 + 1.2e-9 into one group of
+    # three about c = 1 + 0.7e-9, whose moments sum_k (lam_k - c)^nu are 3, 0 and 7.8e-19;
+    # across the sign gap the link runs through the member at 2, not the first value at 1
+    for ns in ((1, 2, 3), (1, 2, -1)):
+        chain = [SpectralEntry(n, lam, 1.0) for n, lam in zip(ns, (1.0, 1 + 0.9e-9, 1 + 1.2e-9))]
+        chain_json = {"entries": [{"n": e.n, "lambda": [e.lam.real, e.lam.imag], "M": [1.0, 0.0]}
+                                  for e in chain]}
+        ds = SpectralDataSet.from_entries(chain)
+        first = min(ns)
+        assert [(g.start, g.size) for g in ds.groups] == [(first, 3)]
+        assert ds.groups[0].lam == pytest.approx(1 + 0.7e-9, abs=1e-15)
+        Ms = [ds.entries[n].M for n in ds.groups[0].members]
+        assert Ms[0] == 3.0 and abs(Ms[1]) < 1e-24 and Ms[2] == pytest.approx(7.8e-19, rel=1e-3)
+        # it rebuilds identically: from its own entries, through JSON, and from the raw JSON
+        for again in (SpectralDataSet.from_entries(ds.entries.values()),
+                      SpectralDataSet.from_json_dict(json.loads(json.dumps(ds.to_json_dict()))),
+                      SpectralDataSet.from_json_dict(chain_json)):
+            assert again.entries == ds.entries and again.groups == ds.groups
 
 
 def test_equal_eigenvalues_are_regrouped_by_every_constructor():
@@ -161,6 +171,27 @@ def test_same_sign_regrouping_moves_values():
     assert ds.entries[3].M == 20.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 0.9e-9, 1.0 + 1.2e-9, 1j]),
+                          st.complex_numbers(max_magnitude=3, allow_nan=False,
+                                             allow_infinity=False)), max_size=12),
+       st.one_of(st.sampled_from([0.0, GROUPING_TOL, 0.5]), st.floats(0.0, 2.0)))
+def test_clusters_are_single_linkage(values, tol):
+    found = clusters(values, tol)
+    linked = lambda i, j: abs(values[i] - values[j]) <= tol
+    assert sorted(i for cl in found for i in cl) == list(range(len(values)))
+    assert [cl[0] for cl in found] == sorted(cl[0] for cl in found)
+    for cl in found:
+        assert cl == sorted(cl)
+        # every member is reached from the first by steps <= tol inside the cluster
+        reached = {cl[0]}
+        while more := {j for j in cl if j not in reached and any(linked(i, j) for i in reached)}:
+            reached |= more
+        assert reached == set(cl)
+    for a, b in itertools.combinations(found, 2):
+        assert not any(linked(i, j) for i in a for j in b)
+
+
 # values that recur, so draws put equal eigenvalues on both signs of n
 _LAMS = st.one_of(st.sampled_from([0.5, 1.0, 1.0 + 1e-12, 1.0 + 0.9e-9, 1.0 + 1.2e-9, 2j]),
                   st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False))
@@ -190,45 +221,6 @@ def test_normalize_is_idempotent(lams, n_neg):
     assert via_json.entries == ds.entries
     assert via_json.groups == ds.groups
     assert via_json.omega0 == ds.omega0
-
-
-def test_diagnostics_identical_data():
-    model = ZeroBackground().spectral_data(4)
-    d = compute_diagnostics(model, model, 2)
-    assert all(v == 0.0 for v in d.xi.values())
-    assert d.tail_norm(0) == 0.0
-
-
-def test_diagnostics_single_perturbed_eigenvalue():
-    model = ZeroBackground().spectral_data(3)
-    data = model.replace_entry(2, lam=2.1)
-    d = compute_diagnostics(data, model, 1)
-    assert d.xi[2] == pytest.approx(0.1, abs=1e-14)
-    assert d.tail_norm(0) == pytest.approx(0.2, abs=1e-13)
-
-
-def test_diagnostics_split_data_tail_untouched():
-    data = make_split_data(0.01)
-    model = ZeroBackground().spectral_data(3)
-    d = compute_diagnostics(data, model, 1)
-    assert d.tail_norm(1) == 0.0
-
-
-def test_diagnostics_group_mismatch_gives_unit_xi():
-    data = make_split_data(0.0)     # double eigenvalue at 1/2
-    model = ZeroBackground().spectral_data(2)  # simple everywhere
-    d = compute_diagnostics(data, model, 1)
-    assert d.xi[-1] == 1.0
-    assert d.xi[1] == 1.0
-
-
-def test_tail_norm_nonincreasing():
-    model = ZeroBackground().spectral_data(6)
-    data = model.replace_entry(2, lam=2.05).replace_entry(5, lam=5.2)
-    d = compute_diagnostics(data, model, 1)
-    values = [d.tail_norm(n) for n in range(0, 7)]
-    assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
-    assert d.tail_norm(0) == pytest.approx(sqrt((2 * 0.05) ** 2 + (5 * 0.2) ** 2))
 
 
 def test_truncate_hybrid_levels():
