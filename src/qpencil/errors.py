@@ -49,12 +49,7 @@ class OrderTooHighError(ValidationError):
 
 
 class RootNotConvergedError(NumericalError):
-    """Root search failed; carries the index and the last iterate."""
-
-    def __init__(self, message: str, index: int | None = None, last: complex | None = None):
-        super().__init__(message)
-        self.index = index
-        self.last = last
+    """Root search failed."""
 
 
 class WindingAmbiguousError(NumericalError):

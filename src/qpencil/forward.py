@@ -604,7 +604,7 @@ def find_eigenvalues(potentials: PotentialPair, n_max: int, omega0: complex,
     else:
         raise RootNotConvergedError(
             f"no disc |lam-{omega0:.6g}| < n + 1/2 with {n_fail} <= n <= {n_max} "
-            f"holds 2n converged roots", index=n_fail)
+            f"holds 2n converged roots")
     entries = [SpectralEntry(n=n, lam=v) for n, v in zip(zindex.window(n_star), low)]
     entries += [SpectralEntry(n=int(n), lam=complex(v))
                 for n, v in zip(ns, lam) if abs(n) > n_star]
@@ -652,7 +652,7 @@ def weyl_residues(potentials: PotentialPair, eigenvalues: SpectralDataSet,
         if sample.count != g.size:
             raise RootNotConvergedError(
                 f"circle |lam-{g.lam:.6g}|={radius:.3g} holds {sample.count} roots, "
-                f"the group at index {g.start} has {g.size}", index=g.start, last=g.lam)
+                f"the group at index {g.start} has {g.size}")
         Ms.update(zip(g.members, map(complex, sample.moments(0, g.size))))
 
     entries = [SpectralEntry(n=n, lam=eigenvalues.entries[n].lam, M=Ms[n])

@@ -12,11 +12,12 @@ needs from the background reduces to
 * the x-derivative of D, which is ``(lam + mu - 2 q1(x)) S(x,lam) S(x,mu)``.
 
 The kernel table ``d_table`` builds D from the background's chains by the
-quotient form, except where |lam - mu| is below ``COALESCE_GAP`` and the
-quotient would cancel; there it takes the background's coalescent branch.
-For the zero background that branch is the closed form
+quotient form, except where |lam - mu| is below a switch gap that widens with
+the order and the quotient would cancel; there it takes the background's
+coalescent branch.  For the zero background that branch is the closed form
 ``D = (1/lam + 1/mu)/2 [s(x, lam-mu) - s(x, lam+mu)]`` with s(x, g) =
-sin(g x)/g (a power series when lam or mu is small).
+sin(g x)/g (a power series when lam or mu is small).  Each quotient, by lam,
+by lam - mu or by mu, takes its derivatives from one recurrence, ``_divide``.
 
 The chains take arrays of lam and the tables arrays of (lam, mu) pairs, and
 pick their branch per element by mask, so a caller needs one call per
@@ -41,9 +42,12 @@ if TYPE_CHECKING:
 P_MAX = 4
 
 # Separation |lam - mu| below which the divided difference switches to the
-# background's coalescent branch.  The gap guards only the quotient form, which
-# loses roughly |lam-mu|^-(order+1) digits to cancellation whatever the size of
-# lam and mu; the coalescent branches have no 1/(lam - mu) and hold at any gap.
+# background's coalescent branch, up to total order t + s = 2; ``d_table``
+# widens it 4 times at order 3 and 16 times from 4 on.  The gap guards only the
+# quotient form, which loses roughly a factor |lam-mu|^-(t+s+1) to cancellation
+# whatever the size of lam and mu; the coalescent branches have no 1/(lam - mu)
+# and hold at any gap.  The widest gap, 0.8, keeps the series pairs at
+# |lam|, |mu| below about 1.3, where their 20 terms converge.
 COALESCE_GAP = 0.05
 
 # |lam| below which sin(lam x)/lam chains, and the zero background's
@@ -68,27 +72,9 @@ def s_chain(x, lam, order: int) -> np.ndarray:
         return (np.sin(z * x) * np.reciprocal(z) + 0.0).reshape((1,) + lam.shape + x.shape)
     out = np.empty((order + 1, z.shape[0]) + x.shape, dtype=complex)
     if not small.all():
-        zb = z[~small]
-        lx = zb * x
-        sin, cos = np.sin(lx), np.cos(lx)
-        quarter = (sin, cos, -sin, -cos)
-        # x^j d^j/d(lam x)^j sin(lam x) / j!, shared by every nu
-        terms = []
-        xpow = np.ones_like(x)
-        jfac = 1.0
-        for j in range(order + 1):
-            if j:
-                jfac *= j
-            terms.append(xpow * quarter[j % 4] / jfac)
-            xpow = xpow * x
-        # np.power, not **, whose squaring shortcut rounds differently; 1/z^k
-        # as the reciprocal of z^k, since np.power divides naively for k < 0
-        inv = [np.reciprocal(np.power(zb, k)) for k in range(1, order + 2)]
-        for nu in range(order + 1):
-            acc = np.zeros(lx.shape, dtype=complex)
-            for j in range(nu + 1):
-                acc += terms[j] * ((-1.0) ** (nu - j)) * inv[nu - j]
-            out[nu, ~small] = acc
+        # Leibniz on lam q = sin(lam x)
+        out[:, ~small] = _divide(_trig_terms(x, lam.reshape(-1)[~small], order, 0)[:, None],
+                                 z[~small], 1, 0)[:, 0]
     if small.any():
         which = np.flatnonzero(small)[np.argsort(-np.abs(z[small].reshape(-1)), kind="stable")]
         zs = z[which]
@@ -114,32 +100,42 @@ def sx_chain(x, lam, order: int) -> np.ndarray:
     Shape (order+1,) + lam.shape + x.shape, as for ``s_chain``.
     """
     x = np.asarray(x, dtype=float)
-    lx = np.multiply.outer(np.asarray(lam, dtype=complex), x)
-    if order == 0:
-        return (np.cos(lx) + 0.0)[None]   # zeros made +0.0, as the loop below does
+    lam = np.asarray(lam, dtype=complex)
+    if order == 0:      # zeros made +0.0, as _trig_terms does
+        return (np.cos(np.multiply.outer(lam, x)) + 0.0)[None]
+    return _trig_terms(x, lam, order, 1)
+
+
+def _trig_terms(x, lam, order: int, shift: int) -> np.ndarray:
+    """x^j f^(j)(lam x)/j!, shape (order+1,) + lam.shape + x.shape; f = sin (shift 0) or cos (1)."""
+    lx = np.multiply.outer(lam, x)
     sin, cos = np.sin(lx), np.cos(lx)
-    quarter = (cos, -sin, -cos, sin)
+    quarter = (sin, cos, -sin, -cos)
     out = np.empty((order + 1,) + lx.shape, dtype=complex)
     xpow = np.ones_like(x)
-    for nu in range(order + 1):
-        out[nu] = xpow * quarter[nu % 4] / factorial(nu)
+    for j in range(order + 1):
+        out[j] = xpow * quarter[(j + shift) % 4] / factorial(j)
         xpow = xpow * x
     return out
 
 
-def _quotient_table(f, lam, mu, tmax, smax, shape):
-    """Mixed derivatives of F/(lam-mu) from a table f[a,b] of F's coefficients."""
-    T = np.zeros((tmax + 1, smax + 1) + shape, dtype=complex)
-    inv = np.reciprocal(lam - mu)
-    for t in range(tmax + 1):
-        for s in range(smax + 1):
-            acc = np.zeros(shape, dtype=complex)
-            for a in range(t + 1):
-                for b in range(s + 1):
-                    k = (t - a) + (s - b)
-                    acc += f[a][b] * ((-1.0) ** (t - a)) * comb(k, t - a) * np.power(inv, k + 1)
-            T[t, s] = acc
-    return T
+def _divide(f, z, dl, dm) -> np.ndarray:
+    """Normalized mixed derivatives q[t, s] of F/z from those of F, f[t, s].
+
+    z is linear, with dz/dlam = dl and dz/dmu = dm, so Leibniz on z q = F reads
+    z q_ts + dl q_(t-1)s + dm q_t(s-1) = f_ts, solved upward in t and s.
+    """
+    inv = np.reciprocal(z)
+    q = np.empty(f.shape, dtype=complex)
+    for t in range(f.shape[0]):
+        for s in range(f.shape[1]):
+            acc = f[t, s]
+            if t and dl:
+                acc = acc - dl * q[t - 1, s]
+            if s and dm:
+                acc = acc - dm * q[t, s - 1]
+            q[t, s] = acc * inv
+    return q
 
 
 def _pairs(lam, mu):
@@ -153,25 +149,24 @@ def d_table(background: "BackgroundProblem", x, lam, mu,
     """T[..., t, s] = (1/t! s!) d^t_lam d^s_mu D(x, lam, mu) for ``background``.
 
     The shape of the broadcast (lam, mu) pairs leads the result.  Pairs at
-    least ``COALESCE_GAP`` apart take the quotient form, built from the
-    background's own chains; closer ones take its coalescent branch.
+    least the order's switch gap (``COALESCE_GAP``) apart take the quotient
+    form, built from the background's own chains; closer ones take its
+    coalescent branch.
     """
     if tmax > P_MAX or smax > P_MAX:
         raise OrderTooHighError(f"derivative order ({tmax}, {smax}) exceeds p_max={P_MAX}")
     x = np.asarray(x, dtype=float)
     shape, lam, mu = _pairs(lam, mu)
     T = np.empty(lam.shape + (tmax + 1, smax + 1) + x.shape, dtype=complex)
-    near = np.abs(lam - mu) < COALESCE_GAP
+    near = np.abs(lam - mu) < COALESCE_GAP * 4.0 ** min(2, max(0, tmax + smax - 2))
     if near.any():
         T[near] = background._coalescent_table(x, lam[near], mu[near], tmax, smax)
     if not near.all():
         la, mb = lam[~near], mu[~near]
         sa, ca = background.s_chain(x, la, tmax), background.sx_chain(x, la, tmax)
         sb, cb = background.s_chain(x, mb, smax), background.sx_chain(x, mb, smax)
-        f = [[sa[a] * cb[b] - ca[a] * sb[b] for b in range(smax + 1)] for a in range(tmax + 1)]
-        col = (-1,) + (1,) * x.ndim
-        T[~near] = np.moveaxis(
-            _quotient_table(f, la.reshape(col), mb.reshape(col), tmax, smax, sa.shape[1:]), 2, 0)
+        f = sa[:, None] * cb[None] - ca[:, None] * sb[None]
+        T[~near] = np.moveaxis(_divide(f, (la - mb).reshape((-1,) + (1,) * x.ndim), 1, -1), 2, 0)
     return T.reshape(shape + T.shape[1:])
 
 
@@ -207,24 +202,14 @@ def _closed_coalescent(x, lam, mu, tmax, smax):
 
     s(g) = sin(g x)/g; needs |lam|, |mu| >= SMALL_LAMBDA.
     """
-    t = np.arange(tmax + 1)[:, None]
-    s = np.arange(smax + 1)[None, :]
-    sm = np.moveaxis(s_chain(x, lam - mu, tmax + smax), 1, 0)
-    sp = np.moveaxis(s_chain(x, lam + mu, tmax + smax), 1, 0)
-    flat = (lam.size, tmax + 1, smax + 1, -1)
+    t, s = np.ogrid[:tmax + 1, :smax + 1]
+    sm = s_chain(x.reshape(-1), lam - mu, tmax + smax)
+    sp = s_chain(x.reshape(-1), lam + mu, tmax + smax)
     binom = np.array([[comb(i + j, i) for j in range(smax + 1)]
-                      for i in range(tmax + 1)], dtype=float)[..., None]
-    G = (binom * (-1.0) ** s[..., None]) * sm[:, t + s].reshape(flat) \
-        - binom * sp[:, t + s].reshape(flat)
-
-    def inverse_chain(z, order):  # L[t, a] = (-1)^(t-a) / z^(t-a+1) for t >= a
-        k = np.arange(order + 1)
-        d = k[:, None] - k[None, :]
-        return np.where(d >= 0, (-1.0) ** d / np.power(z[:, None, None], np.abs(d) + 1), 0.0)
-
-    T = 0.5 * (np.einsum("pta,pasn->ptsn", inverse_chain(lam, tmax), G)
-               + np.einsum("psb,ptbn->ptsn", inverse_chain(mu, smax), G))
-    return T.reshape(T.shape[:3] + x.shape)
+                      for i in range(tmax + 1)], dtype=float)[..., None, None]
+    G = (binom * (-1.0) ** s[..., None, None]) * sm[t + s] - binom * sp[t + s]
+    T = 0.5 * (_divide(G, lam[:, None], 1, 0) + _divide(G, mu[:, None], 0, 1))
+    return np.moveaxis(T, 2, 0).reshape((lam.size, tmax + 1, smax + 1) + x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +239,8 @@ class BackgroundProblem:
     def _coalescent_table(self, x, lam, mu, tmax, smax) -> np.ndarray:
         """Kernel tables, free of the 1/(lam - mu), of the 1-D pair arrays (lam, mu).
 
-        Used for pairs closer than COALESCE_GAP; shape (pairs, tmax+1, smax+1) + x.shape.
+        Used for pairs closer than ``d_table``'s switch gap; shape
+        (pairs, tmax+1, smax+1) + x.shape.
         """
         raise NotImplementedError
 

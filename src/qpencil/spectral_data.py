@@ -285,15 +285,15 @@ def _regroup(emap: dict[int, SpectralEntry],
 def _check_assumption_o(groups: list[Group]) -> None:
     # equal eigenvalues in two different groups: across the sign boundary, or on
     # one side when a collapsed cluster's mean moved within reach of another
-    for i, a in enumerate(groups):
-        for b in groups[i + 1:]:
-            if abs(a.lam - b.lam) <= GROUPING_TOL:
-                if a.start * b.start < 0:
-                    raise SignConflictError(
-                        f"equal eigenvalues at indices of opposite sign "
-                        f"({a.start} and {b.start}) do not form one group")
-                raise ValidationError(f"eigenvalues within {GROUPING_TOL} of {a.lam:.6g} "
-                                      "chain across two clusters")
+    for cl in clusters([g.lam for g in groups], GROUPING_TOL):
+        if len(cl) > 1:
+            starts = sorted(groups[k].start for k in cl)
+            if starts[0] < 0 < starts[-1]:
+                raise SignConflictError(
+                    f"equal eigenvalues at indices of opposite sign "
+                    f"({starts[0]} and {starts[-1]}) do not form one group")
+            raise ValidationError(f"eigenvalues within {GROUPING_TOL} of "
+                                  f"{groups[cl[0]].lam:.6g} chain across two clusters")
 
 
 def truncate_hybrid(data: SpectralDataSet, model: SpectralDataSet,

@@ -16,7 +16,6 @@ from qpencil.model import (
     P_MAX,
     BackgroundProblem,
     _pairs,
-    _quotient_table,
     d_table,
     s_chain,
     sx_chain,
@@ -120,7 +119,7 @@ def _branch_gap(lam, x):
     mu = lam + 1e-6 * max(1.0, abs(lam))
     sa, ca = s_chain(x, lam, 0), sx_chain(x, lam, 0)
     sb, cb = s_chain(x, mu, 0), sx_chain(x, mu, 0)
-    generic = _quotient_table([[sa[0] * cb[0] - ca[0] * sb[0]]], lam, mu, 0, 0, x.shape)[0, 0]
+    generic = (sa[0] * cb[0] - ca[0] * sb[0]) / (lam - mu)
     coalescent = ZERO._coalescent_table(x, np.array([lam]), np.array([mu]), 0, 0)[0, 0, 0]
     return np.max(np.abs(generic - coalescent)) / np.max(np.abs(coalescent))
 
@@ -166,6 +165,9 @@ def _d_oracle(x, lam, mu, t, s):
     (0.49, 0.51, 2, 2),                 # series just below the switch
     (0.3 + 0.2j, 0.31 + 0.2j, 3, 3),    # complex, series
     (0.45 + 0.2j, 0.48 + 0.19j, 4, 4),  # complex, series, highest order
+    (0.6, 0.65, 4, 4),                  # closed form at order 8, past 0.05
+    (0.3, 0.38, 2, 2),                  # series at order 4, past 0.05
+    (20.0, 20.1, 2, 1),                 # closed form at order 3, past 0.05
 ])
 def test_d_table_against_mpmath_oracle(lam, mu, t, s):
     x = np.linspace(0.1, pi, 9)
@@ -222,7 +224,7 @@ def test_s_chain_small_lambda_sums_its_own_terms(order):
 
 def _closed_chains(x, lam, order):
     """The closed-form s_chain and the sx_chain at every order, as the general
-    sums over derivative terms (the reference for the order-0 shortcut)."""
+    sums over derivative terms (the reference for the order-0 shortcuts)."""
     lx = np.multiply.outer(lam, x)
     sin, cos = np.sin(lx), np.cos(lx)
     z = lam[:, None]
@@ -258,8 +260,14 @@ def test_closed_chains_match_the_general_sums_bitwise(order):
     lams = np.concatenate((wide, 2 * wide, z, [1.0, -1.0, 2j, -2j]))
     x = np.linspace(0.0, pi, 201)
     S, C = _closed_chains(x, lams, order)
-    for got, want in ((s_chain(x, lams, order), S), (sx_chain(x, lams, order), C)):
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    got = sx_chain(x, lams, order)
+    assert np.array_equal(got.view(np.uint64), C.view(np.uint64))
+    # the s_chain recurrence rounds unlike the double sum, except at order 0
+    got = s_chain(x, lams, order)
+    if order == 0:
+        assert np.array_equal(got.view(np.uint64), S.view(np.uint64))
+    for nu in range(order + 1):
+        assert np.max(np.abs(got[nu] - S[nu])) <= 1e-15 * np.max(np.abs(S[nu]))
 
 
 @pytest.mark.parametrize("lam", [0.05, 0.3, 0.4999, 0.5001, 0.5 + 0.3j, 0.7, 1.2 + 0.5j,
