@@ -59,18 +59,12 @@ REFERENCE_DELTAS = (0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0005, 0.0002, 0.000
 class SplitExperimentConfig:
     delta_list: tuple[float, ...] = REFERENCE_DELTAS
     n_grid: int = 200
-    contour_radius: float = 0.85   # encloses the 1/2-cluster, excludes +-1
 
     def __post_init__(self):
         if not all(isfinite(d) for d in self.delta_list):
             raise NonFiniteInputError("splitting parameters must be finite")
         if any(d < 0 for d in self.delta_list):
             raise NegativeDeltaError("splitting parameters must be nonnegative")
-        dmax = max([d for d in self.delta_list if d > 0], default=0.0)
-        if not (SPLIT_CENTER + sqrt(dmax) < self.contour_radius < 1.0):
-            raise ValidationError(
-                f"contour radius {self.contour_radius} must lie in "
-                f"({SPLIT_CENTER + sqrt(dmax):.4f}, 1) for the default cluster")
 
 
 def make_split_data(delta: float) -> SpectralDataSet:
@@ -132,7 +126,8 @@ def _separated_pole_parts(sets, n_star: int, contour_radius: float, width: int) 
     """Pole-part functions of the sets, checked against the contour.
 
     The circle |lam| = contour_radius must enclose each set's poles of
-    |index| <= n_star and none of its other eigenvalues up to index ``width``.
+    |index| <= n_star and none of its other eigenvalues up to index ``width`` and,
+    with a tail, one index beyond (``resolved_indices``).
     """
     funs = []
     for ds in sets:
@@ -140,9 +135,9 @@ def _separated_pole_parts(sets, n_star: int, contour_radius: float, width: int) 
         for pole in poles:
             if abs(abs(pole) - contour_radius) < 1e-6 * max(1.0, contour_radius):
                 raise ContourTouchesPoleError(f"pole {pole} lies on the contour")
-            if abs(pole) > contour_radius:
+            if not abs(pole) < contour_radius:      # a NaN radius fails here too
                 raise ValidationError(f"cluster pole {pole} lies outside the contour")
-        for n in zindex.window(width):
+        for n in ds.resolved_indices(width):
             if abs(n) > n_star and abs(ds.entry(n).lam) <= contour_radius:
                 raise ValidationError(f"eigenvalue {ds.entry(n).lam} (n={n}) inside the contour")
         funs.append(fun)

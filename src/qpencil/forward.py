@@ -617,8 +617,8 @@ def find_eigenvalues(potentials: PotentialPair, n_max: int, omega0: complex,
 def group_radius(data: SpectralDataSet, g: Group) -> float:
     """min(CONTOUR_RADIUS_CAP, gap/2), the gap running from the group to the nearest eigenvalue
     the set resolves outside it: in its window and, with a tail, at |n| <= max_abs_index + 1."""
-    ns = zindex.window(data.max_abs_index + 1) if data.tail is not None else data.entries
-    gap = min((abs(g.lam - data.entry(n).lam) for n in ns if n not in g.members), default=np.inf)
+    gap = min((abs(g.lam - data.entry(n).lam) for n in data.resolved_indices()
+               if n not in g.members), default=np.inf)
     if gap < 2e-8:
         raise PoleTooCloseError(f"cannot separate the group at {g.start} (gap {gap:.2e})")
     return min(CONTOUR_RADIUS_CAP, 0.5 * gap)

@@ -53,39 +53,19 @@ ACTIVE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
-class SideEntry:
-    """One active index on one side: its group offset and group coefficients."""
-
-    n: int
-    nu: int
-    lam: complex
-    Ms: tuple[complex, ...]   # full Laurent list of the containing group
-    m: int                    # group size
-    group_start: int
-
-
-@dataclass(frozen=True)
 class ActiveLayout:
-    """Active index window and per-side group structure, x-independent."""
+    """The unknowns of one set, x-independent, one row each: every active n on side 0
+    (the data), then every active n on side 1 (the background's data)."""
 
     indices: tuple[int, ...]
-    side0: tuple[SideEntry, ...]
-    side1: tuple[SideEntry, ...]
+    lam: np.ndarray     # (dim,), the eigenvalue of the row's group
+    nu: np.ndarray      # (dim,), the row's offset in its group
+    m: np.ndarray       # (dim,), the group's size
+    Ms: np.ndarray      # (dim, P_MAX + 1), the group's Laurent coefficients, zero-padded
 
     @property
     def dim(self) -> int:
         return 2 * len(self.indices)
-
-    def rows(self):
-        """Unknown order: all (n, i=0) first, then all (n, i=1)."""
-        return [(e, 0) for e in self.side0] + [(e, 1) for e in self.side1]
-
-
-def _side_entry(dataset: SpectralDataSet, n: int) -> SideEntry:
-    g = dataset.group_for(n)
-    Ms = tuple(dataset.group_coefficients(g))
-    return SideEntry(n=n, nu=zindex.offset(g.start, n), lam=g.lam, Ms=Ms,
-                     m=g.size, group_start=g.start)
 
 
 def active_layout(data: SpectralDataSet, model_set: SpectralDataSet,
@@ -111,12 +91,15 @@ def active_layout(data: SpectralDataSet, model_set: SpectralDataSet,
             break
         active |= closed
     indices = tuple(sorted(active))
-    side0 = tuple(_side_entry(data, n) for n in indices)
-    side1 = tuple(_side_entry(model_set, n) for n in indices)
-    for e in side0 + side1:
-        if e.m - 1 > P_MAX:
-            raise OrderTooHighError(f"group size {e.m} at {e.group_start} exceeds p_max")
-    return ActiveLayout(indices=indices, side0=side0, side1=side1)
+    rows = [(ds, n, ds.group_for(n)) for ds in (data, model_set) for n in indices]
+    Ms = np.zeros((len(rows), P_MAX + 1), dtype=complex)
+    for k, (ds, _, g) in enumerate(rows):
+        if g.size - 1 > P_MAX:
+            raise OrderTooHighError(f"group size {g.size} at {g.start} exceeds p_max")
+        Ms[k, :g.size] = ds.group_coefficients(g)
+    return ActiveLayout(indices=indices, lam=np.array([g.lam for _, _, g in rows], dtype=complex),
+                        nu=np.array([zindex.offset(g.start, n) for _, n, g in rows], dtype=int),
+                        m=np.array([g.size for _, _, g in rows], dtype=int), Ms=Ms)
 
 
 @dataclass
@@ -168,7 +151,7 @@ def assemble_system(layouts, model: BackgroundProblem, x) -> MainEquationSystem:
     """Build the factors of the per-node matrices from per-entry chain combinations.
 
     ``layouts`` holds one ``active_layout`` per set, all of one dim, to stack.  Every
-    unknown (entry, side j) contributes its row chains a = S_nu, a' = S'_nu,
+    unknown (n, side j) contributes its row chains a = S_nu, a' = S'_nu,
     a_ = S_(nu-1) and its column combinations b, b' and
     b_ = (-1)^j sum_(p>nu) M_p S_(p-nu-1).  Leibniz on dD/dx = (lam + mu - 2 q1)
     S(lam) S(mu) gives dP/dx = u_r b_c + a_r w_c with u = (lam - 2 q1) a + a_ and
@@ -179,20 +162,18 @@ def assemble_system(layouts, model: BackgroundProblem, x) -> MainEquationSystem:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     layouts = tuple(layouts)
-    rows = [row for lay in layouts for row in lay.rows()]
     n_sets, dim, nx = len(layouts), layouts[0].dim, x.size
-    lams = np.array([e.lam for e, _ in rows], dtype=complex)
-    nu, m = np.array([(e.nu, e.m) for e, _ in rows]).T
-    sgn = np.array([-1.0 if j == 1 else 1.0 for _, j in rows])
+    lams, nu, m, Ms = (np.concatenate(f) for f in
+                       zip(*[(lay.lam, lay.nu, lay.m, lay.Ms) for lay in layouts]))
+    sgn = np.tile(np.repeat([1.0, -1.0], dim // 2), n_sets)    # (-1)^j, side j by row order
     top = int(m.max()) - 1
-    Ms = np.array([e.Ms + (0,) * (top + 1 - e.m) for e, _ in rows], dtype=complex)
 
     # one chain call over the distinct lam, at the largest order
     distinct, which = np.unique(lams, return_inverse=True)
     S, C = model.s_chain(x, distinct, top), model.sx_chain(x, distinct, top)
     a, a_x = S[nu, which], C[nu, which]
     a_lo = np.where((nu > 0)[:, None], S[nu - 1, which], 0.0)
-    b, b_x, b_lo = np.zeros((3, len(rows), nx), dtype=complex)
+    b, b_x, b_lo = np.zeros((3, lams.size, nx), dtype=complex)
     for d in range(top + 1):       # the group's terms p = nu + d
         k = nu + d < m
         M = Ms[k, nu[k] + d][:, None]
@@ -331,7 +312,7 @@ def compute_epsilons(system: MainEquationSystem, v: np.ndarray,
     derivative is assembled term-wise from v_x, never by differencing.
     """
     x, b, b_x, per_set = system.x, system.b, system.b_x, (-1, len(system.layouts), system.x.size)
-    lams = np.array([[e.lam for e, _ in lay.rows()] for lay in system.layouts], dtype=complex)
+    lams = np.array([lay.lam for lay in system.layouts])
 
     eps1 = (b * v).sum(axis=0)
     eps1p = (b_x * v + b * v_x).sum(axis=0)

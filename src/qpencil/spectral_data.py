@@ -123,6 +123,13 @@ class SpectralDataSet:
     def max_abs_index(self) -> int:
         return max((abs(n) for n in self.entries), default=0)
 
+    def resolved_indices(self, width: int = 0) -> list[int]:
+        """The indices whose eigenvalues the set resolves: its window and, with a tail,
+        every |n| <= max(width, max_abs_index) + 1."""
+        if self.tail is None:
+            return self.window_indices()
+        return zindex.window(max(width, self.max_abs_index) + 1)
+
     def entry(self, n: int) -> SpectralEntry:
         """Entry at index n; indices outside the window come from the tail."""
         if n in self.entries:
@@ -296,21 +303,15 @@ def _check_assumption_o(groups: list[Group]) -> None:
                                   f"{groups[cl[0]].lam:.6g} chain across two clusters")
 
 
-def truncate_hybrid(data: SpectralDataSet, model: SpectralDataSet,
-                    n_trunc: int) -> SpectralDataSet:
-    """Data values for |n| <= n_trunc, model values beyond."""
+def truncate_hybrid(data: SpectralDataSet, n_trunc: int) -> SpectralDataSet:
+    """Data values for |n| <= n_trunc, the data's tail beyond, with the tail's omega0."""
     if n_trunc < 0:
         raise ValidationError(f"truncation level {n_trunc} is negative")
-    for g in list(data.groups) + list(model.groups):
+    for g in data.groups:
         inside = [abs(m) <= n_trunc for m in g.members]
         if any(inside) and not all(inside):
             raise IndexMismatchError(
                 f"truncation level {n_trunc} cuts the multiplicity group at {g.start}")
-    entries = []
-    for n in zindex.window(n_trunc):
-        entries.append(data.entry(n))
-    for n in model.window_indices():
-        if abs(n) > n_trunc:
-            entries.append(model.entry(n))
-    return SpectralDataSet.from_entries(entries, tail=model.tail, omega0=model.omega0)
+    return SpectralDataSet.from_entries([data.entry(n) for n in zindex.window(n_trunc)],
+                                        tail=data.tail)
 

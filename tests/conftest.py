@@ -1,9 +1,11 @@
 """Shared fixtures and helpers."""
 
+from math import pi
+
 import numpy as np
 import pytest
 
-from qpencil import PotentialPair, assemble_system
+from qpencil import PotentialPair, SpectralDataSet, SpectralEntry, ZeroBackground, assemble_system
 from qpencil.inverse import active_layout
 
 
@@ -13,9 +15,21 @@ def layout_of(data, model, min_window: int = 0):
                          min_window)
 
 
+def row_names(layout):
+    """The (n, side) of every row of a layout: (n, 0) for each active n, then (n, 1)."""
+    return [(n, side) for side in (0, 1) for n in layout.indices]
+
+
 def system_of(data, model, x, min_window: int = 0):
     """The main-equation system of one set."""
     return assemble_system([layout_of(data, model, min_window)], model, x)
+
+
+def group_at_1_3(m):
+    """lam = 1.3 at n = 1 .. m against the zero background."""
+    Ms = [-1 / pi, 0.3 + 0.1j, -0.2, 0.05j, 0.01, -0.01j][:m]
+    entries = [SpectralEntry(n=n, lam=1.3, M=M) for n, M in enumerate(Ms, start=1)]
+    return SpectralDataSet.from_entries(entries, tail=ZeroBackground(), omega0=0.0)
 
 
 def zero_pair(n_grid: int = 200) -> PotentialPair:

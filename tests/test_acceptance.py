@@ -26,7 +26,7 @@ from qpencil.experiments import SplitExperimentConfig, _separated_pole_parts
 from qpencil.forward import circle_nodes, sample_circle
 from qpencil.inverse import default_grid, solve_main
 from qpencil.zindex import window
-from conftest import layout_of, system_of, zero_pair
+from conftest import layout_of, row_names, system_of, zero_pair
 from test_forward import wronskian_defect
 
 # frozen sweep targets: delta -> (d1, d0)
@@ -180,8 +180,7 @@ def solve_contour_equation(data, model, x, contour_radius, n_star):
     out = {}
     layout = layout_of(data, model)
     # evaluation points: active eigenvalues on both sides (simple only)
-    targets = [(e.n, 0, e.lam) for e in layout.side0] + \
-              [(e.n, 1, e.lam) for e in layout.side1]
+    targets = [(n, side, lam) for (n, side), lam in zip(row_names(layout), layout.lam)]
     assert all(abs(lam - z) >= 1e-9 for _, _, lam in targets for z in zs)
 
     lams = np.array([lam for _, _, lam in targets], dtype=complex)
@@ -208,7 +207,7 @@ def test_criterion_8_formulation_equivalence():
     xs = np.array([0.3, 0.9, pi / 2, 2.2, 2.9])
     system = system_of(data, model, xs)
     v = solve_main(system)[0]
-    v_seq = {(e.n, i): v[r] for r, (e, i) in enumerate(system.layout.rows())}
+    v_seq = dict(zip(row_names(system.layout), v))
     v_cont = solve_contour_equation(data, model, xs, contour_radius=1.5, n_star=1)
     worst = max(float(np.max(np.abs(v_seq[key] - v_cont[key]))) for key in v_seq)
     ok = worst < 1e-6

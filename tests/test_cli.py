@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 import qpencil
-from qpencil import (PotentialPair, SpectralDataSet, SpectralEntry, ZeroBackground, default_grid,
+from qpencil import (PotentialPair, SpectralDataSet, ZeroBackground, default_grid,
                      make_split_data, run_reconstruction)
 from qpencil import cli
 from qpencil.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from qpencil.forward import POTENTIALS_HEADER, write_csv
 from qpencil.model import P_MAX
-from conftest import system_of, zero_pair
+from conftest import group_at_1_3, system_of, zero_pair
 
 
 def test_forward_zero_potentials(tmp_path, capsys):
@@ -349,29 +349,29 @@ def test_inverse_on_split_below_the_grouping_tolerance(tmp_path):
     assert np.max(np.abs(got.sigma - want.sigma)) <= 1e-6
 
 
-def _group_at_1_3(m):
-    """lam = 1.3 at n = 1 .. m against the zero background."""
-    Ms = [-1 / pi, 0.3 + 0.1j, -0.2, 0.05j, 0.01, -0.01j][:m]
-    entries = [SpectralEntry(n=n, lam=1.3, M=M) for n, M in enumerate(Ms, start=1)]
-    return SpectralDataSet.from_entries(entries, tail=ZeroBackground(), omega0=0.0)
-
-
 def test_groups_of_up_to_p_max_plus_one_assemble(tmp_path, capsys):
     # a group of size m needs derivative order m - 1: size 5 = P_MAX + 1 assembles, size 6
     # is a validation error.  Reconstruction is checked only for sizes up to 3.
-    system = system_of(_group_at_1_3(P_MAX + 1), ZeroBackground(), default_grid(30))
-    assert max(e.m for e, _ in system.layout.rows()) == P_MAX + 1
+    system = system_of(group_at_1_3(P_MAX + 1), ZeroBackground(), default_grid(30))
+    assert system.layout.m.max() == P_MAX + 1
     data_path = tmp_path / "six.json"
-    _group_at_1_3(P_MAX + 2).save_json(data_path)
+    group_at_1_3(P_MAX + 2).save_json(data_path)
     code = main(["inverse", "--data", str(data_path), "--out", str(tmp_path / "rec.csv")])
     assert code == EXIT_VALIDATION
     assert "group size 6" in capsys.readouterr().err
 
 
-def test_split_table_bad_contour_is_validation_error(tmp_path):
-    code = main(["split-table", "--deltas", "0.05", "--contour-r", "1.5",
+def test_split_table_bad_contour_is_validation_error(tmp_path, capsys):
+    # r = 2.5 encloses the tail's eigenvalues +-2: exit 2 before the sweep runs
+    code = main(["split-table", "--deltas", "0.05", "--contour-r", "2.5", "--metrics",
                  "--out-dir", str(tmp_path)])
     assert code == EXIT_VALIDATION
+    assert capsys.readouterr().out == "" and list(tmp_path.iterdir()) == []
+    # r = 1.5 separates the cluster at +-1 from +-2
+    code = main(["split-table", "--deltas", "0.05", "--contour-r", "1.5", "--metrics",
+                 "--no-verify"])
+    assert code == EXIT_OK
+    assert "delta=0.05     metric=" in capsys.readouterr().out
 
 
 def test_roundtrip_on_model_data(tmp_path, capsys):
@@ -387,7 +387,7 @@ def test_roundtrip_separates_a_triple_group_on_a_coarse_grid(tmp_path, capsys):
     # circle is group_radius's 0.2 (the nearest other eigenvalue, the tail's -1, lies 2.3
     # away), which holds all three, where a circle of 0.05 held none
     data_path = tmp_path / "triple.json"
-    _group_at_1_3(3).save_json(data_path)
+    group_at_1_3(3).save_json(data_path)
     code = main(["roundtrip", "--data", str(data_path), "--n-check", "3", "--grid-n", "100"])
     out = capsys.readouterr().out
     assert code == EXIT_OK

@@ -121,8 +121,11 @@ def test_contour_touching_pole_rejected():
 
 
 def test_config_validates_contour():
-    with pytest.raises(ValidationError, match="contour radius"):
-        SplitExperimentConfig(delta_list=(0.05,), contour_radius=0.6)
+    # the metric checks its contour: r = 2.5 holds the tail's eigenvalues +-2
+    with pytest.raises(ValidationError, match="inside the contour"):
+        compute_split_delta_metric(make_split_data(0.05), make_split_data(0.0), 1, 2.5)
+    with pytest.raises(ValidationError, match="outside the contour"):
+        compute_split_delta_metric(make_split_data(0.05), make_split_data(0.0), 1, float("nan"))
     with pytest.raises(NegativeDeltaError):
         SplitExperimentConfig(delta_list=(-0.1,))
 

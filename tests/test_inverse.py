@@ -37,11 +37,12 @@ from qpencil.inverse import (
     LU_MIN_DIM,
     SOLVE_CHUNK_ENTRIES,
     EpsilonFields,
+    active_layout,
     default_grid,
 )
-from qpencil.model import COALESCE_GAP, SMALL_LAMBDA, d_table
-from qpencil.zindex import window
-from conftest import layout_of, system_of
+from qpencil.model import COALESCE_GAP, P_MAX, SMALL_LAMBDA, d_table
+from qpencil.zindex import offset, shift, window
+from conftest import group_at_1_3, layout_of, row_names, system_of
 from test_model import dx_table
 
 
@@ -57,10 +58,10 @@ def test_identity_data_recovers_model_solution(zero_model):
     x = default_grid(60)
     system = system_of(data, zero_model, x, min_window=2)
     v, v_x, _, _ = solve_main(system)
-    for ridx, (e, i) in enumerate(system.layout.rows()):
-        expected = zero_model.s_chain(x, e.lam, e.nu)[e.nu]
+    for ridx, (lam, nu) in enumerate(zip(system.layout.lam, system.layout.nu)):
+        expected = zero_model.s_chain(x, lam, nu)[nu]
         assert np.max(np.abs(v[ridx] - expected)) < 1e-12
-        expected_x = zero_model.sx_chain(x, e.lam, e.nu)[e.nu]
+        expected_x = zero_model.sx_chain(x, lam, nu)[nu]
         assert np.max(np.abs(v_x[ridx] - expected_x)) < 1e-11
 
 
@@ -82,8 +83,7 @@ def test_active_layout_is_four_by_four_for_split_data(zero_model):
     data0 = make_split_data(0.0)
     layout0 = layout_of(data0, zero_model)
     assert layout0.dim == 4
-    assert [e.m for e in layout0.side0] == [2, 2]
-    assert [e.m for e in layout0.side1] == [1, 1]
+    assert layout0.m.tolist() == [2, 2, 1, 1]     # the data's rows, then the background's
 
 
 def test_active_layout_closes_over_a_data_group(zero_model):
@@ -95,6 +95,21 @@ def test_active_layout_closes_over_a_data_group(zero_model):
     assert layout_of(data, zero_model).indices == (1, 2)
     rec = run_reconstruction(data, zero_model, default_grid(100))
     assert np.all(np.isfinite(rec.q1)) and np.all(np.isfinite(rec.q0_antideriv))
+
+
+@pytest.mark.parametrize("case", ["double", "triple", "size-5", "split", "dim-64"])
+def test_layout_rows_are_the_groups_of_their_n_and_side(case, zero_model):
+    data = {"double": make_split_data(0.0), "triple": group_at_1_3(3),
+            "size-5": group_at_1_3(P_MAX + 1), "split": make_split_data(0.01),
+            "dim-64": _wide_data(16, 16)}[case]
+    model_set = zero_model.spectral_data(max(data.max_abs_index, 1))
+    layout = active_layout(data, model_set)
+    assert layout.Ms.shape == (layout.dim, P_MAX + 1)
+    for k, (n, side) in enumerate(row_names(layout)):
+        ds = (data, model_set)[side]
+        g = ds.group_for(n)
+        assert (layout.lam[k], layout.nu[k], layout.m[k]) == (g.lam, offset(g.start, n), g.size)
+        assert layout.Ms[k].tolist() == ds.group_coefficients(g) + [0j] * (P_MAX + 1 - g.size)
 
 
 def test_submatrix_invertible_at_right_end(zero_model):
@@ -208,33 +223,33 @@ def _wide_data(width, seed):
 
 def _tabulated(system, model):
     """P and dP/dx built entry by entry from the kernel tables (reference loop)."""
-    x, rows = system.x, system.layout.rows()
-    P = np.zeros((x.size, len(rows), len(rows)), dtype=complex)
+    x, lay = system.x, system.layout
+    P = np.zeros((x.size, lay.dim, lay.dim), dtype=complex)
     Px = np.zeros_like(P)
-    for ridx, (er, _) in enumerate(rows):
-        for cidx, (ec, j) in enumerate(rows):
-            smax = ec.m - 1 - ec.nu
-            T = d_table(model, x, er.lam, ec.lam, er.nu, smax)
-            X = dx_table(model, x, er.lam, ec.lam, er.nu, smax)
+    for r in range(lay.dim):
+        for c, (_, j) in enumerate(row_names(lay)):
+            smax = lay.m[c] - 1 - lay.nu[c]
+            T = d_table(model, x, lay.lam[r], lay.lam[c], lay.nu[r], smax)
+            X = dx_table(model, x, lay.lam[r], lay.lam[c], lay.nu[r], smax)
             sgn = -1.0 if j == 1 else 1.0
-            for p in range(ec.nu, ec.m):
-                P[:, ridx, cidx] += sgn * ec.Ms[p] * T[er.nu, p - ec.nu]
-                Px[:, ridx, cidx] += sgn * ec.Ms[p] * X[er.nu, p - ec.nu]
+            for p in range(lay.nu[c], lay.m[c]):
+                P[:, r, c] += sgn * lay.Ms[c, p] * T[lay.nu[r], p - lay.nu[c]]
+                Px[:, r, c] += sgn * lay.Ms[c, p] * X[lay.nu[r], p - lay.nu[c]]
     return P, Px
 
 
 def _column_sums(system, model):
     """b and b' written out as (-1)^j sum_p M_p S_(p-nu) and the same over S'."""
-    x, rows = system.x, system.layout.rows()
+    x, lay = system.x, system.layout
     B = np.zeros_like(system.b)
     Bx = np.zeros_like(system.b_x)
-    for cidx, (ec, j) in enumerate(rows):
-        sch = model.s_chain(x, ec.lam, ec.m - 1 - ec.nu)
-        cch = model.sx_chain(x, ec.lam, ec.m - 1 - ec.nu)
+    for c, (_, j) in enumerate(row_names(lay)):
+        sch = model.s_chain(x, lay.lam[c], lay.m[c] - 1 - lay.nu[c])
+        cch = model.sx_chain(x, lay.lam[c], lay.m[c] - 1 - lay.nu[c])
         sgn = -1.0 if j == 1 else 1.0
-        for p in range(ec.nu, ec.m):
-            B[cidx] += sgn * ec.Ms[p] * sch[p - ec.nu]
-            Bx[cidx] += sgn * ec.Ms[p] * cch[p - ec.nu]
+        for p in range(lay.nu[c], lay.m[c]):
+            B[c] += sgn * lay.Ms[c, p] * sch[p - lay.nu[c]]
+            Bx[c] += sgn * lay.Ms[c, p] * cch[p - lay.nu[c]]
     return B, Bx
 
 
@@ -243,14 +258,13 @@ def test_assembly_matches_per_entry_tables(case, zero_model):
     data = {"wide": _wide_data(6, 7), "double-group": make_split_data(0.0),
             "small-lambda": make_split_data(0.01)}[case]
     system = system_of(data, zero_model, default_grid(50))
-    rows = system.layout.rows()
+    lam = system.layout.lam
     if case == "wide":
-        assert any(0 < abs(er.lam - ec.lam) < COALESCE_GAP
-                   for er, _ in rows for ec, _ in rows)
+        assert np.any((0 < abs(lam[:, None] - lam)) & (abs(lam[:, None] - lam) < COALESCE_GAP))
     if case == "double-group":
-        assert any(e.m > 1 for e, _ in rows)
+        assert np.any(system.layout.m > 1)
     if case == "small-lambda":
-        assert any(abs(e.lam) < SMALL_LAMBDA for e, _ in rows)
+        assert np.any(abs(lam) < SMALL_LAMBDA)
     P, Px = _tabulated(system, zero_model)
     B, Bx = _column_sums(system, zero_model)
     # _reference_P is tied to form_A bit for bit by the slicing test below
@@ -303,8 +317,8 @@ def test_form_A_is_identity_minus_P_at_every_slicing(case, zero_model, monkeypat
 
 def test_assembly_tables_only_coalescent_pairs(zero_model, table_calls):
     system = system_of(_wide_data(16, 101), zero_model, default_grid(20))
-    rows = system.layout.rows()
-    close = sum(abs(er.lam - ec.lam) < COALESCE_GAP for er, _ in rows for ec, _ in rows)
+    lam = system.layout.lam
+    close = np.count_nonzero(abs(lam[:, None] - lam) < COALESCE_GAP)
     assert system.layout.dim == 64
     assert close < 2 * system.layout.dim     # the diagonal and same-index pairs
     # all simple: every pair has the order key (0, 0), so one call takes them all
@@ -313,12 +327,12 @@ def test_assembly_tables_only_coalescent_pairs(zero_model, table_calls):
 
 def test_assembly_tables_group_pairs(zero_model, table_calls):
     system = system_of(make_split_data(0.0), zero_model, default_grid(20))
-    rows = system.layout.rows()
-    tabled = [(er, ec) for er, _ in rows for ec, _ in rows
-              if er.m > 1 or ec.m > 1 or abs(er.lam - ec.lam) < COALESCE_GAP]
-    grouped = sum(er.m > 1 or ec.m > 1 for er, ec in tabled)
+    lam, nu, m = system.layout.lam, system.layout.nu, system.layout.m
+    tabled = [(r, c) for r in range(lam.size) for c in range(lam.size)
+              if m[r] > 1 or m[c] > 1 or abs(lam[r] - lam[c]) < COALESCE_GAP]
+    grouped = sum(m[r] > 1 or m[c] > 1 for r, c in tabled)
     close = len(tabled) - grouped
-    keys = {(er.nu, ec.m - 1 - ec.nu) for er, ec in tabled}
+    keys = {(nu[r], m[c] - 1 - nu[c]) for r, c in tabled}
     assert (grouped, close, len(keys)) == (12, 2, 4)
     assert table_calls == {"d_table": len(keys), "d_table pairs": grouped + close}
 
@@ -344,27 +358,22 @@ def test_solve_matches_per_node_oracle(case, zero_model):
     assert residual.max() < 1e-12
 
 
-def _triple_group_data():
-    """lam = 1.3 at n = 1, 2, 3 against the zero background."""
-    entries = [SpectralEntry(n=n, lam=1.3, M=M)
-               for n, M in ((1, -1 / pi), (2, 0.3 + 0.1j), (3, -0.2))]
-    return SpectralDataSet.from_entries(entries, tail=ZeroBackground(), omega0=0.0)
-
-
 @pytest.mark.parametrize("case", ["double-group", "triple-group"])
 def test_eps4_matches_the_group_sum(case, zero_model):
-    data = make_split_data(0.0) if case == "double-group" else _triple_group_data()
+    data = make_split_data(0.0) if case == "double-group" else group_at_1_3(3)
     system = system_of(data, zero_model, default_grid(30))
-    rows = system.layout.rows()
-    assert max(e.m for e, _ in rows) == (2 if case == "double-group" else 3)
+    nu = system.layout.nu
+    assert system.layout.m.max() == (2 if case == "double-group" else 3)
     rng = np.random.default_rng(11)
     v = rng.standard_normal(system.b.shape + (2,)) @ np.array([1.0, 1j])
-    # eps4 = sum over groups of sum_(nu < m-1) b_(nu+1) v_nu, written out per group
-    row_of = {(e.group_start, e.nu, j): k for k, (e, j) in enumerate(rows)}
+    # eps4 = sum over groups of sum_(nu < m-1) b_(nu+1) v_nu, written out per group:
+    # the member after (n, j) is (shift(n, 1), j) when its offset is one more
+    row_of = {name: k for k, name in enumerate(row_names(system.layout))}
     want = np.zeros(system.x.size, dtype=complex)
-    for (start, nu, j), k in row_of.items():
-        if (start, nu + 1, j) in row_of:
-            want += system.b[row_of[start, nu + 1, j]] * v[k]
+    for (n, j), k in row_of.items():
+        after = row_of.get((shift(n, 1), j))
+        if after is not None and nu[after] == nu[k] + 1:
+            want += system.b[after] * v[k]
     eps = compute_epsilons(system, v, v)
     assert np.any(want != 0)
     assert np.array_equal(eps.eps4, want)

@@ -24,6 +24,7 @@ from qpencil import (
 )
 from qpencil.spectral_data import GROUPING_TOL, Group, clusters
 from qpencil.zindex import offset, shift, window
+from conftest import group_at_1_3
 
 
 def test_zindex_skips_zero():
@@ -226,23 +227,25 @@ def test_normalize_is_idempotent(lams, n_neg):
 def test_truncate_hybrid_levels():
     model = ZeroBackground().spectral_data(4)
     data = make_split_data(0.01)
-    full = truncate_hybrid(data, model, 4)
+    full = truncate_hybrid(data, 4)
     assert full.entry(1).lam == data.entry(1).lam
-    nothing = truncate_hybrid(data, model, 0)
+    nothing = truncate_hybrid(data, 0)
     for n in window(4):
         assert nothing.entry(n).lam == model.entry(n).lam
-    same = truncate_hybrid(data, model, 1)
+    same = truncate_hybrid(data, 1)
     for n in window(4):
         assert same.entry(n).lam == pytest.approx(
             data.entry(n).lam if abs(n) <= 1 else model.entry(n).lam)
     with pytest.raises(ValidationError, match="negative"):
-        truncate_hybrid(data, model, -1)
+        truncate_hybrid(data, -1)
+    with pytest.raises(ValidationError, match="cuts the multiplicity group at 1"):
+        truncate_hybrid(group_at_1_3(3), 2)
 
 
 def test_truncate_hybrid_outside_is_model_elementwise():
     model = ZeroBackground().spectral_data(5)
     data = make_split_data(0.02)
-    out = truncate_hybrid(data, model, 1)
+    out = truncate_hybrid(data, 1)
     for n in window(5):
         if abs(n) > 1:
             assert out.entry(n).lam == model.entry(n).lam
