@@ -46,9 +46,9 @@ from .spectral_data import SpectralDataSet
 
 DEFAULT_N_GRID = 200
 COND_LIMIT = 1e10
-SOLVE_CHUNK_ENTRIES = 1 << 16   # matrices formed at once, counted as nodes x dim^2
+SOLVE_CHUNK_ENTRIES = 1 << 15   # matrices a solve forms at once, counted as nodes x dim^2
 LU_MIN_DIM = 16                 # from this dim on, factor node by node by getrf
-POOL_MAX_ENTRIES = 10_000       # below this dim^2, LU chunks go to two threads
+POOL_MAX_ENTRIES = 10_000       # below this dim^2, x-ranges go to two threads
 ACTIVE_TOL = 1e-11
 
 
@@ -133,12 +133,14 @@ class MainEquationSystem:
     def layout(self) -> ActiveLayout:     # the first set's; the sets share its dim
         return self.layouts[0]
 
-    def form_A(self, nodes: slice = slice(None)) -> np.ndarray:
-        """A = I - P at a slice of nodes in one set or of whole sets, a new array."""
+    def form_A(self, nodes: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
+        """A = I - P at a slice of nodes in one set or of whole sets, in a new array or
+        in ``out``, C-contiguous."""
         (lo, hi, _), nx, dim = nodes.indices(len(self.rhs)), self.x.size, self.rhs.shape[1]
         first, k = lo // nx, max(1, (hi - lo) // nx)     # the first set, the number of sets
         a, a_x = (f[nodes].reshape(k, -1, dim) for f in (self.rhs, self.rhs_x))
-        A = a_x[..., None] * a[..., None, :]
+        A = np.multiply(a_x[..., None], a[..., None, :],
+                        out=None if out is None else out.reshape(a.shape + (dim,)))
         A -= a[..., None] * a_x[..., None, :]
         A *= self.scale[first:first + k, None]
         for p, tv, t in zip(A, np.split(self.table_vals[nodes], k), self.tabled[first:]):
@@ -220,31 +222,28 @@ def solve_main(system: MainEquationSystem) -> tuple[np.ndarray, np.ndarray, np.n
 
     Returns ``(v, v_x, cond, residual)``: v and v_x of shape (dim, nodes), the
     per-node 1-norm condition ||A||_1 ||A^-1||_1 of A = I - P, and the per-node
-    max-norm residual of A v - s.  The solve factors A as ``form_A`` returns it, in chunks
-    of ``SOLVE_CHUNK_ENTRIES`` matrix entries, in one set or of whole sets.  Below
-    ``LU_MIN_DIM`` a batched ``np.linalg.inv`` serves both solves and gives the exact
-    condition; from it on one LAPACK getrf per node serves two getrs solves and gecon's
-    Hager-Higham estimate (a lower bound).  While dim^2 < ``POOL_MAX_ENTRIES`` (OpenBLAS
-    threads larger getrf calls), several chunks go to two threads (one on one CPU) that
-    share the budget.  The products are einsums, off numpy's BLAS pool.  A failed node
-    (non-finite or exactly singular A, overflowing inverse) gets cond = inf and NaN
-    solutions, and the loop goes on.
+    max-norm residual of A v - s.  The solve forms A by ``form_A`` in chunks of
+    ``SOLVE_CHUNK_ENTRIES`` matrix entries, in one set or of whole sets, into buffers
+    allocated once per call.  Below ``LU_MIN_DIM`` a batched ``np.linalg.inv`` serves both
+    solves and gives the exact condition; from it on one LAPACK getrf per node, in place
+    on a copy of A, serves two getrs solves and gecon's Hager-Higham estimate (a lower
+    bound).  The products are einsums, off numpy's BLAS pool.  A failed node (non-finite
+    or exactly singular A, overflowing inverse) gets cond = inf and NaN solutions, and
+    the loop goes on.
     """
     nx, (nodes, dim) = system.x.size, system.rhs.shape
     mv = partial(np.einsum, "nij,nj->ni")    # a product per node, through no BLAS
     v, vx = np.empty((2, nodes, dim), dtype=complex)
     cond, residual = np.empty((2, nodes))
+    chunk = max(1, SOLVE_CHUNK_ENTRIES // (dim * dim))
+    span = max(1, chunk // nx) * nx      # whole sets to a chunk, or one set in chunks
+    buf = np.empty((min(chunk, nodes), dim, dim), dtype=complex)
     if dim >= LU_MIN_DIM:    # here, not at import: loading scipy's LAPACK takes about 0.25 s
         from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
-    pooled = LU_MIN_DIM <= dim and dim * dim < POOL_MAX_ENTRIES
-    workers = min(2, _cpus()) if pooled else 1   # more than two: no gain measured
-    chunk = max(1, SOLVE_CHUNK_ENTRIES // (workers * dim * dim))
-    span = max(1, chunk // nx) * nx      # whole sets to a chunk, or one set in chunks
-    chunks = [slice(lo + k, min(lo + k + chunk, lo + span)) for lo in range(0, nodes, span)
-              for k in range(0, nx, chunk)]
-
-    def solve_chunk(sl: slice) -> None:
-        A = system.form_A(sl)
+        lu_buf, piv = np.empty_like(buf), np.empty(buf.shape[:2], dtype=np.int32)
+    for sl in (slice(lo + k, min(lo + k + chunk, lo + span, nodes)) for lo in range(0, nodes, span)
+               for k in range(0, nx, chunk)):
+        A = system.form_A(sl, out=buf[:sl.stop - sl.start])
         norm = np.abs(A).sum(axis=1).max(axis=1)
         if dim < LU_MIN_DIM:
             try:
@@ -255,7 +254,8 @@ def solve_main(system: MainEquationSystem) -> tuple[np.ndarray, np.ndarray, np.n
             cond[sl] = norm * np.abs(Ainv).sum(axis=1).max(axis=1)
             solve = partial(mv, Ainv)
         else:
-            lu, piv = A.copy(), np.empty((len(A), dim), dtype=np.int32)
+            lu = lu_buf[:len(A)]
+            np.copyto(lu, A)
             for k, f in enumerate(lu):   # in place on the Fortran-ordered f.T = A_k^T
                 piv[k] = zgetrf(f.T, overwrite_a=1)[1]   # rcond = 0 on an exactly singular A_k
                 rcond, info = zgecon(f.T, norm[k], norm="I")   # kappa_inf(A_k^T) = kappa_1(A_k)
@@ -268,9 +268,6 @@ def solve_main(system: MainEquationSystem) -> tuple[np.ndarray, np.ndarray, np.n
         v[sl][np.isinf(cond[sl])] = np.nan            # and so v_x there
         vx[sl] = solve(system.rhs_x[sl] + mv(system.px_u[sl], mv(system.px_w[sl], v[sl])))
         residual[sl] = np.abs(mv(A, v[sl]) - system.rhs[sl]).max(axis=1)
-
-    run = _executor(os.getpid(), workers).map if workers > 1 and len(chunks) > 1 else map
-    list(run(solve_chunk, chunks))
     return v.T, vx.T, cond, residual
 
 
@@ -287,8 +284,8 @@ def _cpus() -> int:     # the CPUs this process may run on
 
 
 @cache     # per process: a forked child has none of its parent's threads
-def _executor(pid: int, workers: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(workers, thread_name_prefix="qpencil-solve")
+def _executor(pid: int) -> ThreadPoolExecutor:     # two workers, the count measured (two CPUs)
+    return ThreadPoolExecutor(2, thread_name_prefix="qpencil-solve")
 
 
 @dataclass
@@ -406,8 +403,9 @@ def run_reconstructions(datasets: list[SpectralDataSet], model: BackgroundProble
     an error that no single set causes raises.
     A set's mean eigenvalue shift must match the background's within 1e-6, and its
     tail must be that background.  Sets of one dim share one ``assemble_system`` and
-    one solve.  The guards and the quadrature restart at each set, so a set's outputs
-    are bitwise those of its reconstruction alone.  A set fails at its lowest failed
+    one solve, on two x-ranges in two threads at dims 16 to 99 with two CPUs and two
+    chunks, bit for bit.  The guards and the quadrature restart at each set, so a set's
+    outputs are bitwise those of its reconstruction alone.  A set fails at its lowest failed
     node (cond = inf) or else its worst above ``cond_limit`` (1e10; the CLI profiles
     use 1e8 strict, 1e12 loose), then where |1 + eps1^2| < 1e-8.
     """
@@ -427,13 +425,15 @@ def run_reconstructions(datasets: list[SpectralDataSet], model: BackgroundProble
     for dim in {lay.dim for lay in out if isinstance(lay, ActiveLayout)}:
         stack = [i for i, e in enumerate(out) if isinstance(e, ActiveLayout) and e.dim == dim]
         series = np.zeros((5, len(stack), x.size), dtype=complex)   # the background's own data
-        cond, residual = np.ones(series.shape[1:]), [0.0] * len(stack)
-        if dim:
-            system = assemble_system([out[i] for i in stack], model, x)
-            v, v_x, cond, residual = solve_main(system)
-            eps = compute_epsilons(system, v, v_x)
-            series.reshape(5, -1)[:] = [eps.eps1, eps.eps1_prime, eps.eps2, eps.eps3, eps.eps4]
-            cond, residual = cond.reshape(len(stack), -1), residual.reshape(len(stack), -1).max(1)
+        cond, residual = np.ones(series.shape[1:]), np.zeros(series.shape[1:])
+        if dim:     # two x-ranges on two threads where the solve takes more than one chunk
+            cut = 4 * round(x.size / 8)     # OpenBLAS blocks the kernel series' x by 4
+            pooled = LU_MIN_DIM <= dim and dim * dim < POOL_MAX_ENTRIES and cut > 0 \
+                and len(stack) * x.size > SOLVE_CHUNK_ENTRIES // (dim * dim) and _cpus() > 1
+            run = _executor(os.getpid()).map if pooled else map
+            parts = run(partial(_reconstruct_range, [out[i] for i in stack], model),
+                        np.split(x, [cut]) if pooled else [x])
+            series, cond, residual = (np.concatenate(f, axis=-1) for f in zip(*parts))
         for i, c, e1 in zip(stack, cond, series[0]):
             out[i] = _guard(x, c, cond_limit) or _degenerate(x, e1)
         ok = [s for s, i in enumerate(stack) if out[i] is None]
@@ -442,5 +442,15 @@ def run_reconstructions(datasets: list[SpectralDataSet], model: BackgroundProble
         q0ad = recover_q0_antiderivative(eps, q1, model)
         for j, s in enumerate(ok):
             out[stack[s]] = RecoveredPotentials(x, q1[j], q0ad[j], model, cond[s],
-                                                float(residual[s]))
+                                                float(residual[s].max()))
     return out
+
+
+def _reconstruct_range(layouts, model: BackgroundProblem, x: np.ndarray):
+    """Assembly, solve and series on one x-range: (5, sets, nodes) series, cond, residual."""
+    system = assemble_system(layouts, model, x)
+    v, v_x, cond, residual = solve_main(system)
+    eps = compute_epsilons(system, v, v_x)
+    per_set = (len(layouts), x.size)
+    return (np.reshape([eps.eps1, eps.eps1_prime, eps.eps2, eps.eps3, eps.eps4], (5,) + per_set),
+            cond.reshape(per_set), residual.reshape(per_set))

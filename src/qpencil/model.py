@@ -60,9 +60,9 @@ def s_chain(x, lam, order: int) -> np.ndarray:
 
     Entry nu is (1/nu!) d^nu/dlam^nu [sin(lam x)/lam].  Each lam below
     ``SMALL_LAMBDA`` takes the power series in lam, which also handles the
-    removable singularity at lam = 0, up to the first term that its own
-    max|lam x| bounds below 2^-56 of the leading one, so a value does not
-    depend on the other lam of the call; the others take the closed form.
+    removable singularity at lam = 0, up to the first term that |lam| max(pi, max|x|)
+    bounds below 2^-56 of the leading one, so a value depends on neither the other lam
+    nor the other x in [-pi, pi] of the call; the others take the closed form.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=complex)
@@ -78,7 +78,7 @@ def s_chain(x, lam, order: int) -> np.ndarray:
     if small.any():
         which = np.flatnonzero(small)[np.argsort(-np.abs(z[small].reshape(-1)), kind="stable")]
         zs = z[which]
-        r = np.abs(zs.reshape(-1)) * np.abs(x).max(initial=0.0)     # bounds |lam x|, per lam
+        r = np.abs(zs.reshape(-1)) * max(pi, np.abs(x).max(initial=0.0))   # bounds |lam x|, per lam
         for nu in range(order + 1):
             acc = np.zeros(zs.shape[:1] + x.shape, dtype=complex)
             m0 = m = (nu + 1) // 2

@@ -209,7 +209,7 @@ def test_s_chain_batch_equals_elementwise():
 
 @pytest.mark.parametrize("order", range(P_MAX + 1))
 def test_s_chain_small_lambda_sums_its_own_terms(order):
-    # each lam below SMALL_LAMBDA stops its series by its own |lam| max|x|, so a
+    # each lam below SMALL_LAMBDA stops its series by its own |lam| max(pi, max|x|), so a
     # larger lam' in the same call adds no term to it, and a smaller none either.
     # The first pair is lambda_- of the split data at delta = 0.005 and 0.0002.
     x = np.linspace(0.0, pi, 201)
@@ -220,6 +220,17 @@ def test_s_chain_small_lambda_sums_its_own_terms(order):
         for pair in ([lam, other], [other, lam]):
             column = s_chain(x, pair, order)[:, pair.index(lam)]
             assert np.array_equal(column.view(np.uint64), alone.view(np.uint64)), (lam, other)
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.05 + 0.02j, 0.45])
+def test_s_chain_on_a_prefix_of_x_is_the_prefix_of_its_values(lam):
+    # the series stop bounds |lam x| by max(pi, max|x|), not by the x of the call, so a
+    # reconstruction on an x-range reads the whole grid's chains bit for bit
+    x = np.linspace(0.0, pi, 201)
+    for order in range(P_MAX + 1):
+        full = s_chain(x, lam, order)
+        for k in (1, 100, 201):
+            assert np.array_equal(s_chain(x[:k], lam, order), full[..., :k]), (order, k)
 
 
 def _closed_chains(x, lam, order):
