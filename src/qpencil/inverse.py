@@ -46,7 +46,7 @@ from .spectral_data import SpectralDataSet
 
 DEFAULT_N_GRID = 200
 COND_LIMIT = 1e10
-SOLVE_CHUNK_ENTRIES = 1 << 15   # matrices a solve forms at once, counted as nodes x dim^2
+SOLVE_CHUNK_ENTRIES = 3 << 14   # A's entries a solve forms at once; A and work buffer fit L2
 LU_MIN_DIM = 16                 # from this dim on, factor node by node by getrf
 POOL_MAX_ENTRIES = 10_000       # below this dim^2, x-ranges go to two threads
 ACTIVE_TOL = 1e-11
@@ -133,19 +133,19 @@ class MainEquationSystem:
     def layout(self) -> ActiveLayout:     # the first set's; the sets share its dim
         return self.layouts[0]
 
-    def form_A(self, nodes: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
-        """A = I - P at a slice of nodes in one set or of whole sets, in a new array or
-        in ``out``, C-contiguous."""
+    def form_A(self, nodes: slice = slice(None), out=None, work=None) -> np.ndarray:
+        """A = I - P at a slice of nodes in one set or of whole sets, in a new array or in
+        ``out``, C-contiguous; ``work``, if given, of A's shape, holds the temporary."""
         (lo, hi, _), nx, dim = nodes.indices(len(self.rhs)), self.x.size, self.rhs.shape[1]
         first, k = lo // nx, max(1, (hi - lo) // nx)     # the first set, the number of sets
         a, a_x = (f[nodes].reshape(k, -1, dim) for f in (self.rhs, self.rhs_x))
-        A = np.multiply(a_x[..., None], a[..., None, :],
-                        out=None if out is None else out.reshape(a.shape + (dim,)))
-        A -= a[..., None] * a_x[..., None, :]
+        A, W = (f if f is None else f.reshape(a.shape + (dim,)) for f in (out, work))
+        A = np.multiply(a_x[..., None], a[..., None, :], out=A)
+        A -= np.multiply(a[..., None], a_x[..., None, :], out=W)
         A *= self.scale[first:first + k, None]
         for p, tv, t in zip(A, np.split(self.table_vals[nodes], k), self.tabled[first:]):
             p[:, self.table_rows[t], self.table_cols[t]] = 0.0 - tv[:, t]
-        A[..., range(dim), range(dim)] += 1.0
+        A.reshape(k, -1, dim * dim)[..., ::dim + 1] += 1.0
         return A.reshape(-1, dim, dim)
 
 
@@ -223,13 +223,13 @@ def solve_main(system: MainEquationSystem) -> tuple[np.ndarray, np.ndarray, np.n
     Returns ``(v, v_x, cond, residual)``: v and v_x of shape (dim, nodes), the
     per-node 1-norm condition ||A||_1 ||A^-1||_1 of A = I - P, and the per-node
     max-norm residual of A v - s.  The solve forms A by ``form_A`` in chunks of
-    ``SOLVE_CHUNK_ENTRIES`` matrix entries, in one set or of whole sets, into buffers
-    allocated once per call.  Below ``LU_MIN_DIM`` a batched ``np.linalg.inv`` serves both
-    solves and gives the exact condition; from it on one LAPACK getrf per node, in place
-    on a copy of A, serves two getrs solves and gecon's Hager-Higham estimate (a lower
-    bound).  The products are einsums, off numpy's BLAS pool.  A failed node (non-finite
-    or exactly singular A, overflowing inverse) gets cond = inf and NaN solutions, and
-    the loop goes on.
+    ``SOLVE_CHUNK_ENTRIES`` matrix entries, in one set or of whole sets, into a buffer
+    allocated once per call, next to a work buffer for form_A's temporary, |A| and the LU.
+    Below ``LU_MIN_DIM`` a batched ``np.linalg.inv`` serves both solves and gives the exact
+    condition; from it on one getrf per node serves gecon's Hager-Higham estimate (a lower
+    bound) and two getrs solves, in place in v and v_x.  The products are einsums, off
+    numpy's BLAS pool.  A failed node (non-finite or exactly singular A, overflowing
+    inverse) gets cond = inf and NaN solutions, and the loop goes on.
     """
     nx, (nodes, dim) = system.x.size, system.rhs.shape
     mv = partial(np.einsum, "nij,nj->ni")    # a product per node, through no BLAS
@@ -237,14 +237,12 @@ def solve_main(system: MainEquationSystem) -> tuple[np.ndarray, np.ndarray, np.n
     cond, residual = np.empty((2, nodes))
     chunk = max(1, SOLVE_CHUNK_ENTRIES // (dim * dim))
     span = max(1, chunk // nx) * nx      # whole sets to a chunk, or one set in chunks
-    buf = np.empty((min(chunk, nodes), dim, dim), dtype=complex)
-    if dim >= LU_MIN_DIM:    # here, not at import: loading scipy's LAPACK takes about 0.25 s
-        from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
-        lu_buf, piv = np.empty_like(buf), np.empty(buf.shape[:2], dtype=np.int32)
+    buf, work = np.empty((2, min(chunk, nodes), dim, dim), dtype=complex)
     for sl in (slice(lo + k, min(lo + k + chunk, lo + span, nodes)) for lo in range(0, nodes, span)
                for k in range(0, nx, chunk)):
-        A = system.form_A(sl, out=buf[:sl.stop - sl.start])
-        norm = np.abs(A).sum(axis=1).max(axis=1)
+        n = sl.stop - sl.start
+        A = system.form_A(sl, out=buf[:n], work=work[:n])
+        norm = np.abs(A, out=work[:n].view(float)[..., :dim]).sum(axis=1).max(axis=1)
         if dim < LU_MIN_DIM:
             try:
                 Ainv = np.linalg.inv(A)
@@ -253,20 +251,23 @@ def solve_main(system: MainEquationSystem) -> tuple[np.ndarray, np.ndarray, np.n
                 Ainv = np.linalg.inv(np.where(singular[:, None, None], np.nan, A))
             cond[sl] = norm * np.abs(Ainv).sum(axis=1).max(axis=1)
             solve = partial(mv, Ainv)
-        else:
-            lu = lu_buf[:len(A)]
-            np.copyto(lu, A)
-            for k, f in enumerate(lu):   # in place on the Fortran-ordered f.T = A_k^T
-                piv[k] = zgetrf(f.T, overwrite_a=1)[1]   # rcond = 0 on an exactly singular A_k
-                rcond, info = zgecon(f.T, norm[k], norm="I")   # kappa_inf(A_k^T) = kappa_1(A_k)
+        else:    # here, not at import: loading scipy's LAPACK takes about 0.25 s
+            from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
+            piv, lu = np.empty((n, dim), dtype=np.int32), work[:n].transpose(0, 2, 1)
+            np.copyto(lu, A.transpose(0, 2, 1))      # lu[k] = A_k^T, Fortran-ordered, in place
+            for k, f in enumerate(lu):
+                piv[k] = zgetrf(f, 1)[1]     # rcond = 0 on an exactly singular A_k
+                rcond, info = zgecon(f, norm[k], "I")   # kappa_inf(A_k^T) = kappa_1(A_k)
                 cond[sl.start + k] = 1.0 / rcond if info == 0 and rcond > 0 else np.inf
 
-            def solve(b):    # A_k y = b_k is the transposed solve on A_k^T's LU
-                return [zgetrs(f.T, p, bk, trans=1)[0] for f, p, bk in zip(lu, piv, b)]
+            def solve(b, out):    # A_k y = b_k is the transposed solve on A_k^T's LU, in out
+                out[:] = b
+                for f, p, y in zip(lu, piv, out):
+                    zgetrs(f, p, y, 1, 1)
         cond[sl][~np.isfinite(cond[sl])] = np.inf    # NaN/inf in A, or an overflowing inverse
-        v[sl] = solve(system.rhs[sl])
+        solve(system.rhs[sl], out=v[sl])
         v[sl][np.isinf(cond[sl])] = np.nan            # and so v_x there
-        vx[sl] = solve(system.rhs_x[sl] + mv(system.px_u[sl], mv(system.px_w[sl], v[sl])))
+        solve(system.rhs_x[sl] + mv(system.px_u[sl], mv(system.px_w[sl], v[sl])), out=vx[sl])
         residual[sl] = np.abs(mv(A, v[sl]) - system.rhs[sl]).max(axis=1)
     return v.T, vx.T, cond, residual
 
@@ -284,8 +285,8 @@ def _cpus() -> int:     # the CPUs this process may run on
 
 
 @cache     # per process: a forked child has none of its parent's threads
-def _executor(pid: int) -> ThreadPoolExecutor:     # two workers, the count measured (two CPUs)
-    return ThreadPoolExecutor(2, thread_name_prefix="qpencil-solve")
+def _executor(pid: int) -> ThreadPoolExecutor:     # one worker, next to the calling thread
+    return ThreadPoolExecutor(1, thread_name_prefix="qpencil-solve")
 
 
 @dataclass
@@ -403,11 +404,11 @@ def run_reconstructions(datasets: list[SpectralDataSet], model: BackgroundProble
     an error that no single set causes raises.
     A set's mean eigenvalue shift must match the background's within 1e-6, and its
     tail must be that background.  Sets of one dim share one ``assemble_system`` and
-    one solve, on two x-ranges in two threads at dims 16 to 99 with two CPUs and two
-    chunks, bit for bit.  The guards and the quadrature restart at each set, so a set's
-    outputs are bitwise those of its reconstruction alone.  A set fails at its lowest failed
-    node (cond = inf) or else its worst above ``cond_limit`` (1e10; the CLI profiles
-    use 1e8 strict, 1e12 loose), then where |1 + eps1^2| < 1e-8.
+    one solve, on two x-ranges at dims 16 to 99 with two CPUs and two chunks (the later
+    on a worker thread), bit for bit.  The guards and the quadrature restart at each
+    set, so a set's outputs are bitwise those of its reconstruction alone.  A set fails at
+    its lowest failed node (cond = inf) or else its worst above ``cond_limit`` (1e10; the
+    CLI profiles use 1e8 strict, 1e12 loose), then where |1 + eps1^2| < 1e-8.
     """
     x = default_grid() if grid is None else np.atleast_1d(np.asarray(grid, dtype=float))
     model_set = model.spectral_data(max([min_window, 1] + [d.max_abs_index for d in datasets]))
@@ -430,9 +431,9 @@ def run_reconstructions(datasets: list[SpectralDataSet], model: BackgroundProble
             cut = 4 * round(x.size / 8)     # OpenBLAS blocks the kernel series' x by 4
             pooled = LU_MIN_DIM <= dim and dim * dim < POOL_MAX_ENTRIES and cut > 0 \
                 and len(stack) * x.size > SOLVE_CHUNK_ENTRIES // (dim * dim) and _cpus() > 1
-            run = _executor(os.getpid()).map if pooled else map
-            parts = run(partial(_reconstruct_range, [out[i] for i in stack], model),
-                        np.split(x, [cut]) if pooled else [x])
+            job = partial(_reconstruct_range, [out[i] for i in stack], model)
+            later = [_executor(os.getpid()).submit(job, x[cut:])] if pooled else []
+            parts = [job(x[:cut] if pooled else x)] + [f.result() for f in later]
             series, cond, residual = (np.concatenate(f, axis=-1) for f in zip(*parts))
         for i, c, e1 in zip(stack, cond, series[0]):
             out[i] = _guard(x, c, cond_limit) or _degenerate(x, e1)
@@ -448,9 +449,8 @@ def run_reconstructions(datasets: list[SpectralDataSet], model: BackgroundProble
 
 def _reconstruct_range(layouts, model: BackgroundProblem, x: np.ndarray):
     """Assembly, solve and series on one x-range: (5, sets, nodes) series, cond, residual."""
-    system = assemble_system(layouts, model, x)
+    system, per_set = assemble_system(layouts, model, x), (len(layouts), x.size)
     v, v_x, cond, residual = solve_main(system)
     eps = compute_epsilons(system, v, v_x)
-    per_set = (len(layouts), x.size)
     return (np.reshape([eps.eps1, eps.eps1_prime, eps.eps2, eps.eps3, eps.eps4], (5,) + per_set),
             cond.reshape(per_set), residual.reshape(per_set))
