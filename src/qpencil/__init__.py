@@ -57,10 +57,7 @@ from .inverse import (
     run_reconstructions,
     solve_main,
 )
-from .model import (
-    BackgroundProblem,
-    ZeroBackground,
-)
+from .model import ZeroBackground
 from .spectral_data import (
     SpectralDataSet,
     SpectralEntry,

@@ -20,7 +20,7 @@ from .experiments import (
     run_table,
 )
 from .forward import PotentialPair, find_eigenvalues, weyl_residues
-from .inverse import COND_LIMIT, default_grid, run_reconstruction
+from .inverse import COND_LIMIT, DEFAULT_N_GRID, default_grid, run_reconstruction
 from .model import ZeroBackground
 from .spectral_data import SpectralDataSet, truncate_hybrid
 
@@ -58,8 +58,8 @@ def _add_common(p):
 
 
 def _add_grid_n(p):
-    p.add_argument("--grid-n", type=_positive_int, default=200,
-                   help="number of grid intervals on [0, pi] (default 200)")
+    p.add_argument("--grid-n", type=_positive_int, default=DEFAULT_N_GRID,
+                   help=f"number of grid intervals on [0, pi] (default {DEFAULT_N_GRID})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--out", required=True, help="output potentials CSV, as forward reads")
     i.add_argument("--trunc-n", type=_nonnegative_int, default=None,
                    help="replace data beyond |n| <= trunc-n by the background")
-    i.add_argument("--min-window", type=_nonnegative_int, default=0)
     _add_grid_n(i)
     _add_common(i)
 
@@ -126,7 +125,6 @@ def _load_data(args):
 def _cmd_inverse(args) -> int:
     data, model, profile = _load_data(args)
     rec = run_reconstruction(data, model, default_grid(args.grid_n),
-                             min_window=args.min_window,
                              cond_limit=profile["cond_limit"])
     rec.as_potentials().to_csv(args.out)
     print(f"wrote potentials on {args.grid_n + 1} nodes to {args.out} "

@@ -38,12 +38,13 @@ from .forward import (
 )
 from .inverse import (
     COND_LIMIT,
+    DEFAULT_N_GRID,
     RecoveredPotentials,
     default_grid,
     run_reconstruction,
     run_reconstructions,
 )
-from .model import BackgroundProblem, ZeroBackground, same_background
+from .model import ZeroBackground
 from .spectral_data import SpectralDataSet, SpectralEntry
 
 # Double-eigenvalue reference data: eigenvalue 1/2 with Laurent pair
@@ -58,7 +59,7 @@ REFERENCE_DELTAS = (0.05, 0.02, 0.01, 0.005, 0.002, 0.001, 0.0005, 0.0002, 0.000
 @dataclass(frozen=True)
 class SplitExperimentConfig:
     delta_list: tuple[float, ...] = REFERENCE_DELTAS
-    n_grid: int = 200
+    n_grid: int = DEFAULT_N_GRID
 
     def __post_init__(self):
         if not all(isfinite(d) for d in self.delta_list):
@@ -164,7 +165,7 @@ def expected_weyl(data: SpectralDataSet, lam) -> np.ndarray:
     Background part for the zero problem is -lam cot(lam pi); the window
     contributes the data pole parts minus the background pole parts.
     """
-    if not same_background(data.tail, ZeroBackground()):
+    if data.tail != ZeroBackground():
         raise ValidationError("expected_weyl requires a zero-background tail")
     lam = np.asarray(lam, dtype=complex)
     base = -lam * np.cos(lam * pi) / np.sin(lam * pi)
@@ -300,7 +301,7 @@ class RoundtripReport:
         return "\n".join(lines)
 
 
-def roundtrip_check(data: SpectralDataSet, model: BackgroundProblem,
+def roundtrip_check(data: SpectralDataSet, model: ZeroBackground,
                     n_check: int, grid=None, refine: int | None = None,
                     cond_limit: float = COND_LIMIT) -> RoundtripReport:
     """Reconstruct, solve the direct problem on the result, compare the data.

@@ -40,7 +40,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .model import COALESCE_GAP, P_MAX, BackgroundProblem, d_table, same_background
+from .model import COALESCE_GAP, P_MAX, ZeroBackground, d_table
 from .simpson import cumulative_simpson
 from .spectral_data import SpectralDataSet
 
@@ -68,16 +68,13 @@ class ActiveLayout:
         return 2 * len(self.indices)
 
 
-def active_layout(data: SpectralDataSet, model_set: SpectralDataSet,
-                  min_window: int = 0) -> ActiveLayout:
+def active_layout(data: SpectralDataSet, model_set: SpectralDataSet) -> ActiveLayout:
     """Indices where the data differ from the background's ``model_set``, closed under groups.
 
-    ``model_set`` is the background's own spectral data, at least as wide as the set
-    and ``min_window``; every index |n| <= ``min_window`` is active.
+    ``model_set`` is the background's own spectral data, at least as wide as the set.
     """
-    width = max(data.max_abs_index, min_window)
-    active: set[int] = set(zindex.window(min_window))
-    for n in zindex.window(width):
+    active: set[int] = set()
+    for n in zindex.window(data.max_abs_index):
         de = data.entry(n)
         me = model_set.entry(n)
         if de.M is None:
@@ -106,9 +103,9 @@ def active_layout(data: SpectralDataSet, model_set: SpectralDataSet,
 class MainEquationSystem:
     """Per-node dense systems in factored form; node s * nx + k is node k of set s.
 
-    P = (a_r a'_c - a'_r a_c) ``scale``_rc with the row chains a = ``rhs``,
-    a' = ``rhs_x``, except at the pairs (``table_rows``, ``table_cols``) a set
-    tables, with per-node values ``table_vals``; ``form_A`` forms A = I - P per slice.
+    P = (a_r a'_c - a'_r a_c) ``scale``_rc + ``table_vals`` with the row chains a = ``rhs``,
+    a' = ``rhs_x``; ``scale`` is zero at the pairs (``table_rows``, ``table_cols``) a set
+    tables, ``table_vals`` zero at the others; ``form_A`` forms A = I - P per slice.
     ``b`` and ``b_x`` are the signed column combinations (-1)^j sum_p M_p S_(p-nu)
     and the same over S', ``b_lo`` the same with S_(p-nu-1) over p > nu.
     dP/dx = ``px_u @ px_w`` at every node.
@@ -119,7 +116,6 @@ class MainEquationSystem:
     scale: np.ndarray             # (sets, dim, dim), zero at the tabled pairs
     table_rows: np.ndarray        # (pairs,), tabled by some set
     table_cols: np.ndarray        # (pairs,)
-    tabled: np.ndarray            # (sets, pairs), whether the set tables the pair
     table_vals: np.ndarray        # (nodes, pairs)
     px_u: np.ndarray              # (nodes, dim, 2)
     px_w: np.ndarray              # (nodes, 2, dim)
@@ -143,13 +139,12 @@ class MainEquationSystem:
         A = np.multiply(a_x[..., None], a[..., None, :], out=A)
         A -= np.multiply(a[..., None], a_x[..., None, :], out=W)
         A *= self.scale[first:first + k, None]
-        for p, tv, t in zip(A, np.split(self.table_vals[nodes], k), self.tabled[first:]):
-            p[:, self.table_rows[t], self.table_cols[t]] = 0.0 - tv[:, t]
+        A.reshape(-1, dim, dim)[:, self.table_rows, self.table_cols] -= self.table_vals[nodes]
         A.reshape(k, -1, dim * dim)[..., ::dim + 1] += 1.0
         return A.reshape(-1, dim, dim)
 
 
-def assemble_system(layouts, model: BackgroundProblem, x) -> MainEquationSystem:
+def assemble_system(layouts, model: ZeroBackground, x) -> MainEquationSystem:
     """Build the factors of the per-node matrices from per-entry chain combinations.
 
     ``layouts`` holds one ``active_layout`` per set, all of one dim, to stack.  Every
@@ -212,7 +207,7 @@ def assemble_system(layouts, model: BackgroundProblem, x) -> MainEquationSystem:
     b, b_x, b_lo = (f.reshape(n_sets, dim, nx).swapaxes(0, 1).reshape(dim, -1)
                     for f in (b, b_x, b_lo))
     return MainEquationSystem(x=x, layouts=layouts, scale=scale, table_rows=r,
-                              table_cols=c, tabled=tabled, table_vals=vals.reshape(-1, r.size),
+                              table_cols=c, table_vals=vals.reshape(-1, r.size),
                               px_u=px_u, px_w=px_w, rhs=by_node(a), rhs_x=by_node(a_x),
                               b=b, b_x=b_x, b_lo=b_lo)
 
@@ -329,13 +324,13 @@ def _degenerate(x: np.ndarray, eps1: np.ndarray) -> DegenerateSeriesError | None
                                  "the q1 recovery divides by it") if bad.size else None
 
 
-def recover_q1(eps: EpsilonFields, model: BackgroundProblem) -> np.ndarray:
+def recover_q1(eps: EpsilonFields, model: ZeroBackground) -> np.ndarray:
     """Pointwise update of the first potential from the series derivative."""
     return model.q1_values(eps.x) + eps.eps1_prime / (1.0 + eps.eps1 ** 2)
 
 
 def recover_q0_antiderivative(eps: EpsilonFields, q1: np.ndarray,
-                              model: BackgroundProblem) -> np.ndarray:
+                              model: ZeroBackground) -> np.ndarray:
     """Antiderivative of the zeroth-potential difference, in integrated form.
 
     The exact-derivative terms contribute endpoint differences; the remaining
@@ -369,7 +364,7 @@ class RecoveredPotentials:
     x: np.ndarray
     q1: np.ndarray
     q0_antideriv: np.ndarray     # integral from 0 to x of (q0 - q0_background)
-    background: BackgroundProblem
+    background: ZeroBackground
     cond: np.ndarray
     residual: float
 
@@ -386,17 +381,17 @@ def default_grid(n_grid: int = DEFAULT_N_GRID) -> np.ndarray:
     return np.linspace(0.0, pi, n_grid + 1)
 
 
-def run_reconstruction(data: SpectralDataSet, model: BackgroundProblem, grid=None,
-                       min_window: int = 0, cond_limit: float = COND_LIMIT) -> RecoveredPotentials:
+def run_reconstruction(data: SpectralDataSet, model: ZeroBackground, grid=None,
+                       cond_limit: float = COND_LIMIT) -> RecoveredPotentials:
     """Reconstruct one set: ``run_reconstructions`` on a stack of one, raising its error."""
-    (rec,) = run_reconstructions([data], model, grid, min_window, cond_limit)
+    (rec,) = run_reconstructions([data], model, grid, cond_limit)
     if isinstance(rec, QPencilError):
         raise rec
     return rec
 
 
-def run_reconstructions(datasets: list[SpectralDataSet], model: BackgroundProblem, grid=None,
-                        min_window: int = 0, cond_limit: float = COND_LIMIT) -> list:
+def run_reconstructions(datasets: list[SpectralDataSet], model: ZeroBackground, grid=None,
+                        cond_limit: float = COND_LIMIT) -> list:
     """Full pipeline on a stack of sets: ``active_layout`` per set, then per dim
     ``assemble_system``, ``solve_main``, ``compute_epsilons`` and the ``recover_*`` steps.
 
@@ -411,16 +406,16 @@ def run_reconstructions(datasets: list[SpectralDataSet], model: BackgroundProble
     CLI profiles use 1e8 strict, 1e12 loose), then where |1 + eps1^2| < 1e-8.
     """
     x = default_grid() if grid is None else np.atleast_1d(np.asarray(grid, dtype=float))
-    model_set = model.spectral_data(max([min_window, 1] + [d.max_abs_index for d in datasets]))
+    model_set = model.spectral_data(max([1] + [d.max_abs_index for d in datasets]))
     out: list = []
     for data in datasets:
         try:
             if abs(complex(data.omega0) - complex(model.omega0)) > 1e-6:
                 raise ValidationError(f"data omega0={data.omega0} incompatible with background "
                                       f"omega0={model.omega0}")
-            if data.tail is not None and not same_background(data.tail, model):
+            if data.tail is not None and data.tail != model:
                 raise ValidationError("data tail must coincide with the reconstruction background")
-            out.append(active_layout(data, model_set, min_window))
+            out.append(active_layout(data, model_set))
         except QPencilError as err:
             out.append(err)
     for dim in {lay.dim for lay in out if isinstance(lay, ActiveLayout)}:
@@ -428,7 +423,7 @@ def run_reconstructions(datasets: list[SpectralDataSet], model: BackgroundProble
         series = np.zeros((5, len(stack), x.size), dtype=complex)   # the background's own data
         cond, residual = np.ones(series.shape[1:]), np.zeros(series.shape[1:])
         if dim:     # two x-ranges on two threads where the solve takes more than one chunk
-            cut = 4 * round(x.size / 8)     # OpenBLAS blocks the kernel series' x by 4
+            cut = x.size // 2
             pooled = LU_MIN_DIM <= dim and dim * dim < POOL_MAX_ENTRIES and cut > 0 \
                 and len(stack) * x.size > SOLVE_CHUNK_ENTRIES // (dim * dim) and _cpus() > 1
             job = partial(_reconstruct_range, [out[i] for i in stack], model)
@@ -447,7 +442,7 @@ def run_reconstructions(datasets: list[SpectralDataSet], model: BackgroundProble
     return out
 
 
-def _reconstruct_range(layouts, model: BackgroundProblem, x: np.ndarray):
+def _reconstruct_range(layouts, model: ZeroBackground, x: np.ndarray):
     """Assembly, solve and series on one x-range: (5, sets, nodes) series, cond, residual."""
     system, per_set = assemble_system(layouts, model, x), (len(layouts), x.size)
     v, v_x, cond, residual = solve_main(system)

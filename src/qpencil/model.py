@@ -26,6 +26,7 @@ derivative order however many parameters it has.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import comb, factorial, pi
 from typing import TYPE_CHECKING
 
@@ -144,7 +145,7 @@ def _pairs(lam, mu):
     return lam.shape, lam.reshape(-1), mu.reshape(-1)
 
 
-def d_table(background: "BackgroundProblem", x, lam, mu,
+def d_table(background: ZeroBackground, x, lam, mu,
             tmax: int, smax: int) -> np.ndarray:
     """T[..., t, s] = (1/t! s!) d^t_lam d^s_mu D(x, lam, mu) for ``background``.
 
@@ -190,7 +191,7 @@ def _series_coalescent(x, lam, mu, tmax, smax):
     a, b = even_chain(lam, tmax), even_chain(mu, smax)
     K = np.stack([a[..., :n + 1] @ b[..., n::-1].swapaxes(1, 2) for n in m], axis=-1)
     g = (-1.0) ** m[:, None] * x.reshape(-1) ** (2 * m[:, None] + 3) / (2 * m[:, None] + 3)
-    E = K @ g
+    E = np.einsum("...n,nx->...x", K, g)    # not BLAS: each x its own sum, whatever the threads
     T = (lam + mu)[:, None, None, None] * E
     T[:, 1:] += E[:, :-1]
     T[:, :, 1:] += E[:, :, :-1]
@@ -213,53 +214,11 @@ def _closed_coalescent(x, lam, mu, tmax, smax):
 
 
 # ---------------------------------------------------------------------------
-# background problems
+# the zero background
 
-class BackgroundProblem:
-    """Interface consumed by the reconstruction pipeline.
-
-    A background supplies its chains, its first potential and the coalescent
-    branch of the kernel; the kernel tables themselves are shared.
-    """
-
-    omega0: complex
-
-    def q1_values(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def sigma_values(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def s_chain(self, x, lam, order) -> np.ndarray:
-        raise NotImplementedError
-
-    def sx_chain(self, x, lam, order) -> np.ndarray:
-        raise NotImplementedError
-
-    def _coalescent_table(self, x, lam, mu, tmax, smax) -> np.ndarray:
-        """Kernel tables, free of the 1/(lam - mu), of the 1-D pair arrays (lam, mu).
-
-        Used for pairs closer than ``d_table``'s switch gap; shape
-        (pairs, tmax+1, smax+1) + x.shape.
-        """
-        raise NotImplementedError
-
-    def spectral_entry(self, n: int) -> tuple[complex, complex]:
-        """Eigenvalue and residue coefficient of the background at index n."""
-        raise NotImplementedError
-
-    def spectral_data(self, n_max: int) -> "SpectralDataSet":
-        from .spectral_data import SpectralDataSet, SpectralEntry
-
-        entries = []
-        for n in zindex.window(n_max):
-            lam, M = self.spectral_entry(n)
-            entries.append(SpectralEntry(n=n, lam=lam, M=M))
-        return SpectralDataSet.from_entries(entries, tail=self, omega0=self.omega0)
-
-
-class ZeroBackground(BackgroundProblem):
-    """The problem with both potentials identically zero."""
+@dataclass(frozen=True)
+class ZeroBackground:
+    """The problem with both potentials identically zero; ``d_table`` calls its methods by name."""
 
     omega0 = 0.0 + 0.0j
 
@@ -276,6 +235,11 @@ class ZeroBackground(BackgroundProblem):
         return sx_chain(x, lam, order)
 
     def _coalescent_table(self, x, lam, mu, tmax, smax):
+        """Kernel tables, free of the 1/(lam - mu), of the 1-D pair arrays (lam, mu).
+
+        Used for pairs closer than ``d_table``'s switch gap; shape
+        (pairs, tmax+1, smax+1) + x.shape.
+        """
         T = np.empty(lam.shape + (tmax + 1, smax + 1) + x.shape, dtype=complex)
         small = np.minimum(np.abs(lam), np.abs(mu)) < SMALL_LAMBDA
         if small.any():
@@ -285,15 +249,14 @@ class ZeroBackground(BackgroundProblem):
         return T
 
     def spectral_entry(self, n):
+        """Eigenvalue and residue coefficient of the background at index n."""
         if n == 0:
             raise ValueError("index 0 is not in Z0")
         return complex(n), complex(-n / pi)
 
-    def __repr__(self):
-        return "ZeroBackground()"
+    def spectral_data(self, n_max: int) -> "SpectralDataSet":
+        """The background's own entries at |n| <= n_max, with itself as the tail."""
+        from .spectral_data import SpectralDataSet, SpectralEntry
 
-
-def same_background(a: BackgroundProblem | None, b: BackgroundProblem | None) -> bool:
-    """Whether two backgrounds are one problem: the same object, or both zero."""
-    return a is not None and (
-        a is b or (isinstance(a, ZeroBackground) and isinstance(b, ZeroBackground)))
+        return SpectralDataSet.from_entries(
+            [SpectralEntry(n, *self.spectral_entry(n)) for n in zindex.window(n_max)], tail=self)

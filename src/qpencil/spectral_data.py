@@ -26,7 +26,7 @@ from .errors import (
     SignConflictError,
     ValidationError,
 )
-from .model import BackgroundProblem, ZeroBackground, same_background
+from .model import ZeroBackground
 
 # Absolute tolerance for treating two eigenvalues as equal.  Forward-solver
 # roots are accurate to ~1e-10, so true multiples collapse while split roots
@@ -72,13 +72,13 @@ class SpectralDataSet:
 
     entries: dict[int, SpectralEntry]
     groups: tuple[Group, ...]
-    tail: BackgroundProblem | None
+    tail: ZeroBackground | None
     omega0: complex
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def from_entries(entries, tail: BackgroundProblem | None = None,
+    def from_entries(entries, tail: ZeroBackground | None = None,
                      omega0: complex | None = None) -> "SpectralDataSet":
         """Build a set, regrouping equal eigenvalues onto consecutive indices.
 
@@ -171,7 +171,7 @@ class SpectralDataSet:
     # -- serialization --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        if self.tail is not None and not same_background(self.tail, ZeroBackground()):
+        if self.tail is not None and self.tail != ZeroBackground():
             raise ValidationError("only dirichlet-zero tails are serializable")
         ents = []
         for n in self.window_indices():

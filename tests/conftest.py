@@ -6,13 +6,27 @@ import numpy as np
 import pytest
 
 from qpencil import PotentialPair, SpectralDataSet, SpectralEntry, ZeroBackground, assemble_system
-from qpencil.inverse import active_layout
+from qpencil.inverse import ActiveLayout, active_layout
+from qpencil.model import P_MAX
+from qpencil.zindex import offset, window
 
 
-def layout_of(data, model, min_window: int = 0):
+def layout_of(data, model):
     """One set's ``active_layout`` against the background's data at its width."""
-    return active_layout(data, model.spectral_data(max(data.max_abs_index, min_window, 1)),
-                         min_window)
+    return active_layout(data, model.spectral_data(max(data.max_abs_index, 1)))
+
+
+def forced_layout(data, model, width):
+    """A layout with a row for every |n| <= width on both sides, as ``active_layout``
+    builds its rows, whether or not the data differ from the background there."""
+    indices = tuple(window(width))
+    rows = [(ds, n, ds.group_for(n)) for ds in (data, model.spectral_data(width)) for n in indices]
+    Ms = np.zeros((len(rows), P_MAX + 1), dtype=complex)
+    for k, (ds, _, g) in enumerate(rows):
+        Ms[k, :g.size] = ds.group_coefficients(g)
+    return ActiveLayout(indices=indices, lam=np.array([g.lam for _, _, g in rows], dtype=complex),
+                        nu=np.array([offset(g.start, n) for _, n, g in rows], dtype=int),
+                        m=np.array([g.size for _, _, g in rows], dtype=int), Ms=Ms)
 
 
 def row_names(layout):
@@ -20,9 +34,9 @@ def row_names(layout):
     return [(n, side) for side in (0, 1) for n in layout.indices]
 
 
-def system_of(data, model, x, min_window: int = 0):
+def system_of(data, model, x):
     """The main-equation system of one set."""
-    return assemble_system([layout_of(data, model, min_window)], model, x)
+    return assemble_system([layout_of(data, model)], model, x)
 
 
 def group_at_1_3(m):

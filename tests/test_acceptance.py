@@ -118,8 +118,7 @@ def test_criterion_4_weight_residue_duality():
 
 
 def test_criterion_5_identity_reconstruction():
-    rec = run_reconstruction(ZeroBackground().spectral_data(3), ZeroBackground(),
-                             min_window=2)
+    rec = run_reconstruction(ZeroBackground().spectral_data(3), ZeroBackground())
     q1_max = float(np.max(np.abs(rec.q1)))
     q0_max = float(np.max(np.abs(rec.q0_antideriv)))
     ok = q1_max < 1e-10 and q0_max < 1e-10

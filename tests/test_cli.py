@@ -476,7 +476,6 @@ def test_forward_names_the_overflowing_mean_of_q1(tmp_path, capsys):
     ("roundtrip", ["--n-check", "0"]),
     ("roundtrip", ["--n-check", "-1"]),
     ("inverse", ["--trunc-n", "-1"]),
-    ("inverse", ["--min-window", "-5"]),
     ("roundtrip", ["--trunc-n", "-1"]),
 ], ids=lambda v: v if isinstance(v, str) else " ".join(v[:2]))  # the bad flag first
 def test_bad_numeric_flag_is_validation_error(tmp_path, command, flags):

@@ -42,7 +42,7 @@ from qpencil.inverse import (
 )
 from qpencil.model import COALESCE_GAP, P_MAX, SMALL_LAMBDA, d_table
 from qpencil.zindex import offset, shift, window
-from conftest import group_at_1_3, layout_of, row_names, system_of
+from conftest import forced_layout, group_at_1_3, layout_of, row_names, system_of
 from test_model import dx_table
 
 
@@ -52,11 +52,11 @@ def zero_model():
 
 
 def test_identity_data_recovers_model_solution(zero_model):
-    # with a forced window the solve is non-trivial but must return the
-    # background solution values at every active index
+    # with identity rows forced in the solve is non-trivial but must return the
+    # background solution values at every row
     data = ZeroBackground().spectral_data(2)
     x = default_grid(60)
-    system = system_of(data, zero_model, x, min_window=2)
+    system = assemble_system([forced_layout(data, zero_model, 2)], zero_model, x)
     v, v_x, _, _ = solve_main(system)
     for ridx, (lam, nu) in enumerate(zip(system.layout.lam, system.layout.nu)):
         expected = zero_model.s_chain(x, lam, nu)[nu]
@@ -141,7 +141,7 @@ def test_vx_matches_finite_difference_at_second_order(zero_model):
 
 def test_epsilons_vanish_for_identity(zero_model):
     data = ZeroBackground().spectral_data(2)
-    system = system_of(data, zero_model, default_grid(50), min_window=2)
+    system = assemble_system([forced_layout(data, zero_model, 2)], zero_model, default_grid(50))
     v, v_x, _, _ = solve_main(system)
     eps = compute_epsilons(system, v, v_x)
     for arr in (eps.eps1, eps.eps1_prime, eps.eps2, eps.eps3, eps.eps4):
@@ -172,8 +172,7 @@ def test_recovery_zero_for_zero_series(zero_model):
 
 
 def test_full_pipeline_identity(zero_model):
-    rec = run_reconstruction(ZeroBackground().spectral_data(3), zero_model,
-                             default_grid(100), min_window=2)
+    rec = run_reconstruction(ZeroBackground().spectral_data(3), zero_model, default_grid(100))
     assert np.max(np.abs(rec.q1)) < 1e-10
     assert np.max(np.abs(rec.q0_antideriv)) < 1e-10
     assert rec.q0_antideriv[0] == 0.0
@@ -283,9 +282,9 @@ def _reference_P(system, nodes):
     a, a_x, r, c = system.rhs[nodes], system.rhs_x[nodes], system.table_rows, system.table_cols
     P = (a[:, :, None] * a_x[:, None, :] - a_x[:, :, None] * a[:, None, :]).reshape(
         k, -1, dim, dim) * system.scale[first:first + k, None]
-    for p, tv, t in zip(P, system.table_vals[nodes].reshape(k, -1, r.size), system.tabled[first:]):
-        p[:, r[t], c[t]] = tv[:, t]
-    return P.reshape(-1, dim, dim)
+    P = P.reshape(-1, dim, dim)
+    P[:, r, c] += system.table_vals[nodes]     # zero where a set's scale is not
+    return P
 
 
 @pytest.mark.parametrize("case", ["wide-dim64", "sweep", "double-group"])
@@ -545,7 +544,7 @@ def _stacked_wide(width):
     return {"dim16": [_wide_data(4, 906)], "dim64": [_wide_data(16, 906)],
             "dim96": [_wide_data(24, 906)],
             "stacked-dim64": [_wide_data(16, 906), _wide_data(16, 907)],
-            # the kernel's series branch at (0.3, 0.3): BLAS contracts it over x
+            # the kernel's series branch at (0.3, 0.3), which contracts over x
             "small-lam-dim64": [_wide_data(16, 906).replace_entry(1, lam=0.3)]}[width]
 
 
@@ -593,8 +592,7 @@ def test_parallel_solve_reports_the_lowest_failing_node(fills, zero_model, monke
     dim = layout_of(data, zero_model).dim
     # the last node of the first x-range and the first of the second: the later
     # range, on the worker, may meet its failure first
-    cut = 4 * round(x.size / 8)
-    nodes = (cut - 1, cut)
+    nodes = (x.size // 2 - 1, x.size // 2)
     _replace_nodes(monkeypatch, {k: np.zeros((dim, dim)) if fill == "identity" else np.nan
                                  for k, fill in zip(nodes, fills)}, x)    # P = I: A = 0
     threads = _solve_threads(monkeypatch)
@@ -609,28 +607,52 @@ def test_solve_starts_threads_only_for_the_pool():
     script = """
 import threading
 before = threading.active_count()
+from math import pi
 import qpencil
 import qpencil.inverse as qinv
-from qpencil import ZeroBackground, assemble_system, default_grid, make_split_data, run_reconstruction
+from qpencil import (SpectralDataSet, SpectralEntry, ZeroBackground, assemble_system,
+                     default_grid, make_split_data, run_reconstruction)
 run_reconstruction(make_split_data(0.0), ZeroBackground(), default_grid(200))
 assert threading.active_count() == before, (before, threading.active_count())
 qinv._cpus = lambda: 64
-data, model = make_split_data(0.0).replace_entry(1, lam=1.5), ZeroBackground()
-layout = qinv.active_layout(data, model.spectral_data(16), min_window=16)
+model = ZeroBackground()     # data off the background at every |n| <= 16
+data = SpectralDataSet.from_entries([SpectralEntry(n=n, lam=n + 0.01 / n, M=-1.01 * n / pi)
+                                     for n in range(-16, 17) if n], tail=model)
+layout = qinv.active_layout(data, model.spectral_data(16))
 system = assemble_system([layout], model, default_grid(200))
 assert system.layout.dim == 64
 qinv.solve_main(system)
 assert threading.active_count() == before, (before, threading.active_count())
-run_reconstruction(data, model, default_grid(200), min_window=16)
+run_reconstruction(data, model, default_grid(200))
 pooled = threading.active_count()
 assert pooled == before + 1, (before, pooled)
-run_reconstruction(data, model, default_grid(200), min_window=16)
+run_reconstruction(data, model, default_grid(200))
 assert threading.active_count() == pooled
 """
     env = {**os.environ, "PYTHONPATH": str(Path(qpencil.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_small_lambda_reconstruction_ignores_the_blas_thread_count():
+    # the kernel series of the pairs at lam near 1/2 contracts over x; a BLAS product there
+    # blocks x by its thread count, and from about 251 nodes on the last bits move with it
+    script = """
+import sys
+from qpencil import ZeroBackground, default_grid, make_split_data, run_reconstruction
+rec = run_reconstruction(make_split_data(1e-4), ZeroBackground(), default_grid(250))
+sys.stdout.buffer.write(rec.q1.tobytes() + rec.q0_antideriv.tobytes())
+"""
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(qpencil.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0] == out[1]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -14,7 +14,6 @@ from qpencil import (
 )
 from qpencil.model import (
     P_MAX,
-    BackgroundProblem,
     _pairs,
     d_table,
     s_chain,
@@ -296,7 +295,7 @@ def test_s_chain_against_mpmath_oracle(lam):
         assert np.max(np.abs(got[nu] - ref[nu])) < 1e-10 * np.max(np.abs(ref[nu]))
 
 
-def dx_table(background: BackgroundProblem, x, lam, mu,
+def dx_table(background: ZeroBackground, x, lam, mu,
              tmax: int, smax: int) -> np.ndarray:
     """Mixed derivatives of dD/dx = (lam + mu - 2 q1(x)) S(x,lam) S(x,mu), as ``d_table``.
 

@@ -262,6 +262,7 @@ def test_json_roundtrip(tmp_path):
         assert back.entries[n].lam == data.entries[n].lam
         assert back.entries[n].M == data.entries[n].M
     assert back.omega0 == data.omega0
+    assert back == data     # the two ZeroBackground() tails compare equal
 
 
 def test_json_defaults_outside_entries_to_model():
